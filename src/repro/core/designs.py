@@ -17,6 +17,13 @@ Fig. 7 and Fig. 8:
 All latency/energy formulas mirror the functional PE simulators'
 cycle-charging rules (see :mod:`repro.core.sram_pe` / ``mram_pe``), applied
 analytically so paper-scale (26 MB, GMAC) workloads are tractable.
+
+Each formula is a numpy expression over the workload's
+:class:`~repro.core.workload.LayerTable` columns.  Integer quantities stay
+int64, each per-layer float term is computed with the operands in the
+order of the scalar formula, and every float total is accumulated left to
+right in layer order (:func:`_ltr_sum`), so the results are bit-identical
+to a per-layer ``total += term`` loop.
 """
 
 from __future__ import annotations
@@ -25,12 +32,31 @@ import dataclasses
 import math
 from typing import Dict, Optional
 
+import numpy as np
+
 from ..energy.area import AreaModel, AreaReport
 from ..energy.cost import CostModel, EnergyBreakdown
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..sparsity.nm import NMPattern
 from .mram_pe import PIPELINE_DEPTH
-from .workload import LayerWorkload, Workload
+from .workload import LayerTable, Workload
+
+
+def _ltr_sum(terms: np.ndarray) -> float:
+    """Float total of ``terms`` added strictly left to right from 0.0.
+
+    ``np.sum`` adds pairwise and builtin ``sum()`` of floats is compensated
+    from Python 3.12 on; either would move last bits relative to a
+    ``total += term`` loop.  ``np.add.accumulate`` is sequential.
+    """
+    if not terms.size:
+        return 0.0
+    return float(np.add.accumulate(terms, dtype=np.float64)[-1])
+
+
+def _ceil(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``math.ceil`` of a float column, as int64."""
+    return np.ceil(x).astype(np.int64)
 
 
 @dataclasses.dataclass
@@ -121,16 +147,17 @@ class DenseCIMDesign:
         return self.area_model.dense_design_area(bits, self.kind)
 
     # ------------------------------------------------------------- inference
-    def _layer_vector_cycles(self, layer: LayerWorkload) -> float:
-        """Cycles to stream one activation vector through ``layer``."""
-        bus_cycles = layer.in_dim * 8.0 / self.bus_bits
+    def _layer_vector_cycles(self, table: LayerTable) -> np.ndarray:
+        """Cycles to stream one activation vector through each layer."""
+        bus_cycles = table.in_dim * 8.0 / self.bus_bits
+        weights = table.weights
         if self.kind == "sram":
-            tiles = max(1, math.ceil(layer.weights / self.SRAM_ARRAY_WEIGHTS))
-            serialization = math.ceil(tiles / self.PARALLEL_ARRAY_CAP)
-            return max(serialization * 8.0, bus_cycles)
-        arrays = max(1, math.ceil(layer.weights / self.MRAM_ARRAY_WEIGHTS))
-        rows = math.ceil(layer.weights / (arrays * self.MRAM_WEIGHTS_PER_ROW))
-        return max((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
+            tiles = np.maximum(1, _ceil(weights / self.SRAM_ARRAY_WEIGHTS))
+            serialization = _ceil(tiles / self.PARALLEL_ARRAY_CAP)
+            return np.maximum(serialization * 8.0, bus_cycles)
+        arrays = np.maximum(1, _ceil(weights / self.MRAM_ARRAY_WEIGHTS))
+        rows = _ceil(weights / (arrays * self.MRAM_WEIGHTS_PER_ROW))
+        return np.maximum((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
 
     def _leakage_power_mw(self, workload: Workload) -> float:
         if self.kind == "sram":
@@ -140,14 +167,12 @@ class DenseCIMDesign:
             sram_bytes=0, mram_arrays=self.provisioned_arrays(workload))
 
     def inference(self, workload: Workload, batch: int = 1) -> PerfReport:
-        cycles = 0.0
-        compute = 0.0
-        buffer_bits = 0.0
-        for layer in workload.layers:
-            vectors = layer.positions * batch
-            cycles += vectors * self._layer_vector_cycles(layer)
-            compute += self.cost.mac_energy_pj(layer.macs * batch, self.kind)
-            buffer_bits += vectors * (layer.in_dim + layer.out_dim) * 8
+        table = workload.table
+        vectors = table.positions * batch
+        cycles = _ltr_sum(vectors * self._layer_vector_cycles(table))
+        compute = _ltr_sum(self.cost.mac_energy_pj(
+            table.weights * table.positions * batch, self.kind))
+        buffer_bits = _ltr_sum(vectors * (table.in_dim + table.out_dim) * 8)
 
         latency = self.cost.cycles_to_s(cycles)
         leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
@@ -167,27 +192,25 @@ class DenseCIMDesign:
         every design its own forward cost would double-count what Fig. 7
         already compares.  Pass ``include_forward=True`` for the full step.
         """
-        scope = (workload.layers if self.update_scope == "all"
-                 else [l for l in workload.layers if l.learnable])
+        table = workload.table
+        scope = (slice(None) if self.update_scope == "all"
+                 else table.learnable_idx)
+        weights = table.weights[scope]
+        positions = table.positions[scope]
+        vectors = positions * batch
 
-        bwd_cycles = 0.0
-        bwd_compute = 0.0
-        buffer_bits = 0.0
-        update_bits = 0.0
-        grad_operand_bits = 0.0
-        for layer in scope:
-            vectors = layer.positions * batch
-            # Error propagation + gradient: two transposed matmuls of the
-            # layer's MAC volume each.
-            bwd_cycles += 2 * vectors * self._layer_vector_cycles(layer)
-            bwd_compute += 2 * self.cost.mac_energy_pj(
-                layer.macs * batch, self.kind)
-            # Errors staged through the global buffer.
-            buffer_bits += 2 * vectors * layer.out_dim * 8
-            update_bits += layer.weights * 8
-            # Gradient computation (G = a^T delta) needs the transposed
-            # activation matrix written into the compute arrays.
-            grad_operand_bits += vectors * layer.in_dim * 8
+        # Error propagation + gradient: two transposed matmuls of the
+        # layer's MAC volume each.
+        bwd_cycles = _ltr_sum(
+            2 * vectors * self._layer_vector_cycles(table)[scope])
+        bwd_compute = _ltr_sum(2 * self.cost.mac_energy_pj(
+            weights * positions * batch, self.kind))
+        # Errors staged through the global buffer.
+        buffer_bits = _ltr_sum(2 * vectors * table.out_dim[scope] * 8)
+        update_bits = _ltr_sum(weights * 8)
+        # Gradient computation (G = a^T delta) needs the transposed
+        # activation matrix written into the compute arrays.
+        grad_operand_bits = _ltr_sum(vectors * table.in_dim[scope] * 8)
 
         arrays = max(1, min(self.provisioned_arrays(workload),
                             self.PARALLEL_ARRAY_CAP))
@@ -254,9 +277,9 @@ class HybridSparseDesign:
         self._mram_array_pairs = tech.mram.rows * self._mram_pairs_per_row
 
     # --------------------------------------------------------------- sizing
-    def _layer_pairs(self, layer: LayerWorkload) -> int:
-        """Compressed (weight, index) pairs of one layer."""
-        return math.ceil(layer.weights * self.pattern.density)
+    def _layer_pairs(self, table: LayerTable) -> np.ndarray:
+        """Compressed (weight, index) pairs of each layer."""
+        return _ceil(table.weights * self.pattern.density)
 
     def sram_storage_bits(self, workload: Workload) -> int:
         """Compressed Rep-Net weight storage resident in SRAM."""
@@ -267,19 +290,22 @@ class HybridSparseDesign:
     def sram_fwd_pe_count(self, workload: Workload) -> int:
         """Forward-direction SRAM compute PEs (paper Sec. 4: bounded by the
         maximum learnable layer, at the design's reference density)."""
-        learnable = [l for l in workload.layers if l.learnable]
-        if not learnable:
+        table = workload.table
+        if not table.learnable_idx.size:
             return 1
-        return max(math.ceil(math.ceil(l.weights * self.REFERENCE_DENSITY)
-                             / self.SRAM_PE_PAIRS) for l in learnable)
+        # The PE count never decreases as a layer grows, so the largest
+        # learnable layer sets it.
+        return math.ceil(
+            math.ceil(table.max_learnable_weights * self.REFERENCE_DENSITY)
+            / self.SRAM_PE_PAIRS)
 
     def sram_compute_pe_count(self, workload: Workload) -> int:
         """Total SRAM compute PEs: forward pool + equal transposed-buffer pool."""
         return 2 * self.sram_fwd_pe_count(workload)
 
     def mram_array_count(self, workload: Workload) -> int:
-        frozen_pairs = sum(self._layer_pairs(l) for l in workload.layers
-                           if not l.learnable)
+        table = workload.table
+        frozen_pairs = int(self._layer_pairs(table)[table.frozen_idx].sum())
         return max(1, math.ceil(frozen_pairs / self._mram_array_pairs))
 
     def backbone_compressed_bits(self, workload: Workload) -> int:
@@ -294,19 +320,22 @@ class HybridSparseDesign:
             sram_storage_bits=self.sram_storage_bits(workload))
 
     # ------------------------------------------------------------- inference
-    def _frozen_vector_cycles(self, layer: LayerWorkload) -> float:
-        bus_cycles = layer.in_dim * 8.0 / self.bus_bits
-        pairs = self._layer_pairs(layer)
-        arrays = max(1, math.ceil(pairs / self._mram_array_pairs))
-        rows = math.ceil(pairs / (arrays * self._mram_pairs_per_row))
-        return max((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
+    def _frozen_vector_cycles(self, in_dim: np.ndarray,
+                              pairs: np.ndarray) -> np.ndarray:
+        """Per-vector cycles of layers in the MRAM backbone."""
+        bus_cycles = in_dim * 8.0 / self.bus_bits
+        arrays = np.maximum(1, _ceil(pairs / self._mram_array_pairs))
+        rows = _ceil(pairs / (arrays * self._mram_pairs_per_row))
+        return np.maximum((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
 
-    def _learnable_vector_cycles(self, layer: LayerWorkload,
-                                 fwd_pes: int) -> float:
-        bus_cycles = layer.in_dim * 8.0 / self.bus_bits
-        tiles = max(1, math.ceil(self._layer_pairs(layer) / self.SRAM_PE_PAIRS))
-        serialization = math.ceil(tiles / max(1, fwd_pes))
-        return max(serialization * self.pattern.m * 8.0, bus_cycles)
+    def _learnable_vector_cycles(self, in_dim: np.ndarray, pairs: np.ndarray,
+                                 fwd_pes: int) -> np.ndarray:
+        """Per-vector cycles of layers time-multiplexed through the SRAM
+        compute-PE pool."""
+        bus_cycles = in_dim * 8.0 / self.bus_bits
+        tiles = np.maximum(1, _ceil(pairs / self.SRAM_PE_PAIRS))
+        serialization = _ceil(tiles / max(1, fwd_pes))
+        return np.maximum(serialization * self.pattern.m * 8.0, bus_cycles)
 
     def _leakage_power_mw(self, workload: Workload) -> float:
         sram_bytes = (self.sram_storage_bits(workload) // 8
@@ -317,22 +346,22 @@ class HybridSparseDesign:
             mram_arrays=self.mram_array_count(workload))
 
     def inference(self, workload: Workload, batch: int = 1) -> PerfReport:
+        table = workload.table
         fwd_pes = self.sram_fwd_pe_count(workload)
-        cycles = 0.0
-        compute = 0.0
-        buffer_bits = 0.0
-        for layer in workload.layers:
-            vectors = layer.positions * batch
-            nnz = self._layer_pairs(layer)
-            if layer.learnable:
-                cycles += vectors * self._learnable_vector_cycles(layer, fwd_pes)
-                compute += self.cost.mac_energy_pj(
-                    nnz * vectors, "sram", sparse=True)
-            else:
-                cycles += vectors * self._frozen_vector_cycles(layer)
-                compute += self.cost.mac_energy_pj(
-                    nnz * vectors, "mram", sparse=True)
-            buffer_bits += vectors * (layer.in_dim + layer.out_dim) * 8
+        vectors = table.positions * batch
+        nnz = self._layer_pairs(table)
+        learnable = table.learnable
+        vector_cycles = np.where(
+            learnable,
+            self._learnable_vector_cycles(table.in_dim, nnz, fwd_pes),
+            self._frozen_vector_cycles(table.in_dim, nnz))
+        macs = nnz * vectors
+        cycles = _ltr_sum(vectors * vector_cycles)
+        compute = _ltr_sum(np.where(
+            learnable,
+            self.cost.mac_energy_pj(macs, "sram", sparse=True),
+            self.cost.mac_energy_pj(macs, "mram", sparse=True)))
+        buffer_bits = _ltr_sum(vectors * (table.in_dim + table.out_dim) * 8)
 
         latency = self.cost.cycles_to_s(cycles)
         leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
@@ -352,28 +381,27 @@ class HybridSparseDesign:
         excluded by default for the same reason as in
         :meth:`DenseCIMDesign.training_step`.
         """
-        learnable = [l for l in workload.layers if l.learnable]
+        table = workload.table
+        idx = table.learnable_idx
         fwd_pes = self.sram_fwd_pe_count(workload)
+        in_dim = table.in_dim[idx]
+        vectors = table.positions[idx] * batch
+        nnz = self._layer_pairs(table)[idx]
+        sram = self.tech.sram
 
-        bwd_cycles = 0.0
-        bwd_compute = 0.0
-        buffer_bits = 0.0
-        update_bits = 0.0
-        transpose_bits = 0.0
-        for layer in learnable:
-            vectors = layer.positions * batch
-            nnz = self._layer_pairs(layer)
-            bwd_cycles += 2 * vectors * self._learnable_vector_cycles(layer, fwd_pes)
-            bwd_compute += 2 * self.cost.mac_energy_pj(
-                nnz * vectors, "sram", sparse=True)
-            buffer_bits += 2 * vectors * layer.out_dim * 8
-            pair_bits = nnz * (self.tech.sram.weight_bits
-                               + self.tech.sram.index_bits)
-            update_bits += nnz * self.tech.sram.weight_bits
-            transpose_bits += pair_bits  # W^T re-written into transpose PEs
-            # a^T written for the masked gradient: only the activation rows
-            # feeding surviving (N:M-kept) weights are needed.
-            transpose_bits += vectors * layer.in_dim * 8 * self.pattern.density
+        bwd_cycles = _ltr_sum(
+            2 * vectors * self._learnable_vector_cycles(in_dim, nnz, fwd_pes))
+        bwd_compute = _ltr_sum(2 * self.cost.mac_energy_pj(
+            nnz * vectors, "sram", sparse=True))
+        buffer_bits = _ltr_sum(2 * vectors * table.out_dim[idx] * 8)
+        update_bits = _ltr_sum(nnz * sram.weight_bits)
+        # Per layer, W^T is re-written into the transpose PEs, then a^T for
+        # the masked gradient: only the activation rows feeding surviving
+        # (N:M-kept) weights are needed.  The two terms alternate in the
+        # running total.
+        transpose_bits = _ltr_sum(np.stack(
+            (nnz * (sram.weight_bits + sram.index_bits),
+             vectors * in_dim * 8 * self.pattern.density), axis=1).ravel())
 
         write_cycles = self.cost.write_latency_cycles(
             update_bits + transpose_bits, "sram",

@@ -1,4 +1,4 @@
-"""Workload descriptors: a network as a list of GEMM layer shapes.
+"""Workload descriptors: a network as a sequence of GEMM layer shapes.
 
 The accelerator studies need each layer's GEMM geometry (reduction dim,
 output dim, number of activation vectors per inference) plus whether the
@@ -16,7 +16,9 @@ Rep-Net path (SRAM-resident).  Two constructors are provided:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..nn.functional import conv_output_size
 from ..repnet.model import RepNetModel
@@ -51,25 +53,90 @@ class LayerWorkload:
         return self.weights * self.positions
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
+class LayerTable:
+    """A workload's layers as columns, for the analytical design models.
+
+    Built once per :class:`Workload`.  Integer columns are int64 (every
+    paper-scale product fits well inside 2**53, so converting one to
+    float64 is exact), ``learnable`` is the Rep-Net mask, and
+    ``learnable_idx``/``frozen_idx`` select its two halves in layer order.
+    The aggregates are design-independent Python ints.  Every array is
+    read-only: the table is shared by all designs evaluated on the
+    workload.
+    """
+
+    in_dim: np.ndarray
+    out_dim: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+    learnable: np.ndarray
+    learnable_idx: np.ndarray
+    frozen_idx: np.ndarray
+    total_weights: int
+    learnable_weights: int
+    frozen_weights: int
+    #: Largest learnable layer (0 when there is none); a design's SRAM
+    #: compute-PE pool is sized for it.
+    max_learnable_weights: int
+
+    @classmethod
+    def build(cls, layers: Sequence[LayerWorkload]) -> "LayerTable":
+        def column(values, dtype=np.int64) -> np.ndarray:
+            arr = np.array(values, dtype=dtype)
+            arr.setflags(write=False)
+            return arr
+
+        weights = column([l.weights for l in layers])
+        learnable = column([l.learnable for l in layers], dtype=bool)
+        learnable_idx = column(np.flatnonzero(learnable), dtype=np.intp)
+        frozen_idx = column(np.flatnonzero(~learnable), dtype=np.intp)
+        total = int(weights.sum())
+        learnable_weights = int(weights[learnable_idx].sum())
+        return cls(
+            in_dim=column([l.in_dim for l in layers]),
+            out_dim=column([l.out_dim for l in layers]),
+            positions=column([l.positions for l in layers]),
+            weights=weights,
+            learnable=learnable,
+            learnable_idx=learnable_idx,
+            frozen_idx=frozen_idx,
+            total_weights=total,
+            learnable_weights=learnable_weights,
+            frozen_weights=total - learnable_weights,
+            max_learnable_weights=int(weights[learnable_idx].max(initial=0)))
+
+
+@dataclasses.dataclass(frozen=True)
 class Workload:
-    """A full network inference/training workload."""
+    """A full network inference/training workload.
+
+    Immutable: ``layers`` is stored as a tuple and :attr:`table` is built
+    from it once, at construction.
+    """
 
     name: str
-    layers: List[LayerWorkload]
+    layers: Tuple[LayerWorkload, ...]
+    table: LayerTable = dataclasses.field(init=False, repr=False,
+                                          compare=False)
+
+    def __post_init__(self):
+        layers = tuple(self.layers)
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "table", LayerTable.build(layers))
 
     # ------------------------------------------------------------- totals
     @property
     def total_weights(self) -> int:
-        return sum(l.weights for l in self.layers)
+        return self.table.total_weights
 
     @property
     def learnable_weights(self) -> int:
-        return sum(l.weights for l in self.layers if l.learnable)
+        return self.table.learnable_weights
 
     @property
     def frozen_weights(self) -> int:
-        return self.total_weights - self.learnable_weights
+        return self.table.frozen_weights
 
     @property
     def learnable_fraction(self) -> float:
@@ -110,7 +177,7 @@ class Workload:
     def subset(self, learnable: bool) -> "Workload":
         return Workload(
             name=f"{self.name}:{'learnable' if learnable else 'frozen'}",
-            layers=[l for l in self.layers if l.learnable == learnable])
+            layers=tuple(l for l in self.layers if l.learnable == learnable))
 
 
 # ------------------------------------------------------- model extraction

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from ..core.designs import HybridSparseDesign
 from ..core.effects import effects, reentrant
@@ -52,6 +52,16 @@ def get_workload(name: str) -> Workload:
         return _WORKLOADS[name]
 
 
+#: Per-process memo of technology variants, keyed by the config fields
+#: :func:`build_tech` reads.  A sweep names few variants (``FULL_SPEC``
+#: has 36) but serve clients may send any ``mram_rows``, so the memo keeps
+#: at most ``_TECHS_MAX`` entries, evicting the oldest.  Written only
+#: under ``_TECHS_LOCK``, like ``_WORKLOADS``.
+_TECHS: Dict[Tuple[int, int, str], TechnologyModel] = {}
+_TECHS_MAX = 128
+_TECHS_LOCK = threading.Lock()
+
+
 @reentrant(reason="sharded sweeps build tech variants in every worker")
 def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     """The technology variant a config names, from the Table 2 defaults.
@@ -64,26 +74,48 @@ def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     width (packing + write volumes).  Device: a named corner applies its
     dotted field overrides.
     """
-    sram, mram = DEFAULT_TECH.sram, DEFAULT_TECH.mram
-
     rows = int(config["mram_rows"])
     if rows < 1:
         raise ValueError(f"mram_rows must be >= 1, got {rows}")
-    if rows != mram.rows:
-        mram = dataclasses.replace(
-            mram, rows=rows, array_area=mram.array_area * rows / mram.rows)
-
     bits = int(config["weight_bits"])
     if not 2 <= bits <= 8:
         raise ValueError(f"weight_bits {bits} outside the modeled 2..8 range")
+    device = str(config["device"])
+    if device not in DEVICE_CORNERS:
+        raise ValueError(f"unknown device corner {device!r}")
+    return _tech_variant(rows, bits, device)
+
+
+@effects("READS_GLOBAL",
+         reason="bounded idempotent per-process memo: every store writes the "
+                "value _derive_tech() deterministically computes for that "
+                "key, so concurrent, repeated or post-eviction calls observe "
+                "equal results; callers see a pure lookup")
+def _tech_variant(rows: int, bits: int, device: str) -> TechnologyModel:
+    key = (rows, bits, device)
+    with _TECHS_LOCK:
+        tech = _TECHS.get(key)
+    if tech is None:
+        tech = _derive_tech(rows, bits, device)
+        with _TECHS_LOCK:
+            if key not in _TECHS and len(_TECHS) >= _TECHS_MAX:
+                del _TECHS[next(iter(_TECHS))]
+            _TECHS[key] = tech
+    return tech
+
+
+@reentrant(reason="the memo behind build_tech stores what this returns")
+def _derive_tech(rows: int, bits: int, device: str) -> TechnologyModel:
+    """The Table 2 defaults overlaid with one validated variant."""
+    sram, mram = DEFAULT_TECH.sram, DEFAULT_TECH.mram
+    if rows != mram.rows:
+        mram = dataclasses.replace(
+            mram, rows=rows, array_area=mram.array_area * rows / mram.rows)
     if bits != sram.weight_bits:
         sram = dataclasses.replace(sram, weight_bits=bits)
     if bits != mram.weight_bits:
         mram = dataclasses.replace(mram, weight_bits=bits)
 
-    device = str(config["device"])
-    if device not in DEVICE_CORNERS:
-        raise ValueError(f"unknown device corner {device!r}")
     for dotted, value in sorted(DEVICE_CORNERS[device].items()):
         target, field = dotted.split(".", 1)
         if target == "sram":

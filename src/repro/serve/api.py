@@ -299,6 +299,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm the
+    # body would wait for the client's (delayed) ACK of the headers on
+    # every keep-alive response.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:          # noqa: N802 — http.server API
         self._dispatch("GET")
