@@ -1,8 +1,8 @@
 """Lock-discipline contracts for the threaded serving stack.
 
 ``repro.serve`` made the repo a threaded system: one HTTP handler thread
-per request, a coalescing batch-worker thread, a job executor, a
-lock-guarded tracer.  The invariants that keep it correct — *which lock
+per request, each evaluating inline behind a per-key single-flight, a
+job executor, a lock-guarded tracer.  The invariants that keep it correct — *which lock
 guards which field*, and *which entry points may never be called with a
 lock held* — live in code review today.  These decorators make them
 declarations the static concurrency verifier in

@@ -45,8 +45,8 @@ def record_checksum(record: Dict[str, object]) -> str:
 class DiskCache:
     """Keyed record store with hit/miss/rejection accounting.
 
-    One instance is shared by every request-handler thread behind the
-    serve layer's batching queue, so the counters are guarded by
+    One instance is shared by every request-handler thread of the serve
+    layer (and its sweep jobs), so the counters are guarded by
     ``_lock`` (declared above, verified by lint rule R11).  File IO
     stays *outside* the lock (rule R12): entry bytes are self-validating
     and writes are atomic ``tmp + os.replace``, so the lock only has to
@@ -130,7 +130,7 @@ class DiskCache:
 
     # ----------------------------------------------------------------- write
     @reentrant(reason="atomic tmp+replace write: safe under concurrent "
-                      "stores of the same key from racing shards")
+                      "stores of the same key from racing shards or threads")
     def store(self, key: str, record: Dict[str, object]) -> None:
         if not self.enabled:
             return
@@ -142,7 +142,10 @@ class DiskCache:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+        # One temp file per writer thread: racing stores of one key (a
+        # sweep job and an evaluate request) never share it.
+        tmp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, indent=2, sort_keys=True)
             fh.write("\n")

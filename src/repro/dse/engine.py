@@ -77,7 +77,7 @@ def _evaluate_many(configs: Sequence[Dict[str, object]],
 @holds_no_locks(reason="file IO plus a possibly process-pooled evaluation "
                        "pass: callers must never enter this under a lock")
 @reentrant(reason="the cache-through evaluation core shared by run_sweep "
-                  "and the serve layer's batching queue: results must be "
+                  "and the serve layer's single-flight: results must be "
                   "a function of the (key, config) list and cache bytes "
                   "alone, never of who called it or in which thread")
 def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
@@ -86,8 +86,8 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
                    ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, str]]:
     """Evaluate already-normalized, deduplicated ``(key, config)`` pairs.
 
-    The single engine call behind both a sweep shard and a coalesced
-    serve batch: cache lookups first, one (optionally sharded)
+    The single engine call behind both a sweep shard and a serve
+    flight: cache lookups first, one (optionally sharded)
     evaluation pass over the misses in input order, successful fresh
     records stored back.  Returns ``(records, served)`` where
     ``records`` maps key -> record and ``served`` maps key ->

@@ -32,8 +32,8 @@ METRIC_KEYS = ("area_mm2", "density", "inference_latency_s",
 
 #: Per-process workload cache: paper-scale extraction is cheap but not free,
 #: and a sharded sweep evaluates thousands of configs per worker.  Written
-#: only under ``_WORKLOADS_LOCK`` — concurrent serve threads reach this
-#: memo through the batching worker (lint rule R14 tracks the path).
+#: only under ``_WORKLOADS_LOCK`` — concurrent serve handler threads
+#: reach this memo when they evaluate (lint rule R14 tracks the path).
 _WORKLOADS: Dict[str, Workload] = {}
 _WORKLOADS_LOCK = threading.Lock()
 

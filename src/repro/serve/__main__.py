@@ -4,7 +4,6 @@
 
     python -m repro.serve --port 8321                 # default cache
     python -m repro.serve --port 0                    # pick a free port
-    python -m repro.serve --window-ms 50 --workers 4  # wider batches
     python -m repro.serve --no-cache                  # always recompute
 
     curl -s -X POST localhost:8321/v1/evaluate -d '{
@@ -28,8 +27,6 @@ def build_app(args: argparse.Namespace) -> ServeApp:
     else:
         cache = DiskCache(args.cache_dir, refresh=args.refresh)
     return ServeApp(cache=cache,
-                    window_s=args.window_ms / 1000.0,
-                    engine_workers=args.workers,
                     job_workers=args.job_workers,
                     max_jobs=args.max_jobs)
 
@@ -37,20 +34,13 @@ def build_app(args: argparse.Namespace) -> ServeApp:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Async batched simulation-as-a-service over the DSE "
-                    "engine and the experiment harness (stdlib-only "
-                    "HTTP/JSON API).")
+        description="Simulation-as-a-service over the DSE engine and the "
+                    "experiment harness (stdlib-only HTTP/JSON API; "
+                    "single-flight evaluation, async jobs).")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8321,
                         help="bind port; 0 picks a free one (default: 8321)")
-    parser.add_argument("--window-ms", type=float, default=25.0,
-                        metavar="MS",
-                        help="evaluate-batching window in milliseconds "
-                             "(default: 25)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="engine worker processes per coalesced batch "
-                             "(default: 1)")
     parser.add_argument("--job-workers", type=int, default=2, metavar="N",
                         help="concurrent sweep/experiment jobs (default: 2)")
     parser.add_argument("--max-jobs", type=int, default=1024, metavar="N",
@@ -73,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     host, port = server.server_address[:2]
     print(f"repro.serve listening on http://{host}:{port}  "
           f"(cache: {app.cache.stats()['root'] if app.cache.enabled else 'off'}, "
-          f"window: {args.window_ms:g} ms)", flush=True)
+          "evaluate: inline single-flight)", flush=True)
     for method, path, summary in ROUTES:
         print(f"  {method:4s} {path:24s} {summary}", flush=True)
     try:

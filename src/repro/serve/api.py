@@ -4,13 +4,15 @@ Layering (everything below the handler is plain-function testable):
 
 * :class:`ServeApp` — owns the shared :class:`~repro.dse.cache.DiskCache`
   (the *same* content-hash cache ``python -m repro.dse`` uses, so HTTP
-  and CLI warm each other), the :class:`~.batching.BatchingQueue`, and
-  the :class:`~.jobs.JobStore`.  ``dispatch(method, path, body)`` is the
-  whole API as a pure-ish call: ``(status, document)`` out.
+  and CLI warm each other), the single-flight
+  :class:`~.batching.BatchingQueue`, the :class:`~.jobs.JobStore` and
+  the latency histograms.  ``dispatch(method, path, body)`` is the
+  whole API as a pure-ish call: ``(status, document)`` out;
+  ``respond`` adds the JSON encoding and the timing.
 * :class:`_Handler` — the thin ``http.server`` adapter: reads the body
-  (bounded by ``max_body_bytes``), calls ``dispatch``, writes JSON.
-  ``ThreadingHTTPServer`` gives one thread per request; all shared state
-  sits behind the app's locks.
+  (bounded by ``max_body_bytes``), calls ``respond``, writes the bytes.
+  ``ThreadingHTTPServer`` gives one thread per request, and evaluations
+  run inline in it; all shared state sits behind the app's locks.
 
 Every request gets a trace ID (``req-<seq>``, deterministic per server).
 Evaluate requests with ``"trace": true`` run under a context-local
@@ -28,8 +30,9 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .. import __version__
 from ..core.concurrency import guarded_by
@@ -37,7 +40,7 @@ from ..dse.cache import DiskCache
 from ..dse.engine import frontier_doc, run_sweep
 from ..dse.spec import config_key
 from ..obs import Tracer, to_trace_events, use_tracer
-from .batching import DEFAULT_WINDOW_S, BatchingQueue, BatchTimeout
+from .batching import BatchingQueue, BatchTimeout
 from .jobs import DEFAULT_MAX_JOBS, Job, JobStore
 from .schemas import (EVALUATE_SCHEMA, HEALTH_SCHEMA, JOB_RESULT_SCHEMA,
                       JOB_SCHEMA, MAX_BODY_BYTES, STATS_SCHEMA, SchemaError,
@@ -47,7 +50,7 @@ from .schemas import (EVALUATE_SCHEMA, HEALTH_SCHEMA, JOB_RESULT_SCHEMA,
 #: The endpoint table (method, path template, summary) — also what the
 #: CLI banner and METHODOLOGY §12 print, so docs and code cannot drift.
 ROUTES = (
-    ("POST", "/v1/evaluate", "evaluate one design config (batched+cached)"),
+    ("POST", "/v1/evaluate", "evaluate one config (single-flight+cached)"),
     ("POST", "/v1/sweep", "submit a sweep job (SweepSpec overlay)"),
     ("POST", "/v1/experiment", "submit an experiment job (fig7|fig8|table2)"),
     ("GET", "/v1/jobs", "list jobs in submission order"),
@@ -56,8 +59,66 @@ ROUTES = (
     ("GET", "/v1/jobs/<id>/trace", "job Chrome trace_events export"),
     ("POST", "/v1/jobs/<id>/cancel", "cancel a queued job"),
     ("GET", "/v1/health", "liveness + version"),
-    ("GET", "/v1/stats", "cache / batching / job counters"),
+    ("GET", "/v1/stats", "cache / batching / job counters, latency"),
 )
+
+#: The one method each route template accepts.
+ROUTE_METHODS = {path: method for method, path, _ in ROUTES}
+
+#: The timed stages of one evaluate request, in order.
+EVALUATE_STAGES = ("validate", "evaluate", "serialize")
+
+
+def route_template(path: str) -> Tuple[str, Optional[str]]:
+    """``(template, job_id)`` of a request path: ``/v1/jobs/<id>...``
+    paths bind their id; every other path is only cleaned of its query
+    string and empty segments."""
+    parts = [p for p in path.split("?", 1)[0].split("/") if p]
+    if len(parts) in (3, 4) and parts[:2] == ["v1", "jobs"]:
+        return "/".join(["", "v1", "jobs", "<id>"] + parts[3:]), parts[2]
+    return "/" + "/".join(parts), None
+
+
+#: Upper bounds of the latency buckets in microseconds, 16 µs doubling
+#: up to 2^24 µs (about 16.8 s); one more bucket counts everything slower.
+BOUNDS_US = tuple(2 ** i for i in range(4, 25))
+
+
+def bucket_index(elapsed_ns: int) -> int:
+    """The latency bucket of a duration: the first bound it does not
+    exceed."""
+    micros = -(-elapsed_ns // 1000)
+    return min(max(0, (micros - 1).bit_length() - 4), len(BOUNDS_US))
+
+
+@guarded_by("_lock", "_counts", "_sums_ns")
+class LatencyHistograms:
+    """Fixed log2-bucket latency histograms, one per name, behind one
+    lock.  Always on: a record is a lock-free bucket index plus two
+    integer adds under the lock; fixed buckets let two documents
+    subtract bucket by bucket."""
+
+    def __init__(self, names: Iterable[str]):
+        self._lock = threading.Lock()
+        self._counts: Dict[str, List[int]] = {
+            name: [0] * (len(BOUNDS_US) + 1) for name in names}
+        self._sums_ns = dict.fromkeys(self._counts, 0)
+
+    def record(self, name: str, elapsed_ns: int) -> None:
+        index = bucket_index(elapsed_ns)
+        with self._lock:
+            self._counts[name][index] += 1
+            self._sums_ns[name] += elapsed_ns
+
+    def doc(self) -> Dict[str, Dict[str, object]]:
+        """``{name: {count, sum_us, buckets}}``; ``buckets[i]`` counts the
+        durations in ``(BOUNDS_US[i-1], BOUNDS_US[i]]`` µs, and the last
+        one those above ``BOUNDS_US[-1]``."""
+        with self._lock:
+            return {name: {"count": sum(counts),
+                           "sum_us": self._sums_ns[name] // 1000,
+                           "buckets": list(counts)}
+                    for name, counts in self._counts.items()}
 
 
 def _run_sweep_job(app: "ServeApp", job: Job) -> Dict[str, object]:
@@ -93,16 +154,18 @@ class ServeApp:
     """Application state + the ``dispatch`` entry point."""
 
     def __init__(self, cache: Optional[DiskCache] = None,
-                 window_s: float = DEFAULT_WINDOW_S,
-                 engine_workers: int = 1,
                  job_workers: int = 2,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  max_jobs: int = DEFAULT_MAX_JOBS):
         self.cache = cache if cache is not None else DiskCache()
-        self.queue = BatchingQueue(cache=self.cache, window_s=window_s,
-                                   workers=engine_workers)
+        self.queue = BatchingQueue(cache=self.cache)
         self.jobs = JobStore(workers=job_workers, max_jobs=max_jobs)
         self.max_body_bytes = max_body_bytes
+        #: Whole server-side request time per route template (``other``:
+        #: paths matching no route), and per evaluate stage.
+        self.endpoint_latency = LatencyHistograms(
+            list(ROUTE_METHODS) + ["other"])
+        self.stage_latency = LatencyHistograms(EVALUATE_STAGES)
         self._lock = threading.Lock()
         self._trace_seq = 0
 
@@ -127,6 +190,22 @@ class ServeApp:
                 from exc
 
     # -------------------------------------------------------------- dispatch
+    def respond(self, method: str, path: str, raw_body: bytes = b""
+                ) -> Tuple[int, Dict[str, object], bytes]:
+        """``dispatch`` plus JSON encoding — the whole server-side life
+        of one HTTP request, timed into the latency histograms."""
+        start = time.perf_counter_ns()
+        status, doc = self.dispatch(method, path, raw_body)
+        encode = time.perf_counter_ns()
+        payload = json.dumps(doc, indent=1, default=str).encode("utf-8")
+        end = time.perf_counter_ns()
+        template = route_template(path)[0]
+        if template == "/v1/evaluate":
+            self.stage_latency.record("serialize", end - encode)
+        self.endpoint_latency.record(
+            template if template in ROUTE_METHODS else "other", end - start)
+        return status, doc, payload
+
     def dispatch(self, method: str, path: str,
                  raw_body: bytes = b"") -> Tuple[int, Dict[str, object]]:
         """Route one request; always returns ``(status, json_doc)``."""
@@ -140,80 +219,73 @@ class ServeApp:
 
     def _route(self, method: str, path: str,
                raw_body: bytes) -> Tuple[int, Dict[str, object]]:
-        path = path.split("?", 1)[0].rstrip("/") or "/"
-        parts = [p for p in path.split("/") if p]
-
-        if parts == ["v1", "evaluate"]:
-            self._require(method, "POST", path)
-            return self.handle_evaluate(self.parse_body(raw_body))
-        if parts == ["v1", "sweep"]:
-            self._require(method, "POST", path)
+        template, job_id = route_template(path)
+        shown = path.split("?", 1)[0].rstrip("/") or "/"
+        expected = ROUTE_METHODS.get(template)
+        if expected is None:
+            raise SchemaError("not-found", f"no such endpoint: {shown}",
+                              status=404)
+        if method != expected:
+            raise SchemaError("method-not-allowed",
+                              f"{shown} requires {expected}, got {method}",
+                              status=405)
+        if template == "/v1/evaluate":
+            return self.handle_evaluate(raw_body)
+        if template == "/v1/sweep":
             return self.handle_sweep(self.parse_body(raw_body))
-        if parts == ["v1", "experiment"]:
-            self._require(method, "POST", path)
+        if template == "/v1/experiment":
             return self.handle_experiment(self.parse_body(raw_body))
-        if parts == ["v1", "jobs"]:
-            self._require(method, "GET", path)
+        if template == "/v1/jobs":
             return 200, self.jobs.list_doc()
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._require(method, "GET", path)
-            return self.handle_job_get(parts[2])
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] \
-                and parts[3] in ("result", "trace", "cancel"):
-            expected = "POST" if parts[3] == "cancel" else "GET"
-            self._require(method, expected, path)
-            handler = {"result": self.handle_job_result,
-                       "trace": self.handle_job_trace,
-                       "cancel": self.handle_job_cancel}[parts[3]]
-            return handler(parts[2])
-        if parts == ["v1", "health"]:
-            self._require(method, "GET", path)
+        if template == "/v1/health":
             return 200, {"schema": HEALTH_SCHEMA, "ok": True,
                          "version": __version__}
-        if parts == ["v1", "stats"]:
-            self._require(method, "GET", path)
+        if template == "/v1/stats":
             return 200, {"schema": STATS_SCHEMA,
                          "cache": self.cache.stats(),
                          "batching": self.queue.stats(),
-                         "jobs": self.jobs.counts()}
-        raise SchemaError("not-found", f"no such endpoint: {path}",
-                          status=404)
-
-    @staticmethod
-    def _require(method: str, expected: str, path: str) -> None:
-        if method != expected:
-            raise SchemaError("method-not-allowed",
-                              f"{path} requires {expected}, got {method}",
-                              status=405)
+                         "jobs": self.jobs.counts(),
+                         "latency": {
+                             "bounds_us": list(BOUNDS_US),
+                             "endpoints": self.endpoint_latency.doc(),
+                             "evaluate_stages": self.stage_latency.doc()}}
+        handler = {"/v1/jobs/<id>": self.handle_job_get,
+                   "/v1/jobs/<id>/result": self.handle_job_result,
+                   "/v1/jobs/<id>/trace": self.handle_job_trace,
+                   "/v1/jobs/<id>/cancel": self.handle_job_cancel}[template]
+        return handler(str(job_id))
 
     # -------------------------------------------------------------- handlers
-    def handle_evaluate(self, body: object) -> Tuple[int, Dict[str, object]]:
-        request = validate_evaluate_request(body)
+    def handle_evaluate(self, raw_body: bytes
+                        ) -> Tuple[int, Dict[str, object]]:
+        start = time.perf_counter_ns()
+        request = validate_evaluate_request(self.parse_body(raw_body))
         config = request["config"]
         key = config_key(config)
+        validated = time.perf_counter_ns()
+        self.stage_latency.record("validate", validated - start)
         trace_id = self.next_trace_id()
         tracer = Tracer(enabled=bool(request["trace"]))
         try:
             with use_tracer(tracer):
                 with tracer.span("serve.request", endpoint="/v1/evaluate",
                                  trace_id=trace_id):
-                    with tracer.span("serve.queue.wait"):
+                    with tracer.span("serve.flight"):
                         record, served, batch = self.queue.submit(key, config)
         except BatchTimeout as exc:
             raise SchemaError("batch-timeout", str(exc), status=503) from exc
+        self.stage_latency.record("evaluate",
+                                  time.perf_counter_ns() - validated)
         doc: Dict[str, object] = {
             "schema": EVALUATE_SCHEMA,
             "trace_id": trace_id,
             "key": key,
             "cache": served,
             "record": record,
-            "batch": {"index": batch.get("index"),
-                      "requests": batch.get("requests"),
-                      "unique": batch.get("unique")},
+            "batch": batch,
         }
         if request["trace"]:
-            doc["trace"] = {"spans": to_trace_events(tracer)["traceEvents"],
-                            "batch_spans": batch.get("spans", [])}
+            doc["trace"] = {"spans": to_trace_events(tracer)["traceEvents"]}
         return 200, doc
 
     def handle_sweep(self, body: object) -> Tuple[int, Dict[str, object]]:
@@ -335,8 +407,7 @@ class _Handler(BaseHTTPRequestHandler):
             # Oversized body left unread on the socket: this connection
             # cannot be reused for another request.
             self.close_connection = True
-        status, doc = app.dispatch(method, self.path, raw)
-        payload = json.dumps(doc, indent=1, default=str).encode("utf-8")
+        status, doc, payload = app.respond(method, self.path, raw)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -354,6 +425,9 @@ class ServeServer(ThreadingHTTPServer):
     """ThreadingHTTPServer carrying the app (one thread per request)."""
 
     daemon_threads = True
+    # The socketserver default backlog of 5 drops the SYNs of a larger
+    # burst of new connections, and each dropped one retries after 1 s.
+    request_queue_size = 64
 
     def __init__(self, address: Tuple[str, int], app: ServeApp,
                  verbose: bool = False):

@@ -1,219 +1,150 @@
-"""The coalescing batch queue behind ``POST /v1/evaluate``.
+"""Per-key single-flight evaluation behind ``POST /v1/evaluate``.
 
-Evaluate requests arriving within one *batching window* are coalesced
-into a **single sharded engine call** (:func:`repro.dse.engine.
-evaluate_batch`): the first submission opens a window, every request
-landing inside it joins the batch, identical configs (same content-hash
-key) collapse to one evaluation, and each waiting client gets its own
-copy of the record for its key.  The window closes after ``window_s``
-seconds or when ``max_batch`` distinct requests are queued, whichever
-comes first.
+Each request evaluates inline, in its own request-handler thread: there
+is no window, no queue and no worker thread.  The first request for a
+content-hash key opens a *flight* and becomes its leader; it runs one
+cache-through engine call (:func:`repro.dse.engine.evaluate_batch`) with
+no lock held.  Every request for the same key that arrives while the
+flight is open joins it as a follower, parks on the flight's event, and
+gets the leader's record.  So concurrent identical configs evaluate
+exactly once, and — the leader storing before it closes the flight — a
+burst stores exactly one cache record per distinct config.
 
 Correctness model: the per-point evaluator is a pure function of the
 config (certified by lint rule R8) and the engine's cache is
-content-hashed, so *when* a request is evaluated — alone, in a batch, or
-served from cache — cannot change its bytes.  Batching only changes
-latency and work, never results; ``tests/test_serve_differential.py``
-and ``tests/test_serve_concurrency.py`` pin both halves of that claim.
+content-hashed, so *who* evaluates a request — its own thread, another
+request's leader, or the cache — cannot change its bytes;
+``tests/test_serve_differential.py`` and ``tests/test_serve_concurrency.py``
+pin both halves of that claim.
 
-The worker thread runs each batch under its own context-local tracer
-(:func:`repro.obs.use_tracer`), so engine spans land on the batch, and
-every client of the batch gets the same batch summary back without ever
-touching another request's tracer.
+The leader runs the engine call in its own request context, so with
+``"trace": true`` the engine spans land on the leader's request tracer.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.concurrency import guarded_by, holds_no_locks
 from ..dse.cache import DiskCache
 from ..dse.engine import evaluate_batch
-from ..obs import Tracer, summarize, use_tracer
 
-#: Default batching window, seconds (25 ms: long enough to coalesce a
-#: burst, short enough to stay interactive).
-DEFAULT_WINDOW_S = 0.025
-
-#: Default cap on requests per batch.
-DEFAULT_MAX_BATCH = 256
-
-#: Default bound on how long one submission waits for its record.  A
-#: healthy batch completes in well under a second of queueing plus the
-#: engine call; a minute means the worker thread died or wedged, and the
-#: handler must return a structured 503 instead of hanging forever.
+#: Default bound on how long a follower waits for its flight's leader.
+#: One evaluation takes well under a second; a minute means the leader
+#: wedged, and the handler must return a structured 503 instead of
+#: hanging forever.
 DEFAULT_SUBMIT_TIMEOUT_S = 60.0
 
 
 class BatchTimeout(RuntimeError):
-    """A submission's completion event never fired within the timeout."""
+    """A follower's flight never landed within the timeout."""
 
 
-class _PendingRequest:
-    """One waiting client: its keyed config and a completion event."""
+@guarded_by("BatchingQueue._lock", "members")
+class _Flight:
+    """One open evaluation of a key and the outcome its members share.
 
-    __slots__ = ("key", "config", "event", "record", "served", "batch")
+    The leader writes ``record``/``served``/``info``/``error`` before it
+    sets ``done``; followers read them only after ``done`` fires.
+    """
 
-    def __init__(self, key: str, config: Dict[str, object]):
-        self.key = key
-        self.config = config
-        self.event = threading.Event()
+    __slots__ = ("index", "members", "done", "record", "served", "info",
+                 "error")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.members = 1
+        self.done = threading.Event()
         self.record: Optional[Dict[str, object]] = None
-        self.served: Optional[str] = None
-        self.batch: Optional[Dict[str, object]] = None
+        self.served = "miss"
+        self.info: Dict[str, object] = {}
+        self.error = "unknown"
 
 
-@guarded_by("_cond", "_pending", "_closed", "requests", "batches",
-            "evaluated", "coalesced")
+@guarded_by("_lock", "_flights", "_closed", "requests", "batches",
+            "coalesced")
 class BatchingQueue:
-    """Coalesce evaluate requests into single cache-through engine calls.
+    """Single-flight, cache-through evaluation of keyed configs.
 
-    ``submit`` blocks the calling (request-handler) thread until its
-    record is ready; one daemon worker thread drains windows.  All
-    counters are cumulative and guarded by the queue lock:
+    All counters are cumulative and guarded by the queue lock:
 
     * ``requests`` — submissions accepted;
-    * ``batches`` — engine calls made;
-    * ``evaluated`` — distinct keys handed to the engine (after
-      within-batch dedup, before the cache);
-    * ``coalesced`` — requests that shared an engine call with at least
-      one other request for the same key (``requests - sum(unique)``).
+    * ``batches`` — flights opened, i.e. engine calls made;
+    * ``coalesced`` — followers: requests served by another request's
+      flight (``requests - batches`` once every flight has closed).
     """
 
     def __init__(self, cache: Optional[DiskCache] = None,
-                 window_s: float = DEFAULT_WINDOW_S,
-                 workers: int = 1,
-                 max_batch: int = DEFAULT_MAX_BATCH,
                  submit_timeout_s: float = DEFAULT_SUBMIT_TIMEOUT_S):
         self.cache = cache
-        self.window_s = max(0.0, window_s)
-        self.workers = max(1, workers)
-        self.max_batch = max(1, max_batch)
         self.submit_timeout_s = max(0.001, submit_timeout_s)
-        self._cond = threading.Condition()
-        self._pending: List[_PendingRequest] = []
+        self._lock = threading.Lock()
+        self._flights: Dict[str, _Flight] = {}
         self._closed = False
         self.requests = 0
         self.batches = 0
-        self.evaluated = 0
         self.coalesced = 0
-        self._thread = threading.Thread(target=self._drain, daemon=True,
-                                        name="repro-serve-batcher")
-        self._thread.start()
 
-    # ---------------------------------------------------------------- client
-    @holds_no_locks(reason="parks the request-handler thread on the "
-                           "completion event until the batch lands")
+    @holds_no_locks(reason="the leader runs the engine call and followers "
+                           "park on the flight's event, both lock-free")
     def submit(self, key: str, config: Dict[str, object]
                ) -> Tuple[Dict[str, object], str, Dict[str, object]]:
-        """Block until ``config`` (already normalized, content-keyed) is
-        evaluated; returns ``(record, "hit"|"miss", batch_info)``.
+        """Evaluate ``config`` (already normalized, content-keyed), or
+        join the open flight for ``key``; returns ``(record,
+        "hit"|"miss", batch_info)``.
 
-        Raises :class:`BatchTimeout` when no record arrives within
-        ``submit_timeout_s`` — a dead or wedged worker thread must
-        surface as a structured 503, never strand the handler forever.
+        Raises :class:`BatchTimeout` when a follower's flight does not
+        land within ``submit_timeout_s``, and ``RuntimeError`` for every
+        member when the leader's engine call raised.
         """
-        request = _PendingRequest(key, config)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("batching queue is shut down")
-            self._pending.append(request)
             self.requests += 1
-            self._cond.notify_all()
-        if not request.event.wait(timeout=self.submit_timeout_s):
+            flight = self._flights.get(key)
+            leader = flight is None
+            if leader:
+                self.batches += 1
+                flight = self._flights[key] = _Flight(self.batches)
+            else:
+                flight.members += 1
+                self.coalesced += 1
+        if leader:
+            self._lead(key, config, flight)
+        elif not flight.done.wait(timeout=self.submit_timeout_s):
             raise BatchTimeout(
-                f"no batch served key {request.key} within "
-                f"{self.submit_timeout_s:g}s — the batching worker is "
-                "dead or wedged")
-        if request.record is None:
-            error = dict((request.batch or {}).get("error") or {})
-            raise RuntimeError(
-                "batch evaluation failed: "
-                f"{error.get('type', 'unknown')}: {error.get('message', '')}")
-        return request.record, request.served or "miss", request.batch or {}
+                f"flight {flight.index} did not serve key {key} within "
+                f"{self.submit_timeout_s:g}s — its leader is wedged")
+        if flight.record is None:
+            raise RuntimeError(f"batch evaluation failed: {flight.error}")
+        return flight.record, flight.served, flight.info
+
+    def _lead(self, key: str, config: Dict[str, object],
+              flight: _Flight) -> None:
+        try:
+            records, served = evaluate_batch([(key, config)],
+                                             cache=self.cache)
+            flight.record, flight.served = records[key], served[key]
+        except Exception as exc:  # noqa: BLE001 — members get the error
+            flight.error = f"{type(exc).__name__}: {exc}"
+        finally:
+            # Closing the flight fixes its member count; later requests
+            # for the key open a new flight (and hit the cache).
+            with self._lock:
+                del self._flights[key]
+                members = flight.members
+            flight.info = {"index": flight.index, "requests": members,
+                           "unique": 1}
+            flight.done.set()
 
     def stats(self) -> Dict[str, object]:
-        with self._cond:
+        with self._lock:
             return {"requests": self.requests, "batches": self.batches,
-                    "evaluated": self.evaluated,
                     "coalesced": self.coalesced,
-                    "window_s": self.window_s,
-                    "max_batch": self.max_batch,
                     "submit_timeout_s": self.submit_timeout_s}
 
-    # ---------------------------------------------------------------- worker
-    def _drain(self) -> None:
-        while True:
-            batch = self._collect()
-            if batch is None:
-                return
-            if batch:
-                self._run_batch(batch)
-
-    def _collect(self) -> Optional[List[_PendingRequest]]:
-        """One window's worth of requests (None = queue shut down)."""
-        with self._cond:
-            while not self._pending and not self._closed:
-                self._cond.wait()
-            if not self._pending and self._closed:
-                return None
-            deadline = time.monotonic() + self.window_s
-            while len(self._pending) < self.max_batch and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
-            batch = self._pending
-            self._pending = []
-            return batch
-
-    def _run_batch(self, batch: List[_PendingRequest]) -> None:
-        # Within-batch dedup by content key, first-arrival order.
-        keyed: List[Tuple[str, Dict[str, object]]] = []
-        seen: Dict[str, bool] = {}
-        for request in batch:
-            if request.key not in seen:
-                seen[request.key] = True
-                keyed.append((request.key, request.config))
-
-        tracer = Tracer(enabled=True)
-        try:
-            with use_tracer(tracer):
-                with tracer.span("serve.batch", requests=len(batch),
-                                 unique=len(keyed)):
-                    records, served = evaluate_batch(
-                        keyed, workers=self.workers, cache=self.cache)
-            failure: Optional[Dict[str, object]] = None
-        except Exception as exc:  # noqa: BLE001 — waiters must be released
-            records, served = {}, {}
-            failure = {"type": type(exc).__name__, "message": str(exc)}
-
-        with self._cond:
-            self.batches += 1
-            self.evaluated += len(keyed)
-            self.coalesced += len(batch) - len(keyed)
-            index = self.batches
-        info = {
-            "index": index,
-            "requests": len(batch),
-            "unique": len(keyed),
-            "spans": summarize(tracer)["spans"],
-        }
-        if failure is not None:
-            info = dict(info, error=failure)
-        for request in batch:
-            request.record = records.get(request.key)
-            request.served = served.get(request.key)
-            request.batch = info
-            request.event.set()
-
-    # ------------------------------------------------------------- lifecycle
-    @holds_no_locks(reason="joins the worker thread")
     def shutdown(self) -> None:
-        """Stop accepting work; drain what is queued; join the worker."""
-        with self._cond:
+        """Refuse new submissions; open flights still land."""
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
-        self._thread.join(timeout=10)

@@ -52,4 +52,5 @@ class TestCLI:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "python -m repro.serve" in out
-        assert "--window-ms" in out
+        assert "--job-workers" in out
+        assert "--window-ms" not in out

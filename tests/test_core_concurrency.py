@@ -120,14 +120,20 @@ class TestRealTreeContracts:
             "finished_ns": "JobStore._lock"}
 
     def test_batching_queue_guards_its_counters(self):
-        from repro.serve.batching import BatchingQueue
-        table = guarded_fields(BatchingQueue)
-        assert table["_pending"] == "_cond"
-        assert table["requests"] == "_cond"
+        from repro.serve.batching import BatchingQueue, _Flight
+        assert guarded_fields(BatchingQueue) == {
+            "_flights": "_lock", "_closed": "_lock", "requests": "_lock",
+            "batches": "_lock", "coalesced": "_lock"}
+        assert guarded_fields(_Flight) == {
+            "members": "BatchingQueue._lock"}
+
+    def test_latency_histograms_guard_their_buckets(self):
+        from repro.serve.api import LatencyHistograms
+        assert guarded_fields(LatencyHistograms) == {
+            "_counts": "_lock", "_sums_ns": "_lock"}
 
     def test_blocking_entry_points_declare_lock_freedom(self):
         from repro.dse.engine import evaluate_batch, run_sweep
         from repro.serve.batching import BatchingQueue
-        for fn in (evaluate_batch, run_sweep, BatchingQueue.submit,
-                   BatchingQueue.shutdown):
+        for fn in (evaluate_batch, run_sweep, BatchingQueue.submit):
             assert hasattr(fn, HOLDS_NO_LOCKS_ATTR)

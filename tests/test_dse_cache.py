@@ -6,6 +6,7 @@ cache-less run over the same spec.
 """
 
 import json
+import threading
 
 import pytest
 
@@ -56,6 +57,35 @@ class TestRoundTrip:
         leftovers = [p for p in cache.root.iterdir()
                      if not p.name.endswith(".json")]
         assert leftovers == []
+
+    def test_racing_stores_of_one_key_in_one_process(self, tmp_path,
+                                                     cold_result):
+        """Threads storing the same key never share a temp file, so no
+        ``os.replace`` loses its source and the entry stays valid."""
+        cache = DiskCache(tmp_path / "c")
+        record = cold_result["records"][0]
+        threads_n, stores_n = 8, 20
+        barrier = threading.Barrier(threads_n)
+        errors = []
+
+        def writer():
+            barrier.wait()
+            try:
+                for _ in range(stores_n):
+                    cache.store(record["key"], record)
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(threads_n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert errors == []
+        assert cache.stored == threads_n * stores_n
+        assert cache.lookup(record["key"]) == record
+        assert [p.name for p in cache.root.iterdir()] \
+            == [f"{record['key']}.json"]
 
 
 class TestColdWarmIdentity:

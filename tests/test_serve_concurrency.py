@@ -1,33 +1,35 @@
 """Concurrency certification of ``repro.serve``.
 
 Many clients hammer one live server (real threads, real sockets) and the
-suite proves the coalescing story end to end:
+suite proves the single-flight story end to end:
 
 * every client gets **its own correct result** — the record for exactly
   the config it posted, never a neighbor's;
-* simultaneous requests coalesce — engine calls (batches) < requests,
-  and identical configs inside one window collapse to a single
-  evaluation (cache ``stored`` counts actual evaluations);
+* concurrent identical configs evaluate exactly once — a gate holds each
+  flight's leader inside the engine until every request has joined, so
+  the assertions never depend on thread timing;
 * the counters stay mutually consistent under load;
 * context-local tracers never cross-attach spans between interleaved
   requests (the regression test for the ``repro.obs`` contextvars fix).
 """
 
 import json
+import sys
 import threading
+import time
 
-from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
+import pytest
+
+from repro.dse import (SMOKE_SPEC, DiskCache, config_key, dumps_canonical,
                        evaluate_config, normalize_config)
 from repro import obs
 from repro.obs import Tracer, use_tracer
+from repro.serve import batching
 
 from tests.serve_utils import live_server, wait_for_job
 
 #: Enough clients to exceed the acceptance floor (>= 8) with headroom.
 N_THREADS = 12
-
-#: A wide window so a barrier-released burst always lands in one batch.
-WIDE_WINDOW_S = 0.25
 
 
 def _post_evaluate(client, cfg, out, index):
@@ -54,13 +56,66 @@ def _burst(client, configs):
     return out
 
 
+@pytest.fixture()
+def gate(monkeypatch):
+    """Hold every flight's leader inside the engine until ``followers``
+    requests have joined some flight; returns the engine calls made."""
+    calls = []
+    real = batching.evaluate_batch
+
+    def arm(app, followers):
+        def gated(keyed, **kwargs):
+            calls.append([key for key, _ in keyed])
+            deadline = time.monotonic() + 60
+            while app.queue.stats()["coalesced"] < followers:
+                assert time.monotonic() < deadline, "followers never came"
+                time.sleep(0.001)
+            return real(keyed, **kwargs)
+
+        monkeypatch.setattr(batching, "evaluate_batch", gated)
+        return calls
+
+    return arm
+
+
 class TestCoalescing:
-    def test_overlapping_clients_each_get_their_own_result(self, tmp_path):
+    def test_identical_burst_evaluates_exactly_once(self, tmp_path, gate):
+        cfg = SMOKE_SPEC.configs()[0]
+        key = config_key(normalize_config(cfg))
+        with live_server(tmp_path) as (app, client):
+            calls = gate(app, followers=N_THREADS - 1)
+            responses = _burst(client, [cfg] * N_THREADS)
+
+            assert calls == [[key]]
+            assert all(status == 200 for status, _ in responses)
+            records = {dumps_canonical(doc["record"])
+                       for _, doc in responses}
+            assert records == {dumps_canonical(
+                evaluate_config(normalize_config(cfg)))}
+            for _, doc in responses:
+                assert doc["cache"] == "miss"
+                assert doc["batch"] == {"index": 1, "requests": N_THREADS,
+                                        "unique": 1}
+            assert app.queue.stats() == {
+                "requests": N_THREADS, "batches": 1,
+                "coalesced": N_THREADS - 1, "submit_timeout_s": 60.0}
+            cache = app.cache.stats()
+            assert cache["stored"] == cache["misses"] == 1
+            assert cache["hits"] == 0
+
+    def test_overlapping_clients_each_get_their_own_result(self, tmp_path,
+                                                           gate):
         distinct = SMOKE_SPEC.configs()[:4]
         configs = [distinct[i % len(distinct)] for i in range(N_THREADS)]
-        with live_server(tmp_path, window_s=WIDE_WINDOW_S) as (app, client):
+        per_key = N_THREADS // len(distinct)
+        with live_server(tmp_path) as (app, client):
+            calls = gate(app, followers=N_THREADS - len(distinct))
             responses = _burst(client, configs)
 
+            assert len(calls) == len(distinct)
+            assert sorted(k for call in calls for k in call) == sorted(
+                config_key(normalize_config(c)) for c in distinct)
+            flights = {}
             for cfg, (status, doc) in zip(configs, responses):
                 assert status == 200
                 normalized = normalize_config(cfg)
@@ -68,25 +123,72 @@ class TestCoalescing:
                 assert doc["record"]["config"] == normalized
                 assert dumps_canonical(doc["record"]) \
                     == dumps_canonical(evaluate_config(normalized))
-
+                assert doc["batch"]["requests"] == per_key
+                assert doc["batch"]["unique"] == 1
+                flights.setdefault(doc["batch"]["index"], set()).add(
+                    doc["key"])
+            # One flight per distinct config, one config per flight.
+            assert sorted(flights) == list(range(1, len(distinct) + 1))
+            assert all(len(keys) == 1 for keys in flights.values())
             stats = app.queue.stats()
             assert stats["requests"] == N_THREADS
-            assert stats["batches"] < stats["requests"]
-            assert stats["coalesced"] > 0
-            assert stats["coalesced"] \
-                == stats["requests"] - stats["evaluated"]
-            # Identical configs never evaluate twice: the cache stores
-            # exactly one record per distinct config — coalescing absorbs
-            # duplicates inside a window, cache hits absorb the rest.
+            assert stats["batches"] == len(distinct)
+            assert stats["coalesced"] == N_THREADS - len(distinct)
             cache = app.cache.stats()
-            assert cache["stored"] == len(distinct)
-            assert cache["misses"] == len(distinct)
-            assert stats["evaluated"] >= len(distinct)
+            assert cache["stored"] == cache["misses"] == len(distinct)
+
+    def test_stress_keeps_counters_and_exactly_once(self, tmp_path):
+        """More threads than cores and a tiny switch interval: a lost
+        update to a flight or counter breaks one of the identities."""
+        distinct = [normalize_config(c) for c in SMOKE_SPEC.configs()[:5]]
+        keys = [config_key(c) for c in distinct]
+        queue = batching.BatchingQueue(cache=DiskCache(tmp_path / "c"))
+        threads_n, submits_n = 16, 25
+        replies, errors = [], []
+
+        def client(seed):
+            try:
+                for i in range(submits_n):
+                    j = (seed * 7 + i) % len(distinct)
+                    record, _, info = queue.submit(keys[j], distinct[j])
+                    replies.append((keys[j], record["key"], info["index"],
+                                    info["requests"]))
+            except Exception as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(t,))
+                       for t in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        total = threads_n * submits_n
+        assert len(replies) == total
+        assert all(asked == got for asked, got, _, _ in replies)
+        members = {}
+        for _, _, index, requests in replies:
+            members.setdefault(index, []).append(requests)
+        # Each flight reports exactly the replies that carry its index.
+        assert all(set(sizes) == {len(sizes)} for sizes in members.values())
+        stats = queue.stats()
+        assert stats["requests"] == total
+        assert stats["batches"] == len(members)
+        assert stats["coalesced"] == total - len(members)
+        cache = queue.cache.stats()
+        assert cache["stored"] == cache["misses"] == len(distinct)
+        assert cache["hits"] == len(members) - len(distinct)
 
     def test_warm_burst_is_all_cache_hits(self, tmp_path):
         distinct = SMOKE_SPEC.configs()[:4]
         configs = [distinct[i % len(distinct)] for i in range(N_THREADS)]
-        with live_server(tmp_path, window_s=WIDE_WINDOW_S) as (app, client):
+        with live_server(tmp_path) as (app, client):
             _burst(client, configs)
             stored_cold = app.cache.stats()["stored"]
             responses = _burst(client, configs)
@@ -97,37 +199,41 @@ class TestCoalescing:
 
     def test_every_trace_id_is_unique(self, tmp_path):
         configs = SMOKE_SPEC.configs()[:1] * N_THREADS
-        with live_server(tmp_path, window_s=WIDE_WINDOW_S) as (app, client):
+        with live_server(tmp_path) as (app, client):
             responses = _burst(client, configs)
             trace_ids = [doc["trace_id"] for _, doc in responses]
             assert len(set(trace_ids)) == N_THREADS
-            # One config, one window: a single evaluation served them all.
+            # Whether a request joined a flight or came after one closed
+            # (a cache hit, the leader having stored first), a single
+            # evaluation served them all.
             assert app.cache.stats()["stored"] == 1
 
     def test_batch_info_is_shared_and_consistent(self, tmp_path):
         distinct = SMOKE_SPEC.configs()[:3]
         configs = [distinct[i % len(distinct)] for i in range(9)]
-        with live_server(tmp_path, window_s=WIDE_WINDOW_S) as (app, client):
+        with live_server(tmp_path) as (app, client):
             responses = _burst(client, configs)
             by_batch = {}
             for _, doc in responses:
                 by_batch.setdefault(doc["batch"]["index"], []).append(
                     doc["batch"])
             for infos in by_batch.values():
-                # Everyone in a batch sees the same requests/unique info,
-                # and the batch really did coalesce its members.
+                # Every member of a flight sees the same final info, and
+                # its member count is the number of replies carrying it.
                 assert len({json.dumps(i, sort_keys=True)
                             for i in infos}) == 1
                 assert infos[0]["requests"] == len(infos)
-                assert infos[0]["unique"] <= infos[0]["requests"]
+                assert infos[0]["unique"] == 1
+            stats = app.queue.stats()
+            assert stats["batches"] == len(by_batch)
+            assert stats["coalesced"] == 9 - len(by_batch)
 
 
 class TestConcurrentJobs:
     def test_parallel_sweep_jobs_all_finish_correctly(self, tmp_path):
         request = {"preset": "smoke", "overrides": {"patterns": ["1:8"],
                                                     "bus_bits": [64]}}
-        with live_server(tmp_path, window_s=0.005,
-                         job_workers=4) as (app, client):
+        with live_server(tmp_path, job_workers=4) as (app, client):
             jobs = [client.post("/v1/sweep", request)[1]
                     for _ in range(4)]
             assert len({j["id"] for j in jobs}) == 4
@@ -193,18 +299,17 @@ class TestTracerIsolation:
     def test_server_request_spans_stay_off_the_global_tracer(self, tmp_path):
         obs.configure(enabled=True, reset=True)
         try:
-            with live_server(tmp_path,
-                             window_s=WIDE_WINDOW_S) as (app, client):
+            with live_server(tmp_path) as (app, client):
                 configs = SMOKE_SPEC.configs()[:2] * 3
                 responses = _burst(client, configs)
                 traced = client.post(
                     "/v1/evaluate",
                     {"config": SMOKE_SPEC.configs()[0], "trace": True})[1]
             names = [s["name"] for s in traced["trace"]["spans"]]
-            assert "serve.request" in names and "serve.queue.wait" in names
-            batch_names = {s["name"]
-                           for s in traced["trace"]["batch_spans"]}
-            assert "serve.batch" in batch_names
+            assert "serve.request" in names and "serve.flight" in names
+            # A lone request leads its flight: the engine ran in its own
+            # context, so the engine spans are on its request tracer.
+            assert "dse.cache.lookup" in names
             # Nothing the server did landed on the process-global tracer.
             global_names = {s.name for s in
                             obs.global_tracer().finished_spans()}

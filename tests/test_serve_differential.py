@@ -44,7 +44,7 @@ def canon(doc):
 
 class TestEvaluateDifferential:
     def test_cold_responses_match_direct_evaluate(self, tmp_path):
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             for cfg in SAMPLE_CONFIGS:
                 status, doc, headers = client.post("/v1/evaluate",
                                                    {"config": cfg})
@@ -57,7 +57,7 @@ class TestEvaluateDifferential:
 
     def test_warm_responses_are_cache_hits_with_identical_bytes(
             self, tmp_path):
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             cold = {}
             for cfg in SAMPLE_CONFIGS:
                 _, doc, _ = client.post("/v1/evaluate", {"config": cfg})
@@ -72,7 +72,7 @@ class TestEvaluateDifferential:
         """A config evaluated over HTTP is a warm hit for the library,
         and vice versa — same content-hash key, same cache bytes."""
         cache = DiskCache(tmp_path / "shared_cache")
-        with live_server(cache=cache, window_s=0.005) as (app, client):
+        with live_server(cache=cache) as (app, client):
             via_http = SAMPLE_CONFIGS[0]
             via_lib = SAMPLE_CONFIGS[1]
             _, doc, _ = client.post("/v1/evaluate", {"config": via_http})
@@ -92,7 +92,7 @@ class TestEvaluateDifferential:
     def test_error_records_match_direct_error_records(self, tmp_path, bad):
         """Value-invalid configs come back 200 with the *same* error
         record a sweep shard would produce — shape, type, and message."""
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             status, doc, _ = client.post("/v1/evaluate", {"config": bad})
             assert status == 200
             assert "error" in doc["record"]
@@ -100,7 +100,7 @@ class TestEvaluateDifferential:
             assert canon(doc["record"]) == canon(direct)
 
     def test_error_records_are_never_cached(self, tmp_path):
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             bad = VALUE_INVALID_CONFIGS[0]
             for _ in range(2):
                 _, doc, _ = client.post("/v1/evaluate", {"config": bad})
@@ -117,7 +117,7 @@ class TestEvaluateDifferential:
                                                      shape_bad, code):
         """Exactly the configs ``normalize_config`` refuses (and that a
         direct ``evaluate_one`` raises on) are 4xx at the schema layer."""
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             status, doc, _ = client.post("/v1/evaluate", shape_bad)
             assert status == 400
             assert doc["error"]["code"] == code
@@ -132,7 +132,7 @@ class TestSweepDifferential:
                                    "bus_bits": [64]}}
 
     def test_sweep_job_frontier_matches_run_sweep(self, tmp_path):
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             status, job, _ = client.post("/v1/sweep", self.SWEEP_REQUEST)
             assert status == 202
             done = wait_for_job(client, job["id"])
@@ -149,7 +149,7 @@ class TestSweepDifferential:
 
     def test_sweep_records_match_direct_records(self, tmp_path):
         request = dict(self.SWEEP_REQUEST, records=True)
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             _, job, _ = client.post("/v1/sweep", request)
             done = wait_for_job(client, job["id"])
             assert done["state"] == "done", done.get("error")
@@ -164,7 +164,7 @@ class TestSweepDifferential:
         """The float-fidelity backstop: parsing the exact wire payload
         and re-canonicalizing must reproduce the library's canonical
         JSON (shortest-repr floats survive json round-trips)."""
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             _, doc, _ = client.post("/v1/evaluate",
                                     {"config": NOMINAL_CONFIG})
             direct = evaluate_config(normalize_config(NOMINAL_CONFIG))

@@ -22,7 +22,7 @@ N_REQUESTS = 20
 def test_warm_keepalive_evaluate_is_not_delayed(tmp_path):
     body = json.dumps({"config": NOMINAL_CONFIG}).encode("utf-8")
     headers = {"Content-Type": "application/json"}
-    with live_server(tmp_path, window_s=0.0) as (_, client):
+    with live_server(tmp_path) as (_, client):
         port = int(client.base.rsplit(":", 1)[1])
         conn = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
         try:

@@ -30,6 +30,10 @@ from tests.serve_utils import NOMINAL_CONFIG, Client, live_server, \
 NOMINAL_KEY = \
     "8edb5e755f1615f9d26d82480ba5c75402d8db195e730cc68de95033a060cbc9"
 
+#: A latency histogram nothing was recorded into: 21 bounded buckets
+#: plus the overflow bucket.
+EMPTY_HISTOGRAM = {"count": 0, "sum_us": 0, "buckets": [0] * 22}
+
 NOMINAL_NORMALIZED = {"pattern": "1:8", "bus_bits": 128, "mram_rows": 1024,
                       "weight_bits": 8, "device": "nominal",
                       "workload": "paper"}
@@ -58,7 +62,7 @@ def scrub(doc):
 
 @pytest.fixture()
 def app(tmp_path):
-    app = ServeApp(cache=DiskCache(tmp_path / "cache"), window_s=0.005,
+    app = ServeApp(cache=DiskCache(tmp_path / "cache"),
                    job_workers=1)
     yield app
     app.shutdown()
@@ -86,11 +90,20 @@ class TestGoldenResponses:
             "schema": "repro.serve/stats/1",
             "cache": {"enabled": True, "refresh": False, "root": "<dir>",
                       "hits": 0, "misses": 0, "rejected": 0, "stored": 0},
-            "batching": {"requests": 0, "batches": 0, "evaluated": 0,
-                         "coalesced": 0, "window_s": 0.005,
-                         "max_batch": 256, "submit_timeout_s": 60.0},
+            "batching": {"requests": 0, "batches": 0, "coalesced": 0,
+                         "submit_timeout_s": 60.0},
             "jobs": {"queued": 0, "running": 0, "done": 0, "failed": 0,
                      "cancelled": 0, "max_jobs": 1024, "pruned": 0},
+            "latency": {
+                "bounds_us": [2 ** i for i in range(4, 25)],
+                "endpoints": {path: EMPTY_HISTOGRAM for path in (
+                    "/v1/evaluate", "/v1/sweep", "/v1/experiment",
+                    "/v1/jobs", "/v1/jobs/<id>", "/v1/jobs/<id>/result",
+                    "/v1/jobs/<id>/trace", "/v1/jobs/<id>/cancel",
+                    "/v1/health", "/v1/stats", "other")},
+                "evaluate_stages": {stage: EMPTY_HISTOGRAM for stage in (
+                    "validate", "evaluate", "serialize")},
+            },
         }
 
     def test_evaluate(self, app):
@@ -272,7 +285,7 @@ class TestGoldenResponses:
         })
 
     def test_oversized_body(self, tmp_path):
-        app = ServeApp(cache=DiskCache(tmp_path / "c"), window_s=0.005,
+        app = ServeApp(cache=DiskCache(tmp_path / "c"),
                        max_body_bytes=64)
         try:
             status, doc = dispatch(app, "POST", "/v1/evaluate",
@@ -352,7 +365,7 @@ class TestFuzz:
     def test_fuzz_cases_over_live_http(self, tmp_path):
         """The wire path agrees with dispatch: same statuses, JSON bodies
         (never the html error page), for a sample of the fuzz corpus."""
-        with live_server(tmp_path, window_s=0.005) as (app, client):
+        with live_server(tmp_path) as (app, client):
             for method, path, raw in FUZZ_CASES[:12] + FUZZ_CASES[-2:]:
                 status, doc, headers = client.request(
                     method, path, raw=raw or b" ")
@@ -361,7 +374,7 @@ class TestFuzz:
                 assert doc["schema"] == ERROR_SCHEMA
 
     def test_oversized_body_over_live_http(self, tmp_path):
-        with live_server(tmp_path, window_s=0.005,
+        with live_server(tmp_path,
                          max_body_bytes=1024) as (app, client):
             status, doc, _ = client.post("/v1/evaluate",
                                          raw=b"x" * 4096)
@@ -375,3 +388,45 @@ class TestFuzz:
         assert dispatch(app, "GET", "/v1/health/")[0] == 200
         assert dispatch(app, "GET", "/v1/health?probe=1")[0] == 200
         assert dispatch(app, "GET", "//v1//health")[0] == 200
+
+
+class TestLatencyHistograms:
+    def test_bucket_bounds_are_inclusive_log2_microseconds(self):
+        from repro.serve.api import BOUNDS_US, bucket_index
+        assert bucket_index(0) == 0
+        assert bucket_index(16_000) == 0            # exactly 16 µs
+        assert bucket_index(16_001) == 1            # just over
+        assert bucket_index(32_000) == 1
+        assert bucket_index(1_000_000) == BOUNDS_US.index(1024)
+        assert bucket_index(BOUNDS_US[-1] * 1000) == len(BOUNDS_US) - 1
+        assert bucket_index(BOUNDS_US[-1] * 1000 + 1) == len(BOUNDS_US)
+
+    def test_bucket_counts_sum_to_the_requests_per_endpoint(self, tmp_path):
+        n = 7
+        with live_server(tmp_path) as (app, client):
+            for i in range(n):
+                cfg = dict(NOMINAL_CONFIG, bus_bits=(64, 128)[i % 2])
+                assert client.post("/v1/evaluate", {"config": cfg})[0] \
+                    == 200
+                assert client.get("/v1/health")[0] == 200
+            assert client.get("/v1/nope")[0] == 404
+            assert client.get("/v1/jobs/job-000042")[0] == 404
+            status, stats, _ = client.get("/v1/stats")
+            assert status == 200
+            latency = stats["latency"]
+            expected = {"/v1/evaluate": n, "/v1/health": n, "other": 1,
+                        "/v1/jobs/<id>": 1}
+            for endpoint, histogram in latency["endpoints"].items():
+                assert histogram["count"] == expected.get(endpoint, 0)
+                assert sum(histogram["buckets"]) == histogram["count"]
+                assert len(histogram["buckets"]) \
+                    == len(latency["bounds_us"]) + 1
+            for stage in ("validate", "evaluate", "serialize"):
+                histogram = latency["evaluate_stages"][stage]
+                assert sum(histogram["buckets"]) == n
+            # The stats request itself lands once its reply is encoded.
+            stats = client.get("/v1/stats")[1]
+            assert stats["latency"]["endpoints"]["/v1/stats"]["count"] == 1
+            # The histograms sit beside the existing counters.
+            assert stats["batching"]["requests"] == n
+            assert stats["cache"]["misses"] == 2
