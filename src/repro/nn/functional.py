@@ -1,10 +1,11 @@
 """Neural-network functional primitives built on the autograd :class:`Tensor`.
 
-Convolution is implemented with an explicit im2col/col2im pair, which is both
-the fastest pure-numpy formulation and exactly the lowering the accelerator
-model uses: a convolution becomes a GEMM whose weight matrix is what gets
-N:M-sparsified, CSC-compressed and mapped onto the PIM PEs
-(see :mod:`repro.core.mapper`).
+Convolution lowers to a GEMM through an explicit im2col/col2im pair, exactly as
+the accelerator maps it: the GEMM's weight matrix is what gets N:M-sparsified,
+CSC-compressed and mapped onto the PIM PEs (see :mod:`repro.core.mapper`). Both
+helpers stage data channels-last, ``(N, H, W, C)``, so C is innermost on both
+sides of every copy. The GEMM operands and their memory layouts are frozen: BLAS
+picks its kernel, and so its rounding, from them (docs/METHODOLOGY.md §15).
 """
 
 from __future__ import annotations
@@ -29,24 +30,23 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Rearrange image patches into columns.
-
-    Parameters
-    ----------
-    x: ``(N, C, H, W)`` input batch.
-
-    Returns
-    -------
-    ``(N * OH * OW, C * KH * KW)`` patch matrix.
-    """
+    """Rearrange the patches of an ``(N, C, H, W)`` batch into columns: the
+    ``(N * OH * OW, C * KH * KW)`` patch matrix, columns in ``(C, KH, KW)`` order."""
     n, c, h, w = x.shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
+    xp = x.transpose(0, 2, 3, 1)                           # (n, h, w, c) view
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]            # (n, c, oh, ow, kh, kw)
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+        # A one-column window's patch matrix can be a view of the padded image,
+        # and the frozen GEMM layout for it is the NCHW view (METHODOLOGY §15).
+        hp, wp = h + 2 * padding, w + 2 * padding
+        buf = (np.zeros((n, hp, wp, c), dtype=x.dtype) if kw > 1 else
+               np.zeros((n, c, hp, wp), dtype=x.dtype).transpose(0, 2, 3, 1))
+        buf[:, padding:padding + h, padding:padding + w] = xp
+        xp = buf
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]               # (n, oh, ow, c, kh, kw)
+    return windows.reshape(n * oh * ow, c * kh * kw)
 
 
 def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
@@ -55,16 +55,12 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
     n, c, h, w = x_shape
     oh = conv_output_size(h, kh, stride, padding)
     ow = conv_output_size(w, kw, stride, padding)
-    cols = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for i in range(kh):
-        i_max = i + stride * oh
+    cols = cols.reshape(n, oh, ow, c, kh, kw)
+    padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    for i in range(kh):                                    # tap order fixes each sum
         for j in range(kw):
-            j_max = j + stride * ow
-            padded[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j, :, :]
-    if padding > 0:
-        return padded[:, :, padding:-padding, padding:-padding]
-    return padded
+            padded[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += cols[..., i, j]
+    return padded[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
 
 
 # ---------------------------------------------------------------- convolution

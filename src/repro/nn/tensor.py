@@ -26,9 +26,11 @@ import numpy as np
 
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-#: Default dtype for parameters and factory functions.  float32 halves memory
-#: traffic in the conv-heavy training loops; gradient-check tests override it
-#: per-parameter with float64 where tight numerical agreement is required.
+#: Default dtype for parameters and factory functions.  Training does not stay
+#: in it: :func:`_as_array` turns a Python scalar into a 0-d float64 array, which
+#: NumPy 2 promotes as a strong type, so ``Tensor.mean``, ``x + eps`` and
+#: training-mode ``BatchNorm2d`` return float64, and an optimizer step with a
+#: float64 gradient turns a float32 weight float64 (tests/test_dtype_flow.py).
 DEFAULT_DTYPE = np.float32
 
 

@@ -29,12 +29,14 @@ class TestIm2col:
         with pytest.raises(ValueError):
             F.conv_output_size(2, 5, 1, 0)
 
-    def test_col2im_adjoint(self, rng):
+    @pytest.mark.parametrize("n,stride,padding", [(1, 1, 0), (3, 2, 1), (2, 1, 2)])
+    def test_col2im_adjoint(self, rng, n, stride, padding):
         """<im2col(x), y> == <x, col2im(y)> — exact adjointness."""
-        x = rng.standard_normal((1, 2, 6, 6))
-        y = rng.standard_normal((1 * 4 * 4, 2 * 9))
-        lhs = (F.im2col(x, 3, 3, 1, 0) * y).sum()
-        rhs = (x * F.col2im(y, x.shape, 3, 3, 1, 0)).sum()
+        x = rng.standard_normal((n, 2, 6, 6))
+        oh = F.conv_output_size(6, 3, stride, padding)
+        y = rng.standard_normal((n * oh * oh, 2 * 9))
+        lhs = (F.im2col(x, 3, 3, stride, padding) * y).sum()
+        rhs = (x * F.col2im(y, x.shape, 3, 3, stride, padding)).sum()
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
