@@ -27,7 +27,7 @@ from ..quant.int8 import QuantParams, quantize_weight_int
 from ..sparsity.nm import NMPattern, compute_nm_mask, verify_nm
 from .mapper import tile_layer_shapes
 from .mram_pe import MRAMPEConfig, MRAMSparsePE
-from .sram_pe import SRAMPEConfig, SRAMSparsePE
+from .sram_pe import SRAMPEConfig, SRAMSparsePE, check_weight_range
 from .stats import PEStats
 from .transpose_pe import BackpropEngine
 from .widths import width_contract
@@ -210,6 +210,12 @@ class HybridAccelerator:
             raise ValueError("update shape mismatch")
         if not verify_nm(weight_int, self.pattern, axis=0):
             raise ValueError("update violates the N:M pattern")
+        # Reject before any tile is rewritten, so a failed update leaves the
+        # GEMM and its write counters untouched.
+        if not np.issubdtype(weight_int.dtype, np.integer):
+            raise TypeError("update_gemm expects integer (quantized) weights "
+                            f"(got dtype {weight_int.dtype})")
+        check_weight_range(weight_int, self.sram_config.weight_bits)
         for r, c, pe in mapped.tiles:
             rows, cols = pe.csc.shape
             pe.update_weights(weight_int[r:r + rows, c:c + cols], self.pattern)

@@ -17,6 +17,7 @@ with its position within its group of ``m`` — a ``ceil(log2(m))``-bit index
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -57,21 +58,24 @@ class CSCColumn:
 class CSCMatrix:
     """An N:M-sparse matrix in compressed sparse column form.
 
-    Use :meth:`from_dense` to encode; :meth:`decode` round-trips back to the
-    dense array (tested property: exact for any matrix satisfying the
-    pattern).
+    The matrix *is* the CSC triplet: ``values`` (int64 non-zeros,
+    column-major, rows ascending within a column), their dense
+    ``row_indices`` and ``col_ptr`` (``out_dim + 1`` offsets; column ``c``
+    owns ``col_ptr[c]:col_ptr[c+1]``).  Use :meth:`from_dense` to encode;
+    :meth:`decode` round-trips back to the dense array (tested property:
+    exact for any matrix satisfying the pattern).
     """
 
-    def __init__(self, columns: List[CSCColumn], shape: Tuple[int, int],
+    def __init__(self, values: np.ndarray, row_indices: np.ndarray,
+                 col_ptr: np.ndarray, shape: Tuple[int, int],
                  pattern: NMPattern):
-        if len(columns) != shape[1]:
-            raise ValueError(f"{len(columns)} columns for shape {shape}")
-        self.columns = columns
+        if len(col_ptr) != shape[1] + 1:
+            raise ValueError(f"{len(col_ptr) - 1} columns for shape {shape}")
+        self.values = values
+        self.row_indices = row_indices
+        self.col_ptr = col_ptr
         self.shape = shape
         self.pattern = pattern
-        # nnz is read on every matmul's stats charge; columns are fixed after
-        # construction, so cache the sum instead of re-walking out_dim columns.
-        self._nnz = sum(col.nnz for col in columns)
 
     # -------------------------------------------------------------- encoding
     @classmethod
@@ -97,17 +101,23 @@ class CSCMatrix:
                 "dimension; prune first or pass strict=False")
 
         in_dim, out_dim = matrix.shape
-        m = pattern.m
-        columns: List[CSCColumn] = []
-        for c in range(out_dim):
-            col = matrix[:, c]
-            rows = np.nonzero(col)[0]
-            columns.append(CSCColumn(
-                values=col[rows].astype(np.int64),
-                group_ids=(rows // m).astype(np.int64),
-                intra_indices=(rows % m).astype(np.int64),
-            ))
-        return cls(columns, (in_dim, out_dim), pattern)
+        # Non-zeros of the transpose in C order: column-major, rows ascending.
+        cols, rows = np.nonzero(matrix.T)
+        col_ptr = np.zeros(out_dim + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=out_dim), out=col_ptr[1:])
+        return cls(matrix[rows, cols].astype(np.int64),
+                   rows.astype(np.int64, copy=False), col_ptr,
+                   (in_dim, out_dim), pattern)
+
+    @functools.cached_property
+    def columns(self) -> List[CSCColumn]:
+        """Per-column views of the triplet (built on first access)."""
+        m = self.pattern.m
+        ptr = self.col_ptr.tolist()
+        return [CSCColumn(values=self.values[lo:hi],
+                          group_ids=self.row_indices[lo:hi] // m,
+                          intra_indices=self.row_indices[lo:hi] % m)
+                for lo, hi in zip(ptr[:-1], ptr[1:])]
 
     # -------------------------------------------------------------- decoding
     def decode(self) -> np.ndarray:
@@ -118,7 +128,7 @@ class CSCMatrix:
     # ------------------------------------------------------------ statistics
     @property
     def nnz(self) -> int:
-        return self._nnz
+        return int(self.col_ptr[-1])
 
     def storage_bits(self, weight_bits: int = 8,
                      index_bits: Optional[int] = None) -> int:
@@ -138,10 +148,10 @@ class CSCMatrix:
         return self.storage_bits(weight_bits, index_bits) / dense
 
     def max_column_nnz(self) -> int:
-        return max((col.nnz for col in self.columns), default=0)
+        return int(self.column_nnz().max(initial=0))
 
     def column_nnz(self) -> np.ndarray:
-        return np.array([col.nnz for col in self.columns], dtype=np.int64)
+        return np.diff(self.col_ptr)
 
 
 def tile_matrix(matrix: np.ndarray, tile_rows: int, tile_cols: int

@@ -20,8 +20,8 @@ argument, the ``REPRO_KERNEL`` environment variable, or the default:
 
 ``fast``
     Fully vectorized.  A :class:`KernelPlan` built once at ``load()`` time
-    flattens the CSC columns into contiguous ``values`` / ``row_indices`` /
-    ``col_ptr`` arrays plus a zero-padded ``(max_nnz, out_dim)`` gather
+    shares the CSC triplet (contiguous ``values`` / ``row_indices`` /
+    ``col_ptr`` arrays) and adds a zero-padded ``(max_nnz, out_dim)`` gather
     matrix, so an entire matmul is one fancy-index gather plus one einsum —
     and the SRAM bit-plane loop collapses into a single
     ``(bits, batch, nnz)``-shaped tensor contraction.
@@ -174,8 +174,7 @@ class KernelPlan:
         counts = np.array([len(rows) for rows, _ in columns], dtype=np.int64)
         col_ptr = np.zeros(out_dim + 1, dtype=np.int64)
         np.cumsum(counts, out=col_ptr[1:])
-        nnz = int(col_ptr[-1])
-        if nnz:
+        if col_ptr[-1]:
             row_indices = np.concatenate(
                 [require_integer_values(rows, "KernelPlan row indices")
                  .astype(np.int64) for rows, _ in columns])
@@ -185,25 +184,23 @@ class KernelPlan:
         else:
             row_indices = np.zeros(0, dtype=np.int64)
             values = np.zeros(0, dtype=np.int64)
-
-        max_nnz = int(counts.max()) if out_dim else 0
-        gather_rows = np.zeros((max_nnz, out_dim), dtype=np.int64)
-        gather_values = np.zeros((max_nnz, out_dim), dtype=np.int64)
-        for c in range(out_dim):
-            lo, hi = col_ptr[c], col_ptr[c + 1]
-            gather_rows[:hi - lo, c] = row_indices[lo:hi]
-            gather_values[:hi - lo, c] = values[lo:hi]
-        return cls(shape=shape, values=values, row_indices=row_indices,
-                   col_ptr=col_ptr, gather_rows=gather_rows,
-                   gather_values=gather_values)
+        return cls._from_triplet(values, row_indices, col_ptr, shape)
 
     @classmethod
     def from_csc(cls, csc: "CSCMatrix") -> "KernelPlan":
-        """Flatten a :class:`~repro.core.csc.CSCMatrix` into a plan."""
-        m = csc.pattern.m
-        return cls.from_columns(
-            [(col.row_indices(m), col.values) for col in csc.columns],
-            csc.shape)
+        """Plan sharing (not copying) a :class:`~repro.core.csc.CSCMatrix`'s
+        triplet arrays."""
+        return cls._from_triplet(csc.values, csc.row_indices, csc.col_ptr,
+                                 csc.shape)
+
+    @classmethod
+    def _from_triplet(cls, values: np.ndarray, row_indices: np.ndarray,
+                      col_ptr: np.ndarray,
+                      shape: Tuple[int, int]) -> "KernelPlan":
+        gather = _padded_panels(values, row_indices, col_ptr,
+                                np.arange(shape[1]),
+                                int(np.diff(col_ptr).max(initial=0)))
+        return cls(shape, values, row_indices, col_ptr, *gather)
 
     # -------------------------------------------------------------- inspection
     @property
@@ -303,6 +300,23 @@ def _partition_column_counts(sorted_counts: np.ndarray,
     return segments
 
 
+def _padded_panels(values: np.ndarray, row_indices: np.ndarray,
+                   col_ptr: np.ndarray, cols: np.ndarray,
+                   width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Scatter columns ``cols`` into zero-padded ``(width, len(cols))``
+    row-index and value panels in one step: entry ``k`` of a column lands
+    in slot ``k``; pad slots keep row 0 with value 0."""
+    counts = col_ptr[cols + 1] - col_ptr[cols]
+    panel_col = np.repeat(np.arange(len(cols)), counts)
+    slot = np.arange(len(panel_col)) - (np.cumsum(counts) - counts)[panel_col]
+    src = col_ptr[cols][panel_col] + slot
+    rows = np.zeros((width, len(cols)), dtype=np.int64)
+    vals = np.zeros((width, len(cols)), dtype=np.int64)
+    rows[slot, panel_col] = row_indices[src]
+    vals[slot, panel_col] = values[src]
+    return rows, vals
+
+
 def _build_flat_buckets(plan: KernelPlan) -> Tuple[_FlatBucket, ...]:
     """Group a plan's non-empty columns into padded nnz buckets."""
     counts = np.diff(plan.col_ptr)
@@ -319,12 +333,8 @@ def _build_flat_buckets(plan: KernelPlan) -> Tuple[_FlatBucket, ...]:
                                                FLAT_MAX_BUCKETS):
         cols = sorted_cols[start:end]
         width = int(sorted_counts[end - 1])     # ascending: last is the max
-        rows = np.zeros((width, len(cols)), dtype=np.int64)
-        vals = np.zeros((width, len(cols)), dtype=np.int64)
-        for j, c in enumerate(cols):
-            lo, hi = plan.col_ptr[c], plan.col_ptr[c + 1]
-            rows[:hi - lo, j] = plan.row_indices[lo:hi]
-            vals[:hi - lo, j] = plan.values[lo:hi]
+        rows, vals = _padded_panels(plan.values, plan.row_indices,
+                                    plan.col_ptr, cols, width)
         buckets.append(_FlatBucket(cols=cols, rows=rows, vals=vals))
     return tuple(buckets)
 

@@ -37,7 +37,7 @@ sparse matrix — a property-based test enforces this.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -77,16 +77,11 @@ class SRAMPEConfig:
             raise ValueError("index_bits too small")
 
 
-@dataclasses.dataclass
-class _Placement:
-    """Where one logical column's compressed entries landed."""
-
-    column: int
-    lane_spans: List[Tuple[int, int, int]]  # (lane, start_row, count)
-
-    @property
-    def spans_lanes(self) -> bool:
-        return len(self.lane_spans) > 1
+def check_weight_range(matrix: np.ndarray, bits: int) -> None:
+    """Reject weights outside the signed ``bits``-bit range."""
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if matrix.size and (matrix.min() < lo or matrix.max() > hi):
+        raise ValueError(f"weights outside signed {bits}-bit range")
 
 
 class SRAMSparsePE:
@@ -97,7 +92,8 @@ class SRAMSparsePE:
         self.config = config or SRAMPEConfig()
         self.kernel = kernel  # None -> REPRO_KERNEL env var -> default
         self.csc: Optional[CSCMatrix] = None
-        self.placements: List[_Placement] = []
+        self.lanes_used = 0      # lanes holding at least one entry
+        self.spill_columns = 0   # columns whose entries straddle two lanes
         self.stats = PEStats()
         self._plan: Optional[KernelPlan] = None
         self._dense_cache: Optional[np.ndarray] = None
@@ -113,7 +109,7 @@ class SRAMSparsePE:
         """
         cfg = self.config
         matrix = np.asarray(matrix)
-        self._check_range(matrix)
+        check_weight_range(matrix, cfg.weight_bits)
         csc = CSCMatrix.from_dense(matrix, pattern, strict=strict)
         if csc.nnz > cfg.pair_capacity:
             raise ValueError(
@@ -124,37 +120,19 @@ class SRAMSparsePE:
                 f"pattern {pattern} needs {pattern.index_bits}-bit indices; "
                 f"PE provides {cfg.index_bits}")
 
-        # Column-major packing with spill into the next lane.
-        placements: List[_Placement] = []
-        lane, row = 0, 0
-        for c, col in enumerate(csc.columns):
-            remaining = col.nnz
-            spans: List[Tuple[int, int, int]] = []
-            while remaining > 0:
-                if lane >= cfg.lanes:
-                    raise ValueError("packing overflow despite capacity check")
-                take = min(remaining, cfg.rows - row)
-                if take > 0:
-                    spans.append((lane, row, take))
-                    row += take
-                    remaining -= take
-                if row == cfg.rows:
-                    lane, row = lane + 1, 0
-            placements.append(_Placement(column=c, lane_spans=spans))
-
+        # Column-major packing with spill into the next lane: column c owns
+        # the lane-major slots col_ptr[c]:col_ptr[c+1], slot k sitting in
+        # lane k // rows.
+        starts, ends = csc.col_ptr[:-1], csc.col_ptr[1:]
         self.csc = csc
-        self.placements = placements
+        self.lanes_used = -(-csc.nnz // cfg.rows)
+        self.spill_columns = int(np.count_nonzero(
+            (ends > starts) & ((ends - 1) // cfg.rows > starts // cfg.rows)))
         self._plan = KernelPlan.from_csc(csc)
         self._dense_cache = self._plan.decode()
 
         self.stats.weight_bits_written += csc.nnz * cfg.weight_bits
         self.stats.index_bits_written += csc.nnz * cfg.index_bits
-
-    def _check_range(self, matrix: np.ndarray) -> None:
-        bits = self.config.weight_bits
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        if matrix.size and (matrix.min() < lo or matrix.max() > hi):
-            raise ValueError(f"weights outside signed {bits}-bit range")
 
     @property
     def loaded(self) -> bool:
@@ -203,7 +181,6 @@ class SRAMSparsePE:
         csc = self.csc
         pattern = csc.pattern
         sweep_cycles = pattern.m * cfg.input_bits
-        lanes_used = len({span[0] for p in self.placements for span in p.lane_spans})
 
         self.stats.cycles += sweep_cycles * batch
         self.stats.activation_bits_read += csc.shape[0] * cfg.input_bits * batch
@@ -214,10 +191,9 @@ class SRAMSparsePE:
         self.stats.weight_bits_read += csc.nnz * cfg.weight_bits * cfg.input_bits * batch
         self.stats.index_bits_read += csc.nnz * cfg.index_bits * pattern.m * batch
         self.stats.comparator_ops += csc.nnz * pattern.m * batch
-        self.stats.adder_tree_ops += lanes_used * sweep_cycles * batch
-        self.stats.shift_acc_ops += lanes_used * sweep_cycles * batch
-        spill_columns = sum(1 for p in self.placements if p.spans_lanes)
-        self.stats.rowwise_acc_ops += spill_columns * cfg.input_bits * batch
+        self.stats.adder_tree_ops += self.lanes_used * sweep_cycles * batch
+        self.stats.shift_acc_ops += self.lanes_used * sweep_cycles * batch
+        self.stats.rowwise_acc_ops += self.spill_columns * cfg.input_bits * batch
 
     # ------------------------------------------------------------- dense ref
     def dense_weight(self) -> np.ndarray:

@@ -129,6 +129,29 @@ class TestTraining:
         with pytest.raises(ValueError):
             acc.update_gemm("rep", np.ones((16, 4), dtype=np.int64))
 
+    @pytest.mark.parametrize("bad", ["out-of-range", "float"])
+    def test_rejected_update_leaves_gemm_untouched(self, rng, bad):
+        """A bad value in the last tile is caught before the first tile is
+        rewritten: weights and every counter stay as they were."""
+        acc = HybridAccelerator(NMPattern(1, 4))
+        w1 = sparse_int_matrix(rng, (512, 64), acc.pattern)
+        mapped = acc.load_gemm("rep", w1, learnable=True)
+        assert mapped.pe_count == 8
+        before = {k: s.as_dict() for k, s in acc.stats().items()}
+        w2 = sparse_int_matrix(rng, (512, 64), acc.pattern, lo=-60, hi=61)
+        r, c, _ = mapped.tiles[-1]
+        rows, cols = np.nonzero(w2[r:, c:])
+        if bad == "out-of-range":
+            w2[r + rows[-1], c + cols[-1]] = 300
+            error = ValueError
+        else:
+            w2 = w2.astype(np.float64)
+            error = TypeError
+        with pytest.raises(error):
+            acc.update_gemm("rep", w2)
+        np.testing.assert_array_equal(acc.dense_weight("rep"), w1)
+        assert {k: s.as_dict() for k, s in acc.stats().items()} == before
+
     def test_backprop_through_learnable(self, acc, rng):
         w = sparse_int_matrix(rng, (64, 8), acc.pattern)
         acc.load_gemm("rep", w, learnable=True)

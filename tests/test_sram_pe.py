@@ -155,6 +155,22 @@ class TestMatmul:
         np.testing.assert_array_equal(pe.matmul(x), x @ w)
         assert pe.stats.rowwise_acc_ops > 0
 
+    def test_spill_counts_exact(self):
+        """Column nnz [10, 10, 12] on 16-row lanes: slots [0,10) [10,20)
+        [20,32), so two lanes hold entries and only column 1 straddles."""
+        w = np.zeros((48, 3), dtype=np.int64)
+        for c, nnz in enumerate((10, 10, 12)):
+            w[0:4 * nnz:4, c] = c + 1          # one entry per 1:4 group
+        pe = SRAMSparsePE(SRAMPEConfig(rows=16))
+        pe.load(w, NMPattern(1, 4))
+        assert (pe.lanes_used, pe.spill_columns) == (2, 1)
+        x = np.arange(-72, 72).reshape(3, 48) % 16 - 8
+        np.testing.assert_array_equal(pe.matmul(x), x @ w)
+        sweep = 4 * 8                          # index phases x bit planes
+        assert pe.stats.adder_tree_ops == 2 * sweep * 3
+        assert pe.stats.shift_acc_ops == 2 * sweep * 3
+        assert pe.stats.rowwise_acc_ops == 1 * 8 * 3
+
 
 class TestDensePE:
     def test_exactness(self, rng):
