@@ -117,7 +117,7 @@ def collect_dse_metrics() -> Dict[str, Dict[str, object]]:
     """
     from ..dse import SMOKE_SPEC, NullCache, run_sweep
 
-    result = run_sweep(spec=SMOKE_SPEC, workers=1, cache=NullCache())
+    result = run_sweep(spec=SMOKE_SPEC, cache=NullCache())
     frontier = result["frontier"]
     metrics: Dict[str, Dict[str, object]] = {
         "dse.smoke.frontier_size": _metric(

@@ -15,13 +15,13 @@ from .effects import effects, reentrant
 from .bitcell_array import BitCellArray, BitLevelSparsePE
 from .bitserial import from_partials, plane_weight, to_bit_planes
 from .bus import BusConfig, SharedBus, broadcast_vs_unicast
-from .design_space import DesignPoint, explore, pareto_front
 from .fault_injection import (classification_flip_rate, gemm_error_study,
                               inject_weight_bit_flips)
 from .csc import CSCColumn, CSCMatrix, tile_matrix
 from .kernels import (DEFAULT_KERNEL, KERNEL_ENV_VAR, KERNEL_IMPLEMENTATIONS,
                       KernelPlan, resolve_kernel, spmm_bitserial, spmm_gather)
-from .designs import DenseCIMDesign, HybridSparseDesign, PerfReport
+from .designs import (DenseCIMDesign, HybridBatch, HybridSparseDesign,
+                      PerfReport)
 from .mapper import (CoreConfig, HybridMapper, MappingPlan, Tile,
                      dense_core_requirement, tile_layer_shapes)
 from .mram_pe import (PIPELINE_DEPTH, MRAMDensePE, MRAMPEConfig,
@@ -48,13 +48,12 @@ __all__ = [
     "CoreConfig", "HybridMapper", "MappingPlan", "Tile", "tile_layer_shapes",
     "dense_core_requirement",
     "SIMTScheduler", "ScheduleResult", "LayerSchedule",
-    "DenseCIMDesign", "HybridSparseDesign", "PerfReport",
+    "DenseCIMDesign", "HybridSparseDesign", "HybridBatch", "PerfReport",
     "HybridAccelerator", "MappedGemm",
     "WriteVerifyController", "WriteReport", "deployment_write_study",
     "BitCellArray", "BitLevelSparsePE",
     "inject_weight_bit_flips", "gemm_error_study", "classification_flip_rate",
     "BusConfig", "SharedBus", "broadcast_vs_unicast",
-    "DesignPoint", "explore", "pareto_front",
     "reentrant", "effects",
     "guarded_by", "holds_no_locks",
 ]

@@ -23,40 +23,53 @@ Each formula is a numpy expression over the workload's
 int64, each per-layer float term is computed with the operands in the
 order of the scalar formula, and every float total is accumulated left to
 right in layer order (:func:`_ltr_sum`), so the results are bit-identical
-to a per-layer ``total += term`` loop.
+to a per-layer ``total += term`` loop.  :class:`HybridBatch` evaluates
+many hybrid designs at once, one row each; a single
+:class:`HybridSparseDesign` is a batch of one.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..energy.area import AreaModel, AreaReport
-from ..energy.cost import CostModel, EnergyBreakdown
+from ..energy.area import AreaModel, AreaReport, hybrid_area_components
+from ..energy.cost import CostModel, EnergyBreakdown, leakage_mw, write_cycles
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..sparsity.nm import NMPattern
 from .mram_pe import PIPELINE_DEPTH
-from .workload import LayerTable, Workload
+from .workload import LayerTable, Workload, nm_compressed_bits
 
 
-def _ltr_sum(terms: np.ndarray) -> float:
-    """Float total of ``terms`` added strictly left to right from 0.0.
+def _ltr_sum(terms: np.ndarray):
+    """Totals of ``terms`` along the layer (last) axis, each added strictly
+    left to right from 0.0: a float for 1-D ``terms``, else one total per
+    row as a ``(C, 1)`` column.
 
     ``np.sum`` adds pairwise and builtin ``sum()`` of floats is compensated
     from Python 3.12 on; either would move last bits relative to a
     ``total += term`` loop.  ``np.add.accumulate`` is sequential.
     """
-    if not terms.size:
-        return 0.0
-    return float(np.add.accumulate(terms, dtype=np.float64)[-1])
+    if not terms.shape[-1]:
+        totals = np.zeros(terms.shape[:-1])
+    else:
+        totals = np.add.accumulate(terms, axis=-1, dtype=np.float64)[..., -1]
+    return float(totals) if terms.ndim == 1 else totals[:, np.newaxis]
 
 
 def _ceil(x: np.ndarray) -> np.ndarray:
     """Elementwise ``math.ceil`` of a float column, as int64."""
     return np.ceil(x).astype(np.int64)
+
+
+def avg_power_mw(energy_j: float, latency_s: float) -> float:
+    """Mean power (mW) of ``energy_j`` spent over ``latency_s``."""
+    if latency_s <= 0:
+        return 0.0
+    return energy_j / latency_s * 1e3
 
 
 @dataclasses.dataclass
@@ -74,9 +87,7 @@ class PerfReport:
 
     @property
     def avg_power_mw(self) -> float:
-        if self.latency_s <= 0:
-            return 0.0
-        return self.energy_j / self.latency_s * 1e3
+        return avg_power_mw(self.energy_j, self.latency_s)
 
     @property
     def edp_js(self) -> float:
@@ -237,14 +248,51 @@ class DenseCIMDesign:
         return PerfReport(self.name, "training_step", latency, energy)
 
 
-class HybridSparseDesign:
-    """The paper's hybrid: sparse MRAM backbone + sparse SRAM learnable path.
+def check_hybrid_levers(tech: TechnologyModel, bus_bits: int) -> None:
+    """Raise ``ValueError`` unless a hybrid can be built at these levers."""
+    if bus_bits <= 0:
+        raise ValueError(f"bus_bits must be positive, got {bus_bits}")
+    mram = tech.mram
+    if mram.row_bits // (mram.weight_bits + mram.index_bits) < 1:
+        raise ValueError(
+            f"MRAM row ({mram.row_bits} bits) cannot hold one "
+            f"(weight, index) pair at {mram.weight_bits}+"
+            f"{mram.index_bits} bits")
 
-    Provisioning (paper Secs. 4/5.2): the compressed backbone fills MRAM
-    sub-arrays; the compressed Rep-Net weights are "proportionately reserved"
-    in SRAM, plus a small *fixed* set of SRAM sparse compute PEs — half for
-    the forward direction and half as transposed buffers for
-    backpropagation — through which learnable layers are time-multiplexed.
+
+def _tech_levers(tech: TechnologyModel) -> Tuple[tuple, tuple]:
+    """The (int, float) scalars of one technology the hybrid reads."""
+    sram, mram, gb = tech.sram, tech.mram, tech.global_blocks
+    cost = CostModel(tech)
+    pairs_per_row = mram.row_bits // (mram.weight_bits + mram.index_bits)
+    ints = (sram.weight_bits, sram.index_bits, sram.storage_bytes,
+            *cost.write_row("sram"), mram.weight_bits, mram.index_bits,
+            pairs_per_row)
+    # The MRAM array capacity only ever divides, and a config may name
+    # more rows than int64 holds, so it rides with the floats.
+    floats = (mram.rows * pairs_per_row,
+              cost.mac_pj("sram", sparse=True),
+              cost.mac_pj("mram", sparse=True),
+              cost.e_write_sram_pj_per_bit, cost.e_buffer_pj_per_bit,
+              tech.cycle_s, sram.leakage_mw_per_mb,
+              mram.periphery_leakage_mw, sram.total_area,
+              gb.control_overhead_fraction, gb.buffer_area, gb.relu_area)
+    return ints, floats
+
+
+class HybridBatch:
+    """The hybrid's area, inference and training formulas for C designs
+    on one workload.
+
+    Each per-design lever is a ``(C, 1)`` column and each workload column
+    a ``(1, L)`` row, so element ``[c, l]`` of a per-layer term has the
+    operands, in the order, that design ``c`` alone would use; row totals
+    add left to right (:func:`_ltr_sum`) into ``(C, 1)`` results.  Bus
+    widths are float64: they only ever divide a float, and a config may
+    name one beyond int64.  One design keeps scalar levers and results.
+    The sizing that inference and training share (layer pairs, storage
+    bits, MRAM arrays, leakage) is computed once, at construction.
+    Callers validate the levers (:func:`check_hybrid_levers`).
     """
 
     SRAM_PE_PAIRS = 128 * 8
@@ -253,125 +301,130 @@ class HybridSparseDesign:
     #: denser runtime patterns time-multiplex extra passes through it.
     REFERENCE_DENSITY = 1.0 / 8.0
 
-    def __init__(self, pattern: NMPattern,
-                 tech: TechnologyModel = DEFAULT_TECH, name: str = "",
-                 bus_bits: Optional[int] = None):
-        self.pattern = pattern
-        self.tech = tech
-        self.cost = CostModel(tech)
-        self.area_model = AreaModel(tech)
-        self.name = name or f"hybrid-{pattern}"
-        #: Shared activation-bus width; the hybrid competes on the same bus
-        #: as the dense baselines unless a sweep overrides it per point.
-        self.bus_bits = (DenseCIMDesign.ACTIVATION_BUS_BITS if bus_bits is None
-                         else int(bus_bits))
-        if self.bus_bits <= 0:
-            raise ValueError(f"bus_bits must be positive, got {bus_bits}")
-        self._mram_pairs_per_row = tech.mram.row_bits // (
-            tech.mram.weight_bits + tech.mram.index_bits)
-        if self._mram_pairs_per_row < 1:
-            raise ValueError(
-                f"MRAM row ({tech.mram.row_bits} bits) cannot hold one "
-                f"(weight, index) pair at {tech.mram.weight_bits}+"
-                f"{tech.mram.index_bits} bits")
-        self._mram_array_pairs = tech.mram.rows * self._mram_pairs_per_row
+    def __init__(self, workload: Workload, patterns: Sequence[NMPattern],
+                 techs: Sequence[TechnologyModel], bus_bits: Sequence[int]):
+        self.workload = workload
+        if len(techs) == 1:
+            # One design keeps plain scalars, so its layer terms are 1-D
+            # and its totals floats: the elementwise operations are the
+            # same, and scalar arithmetic is several times cheaper than on
+            # (1, 1) arrays (serve evaluates one config per cache miss).
+            (pattern,), (bus,) = patterns, bus_bits
+            ints, floats = _tech_levers(techs[0])
+            self.density, self.m = pattern.density, pattern.m
+            self.bus_bits = bus
+        else:
+            self.density = np.array([p.density for p in patterns])[:, None]
+            self.m = np.array([p.m for p in patterns],
+                              dtype=np.int64)[:, None]
+            self.bus_bits = np.array(bus_bits, dtype=np.float64)[:, None]
+            # A batch names few distinct techs: derive their scalars once.
+            distinct: Dict[int, Tuple[int, TechnologyModel]] = {}
+            rows = [distinct.setdefault(id(t), (len(distinct), t))[0]
+                    for t in techs]
+            levers = [_tech_levers(t) for _, t in distinct.values()]
+            ints = np.array([i for i, _ in levers],
+                            dtype=np.int64)[rows].T[:, :, None]
+            floats = np.array([f for _, f in levers],
+                              dtype=np.float64)[rows].T[:, :, None]
+        (self.sram_weight_bits, self.sram_index_bits, sram_pe_bytes,
+         self.sram_write_row_bits, self.sram_write_cycles,
+         mram_weight_bits, mram_index_bits, self.mram_pairs_per_row) = ints
+        (self.mram_array_pairs, self.e_mac_sram, self.e_mac_mram,
+         self.e_write_sram, self.e_buffer, self.cycle_s,
+         sram_leak_mw_per_mb, mram_leak_mw, self.sram_pe_area,
+         self.control_fraction, self.buffer_area, self.relu_area) = floats
 
-    # --------------------------------------------------------------- sizing
-    def _layer_pairs(self, table: LayerTable) -> np.ndarray:
-        """Compressed (weight, index) pairs of each layer."""
-        return _ceil(table.weights * self.pattern.density)
+        # ------------------------------------------------------- sizing
+        table = workload.table
+        #: Compressed (weight, index) pairs of each design's layers.
+        self.layer_pairs = _ceil(table.weights * self.density)
+        self.fwd_pes = self.sram_fwd_pe_count(workload)
+        self.compute_pes = self.sram_compute_pe_count(workload)
+        #: Compressed Rep-Net weight storage resident in SRAM.
+        self.sram_storage_bits = nm_compressed_bits(
+            workload.learnable_weights, self.density, self.sram_weight_bits,
+            self.sram_index_bits)
+        self.backbone_compressed_bits = nm_compressed_bits(
+            workload.frozen_weights, self.density, mram_weight_bits,
+            mram_index_bits)
+        frozen_pairs = self.layer_pairs[..., table.frozen_idx].sum(
+            axis=-1, keepdims=self.layer_pairs.ndim > 1)
+        self.mram_arrays = np.maximum(
+            1, _ceil(frozen_pairs / self.mram_array_pairs))
+        sram_bytes = (self.sram_storage_bits // 8
+                      + self.compute_pes * sram_pe_bytes)
+        self.leakage_power_mw = leakage_mw(
+            sram_leak_mw_per_mb, sram_bytes, mram_leak_mw, self.mram_arrays)
 
-    def sram_storage_bits(self, workload: Workload) -> int:
-        """Compressed Rep-Net weight storage resident in SRAM."""
-        return workload.compressed_bits(
-            self.pattern, weight_bits=self.tech.sram.weight_bits,
-            index_bits=self.tech.sram.index_bits, scope="learnable")
-
-    def sram_fwd_pe_count(self, workload: Workload) -> int:
+    @classmethod
+    def sram_fwd_pe_count(cls, workload: Workload) -> int:
         """Forward-direction SRAM compute PEs (paper Sec. 4: bounded by the
-        maximum learnable layer, at the design's reference density)."""
+        maximum learnable layer, at the design's reference density).  The
+        reference density is fixed, so the count depends on the workload
+        alone."""
         table = workload.table
         if not table.learnable_idx.size:
             return 1
         # The PE count never decreases as a layer grows, so the largest
         # learnable layer sets it.
         return math.ceil(
-            math.ceil(table.max_learnable_weights * self.REFERENCE_DENSITY)
-            / self.SRAM_PE_PAIRS)
+            math.ceil(table.max_learnable_weights * cls.REFERENCE_DENSITY)
+            / cls.SRAM_PE_PAIRS)
 
-    def sram_compute_pe_count(self, workload: Workload) -> int:
-        """Total SRAM compute PEs: forward pool + equal transposed-buffer pool."""
-        return 2 * self.sram_fwd_pe_count(workload)
+    @classmethod
+    def sram_compute_pe_count(cls, workload: Workload) -> int:
+        """Total SRAM compute PEs: forward pool + equal transposed pool."""
+        return 2 * cls.sram_fwd_pe_count(workload)
 
-    def mram_array_count(self, workload: Workload) -> int:
-        table = workload.table
-        frozen_pairs = int(self._layer_pairs(table)[table.frozen_idx].sum())
-        return max(1, math.ceil(frozen_pairs / self._mram_array_pairs))
-
-    def backbone_compressed_bits(self, workload: Workload) -> int:
-        return workload.compressed_bits(
-            self.pattern, weight_bits=self.tech.mram.weight_bits,
-            index_bits=self.tech.mram.index_bits, scope="frozen")
-
-    def area(self, workload: Workload) -> AreaReport:
-        return self.area_model.hybrid_design_area(
-            self.backbone_compressed_bits(workload),
-            self.sram_compute_pe_count(workload),
-            sram_storage_bits=self.sram_storage_bits(workload))
+    def area(self) -> Dict[str, np.ndarray]:
+        """Per-component mm² columns (:func:`hybrid_area_components`)."""
+        return hybrid_area_components(
+            self.backbone_compressed_bits, self.compute_pes,
+            self.sram_storage_bits, self.sram_pe_area,
+            self.control_fraction, self.buffer_area, self.relu_area)
 
     # ------------------------------------------------------------- inference
-    def _frozen_vector_cycles(self, in_dim: np.ndarray,
+    def _frozen_vector_cycles(self, bus_cycles: np.ndarray,
                               pairs: np.ndarray) -> np.ndarray:
         """Per-vector cycles of layers in the MRAM backbone."""
-        bus_cycles = in_dim * 8.0 / self.bus_bits
-        arrays = np.maximum(1, _ceil(pairs / self._mram_array_pairs))
-        rows = _ceil(pairs / (arrays * self._mram_pairs_per_row))
+        arrays = np.maximum(1, _ceil(pairs / self.mram_array_pairs))
+        rows = _ceil(pairs / (arrays * self.mram_pairs_per_row))
         return np.maximum((rows + PIPELINE_DEPTH - 1) * 8.0, bus_cycles)
 
-    def _learnable_vector_cycles(self, in_dim: np.ndarray, pairs: np.ndarray,
-                                 fwd_pes: int) -> np.ndarray:
+    def _learnable_vector_cycles(self, bus_cycles: np.ndarray,
+                                 pairs: np.ndarray) -> np.ndarray:
         """Per-vector cycles of layers time-multiplexed through the SRAM
         compute-PE pool."""
-        bus_cycles = in_dim * 8.0 / self.bus_bits
         tiles = np.maximum(1, _ceil(pairs / self.SRAM_PE_PAIRS))
-        serialization = _ceil(tiles / max(1, fwd_pes))
-        return np.maximum(serialization * self.pattern.m * 8.0, bus_cycles)
+        serialization = _ceil(tiles / max(1, self.fwd_pes))
+        return np.maximum(serialization * self.m * 8.0, bus_cycles)
 
-    def _leakage_power_mw(self, workload: Workload) -> float:
-        sram_bytes = (self.sram_storage_bits(workload) // 8
-                      + self.sram_compute_pe_count(workload)
-                      * self.tech.sram.storage_bytes)
-        return self.cost.leakage_power_mw(
-            sram_bytes=sram_bytes,
-            mram_arrays=self.mram_array_count(workload))
-
-    def inference(self, workload: Workload, batch: int = 1) -> PerfReport:
-        table = workload.table
-        fwd_pes = self.sram_fwd_pe_count(workload)
+    def inference(self, batch: int = 1) -> PerfReport:
+        table = self.workload.table
         vectors = table.positions * batch
-        nnz = self._layer_pairs(table)
+        nnz = self.layer_pairs
         learnable = table.learnable
+        bus_cycles = table.in_dim * 8.0 / self.bus_bits
         vector_cycles = np.where(
             learnable,
-            self._learnable_vector_cycles(table.in_dim, nnz, fwd_pes),
-            self._frozen_vector_cycles(table.in_dim, nnz))
+            self._learnable_vector_cycles(bus_cycles, nnz),
+            self._frozen_vector_cycles(bus_cycles, nnz))
         macs = nnz * vectors
         cycles = _ltr_sum(vectors * vector_cycles)
         compute = _ltr_sum(np.where(
-            learnable,
-            self.cost.mac_energy_pj(macs, "sram", sparse=True),
-            self.cost.mac_energy_pj(macs, "mram", sparse=True)))
+            learnable, macs * self.e_mac_sram, macs * self.e_mac_mram))
         buffer_bits = _ltr_sum(vectors * (table.in_dim + table.out_dim) * 8)
 
-        latency = self.cost.cycles_to_s(cycles)
-        leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
+        latency = cycles * self.cycle_s
+        leak_pj = self.leakage_power_mw * 1e-3 * latency * 1e12
         energy = EnergyBreakdown(
             leakage_pj=leak_pj, compute_pj=compute,
-            buffer_pj=self.cost.buffer_energy_pj(buffer_bits))
-        return PerfReport(self.name, "inference", latency, energy)
+            buffer_pj=buffer_bits * self.e_buffer)
+        return PerfReport("hybrid", "inference", latency, energy)
 
     # -------------------------------------------------------------- training
-    def training_step(self, workload: Workload, batch: int = 32,
+    def training_step(self, batch: int = 32,
                       include_forward: bool = False) -> PerfReport:
         """Learning phase of one continual-learning step.
 
@@ -381,45 +434,114 @@ class HybridSparseDesign:
         excluded by default for the same reason as in
         :meth:`DenseCIMDesign.training_step`.
         """
-        table = workload.table
+        table = self.workload.table
         idx = table.learnable_idx
-        fwd_pes = self.sram_fwd_pe_count(workload)
         in_dim = table.in_dim[idx]
         vectors = table.positions[idx] * batch
-        nnz = self._layer_pairs(table)[idx]
-        sram = self.tech.sram
+        nnz = self.layer_pairs[..., idx]
+        bus_cycles = in_dim * 8.0 / self.bus_bits
 
         bwd_cycles = _ltr_sum(
-            2 * vectors * self._learnable_vector_cycles(in_dim, nnz, fwd_pes))
-        bwd_compute = _ltr_sum(2 * self.cost.mac_energy_pj(
-            nnz * vectors, "sram", sparse=True))
+            2 * vectors * self._learnable_vector_cycles(bus_cycles, nnz))
+        bwd_compute = _ltr_sum(2 * (nnz * vectors * self.e_mac_sram))
         buffer_bits = _ltr_sum(2 * vectors * table.out_dim[idx] * 8)
-        update_bits = _ltr_sum(nnz * sram.weight_bits)
+        update_bits = _ltr_sum(nnz * self.sram_weight_bits)
         # Per layer, W^T is re-written into the transpose PEs, then a^T for
         # the masked gradient: only the activation rows feeding surviving
         # (N:M-kept) weights are needed.  The two terms alternate in the
         # running total.
         transpose_bits = _ltr_sum(np.stack(
-            (nnz * (sram.weight_bits + sram.index_bits),
-             vectors * in_dim * 8 * self.pattern.density), axis=1).ravel())
+            (nnz * (self.sram_weight_bits + self.sram_index_bits),
+             vectors * in_dim * 8 * self.density),
+            axis=-1).reshape(nnz.shape[:-1] + (2 * nnz.shape[-1],)))
 
-        write_cycles = self.cost.write_latency_cycles(
-            update_bits + transpose_bits, "sram",
-            parallel_arrays=self.sram_compute_pe_count(workload))
+        write_bits = update_bits + transpose_bits
+        rewrite_cycles = write_cycles(
+            write_bits, self.sram_write_row_bits, self.sram_write_cycles,
+            self.compute_pes)
 
-        latency = self.cost.cycles_to_s(bwd_cycles + write_cycles)
+        latency = (bwd_cycles + rewrite_cycles) * self.cycle_s
         compute = bwd_compute
-        buffer = self.cost.buffer_energy_pj(buffer_bits)
+        buffer = buffer_bits * self.e_buffer
         if include_forward:
-            fwd = self.inference(workload, batch=batch)
-            latency += fwd.latency_s
-            compute += fwd.energy.compute_pj
-            buffer += fwd.energy.buffer_pj
-        leak_pj = self._leakage_power_mw(workload) * 1e-3 * latency * 1e12
+            fwd = self.inference(batch=batch)
+            latency = latency + fwd.latency_s
+            compute = compute + fwd.energy.compute_pj
+            buffer = buffer + fwd.energy.buffer_pj
+        leak_pj = self.leakage_power_mw * 1e-3 * latency * 1e12
         energy = EnergyBreakdown(
             leakage_pj=leak_pj,
             compute_pj=compute,
-            write_pj=self.cost.write_energy_pj(
-                update_bits + transpose_bits, "sram"),
+            write_pj=write_bits * self.e_write_sram,
             buffer_pj=buffer)
-        return PerfReport(self.name, "training_step", latency, energy)
+        return PerfReport("hybrid", "training_step", latency, energy)
+
+
+class HybridSparseDesign:
+    """The paper's hybrid: sparse MRAM backbone + sparse SRAM learnable path.
+
+    Provisioning (paper Secs. 4/5.2): the compressed backbone fills MRAM
+    sub-arrays; the compressed Rep-Net weights are "proportionately reserved"
+    in SRAM, plus a small *fixed* set of SRAM sparse compute PEs — half for
+    the forward direction and half as transposed buffers for
+    backpropagation — through which learnable layers are time-multiplexed.
+
+    A :class:`HybridBatch` of one, read back as plain numbers: alone or
+    inside a sweep, a design's numbers agree to the bit.
+    """
+
+    SRAM_PE_PAIRS = HybridBatch.SRAM_PE_PAIRS
+    REFERENCE_DENSITY = HybridBatch.REFERENCE_DENSITY
+
+    def __init__(self, pattern: NMPattern,
+                 tech: TechnologyModel = DEFAULT_TECH, name: str = "",
+                 bus_bits: Optional[int] = None):
+        self.pattern = pattern
+        self.tech = tech
+        self.cost = CostModel(tech)
+        self.name = name or f"hybrid-{pattern}"
+        #: Shared activation-bus width; the hybrid competes on the same bus
+        #: as the dense baselines unless a sweep overrides it per point.
+        self.bus_bits = (DenseCIMDesign.ACTIVATION_BUS_BITS if bus_bits is None
+                         else int(bus_bits))
+        check_hybrid_levers(tech, self.bus_bits)
+
+    def _batch(self, workload: Workload) -> HybridBatch:
+        return HybridBatch(workload, [self.pattern], [self.tech],
+                           [self.bus_bits])
+
+    def sram_storage_bits(self, workload: Workload) -> int:
+        """Compressed Rep-Net weight storage resident in SRAM."""
+        return int(self._batch(workload).sram_storage_bits)
+
+    def backbone_compressed_bits(self, workload: Workload) -> int:
+        return int(self._batch(workload).backbone_compressed_bits)
+
+    def sram_fwd_pe_count(self, workload: Workload) -> int:
+        return HybridBatch.sram_fwd_pe_count(workload)
+
+    def sram_compute_pe_count(self, workload: Workload) -> int:
+        return HybridBatch.sram_compute_pe_count(workload)
+
+    def mram_array_count(self, workload: Workload) -> int:
+        return int(self._batch(workload).mram_arrays)
+
+    def area(self, workload: Workload) -> AreaReport:
+        return AreaReport({part: float(mm2) for part, mm2
+                           in self._batch(workload).area().items()})
+
+    def _named(self, report: PerfReport) -> PerfReport:
+        energy = report.energy
+        return PerfReport(self.name, report.phase, float(report.latency_s),
+                          EnergyBreakdown(float(energy.leakage_pj),
+                                          float(energy.compute_pj),
+                                          float(energy.write_pj),
+                                          float(energy.buffer_pj)))
+
+    def inference(self, workload: Workload, batch: int = 1) -> PerfReport:
+        return self._named(self._batch(workload).inference(batch=batch))
+
+    def training_step(self, workload: Workload, batch: int = 32,
+                      include_forward: bool = False) -> PerfReport:
+        return self._named(self._batch(workload).training_step(
+            batch=batch, include_forward=include_forward))

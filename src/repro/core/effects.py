@@ -1,7 +1,7 @@
 """Reentrancy contracts and effect declarations for hot-path functions.
 
-The sharded DSE engine and the future serve layer call harness functions
-from worker processes and (eventually) concurrent requests.  That is only
+The DSE engine, the corpus manifest's worker processes and the serve
+layer's concurrent requests call these functions.  That is only
 sound when the per-call evaluators are *reentrant*: transitively free of
 module-global writes, ambient RNG, and hash-order-dependent iteration —
 so two calls with equal arguments return equal results no matter which

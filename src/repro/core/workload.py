@@ -107,6 +107,15 @@ class LayerTable:
             max_learnable_weights=int(weights[learnable_idx].max(initial=0)))
 
 
+def nm_compressed_bits(weights, density, weight_bits, index_bits):
+    """Bits to store ``weights`` N:M-compressed at ``density``: the kept
+    count (truncated) times the (weight, index) pair width.  Elementwise
+    over int64 arrays, so a batch of designs shares the formula."""
+    kept = weights * density
+    kept = kept.astype(np.int64) if isinstance(kept, np.ndarray) else int(kept)
+    return kept * (weight_bits + index_bits)
+
+
 @dataclasses.dataclass(frozen=True)
 class Workload:
     """A full network inference/training workload.
@@ -171,8 +180,8 @@ class Workload:
             raise ValueError(f"unknown scope {scope!r}")
         if pattern is None:
             return weights * weight_bits
-        kept = int(weights * pattern.density)
-        return kept * (weight_bits + index_bits)
+        return nm_compressed_bits(weights, pattern.density, weight_bits,
+                                  index_bits)
 
     def subset(self, learnable: bool) -> "Workload":
         return Workload(

@@ -51,10 +51,6 @@ class DiskCache:
     stays *outside* the lock (rule R12): entry bytes are self-validating
     and writes are atomic ``tmp + os.replace``, so the lock only has to
     make the accounting consistent, never the files.
-
-    The cache never crosses a process boundary — sweep shards receive
-    bare config dicts, not the cache — so holding an (unpicklable) lock
-    here does not conflict with rule R10 worker-shippability.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
@@ -130,7 +126,7 @@ class DiskCache:
 
     # ----------------------------------------------------------------- write
     @reentrant(reason="atomic tmp+replace write: safe under concurrent "
-                      "stores of the same key from racing shards or threads")
+                      "stores of the same key from racing threads")
     def store(self, key: str, record: Dict[str, object]) -> None:
         if not self.enabled:
             return

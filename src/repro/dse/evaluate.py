@@ -1,24 +1,29 @@
-"""Per-point evaluator: one normalized config -> one metric record.
+"""Batched evaluator: normalized configs -> metric records.
 
 This is the reentrant library form of the fig7/fig8-style analytical
-evaluation: build the technology variant the config names, instantiate the
-hybrid design at the config's pattern/bus width, and charge the paper
-workload through the same area/latency/energy models the harnesses use.
-Pure function of its input — no global state, no clocks, no randomness —
-so shards evaluated in any process, in any order, produce bit-identical
-records, and the content-hash cache can treat the record as a function of
-the config alone.
+evaluation: build the technology variant each config names, and charge
+the paper workload through the hybrid's area/latency/energy formulas —
+the ones the harnesses use — at the config's pattern and bus width.  A
+sweep's valid configs go through :class:`~repro.core.designs.HybridBatch`
+together, a slice at a time; every element of that array program is the
+IEEE operation a lone design performs, so a config's record does not
+depend on what it was batched with.  Pure function of its input — no
+global state, no clocks, no randomness — so the content-hash cache can
+treat the record as a function of the config alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.designs import HybridSparseDesign
+import numpy as np
+
+from ..core.designs import HybridBatch, avg_power_mw, check_hybrid_levers
 from ..core.effects import effects, reentrant
 from ..core.workload import Workload, paper_workload
+from ..energy.area import total_mm2
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..sparsity.nm import NMPattern
 from .spec import DEVICE_CORNERS, config_key, normalize_config
@@ -31,7 +36,7 @@ METRIC_KEYS = ("area_mm2", "density", "inference_latency_s",
                "inference_power_mw", "training_edp_js", "training_latency_s")
 
 #: Per-process workload cache: paper-scale extraction is cheap but not free,
-#: and a sharded sweep evaluates thousands of configs per worker.  Written
+#: and serve evaluates one config per request.  Written
 #: only under ``_WORKLOADS_LOCK`` — concurrent serve handler threads
 #: reach this memo when they evaluate (lint rule R14 tracks the path).
 _WORKLOADS: Dict[str, Workload] = {}
@@ -62,7 +67,8 @@ _TECHS_MAX = 128
 _TECHS_LOCK = threading.Lock()
 
 
-@reentrant(reason="sharded sweeps build tech variants in every worker")
+@reentrant(reason="sweeps and serve requests build tech variants from "
+                  "config content alone")
 def build_tech(config: Mapping[str, object]) -> TechnologyModel:
     """The technology variant a config names, from the Table 2 defaults.
 
@@ -128,36 +134,124 @@ def _derive_tech(rows: int, bits: int, device: str) -> TechnologyModel:
     return dataclasses.replace(DEFAULT_TECH, sram=sram, mram=mram)
 
 
+#: Configs evaluated together: bounds the ``(configs x layers)``
+#: temporaries, so peak memory does not grow with the sweep.
+SLICE_CONFIGS = 256
+
+
+def _evaluate(workload: Workload, members: Sequence[tuple]
+              ) -> List[Dict[str, object]]:
+    """The records of valid ``(key, config, (pattern, tech, bus_bits))``
+    members, evaluated as one :class:`HybridBatch`."""
+    batch = HybridBatch(workload, *zip(*(design for _, _, design in members)))
+    area = batch.area()
+    inference = batch.inference()
+    training = batch.training_step()
+    columns = [inference.latency_s, inference.energy_j, training.edp_js,
+               training.latency_s, *area.values()]
+    rows = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
+    return [{
+        "schema": RECORD_SCHEMA, "key": key, "config": cfg,
+        "metrics": {
+            "area_mm2": total_mm2(mm2),
+            "density": pattern.density,
+            "inference_latency_s": latency,
+            "inference_power_mw": avg_power_mw(energy_j, latency),
+            "training_edp_js": edp,
+            "training_latency_s": train_latency,
+        },
+    } for (key, cfg, (pattern, _, _)),
+        (latency, energy_j, edp, train_latency, *mm2)
+        in zip(members, rows.tolist())]
+
+
+def _error_record(key: str, cfg: Dict[str, object],
+                  exc: Exception) -> Dict[str, object]:
+    return {"schema": RECORD_SCHEMA, "key": key, "config": cfg,
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _evaluate_isolated(workload: Workload, members: Sequence[tuple]
+                       ) -> List[Dict[str, object]]:
+    """:func:`_evaluate`, except that a config raising at formula time
+    becomes its own error record: a batch that raises is retried one
+    config at a time."""
+    try:
+        return _evaluate(workload, members)
+    except Exception as exc:  # noqa: BLE001 — per-config fault isolation
+        if len(members) == 1:
+            key, cfg, _ = members[0]
+            return [_error_record(key, cfg, exc)]
+    return [record for member in members
+            for record in _evaluate_isolated(workload, [member])]
+
+
+def _design(cfg: Mapping[str, object],
+            patterns: Dict[str, NMPattern],
+            techs: Dict[Tuple[int, int, str], TechnologyModel]
+            ) -> Tuple[Workload, Tuple[NMPattern, TechnologyModel, int]]:
+    """Validate one normalized config into its workload and design levers.
+
+    Raises exactly what building its ``HybridSparseDesign`` would, in the
+    same order: pattern, tech variant, workload, then the design's own
+    checks.  ``patterns`` and ``techs`` memoize the valid ones.
+    """
+    text = str(cfg["pattern"])
+    pattern = patterns.get(text)
+    if pattern is None:
+        pattern = patterns[text] = NMPattern.parse(text)
+    variant = (cfg["mram_rows"], cfg["weight_bits"], cfg["device"])
+    tech = techs.get(variant)
+    if tech is None:
+        tech = techs[variant] = build_tech(cfg)
+    workload = get_workload(str(cfg["workload"]))
+    bus_bits = int(cfg["bus_bits"])
+    check_hybrid_levers(tech, bus_bits)
+    return workload, (pattern, tech, bus_bits)
+
+
+@reentrant(reason="the sweep evaluator: records must be a pure function "
+                  "of the (key, config) list, so the cache can key them "
+                  "by config content alone")
+def evaluate_records(keyed: Sequence[Tuple[str, Dict[str, object]]]
+                     ) -> List[Dict[str, object]]:
+    """One record per normalized ``(key, config)`` pair, in input order.
+
+    Never raises on a bad config: it becomes an error record carrying the
+    exception type and message, whether validation or the formulas raised.
+    Valid configs are evaluated per workload, :data:`SLICE_CONFIGS` at a
+    time, as one :class:`HybridBatch` each.
+    """
+    records: List[Optional[Dict[str, object]]] = [None] * len(keyed)
+    patterns: Dict[str, NMPattern] = {}
+    techs: Dict[Tuple[int, int, str], TechnologyModel] = {}
+    valid: Dict[str, Tuple[Workload, List[tuple]]] = {}
+    for i, (key, cfg) in enumerate(keyed):
+        try:
+            workload, design = _design(cfg, patterns, techs)
+        except Exception as exc:  # noqa: BLE001 — per-config fault isolation
+            records[i] = _error_record(key, cfg, exc)
+            continue
+        valid.setdefault(workload.name, (workload, []))[1].append(
+            (i, key, cfg, design))
+    for workload, members in valid.values():
+        for start in range(0, len(members), SLICE_CONFIGS):
+            chunk = members[start:start + SLICE_CONFIGS]
+            for (i, *_), record in zip(chunk, _evaluate_isolated(
+                    workload, [member[1:] for member in chunk])):
+                records[i] = record
+    return records
+
+
 @reentrant(reason="the per-point evaluator: must be a pure function of "
-                  "the config so shards merge deterministically and the "
-                  "cache can key records by config content alone")
+                  "the config so the cache can key records by config "
+                  "content alone")
 def evaluate_config(config: Mapping[str, object]) -> Dict[str, object]:
     """Evaluate one design config; returns the canonical record dict.
 
-    Raises on invalid configs — the engine turns exceptions into
-    per-config error records so one bad shard never sinks a sweep.
+    A batch of one through the sweep's formulas.  Raises on invalid
+    configs, where :func:`evaluate_records` returns error records.
     """
     cfg = normalize_config(config)
-    pattern = NMPattern.parse(str(cfg["pattern"]))
-    tech = build_tech(cfg)
-    workload = get_workload(str(cfg["workload"]))
-    design = HybridSparseDesign(pattern, tech=tech,
-                                bus_bits=int(cfg["bus_bits"]))
-
-    area = design.area(workload)
-    inference = design.inference(workload)
-    training = design.training_step(workload)
-    metrics = {
-        "area_mm2": area.total_mm2,
-        "density": pattern.density,
-        "inference_latency_s": inference.latency_s,
-        "inference_power_mw": inference.avg_power_mw,
-        "training_edp_js": training.edp_js,
-        "training_latency_s": training.latency_s,
-    }
-    return {
-        "schema": RECORD_SCHEMA,
-        "key": config_key(cfg),
-        "config": cfg,
-        "metrics": metrics,
-    }
+    workload, design = _design(cfg, {}, {})
+    return _evaluate(workload, [(config_key(cfg), cfg, design)])[0]

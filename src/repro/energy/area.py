@@ -17,7 +17,7 @@ Two granularities are mixed, as the paper does:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Iterable
 
 from .tech import DEFAULT_TECH, TechnologyModel
 from .units import MM2_PER_UM2
@@ -37,6 +37,11 @@ MRAM_MACRO_UM2_PER_BIT = 0.48 * SRAM_MACRO_UM2_PER_BIT
 MRAM_SPARSE_PERIPHERY_FACTOR = 0.7
 
 
+def total_mm2(components: Iterable[float]) -> float:
+    """Total of per-component areas, added in order."""
+    return sum(components)
+
+
 @dataclasses.dataclass
 class AreaReport:
     """Per-component area in mm²."""
@@ -45,11 +50,36 @@ class AreaReport:
 
     @property
     def total_mm2(self) -> float:
-        return sum(self.components.values())
+        return total_mm2(self.components.values())
 
     def fraction(self, key: str) -> float:
         total = self.total_mm2
         return self.components.get(key, 0.0) / total if total else 0.0
+
+
+def hybrid_area_components(backbone_compressed_bits, n_sram_pes,
+                           sram_storage_bits, sram_pe_mm2,
+                           control_overhead_fraction, buffer_mm2, relu_mm2
+                           ) -> Dict[str, float]:
+    """The hybrid's mm² breakdown: MRAM sparse storage + Rep-Net SRAM
+    storage + a fixed set of Table 2 SRAM sparse compute PEs (elementwise
+    over arrays, so a batch of designs shares the formula)."""
+    mram_storage = (backbone_compressed_bits * MRAM_MACRO_UM2_PER_BIT
+                    * MM2_PER_UM2)
+    mram_periphery = mram_storage * MRAM_SPARSE_PERIPHERY_FACTOR
+    sram_storage = sram_storage_bits * SRAM_MACRO_UM2_PER_BIT * MM2_PER_UM2
+    sram_pes = n_sram_pes * sram_pe_mm2
+    control = (mram_storage + mram_periphery + sram_storage + sram_pes) \
+        * control_overhead_fraction
+    return {
+        "mram_storage": mram_storage,
+        "mram_sparse_periphery": mram_periphery,
+        "sram_storage": sram_storage,
+        "sram_pes": sram_pes,
+        "control": control,
+        "global_buffer": buffer_mm2,
+        "global_relu": relu_mm2,
+    }
 
 
 class AreaModel:
@@ -81,23 +111,9 @@ class AreaModel:
     def hybrid_design_area(self, backbone_compressed_bits: float,
                            n_sram_pes: int,
                            sram_storage_bits: float = 0.0) -> AreaReport:
-        """The hybrid's mm² breakdown: MRAM sparse storage + Rep-Net SRAM
-        storage + a fixed set of Table 2 SRAM sparse compute PEs."""
+        """The hybrid's mm² breakdown (:func:`hybrid_area_components`)."""
         gb = self.tech.global_blocks
-        mram_storage = (backbone_compressed_bits * MRAM_MACRO_UM2_PER_BIT
-                        * MM2_PER_UM2)
-        mram_periphery = mram_storage * MRAM_SPARSE_PERIPHERY_FACTOR
-        sram_storage = (sram_storage_bits * SRAM_MACRO_UM2_PER_BIT
-                        * MM2_PER_UM2)
-        sram_pes = n_sram_pes * self.tech.sram.total_area
-        control = (mram_storage + mram_periphery + sram_storage + sram_pes) \
-            * gb.control_overhead_fraction
-        return AreaReport({
-            "mram_storage": mram_storage,
-            "mram_sparse_periphery": mram_periphery,
-            "sram_storage": sram_storage,
-            "sram_pes": sram_pes,
-            "control": control,
-            "global_buffer": gb.buffer_area,
-            "global_relu": gb.relu_area,
-        })
+        return AreaReport(hybrid_area_components(
+            backbone_compressed_bits, n_sram_pes, sram_storage_bits,
+            self.tech.sram.total_area, gb.control_overhead_fraction,
+            gb.buffer_area, gb.relu_area))

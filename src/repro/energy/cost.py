@@ -23,7 +23,7 @@ Derivation of the per-op energies (documented so the numbers are auditable):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..core.stats import PEStats
 from .tech import DEFAULT_TECH, TechnologyModel
@@ -90,6 +90,21 @@ class EnergyBreakdown:
         }
 
 
+def write_cycles(bits, row_bits, cycles_per_row, parallel_arrays):
+    """Cycles to write ``bits`` a row at a time over ``parallel_arrays``
+    row-parallel write ports (elementwise over arrays)."""
+    rows = bits / (row_bits * parallel_arrays)
+    return rows * cycles_per_row
+
+
+def leakage_mw(sram_mw_per_mb, sram_bytes, mram_mw_per_array, mram_arrays):
+    """Standby power of ``sram_bytes`` of SRAM plus ``mram_arrays`` MRAM
+    sub-array peripheries (elementwise over arrays)."""
+    sram_leak = sram_mw_per_mb * sram_bytes / (1 << 20)
+    mram_leak = mram_mw_per_array * mram_arrays
+    return sram_leak + mram_leak
+
+
 class CostModel:
     """Per-op energies + converters from event counts to energy/latency."""
 
@@ -122,8 +137,8 @@ class CostModel:
     def cycles_to_s(self, cycles: float) -> float:
         return cycles * self.tech.cycle_s
 
-    def mac_energy_pj(self, macs: float, kind: str, sparse: bool = False) -> float:
-        """Dynamic energy of ``macs`` real multiply-accumulates."""
+    def mac_pj(self, kind: str, sparse: bool = False) -> float:
+        """Dynamic energy of one real multiply-accumulate."""
         if kind == "sram":
             e = self.e_mac_sram_pj
         elif kind == "mram":
@@ -132,7 +147,11 @@ class CostModel:
             raise ValueError(f"unknown memory kind {kind!r}")
         if sparse:
             e *= 1.0 + self.SPARSE_OVERHEAD
-        return macs * e
+        return e
+
+    def mac_energy_pj(self, macs: float, kind: str, sparse: bool = False) -> float:
+        """Dynamic energy of ``macs`` real multiply-accumulates."""
+        return macs * self.mac_pj(kind, sparse)
 
     def write_energy_pj(self, bits: float, kind: str) -> float:
         if kind == "sram":
@@ -141,32 +160,30 @@ class CostModel:
             return bits * self.e_write_mram_pj_per_bit
         raise ValueError(f"unknown memory kind {kind!r}")
 
+    def write_row(self, kind: str) -> Tuple[int, int]:
+        """(bits per written row, cycles per row write) of a memory."""
+        if kind == "sram":
+            spec = self.tech.sram
+            return (spec.lanes * (spec.weight_bits + spec.index_bits),
+                    spec.write_latency_cycles)
+        if kind == "mram":
+            return self.tech.mram.row_bits, self.tech.mram.write_latency_cycles
+        raise ValueError(f"unknown memory kind {kind!r}")
+
     def write_latency_cycles(self, bits: float, kind: str,
                              parallel_arrays: int = 1) -> float:
         """Cycles to write ``bits`` given row-parallel write ports."""
         if parallel_arrays < 1:
             raise ValueError("parallel_arrays must be >= 1")
-        if kind == "sram":
-            spec = self.tech.sram
-            row_bits = spec.lanes * (spec.weight_bits + spec.index_bits)
-            per_row = spec.write_latency_cycles
-        elif kind == "mram":
-            spec = self.tech.mram
-            row_bits = spec.row_bits
-            per_row = spec.write_latency_cycles
-        else:
-            raise ValueError(f"unknown memory kind {kind!r}")
-        rows = bits / (row_bits * parallel_arrays)
-        return rows * per_row
+        return write_cycles(bits, *self.write_row(kind), parallel_arrays)
 
     def buffer_energy_pj(self, bits: float) -> float:
         return bits * self.e_buffer_pj_per_bit
 
     def leakage_power_mw(self, sram_bytes: float, mram_arrays: int) -> float:
         """Standby power of the provisioned memories."""
-        sram_leak = self.tech.sram.leakage_mw_per_mb * sram_bytes / (1 << 20)
-        mram_leak = self.tech.mram.periphery_leakage_mw * mram_arrays
-        return sram_leak + mram_leak
+        return leakage_mw(self.tech.sram.leakage_mw_per_mb, sram_bytes,
+                          self.tech.mram.periphery_leakage_mw, mram_arrays)
 
     # ------------------------------------------- functional-sim integration
     def pe_stats_energy(self, stats: PEStats, kind: str,

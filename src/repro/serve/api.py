@@ -124,8 +124,7 @@ class LatencyHistograms:
 def _run_sweep_job(app: "ServeApp", job: Job) -> Dict[str, object]:
     """Job runner: one sweep through the shared engine + cache."""
     spec = build_sweep_spec(job.request)
-    result = run_sweep(spec=spec, workers=int(job.request["workers"]),
-                       cache=app.cache)
+    result = run_sweep(spec=spec, cache=app.cache)
     doc: Dict[str, object] = {
         "configs": result["configs"],
         "errors": len(result["errors"]),

@@ -5,10 +5,9 @@ A :class:`Job` is one accepted request flowing through the states::
     queued -> running -> done | failed
     queued -> cancelled                 (cancellation is queue-removal only)
 
-Jobs execute on a small ``ThreadPoolExecutor`` — the heavy lifting inside
-a sweep already shards across *processes* via the engine's ``workers``
-parameter, so the thread pool only bounds how many requests run
-concurrently.  Each job runs under its **own** context-local tracer
+Jobs execute on a small ``ThreadPoolExecutor`` that bounds how many
+requests run concurrently; a sweep is one engine call inside its job.
+Each job runs under its **own** context-local tracer
 (:func:`repro.obs.use_tracer`), so ``GET /v1/jobs/<id>/trace`` can export
 a per-request Chrome trace that never interleaves with other jobs.
 

@@ -64,10 +64,12 @@ class TestEffects:
         assert declared["effects"] == ("READS_GLOBAL",)
         assert declared["reason"]
 
-    def test_real_worker_still_picklable_under_contract(self):
-        from repro.dse.engine import _evaluate_record
-        assert getattr(_evaluate_record, REENTRANT_ATTR)
-        clone = pickle.loads(pickle.dumps(_evaluate_record))
-        record = clone({"pattern": "1:4", "bus_bits": 64, "mram_rows": 512,
-                        "weight_bits": 8, "device": "nominal"})
+    def test_real_evaluator_carries_its_contract(self):
+        from repro.dse.evaluate import evaluate_records
+        from repro.dse.spec import config_key, normalize_config
+        assert getattr(evaluate_records, REENTRANT_ATTR)
+        cfg = normalize_config({"pattern": "1:4", "bus_bits": 64,
+                                "mram_rows": 512, "weight_bits": 8,
+                                "device": "nominal"})
+        (record,) = evaluate_records([(config_key(cfg), cfg)])
         assert "error" not in record

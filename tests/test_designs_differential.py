@@ -1,24 +1,32 @@
 """Differential suite: the column-form design models against per-layer loops.
 
 ``DenseCIMDesign`` and ``HybridSparseDesign`` evaluate a workload as numpy
-expressions over its :class:`~repro.core.workload.LayerTable`.  The oracle
-classes below keep the per-layer Python loops those expressions replaced,
-formula for formula, and every comparison is exact ``==``: the column form
-promises bit-identical floats, not approximately equal ones.
+expressions over its :class:`~repro.core.workload.LayerTable`, and
+``HybridBatch`` evaluates many hybrid designs at once as one
+``(designs x layers)`` program.  The oracle classes below keep the
+per-layer Python loops those expressions replaced, formula for formula,
+and every comparison is exact ``==``: the column form promises
+bit-identical floats, not approximately equal ones.
 """
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.designs import DenseCIMDesign, HybridSparseDesign, PerfReport
+from repro.core.designs import (DenseCIMDesign, HybridBatch,
+                                HybridSparseDesign, PerfReport)
 from repro.core.mram_pe import PIPELINE_DEPTH
 from repro.core.workload import (LayerWorkload, Workload,
                                  extract_repnet_workload, paper_workload)
 from repro.dse.evaluate import build_tech
 from repro.dse.spec import FULL_SPEC, normalize_config
-from repro.energy.cost import EnergyBreakdown
+from repro.energy.area import (MRAM_MACRO_UM2_PER_BIT,
+                               MRAM_SPARSE_PERIPHERY_FACTOR,
+                               SRAM_MACRO_UM2_PER_BIT, AreaModel, AreaReport)
+from repro.energy.cost import CostModel, EnergyBreakdown
 from repro.energy.tech import DEFAULT_TECH
+from repro.energy.units import MM2_PER_UM2
 from repro.repnet.model import build_repnet_model
 from repro.sparsity.nm import NMPattern
 
@@ -126,6 +134,25 @@ class LoopDenseCIMDesign(DenseCIMDesign):
 class LoopHybridSparseDesign(HybridSparseDesign):
     """``HybridSparseDesign`` with its per-layer loop formulas."""
 
+    def __init__(self, pattern, tech=DEFAULT_TECH, name="", bus_bits=None):
+        self.pattern = pattern
+        self.tech = tech
+        self.cost = CostModel(tech)
+        self.area_model = AreaModel(tech)
+        self.name = name or f"hybrid-{pattern}"
+        self.bus_bits = (DenseCIMDesign.ACTIVATION_BUS_BITS if bus_bits is None
+                         else int(bus_bits))
+        if self.bus_bits <= 0:
+            raise ValueError(f"bus_bits must be positive, got {bus_bits}")
+        self._mram_pairs_per_row = tech.mram.row_bits // (
+            tech.mram.weight_bits + tech.mram.index_bits)
+        if self._mram_pairs_per_row < 1:
+            raise ValueError(
+                f"MRAM row ({tech.mram.row_bits} bits) cannot hold one "
+                f"(weight, index) pair at {tech.mram.weight_bits}+"
+                f"{tech.mram.index_bits} bits")
+        self._mram_array_pairs = tech.mram.rows * self._mram_pairs_per_row
+
     def _layer_pairs(self, layer):
         return math.ceil(layer.weights * self.pattern.density)
 
@@ -146,10 +173,42 @@ class LoopHybridSparseDesign(HybridSparseDesign):
         return max(math.ceil(math.ceil(l.weights * self.REFERENCE_DENSITY)
                              / self.SRAM_PE_PAIRS) for l in learnable)
 
+    def sram_compute_pe_count(self, workload):
+        return 2 * self.sram_fwd_pe_count(workload)
+
     def mram_array_count(self, workload):
         frozen_pairs = sum(self._layer_pairs(l) for l in workload.layers
                            if not l.learnable)
         return max(1, math.ceil(frozen_pairs / self._mram_array_pairs))
+
+    def area(self, workload):
+        gb = self.tech.global_blocks
+        mram_storage = (self.backbone_compressed_bits(workload)
+                        * MRAM_MACRO_UM2_PER_BIT * MM2_PER_UM2)
+        mram_periphery = mram_storage * MRAM_SPARSE_PERIPHERY_FACTOR
+        sram_storage = (self.sram_storage_bits(workload)
+                        * SRAM_MACRO_UM2_PER_BIT * MM2_PER_UM2)
+        sram_pes = self.sram_compute_pe_count(workload) \
+            * self.tech.sram.total_area
+        control = (mram_storage + mram_periphery + sram_storage + sram_pes) \
+            * gb.control_overhead_fraction
+        return AreaReport({
+            "mram_storage": mram_storage,
+            "mram_sparse_periphery": mram_periphery,
+            "sram_storage": sram_storage,
+            "sram_pes": sram_pes,
+            "control": control,
+            "global_buffer": gb.buffer_area,
+            "global_relu": gb.relu_area,
+        })
+
+    def _leakage_power_mw(self, workload):
+        sram_bytes = (self.sram_storage_bits(workload) // 8
+                      + self.sram_compute_pe_count(workload)
+                      * self.tech.sram.storage_bytes)
+        return self.cost.leakage_power_mw(
+            sram_bytes=sram_bytes,
+            mram_arrays=self.mram_array_count(workload))
 
     def _frozen_vector_cycles(self, layer):
         bus_cycles = layer.in_dim * 8.0 / self.bus_bits
@@ -372,3 +431,78 @@ class TestLayerTable:
         assert design.mram_array_count(empty) == 1
         assert design.inference(empty).latency_s == 0.0
         assert design.training_step(empty).latency_s == 0.0
+
+
+# ---------------------------------------------------------- batched rows
+#: The non-dyadic patterns (rounding products make operand order
+#: observable), every tech variant, three bus widths: 36 mixed designs.
+BATCH_DESIGNS = [(NMPattern.parse(p), tech, bus)
+                 for p in ("1:3", "2:5", "3:7", "5:12")
+                 for tech in TECHS for bus in (32, 128, 512)]
+
+
+def _row(columns, c):
+    """Row ``c`` of a ``(C, 1)`` column; a plain scalar is every row's."""
+    value = np.asarray(columns)
+    return (value[c] if value.ndim else value).item()
+
+
+def _batch_report_row(report, c):
+    energy = report.energy
+    return PerfReport(report.design, report.phase,
+                      _row(report.latency_s, c),
+                      EnergyBreakdown(leakage_pj=_row(energy.leakage_pj, c),
+                                      compute_pj=_row(energy.compute_pj, c),
+                                      write_pj=_row(energy.write_pj, c),
+                                      buffer_pj=_row(energy.buffer_pj, c)))
+
+
+def _assert_batch_rows_equal(designs, workload):
+    batch = HybridBatch(workload, *zip(*designs))
+    area = batch.area()
+    sizing = {method: getattr(batch, attr) for attr, method in (
+        ("sram_storage_bits", "sram_storage_bits"),
+        ("backbone_compressed_bits", "backbone_compressed_bits"),
+        ("mram_arrays", "mram_array_count"),
+        ("compute_pes", "sram_compute_pe_count"))}
+    reports = {("inference", b, False): batch.inference(batch=b)
+               for b in (1, 32)}
+    reports.update({("training_step", b, fwd): batch.training_step(
+        batch=b, include_forward=fwd)
+        for b in (1, 32) for fwd in (False, True)})
+    for c, (pattern, tech, bus) in enumerate(designs):
+        old = LoopHybridSparseDesign(pattern, tech=tech, bus_bits=bus)
+        assert {name: _row(mm2, c) for name, mm2 in area.items()} == \
+            old.area(workload).components, c
+        for method, column in sizing.items():
+            assert _row(column, c) == getattr(old, method)(workload), method
+        for (phase, b, fwd), report in reports.items():
+            expect = (old.inference(workload, batch=b) if phase == "inference"
+                      else old.training_step(workload, batch=b,
+                                             include_forward=fwd))
+            got = _batch_report_row(report, c).as_dict()
+            got["design"] = expect.design
+            assert got == expect.as_dict(), (c, phase, b, fwd)
+
+
+class TestBatchedRows:
+    """Every row of a mixed :class:`HybridBatch` equals the loop oracle."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_WORKLOADS))
+    def test_mixed_batch_matches_loop(self, name):
+        _assert_batch_rows_equal(BATCH_DESIGNS, EDGE_WORKLOADS[name])
+
+    @pytest.mark.parametrize("name", ["paper", "no-learnable"])
+    def test_rows_do_not_depend_on_batch_boundaries(self, name):
+        """Slices of 7 cut the mixed batch mid-pattern and mid-tech; each
+        slice's rows equal the same rows of the whole batch."""
+        workload = EDGE_WORKLOADS[name]
+        whole = HybridBatch(workload, *zip(*BATCH_DESIGNS)).training_step(
+            include_forward=True)
+        for start in range(0, len(BATCH_DESIGNS), 7):
+            part = HybridBatch(workload, *zip(*BATCH_DESIGNS[start:start + 7]))
+            sliced = part.training_step(include_forward=True)
+            for c in range(len(BATCH_DESIGNS[start:start + 7])):
+                assert _batch_report_row(sliced, c).as_dict() == \
+                    _batch_report_row(whole, start + c).as_dict()
+        _assert_batch_rows_equal(BATCH_DESIGNS[5:12], workload)

@@ -21,14 +21,14 @@ SPEC = SweepSpec(patterns=("1:8", "1:4"), bus_bits=(64, 128))
 @pytest.fixture(scope="module")
 def cold_result():
     """The cache-less oracle for SPEC."""
-    return run_sweep(spec=SPEC, workers=1)
+    return run_sweep(spec=SPEC)
 
 
 @pytest.fixture()
 def warm_cache(tmp_path):
     """A cache pre-populated by one cold run over SPEC."""
     cache = DiskCache(tmp_path / "dse_cache")
-    run_sweep(spec=SPEC, workers=1, cache=cache)
+    run_sweep(spec=SPEC, cache=cache)
     return DiskCache(tmp_path / "dse_cache")
 
 
@@ -91,7 +91,7 @@ class TestRoundTrip:
 class TestColdWarmIdentity:
     def test_warm_run_hits_every_config_and_matches_cold(
             self, warm_cache, cold_result):
-        warm = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        warm = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.hits == SPEC.size
         assert warm_cache.misses == 0
         assert warm["records"] == cold_result["records"]
@@ -101,14 +101,14 @@ class TestColdWarmIdentity:
     def test_cold_cached_run_matches_cacheless_oracle(
             self, tmp_path, cold_result):
         cache = DiskCache(tmp_path / "c")
-        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        result = run_sweep(spec=SPEC, cache=cache)
         assert cache.hits == 0 and cache.misses == SPEC.size
         assert cache.stored == SPEC.size
         assert result["records"] == cold_result["records"]
 
     def test_refresh_recomputes_but_refills(self, warm_cache, cold_result):
         refreshing = DiskCache(warm_cache.root, refresh=True)
-        result = run_sweep(spec=SPEC, workers=1, cache=refreshing)
+        result = run_sweep(spec=SPEC, cache=refreshing)
         assert refreshing.hits == 0
         assert refreshing.misses == SPEC.size
         assert refreshing.stored == SPEC.size
@@ -118,7 +118,7 @@ class TestColdWarmIdentity:
                                                  tmp_path):
         cache = NullCache()
         cache.root = tmp_path / "never-created"
-        result = run_sweep(spec=SPEC, workers=1, cache=cache)
+        result = run_sweep(spec=SPEC, cache=cache)
         assert result["records"] == cold_result["records"]
         assert cache.hits == 0 and cache.stored == 0
         assert not cache.root.exists()
@@ -142,7 +142,7 @@ class TestCorruptionRecovery:
     def test_unreadable_entry_is_rejected_and_recomputed(
             self, warm_cache, cold_result, mutate):
         self.corrupt_one(warm_cache, mutate)
-        result = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        result = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.rejected == 1
         assert warm_cache.hits == SPEC.size - 1
         assert warm_cache.misses == 1
@@ -154,7 +154,7 @@ class TestCorruptionRecovery:
         entry = json.loads(path.read_text())
         entry["record"]["metrics"]["area_mm2"] = 0.001   # bent result
         path.write_text(json.dumps(entry))
-        result = run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        result = run_sweep(spec=SPEC, cache=warm_cache)
         assert warm_cache.rejected == 1
         assert result["records"] == cold_result["records"]
 
@@ -169,7 +169,7 @@ class TestCorruptionRecovery:
 
     def test_recomputation_repairs_the_entry(self, warm_cache, cold_result):
         path = self.corrupt_one(warm_cache, lambda p: p.write_text("{"))
-        run_sweep(spec=SPEC, workers=1, cache=warm_cache)
+        run_sweep(spec=SPEC, cache=warm_cache)
         # The rewritten entry validates again.
         fresh = DiskCache(warm_cache.root)
         assert fresh.lookup(path.stem) is not None
@@ -194,7 +194,7 @@ class TestEntrySchema:
         bad = normalize_config({"pattern": "9:4", "bus_bits": 128,
                                 "mram_rows": 1024, "weight_bits": 8,
                                 "device": "nominal"})
-        result = run_sweep(configs=[bad], workers=1, cache=cache)
+        result = run_sweep(configs=[bad], cache=cache)
         assert len(result["errors"]) == 1
         assert cache.stored == 0
         assert not entry_paths(cache)

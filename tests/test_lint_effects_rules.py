@@ -128,7 +128,7 @@ class TestR8:
         sources[ev] = text[:start] + text[end:]
         result = lint_sources(sources, codes=["R8"])
         flagged = {f.path for f in result.findings}
-        assert "src/repro/dse/engine.py" in flagged       # _evaluate_record
+        assert "src/repro/dse/engine.py" in flagged       # evaluate_batch
         assert "src/repro/dse/evaluate.py" in flagged     # evaluate_config
         assert any("_WORKLOADS" in f.message for f in result.findings)
 

@@ -60,7 +60,7 @@ def test_real_tree_hot_paths_are_contracted():
     analysis = analyze_project(ProjectContext(files=contexts))
     contracted = {s.info.qualname for s in analysis.reentrant_functions()}
     for qualname in (
-            "repro.dse.engine._evaluate_record",
+            "repro.dse.evaluate.evaluate_records",
             "repro.dse.engine.evaluate_batch",
             "repro.dse.engine.evaluate_one",
             "repro.dse.evaluate.evaluate_config",

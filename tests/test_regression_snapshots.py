@@ -16,6 +16,7 @@ from repro.harness.ablations import build_ablations
 from repro.harness.endurance import build_endurance
 from repro.harness.fig7 import build_fig7
 from repro.harness.fig8 import build_fig8
+from repro.harness.reporting import save_json
 from repro.harness.table2 import build_table2
 
 RESULTS = pathlib.Path(__file__).resolve().parents[1] / "results"
@@ -107,3 +108,17 @@ class TestCommittedResults:
         built = json.loads(json.dumps(build(), default=str))
         committed = json.loads((RESULTS / f"{name}.json").read_text())
         assert built == committed
+
+    @pytest.mark.parametrize("name, build", [
+        ("fig7", build_fig7),
+        ("fig8", build_fig8),
+        ("ablations", build_ablations),
+        ("endurance", build_endurance),
+    ])
+    def test_bytes_match_harness_output(self, name, build, tmp_path):
+        """Byte for byte, as ``python -m repro <name> --json`` writes it:
+        an int turned float, or a numpy scalar's repr, fails here even
+        where the parsed values still compare equal."""
+        path = tmp_path / f"{name}.json"
+        save_json(build(), str(path))
+        assert path.read_bytes() == (RESULTS / f"{name}.json").read_bytes()

@@ -20,7 +20,6 @@ from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
                        evaluate_config, evaluate_one, frontier_doc,
                        normalize_config, run_sweep)
 from repro.dse.cache import DiskCache, NullCache
-from repro.dse.engine import _evaluate_record
 from repro.serve import build_sweep_spec
 
 from tests.serve_utils import NOMINAL_CONFIG, live_server, wait_for_job
@@ -91,12 +90,13 @@ class TestEvaluateDifferential:
                              ids=["pattern", "device", "rows", "bits"])
     def test_error_records_match_direct_error_records(self, tmp_path, bad):
         """Value-invalid configs come back 200 with the *same* error
-        record a sweep shard would produce — shape, type, and message."""
+        record a sweep would produce — shape, type, and message."""
         with live_server(tmp_path) as (app, client):
             status, doc, _ = client.post("/v1/evaluate", {"config": bad})
             assert status == 200
             assert "error" in doc["record"]
-            direct = _evaluate_record(normalize_config(bad))
+            direct = run_sweep(configs=[bad],
+                               cache=NullCache())["records"][0]
             assert canon(doc["record"]) == canon(direct)
 
     def test_error_records_are_never_cached(self, tmp_path):
@@ -140,8 +140,8 @@ class TestSweepDifferential:
             status, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
             assert status == 200
 
-            spec = build_sweep_spec(dict(self.SWEEP_REQUEST, workers=1))
-            direct = run_sweep(spec=spec, workers=1,
+            spec = build_sweep_spec(self.SWEEP_REQUEST)
+            direct = run_sweep(spec=spec,
                                cache=DiskCache(tmp_path / "direct_cache"))
             assert canon(result["result"]["frontier"]) \
                 == canon(frontier_doc(direct))
@@ -155,8 +155,8 @@ class TestSweepDifferential:
             assert done["state"] == "done", done.get("error")
             _, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
 
-            spec = build_sweep_spec(dict(request, workers=1))
-            direct = run_sweep(spec=spec, workers=1, cache=NullCache())
+            spec = build_sweep_spec(request)
+            direct = run_sweep(spec=spec, cache=NullCache())
             assert canon(result["result"]["records"]) \
                 == canon(direct["records"])
 
