@@ -44,7 +44,7 @@ CORPUS_BATCH = 64
 
 #: Implementations raced over the corpus ("reference" is left to the
 #: differential suite — racing it here would dominate CI minutes).
-CORPUS_IMPLS = ("fast", "flat")
+CORPUS_IMPLS = ("fast",)
 
 #: Lower-only tolerance for throughput metrics: fail when GFLOP-equiv/s
 #: drops by more than this fraction (0.75 ~ the 4x-slower limit the
@@ -148,10 +148,10 @@ def _best_of(fn: Callable[[], object], repeats: int,
              warmup: int = 1) -> float:
     """Best-of-N wall time of ``fn()`` in milliseconds (monotonic clock).
 
-    The untimed warmup calls populate lazily-built state (kernel plans,
-    flat layouts, the workspace pool) so the measured best reflects
-    steady-state cost, never first-call construction — plan build has
-    its own ``timing.kernel.plan_build.*`` metrics.
+    The untimed warmup calls absorb first-call costs (lazily built
+    state, cold caches) so the measured best reflects steady-state
+    cost — plan build has its own ``timing.kernel.plan_build.*``
+    metrics.
     """
     for _ in range(warmup):
         fn()
@@ -192,8 +192,8 @@ def collect_timing_metrics(repeats: int = DEFAULT_REPEATS
 
     # PE matmuls at the paper's geometries, every kernel implementation
     # (mirrors benchmarks/test_bench_pe_kernels.py).  ``load`` builds the
-    # plan once and ``_best_of``'s warmup call absorbs any lazy per-plan
-    # state, so these time the steady-state matmul alone.
+    # plan once and ``_best_of``'s warmup call absorbs first-call costs,
+    # so these time the steady-state matmul alone.
     sram_w = _make_sparse(rng, (128, 8), pattern)
     sram_x = rng.integers(-128, 128, size=(16, 128))
     mram_w = _make_sparse(rng, (256, 32), pattern)
@@ -210,8 +210,8 @@ def collect_timing_metrics(repeats: int = DEFAULT_REPEATS
             _best_of(lambda pe=mram_pe: pe.matmul(mram_x), repeats),
             "timing", "ms")
 
-    # Plan construction, charged separately from the matmuls above so a
-    # flat-vs-fast comparison never hides build cost in either column.
+    # Plan construction, charged separately from the matmuls above so no
+    # matmul timing hides build cost.
     sram_csc = CSCMatrix.from_dense(sram_w, pattern)
     mram_csc = CSCMatrix.from_dense(mram_w, pattern)
     metrics["timing.kernel.plan_build.sram_ms"] = _metric(
@@ -219,9 +219,6 @@ def collect_timing_metrics(repeats: int = DEFAULT_REPEATS
         "timing", "ms")
     metrics["timing.kernel.plan_build.mram_ms"] = _metric(
         _best_of(lambda: KernelPlan.from_csc(mram_csc), repeats),
-        "timing", "ms")
-    metrics["timing.kernel.plan_build.mram_flat_ms"] = _metric(
-        _best_of(lambda: KernelPlan.from_csc(mram_csc).flat_layout, repeats),
         "timing", "ms")
 
     csc_w = _make_sparse(rng, (1024, 64), pattern)
@@ -297,19 +294,14 @@ def render_corpus_table(metrics: Dict[str, Dict[str, object]]) -> str:
         key = f"timing.corpus.{item.name}"
         if f"{key}.fast.ns_per_nnz" not in metrics:
             continue
-        fast_ns = metrics[f"{key}.fast.ns_per_nnz"]["value"]
-        flat_ns = metrics[f"{key}.flat.ns_per_nnz"]["value"]
         rows.append([
             item.pattern_class, f"{item.shape[0]}x{item.shape[1]}",
             int(metrics[f"corpus.{item.name}.nnz"]["value"]),
-            fast_ns, flat_ns,
+            metrics[f"{key}.fast.ns_per_nnz"]["value"],
             metrics[f"{key}.fast.gflops"]["value"],
-            metrics[f"{key}.flat.gflops"]["value"],
-            f"{fast_ns / flat_ns:.2f}x",
         ])
     return format_table(
-        ["Class", "Shape", "nnz", "fast ns/nnz", "flat ns/nnz",
-         "fast GFLOP/s", "flat GFLOP/s", "flat speedup"],
+        ["Class", "Shape", "nnz", "fast ns/nnz", "fast GFLOP/s"],
         rows,
         title=f"Corpus throughput (gather family, batch {CORPUS_BATCH})")
 

@@ -18,8 +18,8 @@ from .bus import BusConfig, SharedBus, broadcast_vs_unicast
 from .fault_injection import (classification_flip_rate, gemm_error_study,
                               inject_weight_bit_flips)
 from .csc import CSCColumn, CSCMatrix, tile_matrix
-from .kernels import (DEFAULT_KERNEL, KERNEL_ENV_VAR, KERNEL_IMPLEMENTATIONS,
-                      KernelPlan, resolve_kernel, spmm_bitserial, spmm_gather)
+from .kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS, KernelPlan,
+                      resolve_kernel, spmm_bitserial, spmm_gather)
 from .designs import (DenseCIMDesign, HybridBatch, HybridSparseDesign,
                       PerfReport)
 from .mapper import (CoreConfig, HybridMapper, MappingPlan, Tile,
@@ -38,7 +38,7 @@ from .workload import (LayerWorkload, Workload, extract_repnet_workload,
 __all__ = [
     "CSCMatrix", "CSCColumn", "tile_matrix",
     "KernelPlan", "spmm_gather", "spmm_bitserial", "resolve_kernel",
-    "DEFAULT_KERNEL", "KERNEL_ENV_VAR", "KERNEL_IMPLEMENTATIONS",
+    "DEFAULT_KERNEL", "KERNEL_IMPLEMENTATIONS",
     "to_bit_planes", "from_partials", "plane_weight",
     "SRAMPEConfig", "SRAMSparsePE", "DenseDigitalPE",
     "MRAMPEConfig", "MRAMSparsePE", "MRAMDensePE", "PIPELINE_DEPTH",

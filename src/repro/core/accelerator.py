@@ -62,8 +62,8 @@ class HybridAccelerator:
         self.sram_config = sram_config or SRAMPEConfig()
         self.mram_config = mram_config or MRAMPEConfig()
         # Kernel implementation for every PE this accelerator instantiates
-        # (None -> the REPRO_KERNEL env var -> the "fast" default).  Purely a
-        # simulator-speed knob: stats/energy are identical either way.
+        # (None -> the "fast" default; tests pass "reference", the oracle).
+        # Purely a simulator-speed knob: stats/energy are identical either way.
         self.kernel = kernel
         self.cost = CostModel(tech)
         self.gemms: Dict[str, MappedGemm] = {}

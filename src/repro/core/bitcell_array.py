@@ -130,7 +130,7 @@ class BitLevelSparsePE:
     def __init__(self, config: Optional[SRAMPEConfig] = None,
                  kernel: Optional[str] = None):
         self.config = config or SRAMPEConfig()
-        self.kernel = kernel  # None -> REPRO_KERNEL env var -> default
+        self.kernel = kernel  # None -> the "fast" default
         self.array = BitCellArray(self.config)
         self._placements: List[List[Tuple[int, int]]] = []  # per column: cells
         self._col_rows: List[np.ndarray] = []

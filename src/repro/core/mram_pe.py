@@ -75,7 +75,7 @@ class MRAMSparsePE:
     def __init__(self, config: Optional[MRAMPEConfig] = None,
                  kernel: Optional[str] = None):
         self.config = config or MRAMPEConfig()
-        self.kernel = kernel  # None -> REPRO_KERNEL env var -> default
+        self.kernel = kernel  # None -> the "fast" default
         self.csc: Optional[CSCMatrix] = None
         self.stats = PEStats()
         self._plan: Optional[KernelPlan] = None

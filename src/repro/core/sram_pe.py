@@ -90,7 +90,7 @@ class SRAMSparsePE:
     def __init__(self, config: Optional[SRAMPEConfig] = None,
                  kernel: Optional[str] = None):
         self.config = config or SRAMPEConfig()
-        self.kernel = kernel  # None -> REPRO_KERNEL env var -> default
+        self.kernel = kernel  # None -> the "fast" default
         self.csc: Optional[CSCMatrix] = None
         self.lanes_used = 0      # lanes holding at least one entry
         self.spill_columns = 0   # columns whose entries straddle two lanes

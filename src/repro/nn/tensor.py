@@ -297,8 +297,12 @@ class Tensor:
     def exp(self) -> "Tensor":
         out = self._make_child(np.exp(self.data), (self,))
         if out.requires_grad:
+            # Close over the array, not ``out``: a closure holding its own
+            # output is a reference cycle, and it would keep the whole
+            # graph (im2col buffers included) alive until a cyclic GC pass.
+            result = out.data
             def _backward(g: np.ndarray) -> None:
-                self._accumulate(g * out.data)
+                self._accumulate(g * result)
             out._backward = _backward
         return out
 
@@ -316,16 +320,18 @@ class Tensor:
     def tanh(self) -> "Tensor":
         out = self._make_child(np.tanh(self.data), (self,))
         if out.requires_grad:
+            result = out.data  # not ``out``: see exp
             def _backward(g: np.ndarray) -> None:
-                self._accumulate(g * (1.0 - out.data ** 2))
+                self._accumulate(g * (1.0 - result ** 2))
             out._backward = _backward
         return out
 
     def sigmoid(self) -> "Tensor":
         out = self._make_child(1.0 / (1.0 + np.exp(-self.data)), (self,))
         if out.requires_grad:
+            result = out.data  # not ``out``: see exp
             def _backward(g: np.ndarray) -> None:
-                self._accumulate(g * out.data * (1.0 - out.data))
+                self._accumulate(g * result * (1.0 - result))
             out._backward = _backward
         return out
 
@@ -385,9 +391,10 @@ class Tensor:
         out_data = self.data.max(axis=axis, keepdims=keepdims)
         out = self._make_child(out_data, (self,))
         if out.requires_grad:
+            result = out.data  # not ``out``: see exp
             def _backward(g: np.ndarray) -> None:
                 grad = g
-                ref = out.data
+                ref = result
                 if axis is not None and not keepdims:
                     axes = axis if isinstance(axis, tuple) else (axis,)
                     axes = tuple(sorted(a % self.ndim for a in axes))

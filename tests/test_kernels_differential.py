@@ -1,22 +1,24 @@
 """Differential bit-exactness suite for the sparse-PE kernel layer.
 
 Every (pattern, batch, shape) workload is executed once per registered
-kernel implementation (``reference``, ``fast``, ``flat``) plus plain
+kernel implementation (``reference``, ``fast``) plus plain
 ``activations @ dense``, and all of them must agree bit-for-bit on int64,
 for both kernel families (MRAM gather and SRAM bit-serial).  A second
-class pins the switch's purity: every ``PEStats`` counter must be
+class pins the choice's purity: every ``PEStats`` counter must be
 identical under every implementation.
 """
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.csc import CSCMatrix
-from repro.core.kernels import (DEFAULT_KERNEL, KERNEL_ENV_VAR,
-                                KERNEL_IMPLEMENTATIONS, KernelPlan,
-                                resolve_kernel, spmm_bitserial, spmm_gather)
+from repro.core import kernels
+from repro.core.kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS,
+                                KernelPlan, resolve_kernel, spmm_bitserial,
+                                spmm_gather)
 from repro.core.mram_pe import MRAMDensePE, MRAMPEConfig, MRAMSparsePE
 from repro.core.sram_pe import SRAMPEConfig, SRAMSparsePE
 from repro.sparsity import NMPattern, compute_nm_mask
@@ -37,6 +39,24 @@ def nm_sparse(rng, shape, pattern):
 
 def activations_for(rng, batch, in_dim):
     return rng.integers(-128, 128, size=(batch, in_dim), dtype=np.int64)
+
+
+def skewed_weights(rng, in_dim, out_dim):
+    """A deliberately skewed column-nnz histogram: the widest column sets
+    ``fast``'s pad-to-global-max, so most gather slots are padding."""
+    w = np.zeros((in_dim, out_dim), dtype=np.int64)
+    for c in range(out_dim):
+        nnz = min(in_dim, 1 + (c * c) % (in_dim // 2 + 1))
+        rows = rng.permutation(in_dim)[:nnz]
+        signs = rng.integers(0, 2, size=nnz) * 2 - 1
+        w[rows, c] = rng.integers(1, 128, size=nnz) * signs
+    return w
+
+
+def unstructured_plan(weights):
+    """Plan for any sparsity: the 16:16 group only fixes the encoding."""
+    return KernelPlan.from_csc(
+        CSCMatrix.from_dense(weights, NMPattern(16, 16), strict=False))
 
 
 @pytest.fixture
@@ -113,6 +133,36 @@ class TestDifferentialSweep:
                       [127, 0, 0, 0, -128, 0, 0, 0]])
         assert_all_impls_equal(plan, x, w)
 
+    @pytest.mark.parametrize("batch", [1, 3, 64, 69])
+    def test_skewed_column_histogram(self, rng, batch):
+        """Column nnz from 1 to in_dim/2 + 1, so most of ``fast``'s gather
+        slots are padding."""
+        w = skewed_weights(rng, 96, 40)
+        plan = unstructured_plan(w)
+        assert plan.max_column_nnz > 4 * np.diff(plan.col_ptr).min()
+        assert_all_impls_equal(plan, activations_for(rng, batch, 96), w)
+
+    def test_single_dense_column(self, rng):
+        """One full column beside two empty ones: pad width == in_dim."""
+        w = np.zeros((48, 3), dtype=np.int64)
+        w[:, 1] = rng.integers(1, 128, size=48)
+        plan = unstructured_plan(w)
+        assert plan.max_column_nnz == 48
+        assert_all_impls_equal(plan, activations_for(rng, 5, 48), w)
+
+    @pytest.mark.parametrize("input_bits", [2, 5, 8, 16])
+    def test_bitserial_input_widths(self, rng, input_bits):
+        """Every plane count up to the 16-bit cap, on a skewed matrix,
+        with activations spanning the full signed range."""
+        w = skewed_weights(rng, 64, 24)
+        plan = unstructured_plan(w)
+        lo, hi = -(1 << (input_bits - 1)), 1 << (input_bits - 1)
+        x = rng.integers(lo, hi, size=(7, 64), dtype=np.int64)
+        x[0, :2] = lo, hi - 1
+        for impl in KERNEL_IMPLEMENTATIONS:
+            np.testing.assert_array_equal(
+                spmm_bitserial(plan, x, input_bits, impl=impl), x @ w)
+
     @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
     @pytest.mark.parametrize("batch", BATCHES)
     def test_pe_models_agree_across_kernels(self, rng, pattern, batch):
@@ -150,6 +200,36 @@ class TestPlan:
             pad = plan.gather_values[len(vals):, c]
             np.testing.assert_array_equal(pad, 0)
 
+    def test_gather_panels_reconstruct_the_matrix(self, rng):
+        """On a skewed histogram every column's entries sit in slots
+        ``0..nnz-1`` in CSC order, and every later slot is (row 0, 0)."""
+        w = skewed_weights(rng, 96, 40)
+        plan = unstructured_plan(w)
+        counts = np.diff(plan.col_ptr)
+        assert plan.max_column_nnz == counts.max()
+        for c, rows, vals in plan.column_slices():
+            n = counts[c]
+            np.testing.assert_array_equal(plan.gather_rows[:n, c], rows)
+            np.testing.assert_array_equal(plan.gather_values[:n, c], vals)
+            np.testing.assert_array_equal(plan.gather_rows[n:, c], 0)
+            np.testing.assert_array_equal(plan.gather_values[n:, c], 0)
+        rebuilt = np.zeros_like(w)
+        cols = np.broadcast_to(np.arange(40), plan.gather_rows.shape)
+        live = plan.gather_values != 0
+        rebuilt[plan.gather_rows[live], cols[live]] = plan.gather_values[live]
+        np.testing.assert_array_equal(rebuilt, w)
+
+    def test_empty_plan_has_empty_panels(self, rng):
+        plan = unstructured_plan(np.zeros((16, 4), dtype=np.int64))
+        assert plan.nnz == 0
+        assert plan.gather_rows.shape == plan.gather_values.shape == (0, 4)
+        x = activations_for(rng, 3, 16)
+        for impl in KERNEL_IMPLEMENTATIONS:
+            for out in (spmm_gather(plan, x, impl=impl),
+                        spmm_bitserial(plan, x, INPUT_BITS, impl=impl)):
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, np.zeros((3, 4)))
+
     def test_shape_mismatch_raises(self, rng):
         pattern = NMPattern(1, 4)
         w = nm_sparse(rng, (16, 2), pattern)
@@ -162,35 +242,73 @@ class TestPlan:
 
 
 class TestDispatch:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+    def test_two_tiers(self):
+        assert KERNEL_IMPLEMENTATIONS == ("reference", "fast")
+
+    def test_default_is_fast(self):
         assert resolve_kernel() == DEFAULT_KERNEL == "fast"
+        assert resolve_kernel("reference") == "reference"
 
-    def test_env_var_switch(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel() == "reference"
-        # an explicit argument beats the environment
-        assert resolve_kernel("fast") == "fast"
-
-    def test_unknown_impl_rejected(self, monkeypatch):
+    def test_unknown_impl_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             resolve_kernel("turbo")
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel()
 
-    def test_env_var_reaches_pe(self, rng, monkeypatch):
+    @pytest.mark.parametrize("value", ["reference", "turbo"])
+    def test_environment_does_not_select_a_kernel(self, monkeypatch, value):
+        """The old ``REPRO_KERNEL`` switch is gone: setting it neither
+        changes the default nor raises."""
+        monkeypatch.setenv("REPRO_KERNEL", value)
+        assert resolve_kernel() == DEFAULT_KERNEL
+
+    @pytest.mark.parametrize("impl", [None, "reference", "fast"])
+    @pytest.mark.parametrize("family", ["sram", "mram"])
+    def test_pe_runs_the_named_kernel(self, rng, monkeypatch, family, impl):
+        """A PE's ``kernel=`` argument picks the implementation it calls."""
+        table = {"sram": kernels._BITSERIAL_IMPLS,
+                 "mram": kernels._GATHER_IMPLS}[family]
+        called = []
+        for name, fn in list(table.items()):
+            def spy(*args, _name=name, _fn=fn):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setitem(table, name, spy)
         pattern = NMPattern(1, 4)
         w = nm_sparse(rng, (32, 4), pattern)
         x = activations_for(rng, 2, 32)
-        outs = {}
-        for impl in KERNEL_IMPLEMENTATIONS:
-            monkeypatch.setenv(KERNEL_ENV_VAR, impl)
-            pe = SRAMSparsePE()
-            pe.load(w, pattern)
-            outs[impl] = pe.matmul(x)
-        for impl in KERNEL_IMPLEMENTATIONS[1:]:
-            np.testing.assert_array_equal(outs["reference"], outs[impl])
+        cls = {"sram": SRAMSparsePE, "mram": MRAMSparsePE}[family]
+        pe = cls(kernel=impl)
+        pe.load(w, pattern)
+        np.testing.assert_array_equal(pe.matmul(x), x @ w)
+        assert called == [resolve_kernel(impl)]
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("impl", KERNEL_IMPLEMENTATIONS)
+    def test_concurrent_matmuls_share_a_plan(self, rng, impl):
+        """Threads sharing one plan each get their own exact result."""
+        w = skewed_weights(rng, 64, 16)
+        plan = unstructured_plan(w)
+        inputs = [activations_for(rng, 8, 64) for _ in range(8)]
+        errors = []
+
+        def worker(x):
+            try:
+                for _ in range(10):
+                    np.testing.assert_array_equal(
+                        spmm_gather(plan, x, impl=impl), x @ w)
+                    np.testing.assert_array_equal(
+                        spmm_bitserial(plan, x, INPUT_BITS, impl=impl), x @ w)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(x,))
+                   for x in inputs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
 
 
 class TestFloatActivationRejection:
@@ -209,9 +327,26 @@ class TestFloatActivationRejection:
         with pytest.raises(TypeError, match="consumes integer activations"):
             pe.matmul(np.full((1, 16), 1.9))
 
+    @pytest.mark.parametrize("impl", KERNEL_IMPLEMENTATIONS)
+    def test_kernels_reject_floats(self, impl):
+        """1.9 would truncate to 1: ``[[3, -2]]`` instead of the exact
+        ``[[5.7, -3.8]]``.  Both families refuse rather than round."""
+        w = np.zeros((8, 2), dtype=np.int64)
+        w[0, 0], w[4, 0], w[1, 1], w[6, 1] = 2, 1, -1, -1
+        plan = KernelPlan.from_csc(CSCMatrix.from_dense(w, NMPattern(1, 4)))
+        x = np.full((1, 8), 1.9)
+        np.testing.assert_allclose(x @ w, [[5.7, -3.8]])
+        with pytest.raises(TypeError,
+                           match="spmm_gather consumes integer activations"):
+            spmm_gather(plan, x, impl=impl)
+        with pytest.raises(
+                TypeError,
+                match="spmm_bitserial consumes integer activations"):
+            spmm_bitserial(plan, x, INPUT_BITS, impl=impl)
+
 
 class TestStatsInvariance:
-    """The kernel switch must be observably pure: identical PEStats."""
+    """The kernel choice must be observably pure: identical PEStats."""
 
     @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
     def test_sram_stats_identical(self, rng, pattern):

@@ -5,9 +5,9 @@ gather matrices with one scatter, and ``SRAMSparsePE`` derives lane packing in
 closed form from ``col_ptr``.  The oracles below are the per-column bodies
 those replaced, copied verbatim: ``CSCMatrix.from_dense`` building one
 ``CSCColumn`` per column, ``KernelPlan.from_columns`` filling the gather
-matrices column by column, the flat tier's per-column bucket fill, and the
-SRAM lane-packing loop with the ``PEStats`` charges that read it.  Every
-comparison is exact: arrays, dtypes, counters and error messages.
+matrices column by column, and the SRAM lane-packing loop with the
+``PEStats`` charges that read it.  Every comparison is exact: arrays,
+dtypes, counters and error messages.
 """
 
 import dataclasses
@@ -16,7 +16,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import kernels as K
 from repro.core.csc import CSCColumn, CSCMatrix
 from repro.core.kernels import KernelPlan, require_integer_values
 from repro.core.mram_pe import MRAMSparsePE
@@ -115,30 +114,6 @@ def oracle_plan_from_csc(csc: OracleCSCMatrix) -> KernelPlan:
     return oracle_plan_from_columns(
         [(col.row_indices(m), col.values) for col in csc.columns],
         csc.shape)
-
-
-def oracle_flat_buckets(plan: KernelPlan) -> Tuple[K._FlatBucket, ...]:
-    counts = np.diff(plan.col_ptr)
-    nonempty = np.flatnonzero(counts).astype(np.int64)
-    if len(nonempty) == 0:
-        return ()
-    order = np.lexsort((nonempty, counts[nonempty]))
-    sorted_cols = nonempty[order]
-    sorted_counts = counts[sorted_cols]
-
-    buckets = []
-    for start, end in K._partition_column_counts(sorted_counts,
-                                                 K.FLAT_MAX_BUCKETS):
-        cols = sorted_cols[start:end]
-        width = int(sorted_counts[end - 1])
-        rows = np.zeros((width, len(cols)), dtype=np.int64)
-        vals = np.zeros((width, len(cols)), dtype=np.int64)
-        for j, c in enumerate(cols):
-            lo, hi = plan.col_ptr[c], plan.col_ptr[c + 1]
-            rows[:hi - lo, j] = plan.row_indices[lo:hi]
-            vals[:hi - lo, j] = plan.values[lo:hi]
-        buckets.append(K._FlatBucket(cols=cols, rows=rows, vals=vals))
-    return tuple(buckets)
 
 
 @dataclasses.dataclass
@@ -335,11 +310,6 @@ def assert_same_csc(matrix, pattern, strict) -> None:
     assert_same_array(plan.gather_rows, want.gather_rows)
     assert_same_array(plan.gather_values, want.gather_values)
     assert_same_array(plan.decode(), want.decode())
-    want_buckets = oracle_flat_buckets(want)
-    assert len(plan.flat_buckets) == len(want_buckets)
-    for got_b, want_b in zip(plan.flat_buckets, want_buckets):
-        for got_a, want_a in zip(got_b, want_b):
-            assert_same_array(got_a, want_a)
 
 
 def assert_same_pe(new_pe, oracle_pe, matrix, pattern, strict, rng) -> None:

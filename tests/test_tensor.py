@@ -1,8 +1,11 @@
 """Unit tests for the autograd engine (repro.nn.tensor)."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.nn.tensor import (Tensor, concatenate, no_grad, ones, randn, stack,
                              unbroadcast, zeros)
 
@@ -186,6 +189,26 @@ class TestEngine:
             x = x * 1.01
         x.backward()
         np.testing.assert_allclose(a.grad, [1.01 ** 50], rtol=1e-10)
+
+    def test_graph_is_freed_without_cyclic_gc(self, rng):
+        """No backward closure holds its own output, so a spent graph (and
+        every buffer its closures hold) is freed by reference counting
+        instead of waiting for a cyclic collection."""
+        x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            h = F.conv2d(x, w, padding=1).reshape(2, -1)
+            h = h.exp() * 1e-3 + h.tanh() + h.sigmoid() + h.relu()
+            logits = h[:, :5] + h.max(axis=1, keepdims=True)
+            F.cross_entropy(logits, np.array([1, 3])).backward()
+            del h, logits
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert unreachable == 0
+        assert x.grad is not None and w.grad is not None
 
     def test_backward_requires_grad(self):
         a = Tensor(np.ones(3))
