@@ -10,7 +10,6 @@ Single entry point over the experiment harness:
     python -m repro all --out results/      # everything except table1-full
     python -m repro dse --preset smoke      # design-space sweep (repro.dse)
     python -m repro serve --port 8321       # HTTP service (repro.serve)
-    python -m repro corpus --stats s.txt    # pattern corpus (repro.corpus)
     python -m repro info                    # package overview
 """
 
@@ -21,7 +20,7 @@ import sys
 from typing import List, Optional
 
 EXPERIMENTS = ("table1", "table2", "fig7", "fig8", "figures", "endurance",
-               "ablations", "dse", "serve", "corpus", "all", "info")
+               "ablations", "dse", "serve", "all", "info")
 
 
 def _run_info() -> None:
@@ -43,10 +42,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Same pattern for the HTTP service.
         from .serve.__main__ import main as serve_main
         return serve_main(argv[1:])
-    if argv and argv[0] == "corpus":
-        # Same pattern for the sparse-pattern corpus tool.
-        from .corpus.__main__ import main as corpus_main
-        return corpus_main(argv[1:])
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",

@@ -1,11 +1,11 @@
 """Reentrancy contracts and effect declarations for hot-path functions.
 
-The DSE engine, the corpus manifest's worker processes and the serve
-layer's concurrent requests call these functions.  That is only
-sound when the per-call evaluators are *reentrant*: transitively free of
-module-global writes, ambient RNG, and hash-order-dependent iteration —
-so two calls with equal arguments return equal results no matter which
-process runs them, in what order, or what ran before.
+The DSE engine and the serve layer's concurrent requests call these
+functions.  That is only sound when the per-call evaluators are
+*reentrant*: transitively free of module-global writes, ambient RNG, and
+hash-order-dependent iteration — so two calls with equal arguments
+return equal results no matter which process runs them, in what order,
+or what ran before.
 
 :func:`reentrant` declares that contract on a function.  Like
 :func:`repro.core.widths.width_contract`, it is a no-op at runtime beyond

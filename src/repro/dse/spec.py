@@ -198,7 +198,7 @@ def _all_patterns(group_sizes: Sequence[int]) -> Tuple[str, ...]:
     return tuple(f"{n}:{m}" for m in group_sizes for n in range(1, m))
 
 
-#: Small fixed sweep: the CI smoke job and the bench-gate model metrics.
+#: Small fixed sweep: the CI smoke job and its tier-1 hash pin.
 SMOKE_SPEC = SweepSpec(
     patterns=("1:8", "2:8", "1:4", "2:4"),
     bus_bits=(64, 128),

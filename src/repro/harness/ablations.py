@@ -109,7 +109,7 @@ def fault_robustness(seed: int = 0) -> list:
 
 
 @reentrant(reason="every ablation study is seeded; repeated builds must "
-                  "be bit-identical for the bench gate to hold them")
+                  "be bit-identical for the committed results to hold")
 def build_ablations(workload: Optional[Workload] = None) -> Dict:
     workload = workload or paper_workload()
     tracer = get_tracer()

@@ -38,7 +38,7 @@ def fig7_designs(workload: Optional[Workload] = None):
     ]
 
 
-@reentrant(reason="bench and serve call the fig7 evaluator repeatedly; "
+@reentrant(reason="serve and the tests call the fig7 evaluator repeatedly; "
                   "results must be a function of the workload alone")
 def build_fig7(workload: Optional[Workload] = None) -> Dict:
     workload = workload or paper_workload()

@@ -45,7 +45,7 @@ def fig8_configs() -> List[Tuple[str, str, object]]:
     ]
 
 
-@reentrant(reason="bench and serve call the fig8 evaluator repeatedly; "
+@reentrant(reason="serve and the tests call the fig8 evaluator repeatedly; "
                   "results must be a function of workload and batch alone")
 def build_fig8(workload: Optional[Workload] = None, batch: int = 32) -> Dict:
     workload = workload or paper_workload()

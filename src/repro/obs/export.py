@@ -10,8 +10,8 @@ Two consumers of a finished :class:`~repro.obs.tracer.Tracer`:
   counters); :func:`repro.harness.reporting.render_trace_summary` renders
   it as the harness' fixed-width table.
 
-:func:`validate_trace_events` is the schema check the unit tests and the
-``repro.bench`` smoke trace share.
+:func:`validate_trace_events` is the schema check the unit tests and CI's
+smoke trace of the ``repro.dse`` sweep share.
 """
 
 from __future__ import annotations

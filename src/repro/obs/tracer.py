@@ -13,9 +13,9 @@ is NTP-step sensitive and is banned for durations by lint rule R4).
 
 The process-global tracer is **disabled by default** and a strict no-op
 when disabled: ``span()`` returns a shared null context manager that
-allocates nothing, so instrumented hot paths (the PE kernel dispatch) stay
-within a <2% overhead budget on the PE-kernel benchmarks.  Enable it with
-the ``REPRO_TRACE=1`` environment variable or ``configure(enabled=True)``.
+allocates nothing, so instrumented hot paths (the PE kernel dispatch) do
+no tracing work while it is off.  Enable it with the ``REPRO_TRACE=1``
+environment variable or ``configure(enabled=True)``.
 
 Tracer lookup is **context-local**: :func:`get_tracer` first consults a
 ``contextvars.ContextVar`` that :func:`use_tracer` sets, falling back to

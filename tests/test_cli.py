@@ -40,6 +40,15 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["nonsense"])
 
+    def test_corpus_is_not_an_experiment(self, capsys):
+        """`corpus` is no subcommand: argparse rejects it as unknown."""
+        assert "corpus" not in EXPERIMENTS
+        with pytest.raises(SystemExit) as exc:
+            main(["corpus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "corpus" in err
+
     def test_experiment_list_complete(self):
         assert set(EXPERIMENTS) >= {"table1", "table2", "fig7", "fig8",
                                     "figures", "endurance", "ablations",

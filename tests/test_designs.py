@@ -4,10 +4,13 @@ These are the reproduction's headline architecture claims — each test pins
 an ordering or rough factor the paper reports.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.designs import DenseCIMDesign, HybridSparseDesign
 from repro.core.workload import paper_workload
+from repro.energy.tech import DEFAULT_TECH, TechnologyModel
 from repro.sparsity import NMPattern
 
 
@@ -53,6 +56,14 @@ class TestArea(object):
         areas = [designs[k].area(workload).total_mm2
                  for k in ("sram", "mram", "h14", "h18")]
         assert areas[0] > areas[1] > areas[2] > areas[3]
+
+    def test_hybrid_smaller_than_repnet_scope_baselines(self, workload):
+        """At the Rep-Net update scope the hybrid also undercuts both
+        single-technology designs on area (TestEDP covers their EDP)."""
+        hybrid = HybridSparseDesign(NMPattern(1, 8)).area(workload).total_mm2
+        for kind in ("sram", "mram"):
+            dense = DenseCIMDesign(kind, "learnable").area(workload)
+            assert hybrid < dense.total_mm2
 
     def test_sram_pes_small_fraction_of_hybrid(self, workload, designs):
         """Paper: 'only about 4% of the area is dedicated to SRAM PEs'."""
@@ -189,3 +200,51 @@ class TestSizing:
         assert h18.backbone_compressed_bits(workload) < \
             h14.backbone_compressed_bits(workload)
         assert h18.mram_array_count(workload) < h14.mram_array_count(workload)
+
+
+class TestAblations:
+    """One architectural lever at a time, and the direction of its effect."""
+
+    PATTERNS = [NMPattern(1, 16), NMPattern(1, 8), NMPattern(1, 4),
+                NMPattern(2, 4)]
+
+    @staticmethod
+    def _tech_with_mram_write(pj_per_bit):
+        mram = dataclasses.replace(DEFAULT_TECH.mram,
+                                   write_energy_pj_per_bit=pj_per_bit)
+        return TechnologyModel(sram=DEFAULT_TECH.sram, mram=mram,
+                               global_blocks=DEFAULT_TECH.global_blocks)
+
+    def test_area_and_training_energy_monotone_in_density(self, workload):
+        designs = [HybridSparseDesign(p) for p in self.PATTERNS]
+        areas = [d.area(workload).total_mm2 for d in designs]
+        energies = [d.training_step(workload).energy_j for d in designs]
+        # density 1/16 < 1/8 < 1/4 < 1/2 -> both strictly increasing
+        assert areas == sorted(set(areas))
+        assert energies == sorted(set(energies))
+
+    def test_write_energy_scales_training_cost(self, workload):
+        cheap = DenseCIMDesign(
+            "mram", "all", tech=self._tech_with_mram_write(0.002))
+        expensive = DenseCIMDesign(
+            "mram", "all", tech=self._tech_with_mram_write(0.48))
+        e_cheap = cheap.training_step(workload).energy.write_pj
+        e_exp = expensive.training_step(workload).energy.write_pj
+        assert e_exp == pytest.approx(240 * e_cheap, rel=0.01)
+
+    def test_latency_asymmetry_dominates_edp(self, workload):
+        """Even with free writes, MRAM in-place training loses on EDP: the
+        hybrid's case rests on the write latency as well as the energy."""
+        free_writes = DenseCIMDesign(
+            "mram", "all", tech=self._tech_with_mram_write(1e-6))
+        sram = DenseCIMDesign("sram", "all")
+        assert free_writes.training_step(workload).edp_js > \
+            10 * sram.training_step(workload).edp_js
+
+    def test_wider_bus_speeds_dense_baseline(self, workload):
+        latencies = []
+        for bits in (64, 128, 256, 512, 1024):
+            cls = type(f"Bus{bits}", (DenseCIMDesign,),
+                       {"ACTIVATION_BUS_BITS": bits})
+            latencies.append(cls("sram", "all").inference(workload).latency_s)
+        assert latencies == sorted(set(latencies), reverse=True)

@@ -15,6 +15,7 @@ import repro.dse.__main__ as dse_cli
 from repro.dse import (FULL_SPEC, SMOKE_SPEC, NullCache, SweepSpec,
                        dumps_canonical, frontier_doc, normalize_config,
                        run_sweep)
+from repro.obs import validate_trace_events
 
 SPEC = SweepSpec(patterns=("1:4", "2:8"), bus_bits=(64, 128))
 
@@ -97,7 +98,7 @@ def _sha256(doc) -> str:
 
 
 class TestFullSweepPinned:
-    """Every FULL_SPEC record and the frontier, to the last bit.
+    """Every FULL_SPEC and SMOKE_SPEC record and frontier, to the last bit.
 
     A reassociated float sum in the analytical model moves some record's
     last bit, which changes these hashes on every Python version.
@@ -114,6 +115,19 @@ class TestFullSweepPinned:
         assert not result["errors"]
         assert _sha256(result["records"]) == self.RECORDS_SHA256
         assert _sha256(frontier_doc(result)) == self.FRONTIER_SHA256
+
+    SMOKE_RECORDS_SHA256 = (
+        "7ba7927480f47ee8f46fc4314694dbde87fe670da07d87d72f28b87373622f81")
+    SMOKE_FRONTIER_SHA256 = (
+        "8969235065747d917930b5c2915cea87bb71382c54cc0c9a4c1207fd53f1d655")
+
+    def test_smoke_records_and_frontier_hashes(self):
+        result = run_sweep(SMOKE_SPEC, cache=NullCache())
+        assert result["configs"] == 8
+        assert len(result["frontier"]) == 8
+        assert not result["errors"]
+        assert _sha256(result["records"]) == self.SMOKE_RECORDS_SHA256
+        assert _sha256(frontier_doc(result)) == self.SMOKE_FRONTIER_SHA256
 
 
 class TestCli:
@@ -204,9 +218,10 @@ class TestCli:
             ["--no-cache", "--trace", "dse.trace.json"]),
             tmp_path, monkeypatch)
         assert code == 0
-        trace = (tmp_path / "dse.trace.json").read_text()
-        assert "dse.sweep" in trace
-        assert "dse.reduce" in trace
+        doc = json.loads((tmp_path / "dse.trace.json").read_text())
+        assert validate_trace_events(doc) == []
+        names = {event["name"] for event in doc["traceEvents"]}
+        assert {"dse.sweep", "dse.reduce"} <= names
 
     def test_top_level_cli_forwards_the_dse_subcommand(
             self, tmp_path, monkeypatch):

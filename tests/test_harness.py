@@ -67,6 +67,23 @@ class TestFig7:
         # 1:8 saves at least as much as the paper reports
         assert rels["Hybrid(1:8)"] <= paper["Hybrid(1:8)"] + 0.05
 
+    def test_power_series(self, result):
+        """Log-scale panel: every other design sits orders of magnitude
+        below SRAM, and the hybrid between SRAM and the MRAM floor."""
+        rels = {r["design"]: r["power_rel"] for r in result["rows"]}
+        for key in ("MRAM[30]", "Hybrid(1:4)", "Hybrid(1:8)"):
+            assert rels[key] < 0.1
+        assert rels["MRAM[30]"] < rels["Hybrid(1:4)"] < rels["SRAM[29]"]
+
+    def test_leakage_split(self, result):
+        rows = {r["design"]: r for r in result["rows"]}
+        sram, mram = rows["SRAM[29]"], rows["MRAM[30]"]
+        # SRAM's leakage share exceeds the non-volatile MRAM's...
+        assert sram["leakage_rel"] / sram["power_rel"] > \
+            mram["leakage_rel"] / mram["power_rel"]
+        # ...and in absolute terms SRAM leaks orders of magnitude more.
+        assert sram["leakage_rel"] > 100 * mram["leakage_rel"]
+
     def test_power_split_sums(self, result):
         for row in result["rows"]:
             assert row["leakage_rel"] + row["read_rel"] == \
@@ -104,6 +121,15 @@ class TestFig8:
         assert by[("Finetune All Weight", "MRAM[30]")] > \
             by[("RepNet without Sparsity", "MRAM[30]")]
 
+    def test_mram_training_penalty(self, result):
+        by = {(r["group"], r["design"]): r["edp_rel"] for r in result["rows"]}
+        assert by[("Finetune All Weight", "MRAM[30]")] > \
+            10 * by[("Finetune All Weight", "SRAM[29]")]
+
+    def test_decades_of_span(self, result):
+        vals = [r["edp_rel"] for r in result["rows"]]
+        assert max(vals) / min(vals) > 100
+
     def test_render(self, result):
         out = render_fig8(result)
         assert "Fig. 8" in out and "Ours (1:8)" in out
@@ -131,6 +157,12 @@ class TestTable1Fast:
         """Even at the fast budget the dense backbone must beat chance."""
         chance = 1.0 / result["config"]["base_classes"]
         assert result["rows"][0]["backbone@base"] > chance
+
+    def test_dense_beats_chance_everywhere(self, result):
+        dense = result["rows"][0]
+        # fast config: every task has >= 2 classes -> chance <= 0.5
+        for task in result["tasks"]:
+            assert dense[task] > 0.2
 
     def test_render(self, result):
         out = render_table1(result)

@@ -5,11 +5,14 @@ kernel implementation (``reference``, ``fast``) plus plain
 ``activations @ dense``, and all of them must agree bit-for-bit on int64,
 for both kernel families (MRAM gather and SRAM bit-serial).  A second
 class pins the choice's purity: every ``PEStats`` counter must be
-identical under every implementation.
+identical under every implementation.  A third runs sparsity structures
+beyond aligned N:M (magnitude, block, uniform scatter) at the paper's PE
+geometries and two larger layers through the encoder and both kernels.
 """
 
 import dataclasses
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -384,3 +387,98 @@ class TestStatsInvariance:
         pe = SRAMSparsePE()
         assert set(pe.stats.as_dict()) == \
             {f.name for f in dataclasses.fields(PEStats)}
+
+
+# --------------------------------------------------------- pattern classes
+def _nm_mask(pattern):
+    return lambda rng, dense: compute_nm_mask(np.abs(dense), pattern, axis=0)
+
+
+def _magnitude_mask(density):
+    """Unstructured magnitude pruning: an exact global top-k."""
+    def mask(rng, dense):
+        keep = np.argsort(-np.abs(dense), axis=None, kind="stable")
+        out = np.zeros(dense.size, dtype=bool)
+        out[keep[:int(round(density * dense.size))]] = True
+        return out.reshape(dense.shape)
+    return mask
+
+
+def _block_mask(block, density=0.25):
+    """Keep an exact fraction of aligned ``block x block`` tiles."""
+    def mask(rng, dense):
+        grid = (dense.shape[0] // block, dense.shape[1] // block)
+        tiles = np.zeros(grid[0] * grid[1], dtype=np.int64)
+        keep = int(round(density * tiles.size))
+        tiles[rng.permutation(tiles.size)[:keep]] = 1
+        return np.kron(tiles.reshape(grid),
+                       np.ones((block, block), dtype=np.int64)).astype(bool)
+    return mask
+
+
+def _scatter_mask(density):
+    """Pathological scatter: an exact-count uniform-random support."""
+    def mask(rng, dense):
+        out = np.zeros(dense.size, dtype=bool)
+        keep = int(round(density * dense.size))
+        out[rng.permutation(dense.size)[:keep]] = True
+        return out.reshape(dense.shape)
+    return mask
+
+
+#: name -> (mask builder, N:M pattern the matrix satisfies or None).
+PATTERN_CLASSES = {
+    "nm_1_4": (_nm_mask(NMPattern(1, 4)), NMPattern(1, 4)),
+    "nm_2_4": (_nm_mask(NMPattern(2, 4)), NMPattern(2, 4)),
+    "nm_1_8": (_nm_mask(NMPattern(1, 8)), NMPattern(1, 8)),
+    "nm_2_16": (_nm_mask(NMPattern(2, 16)), NMPattern(2, 16)),
+    "mag_50": (_magnitude_mask(0.50), None),
+    "mag_25": (_magnitude_mask(0.25), None),
+    "mag_10": (_magnitude_mask(0.10), None),
+    "block_4x4": (_block_mask(4), None),
+    "block_8x8": (_block_mask(8), None),
+    "rand_30": (_scatter_mask(0.30), None),
+}
+CLASS_SHAPES = [(128, 8), (256, 32), (512, 64), (1024, 128)]
+
+
+def pattern_class_matrix(name, shape):
+    """Non-zero int8-range values under the class's support, seeded by
+    the class name and shape alone."""
+    rng = np.random.default_rng(zlib.crc32(f"{name}-{shape}".encode()))
+    dense = rng.integers(1, 128, size=shape) * \
+        (rng.integers(0, 2, size=shape) * 2 - 1)
+    mask = PATTERN_CLASSES[name][0](rng, dense)
+    return np.where(mask, dense, 0).astype(np.int64)
+
+
+def pattern_class_csc(name, weights):
+    """Strict N:M encoding where the class has one, else unstructured."""
+    pattern = PATTERN_CLASSES[name][1]
+    if pattern is None:
+        return CSCMatrix.from_dense(weights, NMPattern(16, 16), strict=False)
+    return CSCMatrix.from_dense(weights, pattern)
+
+
+@pytest.mark.parametrize("shape", CLASS_SHAPES,
+                         ids=[f"{i}x{o}" for i, o in CLASS_SHAPES])
+@pytest.mark.parametrize("name", list(PATTERN_CLASSES))
+class TestPatternClasses:
+    """Every sparsity structure encodes losslessly and multiplies exactly."""
+
+    def test_encoding_is_lossless(self, name, shape):
+        w = pattern_class_matrix(name, shape)
+        csc = pattern_class_csc(name, w)
+        plan = KernelPlan.from_csc(csc)
+        assert csc.nnz == plan.nnz == np.count_nonzero(w)
+        np.testing.assert_array_equal(csc.column_nnz(),
+                                      np.count_nonzero(w, axis=0))
+        assert plan.max_column_nnz == csc.max_column_nnz()
+        np.testing.assert_array_equal(csc.decode(), w)
+        np.testing.assert_array_equal(plan.decode(), w)
+
+    def test_kernels_agree(self, name, shape):
+        w = pattern_class_matrix(name, shape)
+        plan = KernelPlan.from_csc(pattern_class_csc(name, w))
+        x = activations_for(np.random.default_rng(shape[0]), 16, shape[0])
+        assert_all_impls_equal(plan, x, w)

@@ -197,6 +197,8 @@ class TestR9:
 
 class TestR10:
     def test_real_tree_workers_ship(self):
+        """The package starts no process pool today, so this guards any
+        pool added later; the synthetic sources below exercise the rule."""
         result = lint_sources(_real_tree_sources(), codes=["R10"])
         assert result.ok
 

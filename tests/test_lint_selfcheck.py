@@ -44,15 +44,15 @@ def test_real_tree_is_clean_under_dataflow(capsys):
 
 def test_real_tree_is_clean_under_effects(capsys):
     """The effect verifier in strict mode: every @reentrant contract in
-    the DSE/bench/harness hot paths must prove out over the call graph."""
+    the DSE/serve/harness hot paths must prove out over the call graph."""
     assert main(["--effects", "--strict", str(SRC)]) == EXIT_CLEAN
     capsys.readouterr()
 
 
 def test_real_tree_hot_paths_are_contracted():
     """The certification the ROADMAP's sharding/serve items rely on: the
-    worker entry point, the per-point evaluator, the cache paths, the
-    bench collectors and the harness builders all carry @reentrant."""
+    batch entry point, the per-point evaluator, the cache paths, the
+    serve validators and the harness builders all carry @reentrant."""
     from repro.lint.effects import analyze_project
     from repro.lint.engine import ProjectContext, _parse_paths
 
@@ -67,9 +67,6 @@ def test_real_tree_hot_paths_are_contracted():
             "repro.dse.evaluate.build_tech",
             "repro.dse.cache.DiskCache.lookup",
             "repro.dse.cache.DiskCache.store",
-            "repro.bench.runner.collect_model_metrics",
-            "repro.bench.runner.collect_dse_metrics",
-            "repro.bench.runner.collect_timing_metrics",
             "repro.harness.fig7.build_fig7",
             "repro.harness.fig8.build_fig8",
             "repro.harness.table2.build_table2",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.mram_pe import (PIPELINE_DEPTH, MRAMDensePE, MRAMPEConfig,
                                 MRAMSparsePE)
-from repro.sparsity import NMPattern
+from repro.sparsity import NMPattern, compute_nm_mask
 
 from .test_csc import sparse_int_matrix
 
@@ -146,3 +146,19 @@ class TestDenseMRAM:
         assert sparse_pe.stats.weight_bits_read < dense_pe.stats.weight_bits_read
         assert sparse_pe.stats.macs < dense_pe.stats.macs
         assert sparse_pe.stats.cycles < dense_pe.stats.cycles
+
+    def test_row_sweep_shrinks_with_sparsity(self, rng):
+        """The same dense matrix pruned 1:8: the sparse PE sweeps about an
+        eighth of the rows, so it takes far fewer cycles."""
+        dense_w = rng.integers(-127, 128, size=(512, 64))
+        mask = compute_nm_mask(np.abs(dense_w).astype(float),
+                               NMPattern(1, 8), axis=0)
+        sparse_w = (dense_w * mask).astype(np.int64)
+        dense_pe = MRAMDensePE()
+        dense_pe.load(dense_w)
+        sparse_pe = MRAMSparsePE()
+        sparse_pe.load(sparse_w, NMPattern(1, 8))
+        x = rng.integers(-8, 8, size=(1, 512))
+        dense_pe.matmul(x)
+        sparse_pe.matmul(x)
+        assert sparse_pe.stats.cycles < dense_pe.stats.cycles / 4

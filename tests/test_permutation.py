@@ -89,6 +89,20 @@ class TestSearch:
                                            restarts=3, rng=rng)
         assert best > 3 * base  # spreads the big channels out
 
+    def test_recovers_group_aligned_saliency(self):
+        """Correlated channels: the four salient ones of every group of
+        eight sit side by side, so aligned 1:4 grouping keeps one of them
+        per group of four and a permutation keeps at least 1.5x more."""
+        pattern = NMPattern(1, 4)
+        sal = np.full((32, 8), 0.01)
+        for offset in range(4):
+            sal[offset::8] = 5.0
+        base = retained_saliency(sal, pattern)
+        _, best = find_channel_permutation(sal, pattern, iterations=3000,
+                                           restarts=3,
+                                           rng=np.random.default_rng(3))
+        assert best > base * 1.5
+
     def test_gain_nonnegative(self, rng):
         sal = rng.random((40, 3))
         assert permutation_gain(sal, NMPattern(2, 8), iterations=300,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.csc import CSCMatrix
 from repro.core.sram_pe import DenseDigitalPE, SRAMPEConfig, SRAMSparsePE
 from repro.sparsity import NMPattern, compute_nm_mask
 
@@ -200,3 +201,28 @@ class TestDensePE:
         pe.matmul(rng.integers(-4, 4, size=(1, 16)))
         assert pe.stats.macs == 16 * 4
         assert pe.stats.mac_efficiency == 1.0
+
+
+@pytest.mark.parametrize("pattern", [NMPattern(1, 4), NMPattern(1, 8)],
+                         ids=["1:4", "1:8"])
+class TestSparseVsDense:
+    """Matched workload: the sparse PE's first-order wins over dense."""
+
+    def test_mac_reduction(self, rng, pattern):
+        w = sparse_int_matrix(rng, (128, 8), pattern)
+        x = rng.integers(-64, 64, size=(8, 128))
+        sparse = SRAMSparsePE()
+        sparse.load(w, pattern)
+        sparse.matmul(x)
+        dense = DenseDigitalPE()
+        dense.load(w)
+        dense.matmul(x)
+        assert sparse.stats.macs / dense.stats.macs == \
+            pytest.approx(pattern.density, abs=0.05)
+
+    def test_storage_reduction(self, rng, pattern):
+        w = sparse_int_matrix(rng, (128, 8), pattern)
+        csc = CSCMatrix.from_dense(w, pattern)
+        ratio = csc.storage_bits(index_bits=4) / csc.dense_storage_bits()
+        # 12-bit (weight, index) pairs against 8-bit dense weights
+        assert ratio == pytest.approx(pattern.density * 1.5, abs=0.05)
