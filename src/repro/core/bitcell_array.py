@@ -184,8 +184,9 @@ class BitLevelSparsePE:
 
         The operands are read back bit-by-bit from the array (see
         :meth:`_plan_from_cells`); the phase x bit-plane schedule itself is
-        executed by the shared :func:`~repro.core.kernels.spmm_bitserial`
-        kernel, so this model cross-validates the storage circuits while the
+        the shared :func:`~repro.core.kernels.spmm_bitserial` kernel's job
+        (walked by its reference tier, folded by linearity in its fast
+        tier), so this model cross-validates the storage circuits while the
         differential suite cross-validates the kernels.
         """
         if self._pattern is None:

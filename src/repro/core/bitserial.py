@@ -17,6 +17,17 @@ import numpy as np
 from .widths import BITSERIAL_MAX_BITS, width_contract
 
 
+def require_signed_range(values: np.ndarray, bits: int) -> None:
+    """Reject values that do not fit ``bits``-bit two's complement.
+
+    The input word lines stream exactly ``bits`` planes, so anything
+    outside ``[-2**(bits-1), 2**(bits-1) - 1]`` has no bit-serial encoding.
+    """
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    if values.min(initial=0) < lo or values.max(initial=0) > hi:
+        raise ValueError(f"values outside signed {bits}-bit range [{lo}, {hi}]")
+
+
 @width_contract(inputs="i16", returns="u1",
                 bounds={"bits": BITSERIAL_MAX_BITS},
                 params={"values": "inputs"})
@@ -29,9 +40,7 @@ def to_bit_planes(values: np.ndarray, bits: int = 8) -> np.ndarray:
     values = np.asarray(values)
     if not np.issubdtype(values.dtype, np.integer):
         raise TypeError(f"bit-serial streaming needs integer data, got {values.dtype}")
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if values.min(initial=0) < lo or values.max(initial=0) > hi:
-        raise ValueError(f"values outside signed {bits}-bit range [{lo}, {hi}]")
+    require_signed_range(values, bits)
     # Masking with 2**bits - 1 IS the two's-complement wrap for negatives.
     unsigned = values.astype(np.int64) & ((1 << bits) - 1)
     shifts = np.arange(bits, dtype=np.int64).reshape((bits,) + (1,) * values.ndim)

@@ -23,9 +23,12 @@ argument (default ``fast``):
     Fully vectorized.  A :class:`KernelPlan` built once at ``load()`` time
     shares the CSC triplet (contiguous ``values`` / ``row_indices`` /
     ``col_ptr`` arrays) and adds a zero-padded ``(max_nnz, out_dim)`` gather
-    matrix, so an entire matmul is one fancy-index gather plus one einsum —
-    and the SRAM bit-plane loop collapses into a single
-    ``(bits, batch, nnz)``-shaped tensor contraction.
+    matrix, so an entire matmul is one fancy-index gather plus one einsum.
+    The SRAM kernel needs no bit planes at all: by linearity,
+    ``sum_b plane_weight(b) * plane_b(x) == x`` for every in-range ``x``,
+    so the shift-accumulated plane partials equal the plain gather.  After
+    the same signed-range check the planes would enforce, it *is*
+    :func:`spmm_gather`'s fast kernel.
 
 Both implementations are bit-identical on int64 (enforced by
 ``tests/test_kernels_differential.py``), and the choice is observably pure:
@@ -42,7 +45,7 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs import get_tracer
-from .bitserial import from_partials, to_bit_planes
+from .bitserial import from_partials, require_signed_range, to_bit_planes
 from .widths import BITSERIAL_MAX_BITS, width_contract
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -304,21 +307,15 @@ def _spmm_bitserial_reference(plan: KernelPlan, activations: np.ndarray,
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
-                depth="MAX_REDUCTION_DEPTH",
-                returns="from_partials",
+                returns="_spmm_gather_fast",
                 bounds={"input_bits": BITSERIAL_MAX_BITS},
-                params={"activations": "inputs",
-                        "plan.gather_values": "weights"})
+                params={"activations": "inputs"})
 def _spmm_bitserial_fast(plan: KernelPlan, activations: np.ndarray,
                          input_bits: int) -> np.ndarray:
-    """All bit planes, columns and batch rows in one tensor contraction."""
-    planes = to_bit_planes(activations, input_bits)  # (bits, batch, in)
-    batch = activations.shape[0]
-    if plan.nnz == 0:
-        return np.zeros((batch, plan.shape[1]), dtype=np.int64)
-    gathered = planes[:, :, plan.gather_rows]  # (bits, batch, max_nnz, out)
-    partials = np.einsum("abkc,kc->abc", gathered, plan.gather_values)
-    return from_partials(partials, input_bits)
+    """The plane schedule folded away by linearity (module docstring):
+    after the range check the planes imply, one gather is exact."""
+    require_signed_range(activations, input_bits)
+    return _spmm_gather_fast(plan, activations)
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
@@ -328,9 +325,11 @@ def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
                    input_bits: int, impl: Optional[str] = None) -> np.ndarray:
     """``activations @ W`` via the bit-serial schedule (int64, bit-exact).
 
-    Walks (reference) or contracts (fast) the bit-plane x phase
-    dataflow; either way the result equals ``activations @ plan.decode()``
-    exactly.
+    ``activations`` must fit ``input_bits``-bit two's complement, else
+    ``ValueError``.  The reference tier walks the bit-plane x phase
+    dataflow; the fast tier folds the planes away by linearity and runs
+    one gather.  Either way the result equals ``activations @
+    plan.decode()`` exactly.
     """
     activations = _check_activations(plan, activations, "spmm_bitserial")
     name = resolve_kernel(impl)

@@ -33,6 +33,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..sparsity.nm import NMPattern
+from .bitserial import require_signed_range
 from .csc import CSCMatrix
 from .kernels import KernelPlan, require_integer_activations, spmm_gather
 from .stats import PEStats
@@ -136,10 +137,12 @@ class MRAMSparsePE:
     def matmul(self, activations: np.ndarray) -> np.ndarray:
         """Sparse matmul ``activations @ W`` through the near-memory pipeline.
 
-        ``activations``: integer ``(batch, in_dim)``.  The dense activation
-        vector is held in the activation buffer; per stored pair the MUX
-        gathers ``x[group * m + index]`` and the shift-and-accumulator forms
-        the product.  Bit-exact with the dense integer matmul.
+        ``activations``: integer ``(batch, in_dim)`` within ``input_bits``
+        signed range, else ``ValueError`` (the same check as the SRAM PE).
+        The dense activation vector is held in the activation buffer; per
+        stored pair the MUX gathers ``x[group * m + index]`` and the
+        shift-and-accumulator forms the product.  Bit-exact with the dense
+        integer matmul.
         """
         if self.csc is None:
             raise RuntimeError("load() a weight matrix first")
@@ -150,6 +153,7 @@ class MRAMSparsePE:
             raise ValueError(
                 f"activation dim {in_dim} != matrix in_dim {csc.shape[0]}")
         require_integer_activations(activations, "MRAM PE")
+        require_signed_range(activations, self.config.input_bits)
 
         out = spmm_gather(self._plan, activations, impl=self.kernel)
 

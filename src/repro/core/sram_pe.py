@@ -155,9 +155,12 @@ class SRAMSparsePE:
         ``activations``: integer ``(batch, in_dim)`` within ``input_bits``
         signed range.  Returns int64 ``(batch, out_dim)``.
 
-        The computation walks the actual dataflow — bit planes x index
-        phases x comparator gating — and the final numbers equal
-        ``activations @ dense`` exactly.
+        Cycles and energy are charged analytically from nnz, geometry and
+        batch.  The numbers come from :func:`spmm_bitserial`: its
+        ``reference`` tier walks the bit planes x index phases x comparator
+        gating, its default ``fast`` tier folds the planes away by
+        linearity; both equal ``activations @ dense`` exactly and reject
+        activations outside the signed ``input_bits`` range.
         """
         if self.csc is None:
             raise RuntimeError("load() a weight matrix first")

@@ -1,5 +1,7 @@
 """Integration tests for the top-level HybridAccelerator functional model."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,21 @@ class TestExecution:
         acc.load_gemm("l", w, learnable=False)
         x = rng.integers(-64, 64, size=(3, 300))
         np.testing.assert_array_equal(acc.gemm("l", x), x @ w)
+
+    @pytest.mark.parametrize("learnable", [False, True])
+    def test_gemm_input_range_edges(self, acc, rng, learnable):
+        """Frozen (MRAM) and learnable (SRAM) layers accept exactly the
+        signed INT8 activation range and reject one step outside it."""
+        w = sparse_int_matrix(rng, (64, 8), acc.pattern)
+        acc.load_gemm("l", w, learnable=learnable)
+        for value in (-128, 127):
+            x = np.full((3, 64), value, dtype=np.int64)
+            np.testing.assert_array_equal(acc.gemm("l", x), x @ w)
+        for value in (-129, 128):
+            x = np.full((3, 64), value, dtype=np.int64)
+            with pytest.raises(ValueError, match=re.escape(
+                    "values outside signed 8-bit range [-128, 127]")):
+                acc.gemm("l", x)
 
     def test_unknown_gemm(self, acc, rng):
         with pytest.raises(KeyError):

@@ -8,9 +8,12 @@ class pins the choice's purity: every ``PEStats`` counter must be
 identical under every implementation.  A third runs sparsity structures
 beyond aligned N:M (magnitude, block, uniform scatter) at the paper's PE
 geometries and two larger layers through the encoder and both kernels.
+A fourth holds ``spmm_bitserial`` to its signed ``input_bits`` range,
+the condition the fast tier's plane-free gather relies on.
 """
 
 import dataclasses
+import re
 import threading
 import zlib
 
@@ -24,6 +27,7 @@ from repro.core.kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS,
                                 spmm_gather)
 from repro.core.mram_pe import MRAMDensePE, MRAMPEConfig, MRAMSparsePE
 from repro.core.sram_pe import SRAMPEConfig, SRAMSparsePE
+from repro.core.widths import BITSERIAL_MAX_BITS, BITSERIAL_MIN_BITS
 from repro.sparsity import NMPattern, compute_nm_mask
 
 PATTERNS = [NMPattern(1, 4), NMPattern(2, 8), NMPattern(1, 8),
@@ -346,6 +350,42 @@ class TestFloatActivationRejection:
                 TypeError,
                 match="spmm_bitserial consumes integer activations"):
             spmm_bitserial(plan, x, INPUT_BITS, impl=impl)
+
+
+class TestSignedRangeBoundary:
+    """The fast bit-serial kernel's fold (one gather, no planes) is exact
+    only on the signed ``input_bits`` range, so both tiers must accept
+    its two ends exactly and refuse one step beyond either."""
+
+    WIDTHS = list(range(BITSERIAL_MIN_BITS, BITSERIAL_MAX_BITS + 1))
+
+    @staticmethod
+    def _plan(rng):
+        w = skewed_weights(rng, 24, 6)
+        return unstructured_plan(w), w
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLEMENTATIONS)
+    @pytest.mark.parametrize("input_bits", WIDTHS)
+    def test_range_ends_are_exact(self, rng, impl, input_bits):
+        plan, w = self._plan(rng)
+        lo, hi = -(1 << (input_bits - 1)), (1 << (input_bits - 1)) - 1
+        x = np.stack([np.full(24, lo), np.full(24, hi),
+                      np.where(np.arange(24) % 2, lo, hi)]).astype(np.int64)
+        np.testing.assert_array_equal(
+            spmm_bitserial(plan, x, input_bits, impl=impl), x @ w)
+
+    @pytest.mark.parametrize("impl", KERNEL_IMPLEMENTATIONS)
+    @pytest.mark.parametrize("input_bits", WIDTHS)
+    def test_one_past_either_end_raises(self, rng, impl, input_bits):
+        plan, _ = self._plan(rng)
+        lo, hi = -(1 << (input_bits - 1)), (1 << (input_bits - 1)) - 1
+        message = re.escape(
+            f"values outside signed {input_bits}-bit range [{lo}, {hi}]")
+        for value in (lo - 1, hi + 1):
+            x = np.zeros((2, 24), dtype=np.int64)
+            x[1, 7] = value
+            with pytest.raises(ValueError, match=message):
+                spmm_bitserial(plan, x, input_bits, impl=impl)
 
 
 class TestStatsInvariance:

@@ -1,5 +1,7 @@
 """Unit tests for the MRAM sparse PE and dense MRAM baseline simulators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,32 @@ class TestMatmul:
         pe.load(w, pattern)
         with pytest.raises(TypeError):
             pe.matmul(rng.standard_normal((1, 16)))
+
+    @pytest.mark.parametrize("value", [-128, 127])
+    def test_accepts_input_range_edges(self, rng, value):
+        pattern = NMPattern(1, 4)
+        w = sparse_int_matrix(rng, (32, 6), pattern)
+        pe = MRAMSparsePE()
+        pe.load(w, pattern)
+        x = np.full((2, 32), value, dtype=np.int64)
+        np.testing.assert_array_equal(pe.matmul(x), x @ w)
+
+    @pytest.mark.parametrize("value", [-129, 128, 300])
+    def test_rejects_activations_outside_input_bits(self, rng, value):
+        """The activation buffer holds ``input_bits``-bit words: the same
+        range the SRAM PE enforces, with the same message, and nothing
+        charged for the refused matmul."""
+        pattern = NMPattern(1, 4)
+        w = sparse_int_matrix(rng, (32, 6), pattern)
+        pe = MRAMSparsePE()
+        pe.load(w, pattern)
+        x = rng.integers(-128, 128, size=(2, 32))
+        x[1, 5] = value
+        with pytest.raises(ValueError, match=re.escape(
+                "values outside signed 8-bit range [-128, 127]")):
+            pe.matmul(x)
+        assert pe.stats.cycles == 0
+        assert pe.stats.macs == 0
 
     def test_requires_load(self, rng):
         with pytest.raises(RuntimeError):
