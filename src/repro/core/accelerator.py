@@ -29,7 +29,7 @@ from .mapper import tile_layer_shapes
 from .mram_pe import MRAMPEConfig, MRAMSparsePE
 from .sram_pe import SRAMPEConfig, SRAMSparsePE, check_weight_range
 from .stats import PEStats
-from .transpose_pe import BackpropEngine
+from .transpose_pe import BackpropEngine, TransposedSRAMPE
 from .widths import width_contract
 
 
@@ -44,6 +44,9 @@ class MappedGemm:
     kind: str
     tiles: List[Tuple[int, int, object]]   # (row_off, col_off, PE)
     weight_params: Optional[QuantParams] = None
+    # The resident W^T of a learnable GEMM, made by its first
+    # propagate_error and rewritten by every later one.
+    error_buffer: Optional[TransposedSRAMPE] = None
 
     @property
     def pe_count(self) -> int:
@@ -224,12 +227,16 @@ class HybridAccelerator:
             pe.update_weights(weight_int[r:r + rows, c:c + cols], self.pattern)
 
     def propagate_error(self, name: str, delta_int: np.ndarray) -> np.ndarray:
-        """Error propagation ``delta @ W^T`` via transposed SRAM buffers."""
+        """Error propagation ``delta @ W^T`` via the GEMM's transposed SRAM
+        buffer (one per learnable GEMM, kept and rewritten across steps)."""
         mapped = self._get(name)
         if not mapped.learnable:
             raise RuntimeError("backprop only runs through learnable layers")
+        if mapped.error_buffer is None:
+            mapped.error_buffer = TransposedSRAMPE(self.sram_config)
         weight = self.dense_weight(name)
-        return self.backprop.propagate_error(weight, delta_int, self.pattern)
+        return self.backprop.propagate_error(weight, delta_int, self.pattern,
+                                             buffer=mapped.error_buffer)
 
     def weight_gradient(self, name: str, activations_int: np.ndarray,
                         delta_int: np.ndarray) -> np.ndarray:

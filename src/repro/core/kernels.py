@@ -125,6 +125,14 @@ class KernelPlan:
     col_ptr: np.ndarray       # (out_dim + 1,) int64 — column start offsets
     gather_rows: np.ndarray   # (max_nnz, out_dim) int64 — padded row indices
     gather_values: np.ndarray  # (max_nnz, out_dim) int64 — padded values
+    #: ``(slot, column)`` of every entry in the gather panels.  Derived from
+    #: ``col_ptr`` alone, so plans on the same support share it.
+    entry_slots: Optional[Tuple[np.ndarray, np.ndarray]] = dataclasses.field(
+        default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.entry_slots is None:
+            object.__setattr__(self, "entry_slots", _entry_slots(self.col_ptr))
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -160,8 +168,9 @@ class KernelPlan:
     def _from_triplet(cls, values: np.ndarray, row_indices: np.ndarray,
                       col_ptr: np.ndarray,
                       shape: Tuple[int, int]) -> "KernelPlan":
-        gather = _padded_panels(values, row_indices, col_ptr)
-        return cls(shape, values, row_indices, col_ptr, *gather)
+        slots = _entry_slots(col_ptr)
+        gather = _padded_panels(values, row_indices, col_ptr, slots)
+        return cls(shape, values, row_indices, col_ptr, *gather, slots)
 
     # -------------------------------------------------------------- inspection
     @property
@@ -183,21 +192,41 @@ class KernelPlan:
         """Scatter the plan back to the dense ``(in_dim, out_dim)`` matrix."""
         dense = np.zeros(self.shape, dtype=np.int64)
         if self.nnz:
-            col_ids = np.repeat(np.arange(self.shape[1], dtype=np.int64),
-                                np.diff(self.col_ptr))
-            dense[self.row_indices, col_ids] = self.values
+            dense[self.row_indices, self.entry_slots[1]] = self.values
         return dense
+
+    def with_values(self, values: np.ndarray) -> "KernelPlan":
+        """The same support carrying new ``values`` (int64, one per entry).
+
+        Shares ``row_indices``, ``col_ptr``, ``gather_rows`` and
+        ``entry_slots``; ``gather_values`` is a new array, so this plan is
+        left unchanged.
+        """
+        slot, entry_col = self.entry_slots
+        gather_values = np.zeros_like(self.gather_rows)
+        gather_values[slot, entry_col] = values
+        return KernelPlan(self.shape, values, self.row_indices, self.col_ptr,
+                          self.gather_rows, gather_values, self.entry_slots)
+
+
+def _entry_slots(col_ptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slot, column)`` of every CSC entry: entry ``k`` of a column sits
+    in slot ``k`` of that column.  As in every CSC triplet, ``col_ptr``
+    starts at 0 and ends at the entry count."""
+    entry_col = np.repeat(np.arange(len(col_ptr) - 1, dtype=np.int64),
+                          np.diff(col_ptr))
+    return np.arange(len(entry_col)) - col_ptr[entry_col], entry_col
 
 
 def _padded_panels(values: np.ndarray, row_indices: np.ndarray,
-                   col_ptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                   col_ptr: np.ndarray,
+                   slots: Tuple[np.ndarray, np.ndarray]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Scatter the CSC triplet into zero-padded ``(max_nnz, out_dim)``
-    row-index and value panels in one step: entry ``k`` of a column lands
-    in slot ``k``; pad slots keep row 0 with value 0.  As in every CSC
-    triplet, ``col_ptr`` starts at 0 and ends at ``len(values)``."""
+    row-index and value panels in one step, at :func:`_entry_slots`' slots;
+    pad slots keep row 0 with value 0."""
+    slot, entry_col = slots
     counts = np.diff(col_ptr)
-    entry_col = np.repeat(np.arange(len(counts)), counts)
-    slot = np.arange(len(entry_col)) - col_ptr[entry_col]
     rows = np.zeros((int(counts.max(initial=0)), len(counts)), dtype=np.int64)
     vals = np.zeros_like(rows)
     rows[slot, entry_col] = row_indices
@@ -250,7 +279,8 @@ def _spmm_gather_fast(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
     batch = activations.shape[0]
     if plan.nnz == 0:
         return np.zeros((batch, plan.shape[1]), dtype=np.int64)
-    gathered = activations.astype(np.int64)[:, plan.gather_rows]
+    # The gather copies anyway; an int64 input needs no cast copy first.
+    gathered = activations.astype(np.int64, copy=False)[:, plan.gather_rows]
     return np.einsum("bkc,kc->bc", gathered, plan.gather_values)
 
 

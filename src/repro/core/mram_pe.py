@@ -36,6 +36,7 @@ from ..sparsity.nm import NMPattern
 from .bitserial import require_signed_range
 from .csc import CSCMatrix
 from .kernels import KernelPlan, require_integer_activations, spmm_gather
+from .sram_pe import check_weight_range
 from .stats import PEStats
 from .widths import width_contract
 
@@ -80,7 +81,7 @@ class MRAMSparsePE:
         self.csc: Optional[CSCMatrix] = None
         self.stats = PEStats()
         self._plan: Optional[KernelPlan] = None
-        self._dense_cache: Optional[np.ndarray] = None
+        self._dense_cache: Optional[np.ndarray] = None  # decoded on demand
         self._rows_used = 0
 
     # ------------------------------------------------------------------ load
@@ -94,10 +95,7 @@ class MRAMSparsePE:
         """
         cfg = self.config
         matrix = np.asarray(matrix)
-        bits = cfg.weight_bits
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        if matrix.size and (matrix.min() < lo or matrix.max() > hi):
-            raise ValueError(f"weights outside signed {bits}-bit range")
+        check_weight_range(matrix, cfg.weight_bits)
         csc = CSCMatrix.from_dense(matrix, pattern, strict=strict)
         if csc.nnz > cfg.pair_capacity:
             raise ValueError(
@@ -109,7 +107,7 @@ class MRAMSparsePE:
 
         self.csc = csc
         self._plan = KernelPlan.from_csc(csc)
-        self._dense_cache = self._plan.decode()
+        self._dense_cache = None
         # Integer ceil-div: rows = ceil(nnz / pairs_per_row), float-free.
         self._rows_used = -(-csc.nnz // cfg.pairs_per_row)
 
@@ -179,8 +177,12 @@ class MRAMSparsePE:
         self.stats.pipeline_stalls += (PIPELINE_DEPTH - 1) * batch
 
     def dense_weight(self) -> np.ndarray:
-        if self._dense_cache is None:
+        """Decoded dense matrix (for verification), decoded from the
+        resident plan on the first call after a load."""
+        if self._plan is None:
             raise RuntimeError("load() a weight matrix first")
+        if self._dense_cache is None:
+            self._dense_cache = self._plan.decode()
         return self._dense_cache
 
 

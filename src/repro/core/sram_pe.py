@@ -96,7 +96,10 @@ class SRAMSparsePE:
         self.spill_columns = 0   # columns whose entries straddle two lanes
         self.stats = PEStats()
         self._plan: Optional[KernelPlan] = None
-        self._dense_cache: Optional[np.ndarray] = None
+        self._dense_cache: Optional[np.ndarray] = None  # decoded on demand
+        # Whether the resident support was checked against its N:M pattern
+        # (loaded with ``strict=True``); a same-support rewrite keeps it.
+        self._nm_checked = False
 
     # ------------------------------------------------------------------ load
     def load(self, matrix: np.ndarray, pattern: NMPattern,
@@ -129,10 +132,15 @@ class SRAMSparsePE:
         self.spill_columns = int(np.count_nonzero(
             (ends > starts) & ((ends - 1) // cfg.rows > starts // cfg.rows)))
         self._plan = KernelPlan.from_csc(csc)
-        self._dense_cache = self._plan.decode()
+        self._dense_cache = None
+        self._nm_checked = strict
+        self._charge_write()
 
-        self.stats.weight_bits_written += csc.nnz * cfg.weight_bits
-        self.stats.index_bits_written += csc.nnz * cfg.index_bits
+    def _charge_write(self) -> None:
+        """Write traffic of one resident matrix: every (weight, index) pair."""
+        cfg = self.config
+        self.stats.weight_bits_written += self.csc.nnz * cfg.weight_bits
+        self.stats.index_bits_written += self.csc.nnz * cfg.index_bits
 
     @property
     def loaded(self) -> bool:
@@ -200,20 +208,61 @@ class SRAMSparsePE:
 
     # ------------------------------------------------------------- dense ref
     def dense_weight(self) -> np.ndarray:
-        """Decoded dense matrix (for verification)."""
-        if self._dense_cache is None:
+        """Decoded dense matrix (for verification).
+
+        Decoded from the resident plan on the first call after a load or
+        rewrite, then cached until the next one.
+        """
+        if self._plan is None:
             raise RuntimeError("load() a weight matrix first")
+        if self._dense_cache is None:
+            self._dense_cache = self._plan.decode()
         return self._dense_cache
 
     # --------------------------------------------------------------- updates
     def update_weights(self, matrix: np.ndarray, pattern: NMPattern,
                        strict: bool = True) -> None:
-        """In-place weight rewrite (one training step's weight update).
+        """Weight rewrite (one training step's weight update).
 
-        Functionally identical to :meth:`load`; kept separate so callers'
-        intent (initial mapping vs. learning update) is explicit in traces.
+        When ``matrix`` is non-zero at exactly the resident positions (same
+        pattern, shape and integer dtype), only the values are rewritten:
+        the new ``csc`` and plan share the resident ``row_indices``,
+        ``col_ptr`` and ``gather_rows``, and lane packing is unchanged.
+        Same support implies N:M only if the resident load checked it, so a
+        ``strict`` update over a ``strict=False`` resident takes the full
+        path.  Every other matrix (a moved support, a value that reaches
+        zero) takes :meth:`load`, with its errors.  Either way the PE ends
+        exactly as a fresh :meth:`load` of ``matrix`` leaves it, with the
+        same write bits charged (every pair's weight and index bits), and a
+        ``csc`` captured before the call is left unchanged.
         """
-        self.load(matrix, pattern, strict=strict)
+        matrix = np.asarray(matrix)
+        values = self._same_support_values(matrix, pattern, strict)
+        if values is None:
+            self.load(matrix, pattern, strict=strict)
+            return
+        csc = self.csc
+        self.csc = CSCMatrix(values, csc.row_indices, csc.col_ptr, csc.shape,
+                             csc.pattern)
+        self._plan = self._plan.with_values(values)
+        self._dense_cache = None
+        self._charge_write()
+
+    def _same_support_values(self, matrix: np.ndarray, pattern: NMPattern,
+                             strict: bool) -> Optional[np.ndarray]:
+        """``matrix``'s values in resident CSC order if it keeps the
+        resident support, else ``None``.  An out-of-range matrix raises
+        :meth:`load`'s range error."""
+        csc = self.csc
+        if (csc is None or pattern != csc.pattern or matrix.shape != csc.shape
+                or not np.issubdtype(matrix.dtype, np.integer)
+                or (strict and not self._nm_checked)):
+            return None
+        check_weight_range(matrix, self.config.weight_bits)
+        if np.count_nonzero(matrix) != csc.nnz:
+            return None
+        values = matrix[csc.row_indices, self._plan.entry_slots[1]]
+        return values.astype(np.int64, copy=False) if values.all() else None
 
 
 class DenseDigitalPE:

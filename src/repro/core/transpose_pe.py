@@ -16,7 +16,10 @@ and shrinks with the model's N:M sparsity.
 :class:`TransposedSRAMPE` wraps the sparse PE with a transpose-on-write
 path.  :class:`BackpropEngine` strings the three steps together for one
 layer and exposes the aggregate write/read/cycle traffic that the Fig. 8 EDP
-study charges to training.
+study charges to training.  A caller may keep one error buffer per layer
+and hand it back each step: ``W^T`` keeps its support whenever ``W`` does,
+so the rewrite touches only the values (:meth:`SRAMSparsePE.update_weights`)
+and charges exactly what a fresh buffer would.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ class TransposedSRAMPE:
     tolerates this because the PE's row-wise accumulator absorbs uneven
     columns (at the cycle cost the simulator charges).  Total non-zeros (and
     hence storage) are unchanged by transposition.
+
+    The buffer can be kept across training steps: each
+    :meth:`load_transposed` rewrites it, replacing only the values while the
+    support holds.
     """
 
     def __init__(self, config: Optional[SRAMPEConfig] = None):
@@ -52,8 +59,13 @@ class TransposedSRAMPE:
         return self.pe.stats
 
     def load_transposed(self, matrix: np.ndarray, pattern: NMPattern) -> None:
-        """Write ``matrix.T`` into the buffer (charged as SRAM writes)."""
-        self.pe.load(np.asarray(matrix).T, pattern, strict=False)
+        """Write ``matrix.T`` into the buffer (charged as SRAM writes).
+
+        Goes through :meth:`SRAMSparsePE.update_weights`: a first write
+        loads, and a rewrite on the resident support replaces only the
+        values, at the same write charge.
+        """
+        self.pe.update_weights(np.asarray(matrix).T, pattern, strict=False)
 
     def matmul(self, activations: np.ndarray) -> np.ndarray:
         return self.pe.matmul(activations)
@@ -69,6 +81,11 @@ class BackpropEngine:
     dataflow; the learning-rate application and re-quantization live in the
     algorithm layer, so :meth:`weight_update` returns the raw integer
     gradient alongside the updated weights.
+
+    :meth:`propagate_error` can rewrite a caller's resident error buffer
+    instead of writing a new one, with identical counters.  The gradient
+    buffer of :meth:`weight_gradient` is new on every call: activation
+    support changes from step to step.
     """
 
     def __init__(self, config: Optional[SRAMPEConfig] = None):
@@ -76,13 +93,19 @@ class BackpropEngine:
         self.stats = PEStats()
 
     def propagate_error(self, weight: np.ndarray, delta: np.ndarray,
-                        pattern: NMPattern) -> np.ndarray:
+                        pattern: NMPattern,
+                        buffer: Optional[TransposedSRAMPE] = None
+                        ) -> np.ndarray:
         """``delta^{l-1} = delta^l @ W^T`` via a transposed buffer.
 
         ``weight``: integer ``(in_dim, out_dim)`` (PIM orientation).
-        ``delta``: integer ``(batch, out_dim)``.
+        ``delta``: integer ``(batch, out_dim)``.  ``buffer``: the layer's
+        resident error buffer, rewritten in place (a fresh one if omitted).
+        Its stats are reset first, so :attr:`stats` receives exactly what a
+        fresh buffer would charge.
         """
-        buf = TransposedSRAMPE(self.config)
+        buf = TransposedSRAMPE(self.config) if buffer is None else buffer
+        buf.pe.stats = PEStats()
         buf.load_transposed(weight, pattern)
         out = buf.matmul(delta)
         self.stats.merge(buf.stats)

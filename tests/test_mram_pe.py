@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.mram_pe import (PIPELINE_DEPTH, MRAMDensePE, MRAMPEConfig,
                                 MRAMSparsePE)
+from repro.core.sram_pe import SRAMPEConfig, SRAMSparsePE
+from repro.core.stats import PEStats
 from repro.sparsity import NMPattern, compute_nm_mask
 
 from .test_csc import sparse_int_matrix
@@ -54,6 +56,34 @@ class TestLoad:
         w[0, 0] = -200
         with pytest.raises(ValueError):
             MRAMSparsePE().load(w, NMPattern(1, 4))
+
+    @pytest.mark.parametrize("pe_cls", [MRAMSparsePE, SRAMSparsePE])
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_weight_range_edges_shared_with_sram(self, pe_cls, bits):
+        """Both sparse PEs run the one weight-range check: the same
+        ``ValueError`` text one step beyond either edge, nothing charged,
+        and the edges themselves accepted."""
+        config = (MRAMPEConfig(weight_bits=bits) if pe_cls is MRAMSparsePE
+                  else SRAMPEConfig(weight_bits=bits))
+        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        message = f"weights outside signed {bits}-bit range"
+        pattern = NMPattern(1, 4)
+        for value in (lo - 1, hi + 1):
+            w = np.zeros((8, 2), dtype=np.int64)
+            w[4, 1] = value
+            pe = pe_cls(config)
+            with pytest.raises(ValueError) as excinfo:
+                pe.load(w, pattern)
+            assert str(excinfo.value) == message
+            assert pe.stats == PEStats()
+            assert not pe.loaded
+        for value in (lo, hi):
+            w = np.zeros((8, 2), dtype=np.int64)
+            w[4, 1] = value
+            pe = pe_cls(config)
+            pe.load(w, pattern)
+            np.testing.assert_array_equal(pe.dense_weight(), w)
+            assert pe.stats.weight_bits_written == bits
 
     def test_capacity_check(self, rng):
         cfg = MRAMPEConfig(rows=2, row_bits=24)  # 2 pairs/row -> 4 pairs
