@@ -14,10 +14,9 @@ from .concurrency import guarded_by, holds_no_locks
 from .effects import effects, reentrant
 from .bitcell_array import BitCellArray, BitLevelSparsePE
 from .bitserial import from_partials, plane_weight, to_bit_planes
-from .bus import BusConfig, SharedBus, broadcast_vs_unicast
-from .fault_injection import (classification_flip_rate, gemm_error_study,
-                              inject_weight_bit_flips)
-from .csc import CSCColumn, CSCMatrix, tile_matrix
+from .bus import BusConfig, SharedBus
+from .fault_injection import gemm_error_study, inject_weight_bit_flips
+from .csc import CSCColumn, CSCMatrix
 from .kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS, KernelPlan,
                       resolve_kernel, spmm_bitserial, spmm_gather)
 from .designs import (DenseCIMDesign, HybridBatch, HybridSparseDesign,
@@ -36,7 +35,7 @@ from .workload import (LayerWorkload, Workload, extract_repnet_workload,
                        paper_workload)
 
 __all__ = [
-    "CSCMatrix", "CSCColumn", "tile_matrix",
+    "CSCMatrix", "CSCColumn",
     "KernelPlan", "spmm_gather", "spmm_bitserial", "resolve_kernel",
     "DEFAULT_KERNEL", "KERNEL_IMPLEMENTATIONS",
     "to_bit_planes", "from_partials", "plane_weight",
@@ -52,8 +51,8 @@ __all__ = [
     "HybridAccelerator", "MappedGemm",
     "WriteVerifyController", "WriteReport", "deployment_write_study",
     "BitCellArray", "BitLevelSparsePE",
-    "inject_weight_bit_flips", "gemm_error_study", "classification_flip_rate",
-    "BusConfig", "SharedBus", "broadcast_vs_unicast",
+    "inject_weight_bit_flips", "gemm_error_study",
+    "BusConfig", "SharedBus",
     "reentrant", "effects",
     "guarded_by", "holds_no_locks",
 ]

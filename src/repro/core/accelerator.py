@@ -44,9 +44,11 @@ class MappedGemm:
     kind: str
     tiles: List[Tuple[int, int, object]]   # (row_off, col_off, PE)
     weight_params: Optional[QuantParams] = None
-    # The resident W^T of a learnable GEMM, made by its first
-    # propagate_error and rewritten by every later one.
-    error_buffer: Optional[TransposedSRAMPE] = None
+    # The resident W^T of a learnable GEMM: one buffer while W^T fits one,
+    # else one per forward tile.  Made by the first propagate_error and
+    # rewritten by every later one until that choice changes.
+    error_buffers: List[TransposedSRAMPE] = dataclasses.field(
+        default_factory=list)
 
     @property
     def pe_count(self) -> int:
@@ -228,15 +230,36 @@ class HybridAccelerator:
 
     def propagate_error(self, name: str, delta_int: np.ndarray) -> np.ndarray:
         """Error propagation ``delta @ W^T`` via the GEMM's transposed SRAM
-        buffer (one per learnable GEMM, kept and rewritten across steps)."""
+        buffers, kept and rewritten across steps.
+
+        ``W^T`` goes into one buffer when its non-zeros fit one PE.
+        Otherwise each forward tile ``W[r:r+rows, c:c+cols]`` gets its own
+        buffer holding ``block.T``, which fits because the block does, and
+        adds ``delta[:, c:c+cols] @ block.T`` into ``out[:, r:r+rows]``.
+        """
         mapped = self._get(name)
         if not mapped.learnable:
             raise RuntimeError("backprop only runs through learnable layers")
-        if mapped.error_buffer is None:
-            mapped.error_buffer = TransposedSRAMPE(self.sram_config)
-        weight = self.dense_weight(name)
-        return self.backprop.propagate_error(weight, delta_int, self.pattern,
-                                             buffer=mapped.error_buffer)
+        nnz = sum(pe.csc.nnz for _, _, pe in mapped.tiles)
+        count = 1 if nnz <= self.sram_config.pair_capacity else mapped.pe_count
+        if len(mapped.error_buffers) != count:
+            mapped.error_buffers = [TransposedSRAMPE(self.sram_config)
+                                    for _ in range(count)]
+        if count == 1:
+            return self.backprop.propagate_error(
+                self.dense_weight(name), delta_int, self.pattern,
+                buffer=mapped.error_buffers[0])
+        delta = np.atleast_2d(np.asarray(delta_int))
+        if delta.shape[1] != mapped.out_dim:
+            raise ValueError(f"error dim {delta.shape[1]} != GEMM out_dim "
+                             f"{mapped.out_dim}")
+        out = np.zeros((delta.shape[0], mapped.in_dim), dtype=np.int64)
+        for (r, c, pe), buf in zip(mapped.tiles, mapped.error_buffers):
+            rows, cols = pe.csc.shape
+            out[:, r:r + rows] += self.backprop.propagate_error(
+                pe.dense_weight(), delta[:, c:c + cols], self.pattern,
+                buffer=buf)
+        return out
 
     def weight_gradient(self, name: str, activations_int: np.ndarray,
                         delta_int: np.ndarray) -> np.ndarray:

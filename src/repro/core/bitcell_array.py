@@ -125,6 +125,10 @@ class BitLevelSparsePE:
     :class:`~repro.core.sram_pe.SRAMSparsePE` and executes the full
     phase x bit-plane schedule, including the shift accumulator and the
     row-wise (cross-lane) accumulation for spilled columns.
+
+    No harness runs it: it is the gate-level oracle that
+    ``tests/test_bitcell_array.py::TestCrossValidation`` holds
+    ``SRAMSparsePE.matmul`` to, bit for bit.
     """
 
     def __init__(self, config: Optional[SRAMPEConfig] = None,

@@ -10,8 +10,6 @@ dataflow exactly while remaining bit-true to an ordinary integer matmul.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from .widths import BITSERIAL_MAX_BITS, width_contract
@@ -92,18 +90,3 @@ def from_partials(partials: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError(f"expected {bits} planes, got {partials.shape[0]}")
     return np.tensordot(plane_weights(bits), partials.astype(np.int64),
                         axes=([0], [0]))
-
-
-def weight_bit_planes(weights: np.ndarray, bits: int = 8
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Split signed weights into (magnitude planes, sign) — used by designs
-    that store sign-magnitude; provided for completeness/ablations."""
-    weights = np.asarray(weights)
-    sign = np.sign(weights).astype(np.int64)
-    mag = np.abs(weights).astype(np.int64)
-    if mag.max(initial=0) >= (1 << (bits - 1)):
-        raise ValueError(f"magnitudes exceed {bits - 1} bits")
-    planes = np.empty((bits - 1,) + weights.shape, dtype=np.int64)
-    for b in range(bits - 1):
-        planes[b] = (mag >> b) & 1
-    return planes, sign

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,18 +126,3 @@ class SharedBus:
     def reset(self) -> None:
         self.transfers.clear()
         self._cursor = 0.0
-
-
-def broadcast_vs_unicast(bits: int, receivers: int,
-                         config: Optional[BusConfig] = None
-                         ) -> Tuple[float, float]:
-    """(broadcast energy, unicast energy) for delivering ``bits`` to
-    ``receivers`` PEs — quantifies why the SIMT broadcast matters."""
-    config = config or BusConfig()
-    bus = SharedBus(config)
-    bus.request("broadcast", bits, receivers=receivers)
-    e_broadcast = bus.energy_pj()
-    bus.reset()
-    for i in range(receivers):
-        bus.request(f"unicast{i}", bits, receivers=1)
-    return e_broadcast, bus.energy_pj()

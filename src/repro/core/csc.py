@@ -152,22 +152,3 @@ class CSCMatrix:
 
     def column_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
-
-
-def tile_matrix(matrix: np.ndarray, tile_rows: int, tile_cols: int
-                ) -> List[Tuple[int, int, np.ndarray]]:
-    """Split a dense matrix into PE-sized tiles.
-
-    Returns ``(row_offset, col_offset, tile)`` triples covering the matrix;
-    edge tiles may be smaller.  ``tile_rows`` must be a multiple of the N:M
-    group size used downstream so that group alignment survives tiling (the
-    callers assert this).
-    """
-    matrix = np.asarray(matrix)
-    if tile_rows <= 0 or tile_cols <= 0:
-        raise ValueError("tile dimensions must be positive")
-    tiles = []
-    for r in range(0, matrix.shape[0], tile_rows):
-        for c in range(0, matrix.shape[1], tile_cols):
-            tiles.append((r, c, matrix[r:r + tile_rows, c:c + tile_cols]))
-    return tiles

@@ -3,7 +3,7 @@
 Closes the loop between the device-level reliability models
 (:mod:`repro.energy.sensing` — read BER vs variation) and the algorithm:
 flip stored weight bits at a given bit-error rate and measure how the
-sparse matmul output (and downstream classification) degrades.  Used by the
+sparse matmul output degrades.  Used by the
 robustness ablation to show the operating margin the all-digital design
 enjoys — at realistic BERs (< 1e-6) the computation is bit-exact with
 overwhelming probability, and even pessimistic BERs degrade gracefully.
@@ -84,13 +84,3 @@ def gemm_error_study(weight: np.ndarray, activations: np.ndarray,
             "max_rel_error": float(np.max(rel_errors)),
         })
     return out
-
-
-def classification_flip_rate(logits_clean: np.ndarray,
-                             logits_faulty: np.ndarray) -> float:
-    """Fraction of samples whose argmax changed under faults."""
-    a = np.asarray(logits_clean).argmax(axis=-1)
-    b = np.asarray(logits_faulty).argmax(axis=-1)
-    if a.shape != b.shape:
-        raise ValueError("logit shapes differ")
-    return float((a != b).mean())

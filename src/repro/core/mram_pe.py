@@ -190,7 +190,9 @@ class MRAMDensePE:
     """Dense near-memory MRAM PE — the ISCAS'23-style no-sparsity baseline.
 
     Stores the full (zero-including) matrix; every row sweep reads all
-    weights and executes all MACs.
+    weights and executes all MACs.  No harness runs it: it is the dense
+    reference that ``tests/test_mram_pe.py::TestDenseMRAM`` measures
+    :class:`MRAMSparsePE`'s read, MAC and cycle savings against.
     """
 
     def __init__(self, config: Optional[MRAMPEConfig] = None):

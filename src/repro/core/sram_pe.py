@@ -269,8 +269,10 @@ class DenseDigitalPE:
     """Dense bit-serial digital PIM PE — the no-sparsity-support baseline.
 
     Models macros like the ISSCC'21 SRAM CIM [29]: the whole (zero-including)
-    matrix is stored and every MAC is executed.  Used by the baseline columns
-    of Fig. 7/8 and by the sparse-vs-dense ablation benches.
+    matrix is stored and every MAC is executed.  No harness runs it (Fig. 7/8
+    price the dense baseline analytically, in :mod:`repro.core.designs`): it
+    is the dense reference that ``tests/test_sram_pe.py::TestSparseVsDense``
+    measures the sparse PE's MAC savings against.
     """
 
     def __init__(self, rows: int = 128, cols: int = 8, weight_bits: int = 8,

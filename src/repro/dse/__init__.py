@@ -23,7 +23,7 @@ Entry point: ``python -m repro.dse`` (or ``python -m repro dse``).
 
 from .cache import CACHE_SCHEMA, DEFAULT_CACHE_DIR, DiskCache, NullCache
 from .engine import (FRONTIER_SCHEMA, SWEEP_SCHEMA, evaluate_batch,
-                     evaluate_one, frontier_doc, run_sweep)
+                     frontier_doc, run_sweep)
 from .evaluate import (METRIC_KEYS, RECORD_SCHEMA, build_tech,
                        evaluate_config, evaluate_records, get_workload)
 from .export import (dumps_canonical, render_frontier, render_summary,
@@ -32,17 +32,16 @@ from .pareto import (OBJECTIVE_KEYS, OBJECTIVES, dominates, objective_vector,
                      pareto_reduce, record_sort_key)
 from .spec import (CONFIG_KEYS, DEVICE_CORNERS, PRESETS, SPEC_SCHEMA,
                    DEFAULT_SPEC, FULL_SPEC, SMOKE_SPEC, SweepSpec,
-                   canonical_json, config_key, config_sort_key,
-                   normalize_config)
+                   canonical_json, config_key, normalize_config)
 
 __all__ = [
     "SweepSpec", "SMOKE_SPEC", "DEFAULT_SPEC", "FULL_SPEC", "PRESETS",
     "SPEC_SCHEMA", "CONFIG_KEYS", "DEVICE_CORNERS",
-    "canonical_json", "config_key", "config_sort_key", "normalize_config",
+    "canonical_json", "config_key", "normalize_config",
     "evaluate_config", "evaluate_records", "build_tech", "get_workload",
     "METRIC_KEYS", "RECORD_SCHEMA",
     "DiskCache", "NullCache", "CACHE_SCHEMA", "DEFAULT_CACHE_DIR",
-    "run_sweep", "evaluate_batch", "evaluate_one", "frontier_doc",
+    "run_sweep", "evaluate_batch", "frontier_doc",
     "SWEEP_SCHEMA", "FRONTIER_SCHEMA",
     "pareto_reduce", "dominates", "objective_vector", "record_sort_key",
     "OBJECTIVES", "OBJECTIVE_KEYS",

@@ -73,26 +73,6 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
     return records, served
 
 
-@reentrant(reason="the serve layer's single-request path: one normalized "
-                  "config through the same cache and evaluator as a "
-                  "sweep, so HTTP responses are byte-identical to "
-                  "library calls")
-def evaluate_one(config: Mapping[str, object],
-                 cache: Optional[DiskCache] = None
-                 ) -> Tuple[Dict[str, object], str]:
-    """Evaluate one config through the cache; ``(record, "hit"|"miss")``.
-
-    Raises ``ValueError`` for configs that do not even normalize (unknown
-    or missing keys, uncoercible types) — exactly like ``run_sweep``;
-    configs that normalize but fail evaluation come back as error
-    records, byte-identical to the records a sweep would produce.
-    """
-    cfg = normalize_config(config)
-    key = config_key(cfg)
-    records, served = evaluate_batch([(key, cfg)], cache=cache)
-    return records[key], served[key]
-
-
 @holds_no_locks(reason="drives evaluate_batch (blocking engine work) and "
                        "must be entered lock-free for the same reason")
 def run_sweep(spec: Optional[SweepSpec] = None,

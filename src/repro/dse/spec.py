@@ -95,20 +95,6 @@ def normalize_config(config: Mapping[str, object]) -> Dict[str, object]:
     }
 
 
-def _pattern_sort_key(pattern: str) -> Tuple[int, int]:
-    """Numeric (m, n) order so '1:16' sorts after '1:4', not before."""
-    p = NMPattern.parse(pattern)
-    return (p.m, p.n)
-
-
-def config_sort_key(config: Mapping[str, object]) -> Tuple:
-    """Canonical total order over configs (stable merges and exports)."""
-    return (str(config["workload"]),
-            _pattern_sort_key(str(config["pattern"])),
-            int(config["bus_bits"]), int(config["mram_rows"]),
-            int(config["weight_bits"]), str(config["device"]))
-
-
 # ---------------------------------------------------------------------------
 # The spec
 # ---------------------------------------------------------------------------

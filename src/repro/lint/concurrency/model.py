@@ -71,7 +71,6 @@ BLOCKING_EXTERNAL_PREFIXES = (
 BLOCKING_INTERNAL = frozenset({
     "repro.dse.engine.evaluate_batch",
     "repro.dse.engine.run_sweep",
-    "repro.dse.engine.evaluate_one",
 })
 
 #: (sync kind, method) pairs that block the calling thread.  The mapped

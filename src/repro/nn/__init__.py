@@ -7,16 +7,14 @@ differentiation in the test suite.
 """
 
 from . import functional, init
-from .data import DataLoader, Dataset, Subset, TensorDataset, train_test_split
+from .data import DataLoader, Dataset, Subset, TensorDataset
 from .functional import (accuracy, avg_pool2d, conv2d, cross_entropy,
                          global_avg_pool2d, linear, log_softmax, max_pool2d,
                          mse_loss, relu, softmax)
 from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
                       GlobalAvgPool2d, Linear, MaxPool2d, Module, Parameter,
                       ReLU, Sequential, set_seed)
-from .optim import (SGD, Adam, CosineAnnealingLR, LRScheduler, Optimizer,
-                    StepLR, clip_grad_norm)
-from .summary import LayerSummary, format_summary, summarize
+from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .tensor import Tensor, astensor, concatenate, no_grad, ones, randn, stack, zeros
 
 __all__ = [
@@ -25,10 +23,8 @@ __all__ = [
     "Module", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "ReLU",
     "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
     "Sequential", "set_seed",
-    "Optimizer", "SGD", "Adam", "LRScheduler", "StepLR", "CosineAnnealingLR",
-    "clip_grad_norm",
-    "Dataset", "TensorDataset", "Subset", "DataLoader", "train_test_split",
+    "Optimizer", "SGD", "Adam", "clip_grad_norm",
+    "Dataset", "TensorDataset", "Subset", "DataLoader",
     "cross_entropy", "mse_loss", "accuracy", "softmax", "log_softmax",
     "conv2d", "linear", "relu", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
-    "summarize", "format_summary", "LayerSummary",
 ]

@@ -53,20 +53,6 @@ class Subset(Dataset):
         return self.dataset[self.indices[idx]]
 
 
-def train_test_split(dataset: TensorDataset, test_fraction: float = 0.2,
-                     rng: Optional[np.random.Generator] = None
-                     ) -> Tuple[TensorDataset, TensorDataset]:
-    """Shuffle and split an in-memory dataset (stratification-free)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = rng or np.random.default_rng(0)
-    order = rng.permutation(len(dataset))
-    cut = int(len(dataset) * (1.0 - test_fraction))
-    train_idx, test_idx = order[:cut], order[cut:]
-    return (TensorDataset(dataset.inputs[train_idx], dataset.labels[train_idx]),
-            TensorDataset(dataset.inputs[test_idx], dataset.labels[test_idx]))
-
-
 class DataLoader:
     """Mini-batch iterator with optional shuffling.
 

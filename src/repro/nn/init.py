@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .modules import Conv2d, Linear, Module, Parameter
+from .modules import Parameter
 
 #: Seed of the fallback Generator every initializer builds when called
 #: without an explicit ``rng``.  The fallback exists so ad-hoc scripts get
@@ -98,29 +98,3 @@ def zeros_(param: Parameter) -> None:
 
 def constant_(param: Parameter, value: float) -> None:
     param.data = np.full(param.shape, value, dtype=param.dtype)
-
-
-def init_model(model: Module, strategy: str = "kaiming_uniform",
-               rng: Optional[np.random.Generator] = None) -> None:
-    """Re-initialize every Linear/Conv2d weight of ``model``.
-
-    ``strategy``: one of kaiming_uniform, kaiming_normal, xavier_uniform,
-    xavier_normal, orthogonal.  Biases are zeroed.
-    """
-    fns = {
-        "kaiming_uniform": kaiming_uniform_,
-        "kaiming_normal": kaiming_normal_,
-        "xavier_uniform": xavier_uniform_,
-        "xavier_normal": xavier_normal_,
-        "orthogonal": orthogonal_,
-    }
-    if strategy not in fns:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"choose from {sorted(fns)}")
-    rng = rng or np.random.default_rng(DEFAULT_INIT_SEED)
-    fn = fns[strategy]
-    for _, mod in model.named_modules():
-        if isinstance(mod, (Linear, Conv2d)):
-            fn(mod.weight, rng)
-            if mod.bias is not None:
-                zeros_(mod.bias)

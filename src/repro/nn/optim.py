@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules for the training substrate.
+"""Optimizers for the training substrate.
 
 Only parameters with ``trainable=True`` are updated, which is how the
 continual-learning setup keeps the MRAM-resident backbone frozen while the
@@ -113,50 +113,6 @@ class Adam(Optimizer):
             mask = self._masks.get(id(p))
             if mask is not None:
                 p.data = p.data * mask
-
-
-class LRScheduler:
-    """Base LR schedule; mutates ``optimizer.lr`` on :meth:`step`."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.get_lr()
-
-    def get_lr(self) -> float:
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * self.gamma ** (self.epoch // self.step_size)
-
-
-class CosineAnnealingLR(LRScheduler):
-    """Cosine decay from the base LR down to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max <= 0:
-            raise ValueError("t_max must be positive")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def get_lr(self) -> float:
-        t = min(self.epoch, self.t_max)
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (
-            1 + math.cos(math.pi * t / self.t_max))
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:

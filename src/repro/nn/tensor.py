@@ -445,19 +445,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def pad2d(self, padding: int) -> "Tensor":
-        """Zero-pad the last two (spatial) dimensions symmetrically."""
-        if padding == 0:
-            return self
-        pads = [(0, 0)] * (self.ndim - 2) + [(padding, padding), (padding, padding)]
-        out = self._make_child(np.pad(self.data, pads), (self,))
-        if out.requires_grad:
-            def _backward(g: np.ndarray) -> None:
-                sl = (Ellipsis, slice(padding, -padding), slice(padding, -padding))
-                self._accumulate(g[sl])
-            out._backward = _backward
-        return out
-
     # ----------------------------------------------------------- comparisons
     def __gt__(self, other: Arrayish) -> np.ndarray:
         return self.data > _as_array(other)

@@ -1,18 +1,12 @@
-"""INT8 quantization: observers, quant params, PTQ and integer extraction."""
+"""INT8 quantization: quant params, post-training quantization (PTQ) and
+integer weight extraction."""
 
-from .int8 import (INT8_QMAX, INT8_QMIN, ActivationCalibrator, QuantParams,
+from .int8 import (INT8_QMAX, INT8_QMIN, QuantParams,
                    fake_quantize_per_channel, per_channel_params,
                    quantize_model_ptq, quantize_weight_int)
-from .observer import (HistogramObserver, MinMaxObserver,
-                       PercentileObserver)
-from .qat import (FakeQuantize, attach_qat, detach_qat, fake_quantize_ste,
-                  finalize_qat)
 
 __all__ = [
     "QuantParams", "quantize_weight_int", "per_channel_params",
-    "fake_quantize_per_channel", "quantize_model_ptq", "ActivationCalibrator",
+    "fake_quantize_per_channel", "quantize_model_ptq",
     "INT8_QMIN", "INT8_QMAX",
-    "MinMaxObserver", "PercentileObserver", "HistogramObserver",
-    "FakeQuantize", "fake_quantize_ste", "attach_qat", "detach_qat",
-    "finalize_qat",
 ]

@@ -15,12 +15,11 @@ Sec. 3.1) and streams activations bit-serially.  This module provides:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..nn.modules import Conv2d, Linear, Module
-from .observer import MinMaxObserver
 
 INT8_QMIN = -127  # symmetric, reserve -128 to keep |q| <= 127
 INT8_QMAX = 127
@@ -129,24 +128,3 @@ def quantize_model_ptq(model: Module, per_channel: bool = True,
         else:
             w.data = report[key].fake_quantize(w.data)
     return report
-
-
-class ActivationCalibrator:
-    """Collect activation ranges layer-by-layer during a calibration pass.
-
-    The PE simulators need an activation scale to run true-integer matmuls;
-    this helper observes the inputs of chosen layers via forward hooks.
-    """
-
-    def __init__(self, symmetric: bool = True):
-        self.symmetric = symmetric
-        self.observers: Dict[str, MinMaxObserver] = {}
-
-    def observe(self, name: str, activation: np.ndarray) -> None:
-        obs = self.observers.setdefault(name, MinMaxObserver(self.symmetric))
-        obs.observe(activation)
-
-    def params(self) -> Dict[str, QuantParams]:
-        return {name: QuantParams.from_range(*obs.quant_range(),
-                                             symmetric=self.symmetric)
-                for name, obs in self.observers.items() if obs.initialized}

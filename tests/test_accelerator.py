@@ -186,6 +186,80 @@ class TestTraining:
             acc.propagate_error("bb", rng.integers(0, 2, size=(1, 4)))
 
 
+
+def reload_propagate_error(acc, name, delta):
+    """The reload-everything oracle for ``propagate_error``: fresh buffers
+    on every call, one for ``W^T`` when its non-zeros fit one SRAM PE,
+    else one per forward tile."""
+    mapped = acc.gemms[name]
+    w = acc.dense_weight(name)
+    if np.count_nonzero(w) <= acc.sram_config.pair_capacity:
+        return acc.backprop.propagate_error(w, delta, acc.pattern)
+    out = np.zeros((delta.shape[0], mapped.in_dim), dtype=np.int64)
+    for r, c, pe in mapped.tiles:
+        rows, cols = pe.csc.shape
+        out[:, r:r + rows] += acc.backprop.propagate_error(
+            w[r:r + rows, c:c + cols], delta[:, c:c + cols], acc.pattern)
+    return out
+
+
+class TestErrorPropagationAcrossBuffers:
+    """``W^T`` of a learnable GEMM with more non-zeros than one SRAM PE
+    holds is split over one resident buffer per forward tile."""
+
+    @pytest.mark.parametrize("shape, tiles", [((256, 32), 2),
+                                              ((256, 48), 4)],
+                             ids=["256x32", "256x48"])
+    def test_matches_reference_and_reload_oracle(self, rng, shape, tiles):
+        pattern = NMPattern(1, 4)
+        acc, oracle = HybridAccelerator(pattern), HybridAccelerator(pattern)
+
+        def full():
+            """Exactly ``n`` non-zeros per group: ``in*out/4`` in all."""
+            signs = rng.choice([-1, 1], size=shape)
+            return sparse_int_matrix(rng, shape, pattern, lo=1, hi=128) * signs
+
+        w0 = full()
+        on_support = np.sign(w0) * rng.integers(1, 128, size=shape)
+        moved = full()
+        small = moved.copy()
+        small[:, 16:] = 0          # 256 * 16 / 4 = 1024 pairs: fits one PE
+        steps = [(w0, tiles), (on_support, tiles), (moved, tiles),
+                 (small, 1), (full(), tiles)]
+        assert np.count_nonzero(w0) > acc.sram_config.pair_capacity
+        for a in (acc, oracle):
+            assert a.load_gemm("rep", w0, learnable=True).pe_count == tiles
+        previous = None
+        for step, (w, buffers) in enumerate(steps):
+            if step:
+                acc.update_gemm("rep", w)
+                for r, c, pe in oracle.gemms["rep"].tiles:
+                    rows, cols = pe.csc.shape
+                    pe.load(w[r:r + rows, c:c + cols], pattern)
+            x = rng.integers(-63, 64, size=(4, shape[0]))
+            delta = rng.integers(-15, 16, size=(4, shape[1]))
+            np.testing.assert_array_equal(acc.gemm("rep", x), x @ w)
+            oracle.gemm("rep", x)
+            dx = acc.propagate_error("rep", delta)
+            np.testing.assert_array_equal(dx, delta @ w.T)
+            np.testing.assert_array_equal(
+                dx, reload_propagate_error(oracle, "rep", delta))
+            np.testing.assert_array_equal(
+                acc.weight_gradient("rep", x, delta), x.T @ delta)
+            oracle.weight_gradient("rep", x, delta)
+            got = {kind: s.as_dict() for kind, s in acc.stats().items()}
+            want = {kind: s.as_dict() for kind, s in oracle.stats().items()}
+            assert got == want, f"step {step}"
+            resident = acc.gemms["rep"].error_buffers
+            assert len(resident) == buffers
+            # Kept while the one-or-per-tile choice holds, rebuilt when not.
+            if previous is not None:
+                assert (resident is previous[0]) == (buffers == previous[1])
+            previous = (resident, buffers)
+        with pytest.raises(ValueError, match="error dim"):
+            acc.propagate_error("rep", np.ones((1, shape[1] + 1), np.int64))
+
+
 class TestAccounting:
     def test_stats_by_kind(self, acc, rng):
         wb = sparse_int_matrix(rng, (64, 8), acc.pattern)

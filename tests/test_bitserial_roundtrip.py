@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitserial import (from_partials, plane_weight, plane_weights,
-                                  to_bit_planes, weight_bit_planes)
+                                  to_bit_planes)
 from repro.core.widths import (ACTIVATION_BITS, BITSERIAL_MAX_BITS,
                                BITSERIAL_MIN_BITS)
 
@@ -97,14 +97,3 @@ def test_roundtrip_through_matmul_partials():
     partials = np.stack([planes[b] @ weight for b in range(bits)])
     out = from_partials(partials, bits=bits)
     np.testing.assert_array_equal(out, activations @ weight)
-
-
-def test_weight_bit_planes_roundtrip():
-    rng = np.random.default_rng(7)
-    bits = 8
-    mag_hi = (1 << (bits - 1)) - 1
-    weights = rng.integers(-mag_hi, mag_hi + 1, size=(6, 5), dtype=np.int64)
-    planes, sign = weight_bit_planes(weights, bits=bits)
-    shifts = (1 << np.arange(bits - 1, dtype=np.int64))
-    mag = np.tensordot(shifts, planes, axes=([0], [0]))
-    np.testing.assert_array_equal(mag * sign, weights)

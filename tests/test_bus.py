@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.bus import (BusConfig, SharedBus, Transfer,
-                            broadcast_vs_unicast)
+from repro.core.bus import BusConfig, SharedBus, Transfer
 
 
 class TestConfig:
@@ -62,12 +61,29 @@ class TestEnergy:
         assert bus.energy_pj() == pytest.approx(2 * e1)
 
     def test_broadcast_cheaper_than_unicast(self):
-        e_b, e_u = broadcast_vs_unicast(1024, receivers=16)
-        assert e_b < e_u / 5  # broadcast amortizes the trunk
+        broadcast, unicast = SharedBus(), SharedBus()
+        broadcast.request("w", 1024, receivers=16)
+        for _ in range(16):
+            unicast.request("w", 1024)
+        assert broadcast.energy_pj() < unicast.energy_pj() / 5  # one trunk
+        assert broadcast.total_cycles() < unicast.total_cycles()
 
     def test_single_receiver_equal(self):
-        e_b, e_u = broadcast_vs_unicast(512, receivers=1)
-        assert e_b == pytest.approx(e_u)
+        broadcast, unicast = SharedBus(), SharedBus()
+        broadcast.request("w", 512, receivers=1)
+        unicast.request("w", 512)
+        assert broadcast.energy_pj() == pytest.approx(unicast.energy_pj())
+
+    @pytest.mark.parametrize("receivers", [1, 2, 4, 16, 36])
+    def test_energy_matches_tap_model(self, receivers):
+        """Trunk charged once, plus a fixed fraction per extra receiver."""
+        cfg = BusConfig(energy_pj_per_bit_mm=0.15, avg_distance_mm=3.0)
+        bus = SharedBus(cfg)
+        t = bus.request("act", 4096, receivers=receivers)
+        taps = (receivers - 1) * 0.05
+        assert bus.energy_pj() == pytest.approx(
+            4096 * 0.15 * 3.0 * (1.0 + taps))
+        assert t.cycles == bus.transfer_cycles(4096)  # taps cost no cycles
 
     def test_traffic_by_tag(self):
         bus = SharedBus()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.bitserial import (from_partials, plane_weight, to_bit_planes,
-                                  weight_bit_planes)
-from repro.core.csc import CSCColumn, CSCMatrix, tile_matrix
+from repro.core.bitserial import from_partials, plane_weight, to_bit_planes
+from repro.core.csc import CSCColumn, CSCMatrix
 from repro.sparsity import NMPattern, compute_nm_mask
 
 
@@ -53,12 +52,6 @@ class TestBitSerial:
     def test_from_partials_shape_check(self):
         with pytest.raises(ValueError):
             from_partials(np.zeros((4, 2)), 8)
-
-    def test_weight_bit_planes(self, rng):
-        w = rng.integers(-127, 128, size=(10,))
-        planes, sign = weight_bit_planes(w, 8)
-        mag = sum((1 << b) * planes[b] for b in range(7))
-        np.testing.assert_array_equal(mag * sign, w)
 
 
 class TestCSC:
@@ -129,17 +122,3 @@ class TestCSC:
         csc = CSCMatrix.from_dense(np.zeros((16, 4), dtype=int), NMPattern(1, 4))
         assert csc.nnz == 0
         np.testing.assert_array_equal(csc.decode(), np.zeros((16, 4)))
-
-
-class TestTileMatrix:
-    def test_covers_matrix(self, rng):
-        m = rng.integers(0, 9, size=(10, 7))
-        tiles = tile_matrix(m, 4, 3)
-        rebuilt = np.zeros_like(m)
-        for r, c, t in tiles:
-            rebuilt[r:r + t.shape[0], c:c + t.shape[1]] = t
-        np.testing.assert_array_equal(rebuilt, m)
-
-    def test_invalid_tile_size(self):
-        with pytest.raises(ValueError):
-            tile_matrix(np.zeros((4, 4)), 0, 2)

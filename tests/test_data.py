@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.data import (DataLoader, Subset, TensorDataset,
-                           train_test_split)
+from repro.nn.data import DataLoader, Subset, TensorDataset
 
 
 @pytest.fixture
@@ -35,26 +34,6 @@ class TestSubset:
         assert len(sub) == 3
         x, y = sub[1]
         np.testing.assert_array_equal(x, dataset.inputs[7])
-
-
-class TestSplit:
-    def test_sizes(self, dataset):
-        train, test = train_test_split(dataset, test_fraction=0.2)
-        assert len(train) == 40 and len(test) == 10
-
-    def test_disjoint_and_complete(self, dataset):
-        train, test = train_test_split(dataset, 0.3,
-                                       rng=np.random.default_rng(1))
-        joined = np.concatenate([train.inputs, test.inputs])
-        assert joined.shape == dataset.inputs.shape
-        # every original row appears exactly once
-        orig = {tuple(r) for r in dataset.inputs.round(6)}
-        new = {tuple(r) for r in joined.round(6)}
-        assert orig == new
-
-    def test_invalid_fraction(self, dataset):
-        with pytest.raises(ValueError):
-            train_test_split(dataset, 0.0)
 
 
 class TestDataLoader:
@@ -95,6 +74,27 @@ class TestDataLoader:
     def test_invalid_batch_size(self, dataset):
         with pytest.raises(ValueError):
             DataLoader(dataset, batch_size=0)
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 50, 64])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_epoch_visits_each_sample_once(self, dataset, batch_size, shuffle):
+        loader = DataLoader(dataset, batch_size=batch_size, shuffle=shuffle,
+                            rng=np.random.default_rng(4))
+        batches = list(loader)
+        assert len(batches) == len(loader)
+        assert all(len(y) <= batch_size for _, y in batches)
+        seen = np.concatenate([x for x, _ in batches])
+        order = np.lexsort(seen.T)
+        np.testing.assert_array_equal(seen[order],
+                                      dataset.inputs[np.lexsort(dataset.inputs.T)])
+
+    @pytest.mark.parametrize("batch_size", [7, 64])
+    def test_drop_last_yields_only_full_batches(self, dataset, batch_size):
+        loader = DataLoader(dataset, batch_size=batch_size, shuffle=True,
+                            drop_last=True, rng=np.random.default_rng(5))
+        batches = list(loader)
+        assert len(batches) == len(loader) == len(dataset) // batch_size
+        assert all(len(y) == batch_size for _, y in batches)
 
     def test_generic_dataset_path(self):
         class Custom(TensorDataset.__mro__[1]):  # plain Dataset

@@ -6,7 +6,7 @@ import pytest
 
 from repro.dse import (CONFIG_KEYS, DEFAULT_SPEC, DEVICE_CORNERS, FULL_SPEC,
                        PRESETS, SMOKE_SPEC, SweepSpec, canonical_json,
-                       config_key, config_sort_key, normalize_config)
+                       config_key, normalize_config)
 
 #: Pinned content hash of the paper's flagship config: any accidental
 #: change to the canonicalization scheme (key set, separators, type
@@ -50,11 +50,6 @@ class TestEnumeration:
         assert DEFAULT_SPEC.size == 6 * 3 * 3 * 2 * 3
         # ROADMAP item 1 scale: thousands of configs.
         assert FULL_SPEC.size >= 1000
-
-    def test_sort_key_orders_patterns_numerically(self):
-        a = normalize_config(dict(GOLDEN_CONFIG, pattern="1:4"))
-        b = normalize_config(dict(GOLDEN_CONFIG, pattern="1:16"))
-        assert config_sort_key(a) < config_sort_key(b)
 
 
 class TestValidation:

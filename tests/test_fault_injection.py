@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.fault_injection import (classification_flip_rate,
-                                        gemm_error_study,
-                                        inject_weight_bit_flips)
+from repro.core.fault_injection import gemm_error_study, inject_weight_bit_flips
 from repro.sparsity import NMPattern, verify_nm
 
 from .test_csc import sparse_int_matrix
@@ -77,10 +75,3 @@ class TestErrorStudy:
         study = gemm_error_study(w, x, pattern, bers=[1e-6], trials=5,
                                  rng=rng)
         assert study[0]["max_rel_error"] < 0.05
-
-    def test_flip_rate_helper(self):
-        clean = np.array([[1.0, 0.0], [0.0, 1.0]])
-        faulty = np.array([[1.0, 0.0], [1.0, 0.0]])
-        assert classification_flip_rate(clean, faulty) == 0.5
-        with pytest.raises(ValueError):
-            classification_flip_rate(clean, np.zeros((3, 2)))

@@ -64,6 +64,24 @@ class TestConv2d:
         w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
         check_grad(lambda: F.conv2d(x, w, stride=2, padding=1), [x, w])
 
+    @pytest.mark.parametrize("padding,stride", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_padding_equals_zero_padded_input(self, rng, padding, stride):
+        x = rng.standard_normal((2, 3, 7, 7))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        padded = np.pad(x, ((0, 0), (0, 0), (padding, padding),
+                            (padding, padding)))
+        out = F.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride,
+                       padding=padding)
+        ref = F.conv2d(Tensor(padded), Tensor(w), Tensor(b), stride=stride,
+                       padding=0)
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+
+    def test_wide_padding_gradients(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        check_grad(lambda: F.conv2d(x, w, stride=1, padding=2), [x, w])
+
     def test_channel_mismatch(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 5, 5)))
         w = Tensor(rng.standard_normal((3, 4, 3, 3)))

@@ -5,7 +5,6 @@ import pytest
 
 from repro import nn
 from repro.nn import init
-from repro.nn.tensor import Tensor
 
 
 @pytest.fixture
@@ -70,29 +69,37 @@ class TestStrategies:
         assert (lin.bias.data == 0.5).all()
 
 
-class TestInitModel:
-    def test_reinitializes_all_layers(self, rng):
-        model = nn.Sequential(nn.Conv2d(3, 4, 3), nn.ReLU(), nn.Linear(4, 2))
-        before = model.layers[0].weight.data.copy()
-        init.init_model(model, "xavier_normal", rng)
-        assert not np.array_equal(model.layers[0].weight.data, before)
-        assert (model.layers[0].bias.data == 0).all()
+UNIFORM_AND_NORMAL = {
+    # strategy -> expected std from (fan_in, fan_out)
+    "kaiming_uniform_": lambda fi, fo: np.sqrt(6.0 / fi) / np.sqrt(3.0),
+    "kaiming_normal_": lambda fi, fo: np.sqrt(2.0 / fi),
+    "xavier_uniform_": lambda fi, fo: np.sqrt(6.0 / (fi + fo)) / np.sqrt(3.0),
+    "xavier_normal_": lambda fi, fo: np.sqrt(2.0 / (fi + fo)),
+}
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            init.init_model(nn.Linear(2, 2), "magic")
 
-    def test_trains_after_reinit(self, rng):
-        """A re-initialized model still learns (smoke)."""
-        from repro.nn import functional as F
-        X = rng.standard_normal((100, 8)).astype(np.float32)
-        y = (X.astype(np.float64) @ rng.standard_normal((8, 2))).argmax(1)
-        model = nn.Sequential(nn.Linear(8, 16), nn.ReLU(), nn.Linear(16, 2))
-        init.init_model(model, "orthogonal", rng)
-        opt = nn.Adam(model.parameters(), lr=0.02)
-        for _ in range(50):
-            loss = F.cross_entropy(model(Tensor(X)), y)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-        assert F.accuracy(model(Tensor(X)), y) > 0.85
+class TestConvWeights:
+    @pytest.mark.parametrize("strategy", sorted(UNIFORM_AND_NORMAL))
+    def test_conv_weight_std_uses_receptive_field(self, strategy, rng):
+        conv = nn.Conv2d(32, 64, 3)
+        getattr(init, strategy)(conv.weight, rng)
+        fan_in, fan_out = 32 * 9, 64 * 9
+        expected = UNIFORM_AND_NORMAL[strategy](fan_in, fan_out)
+        assert conv.weight.data.std() == pytest.approx(expected, rel=0.05)
+        assert conv.weight.data.dtype == conv.weight.dtype
+
+    @pytest.mark.parametrize("strategy", sorted(UNIFORM_AND_NORMAL)
+                             + ["orthogonal_"])
+    def test_same_seed_same_weights(self, strategy):
+        a, b = nn.Conv2d(4, 8, 3), nn.Conv2d(4, 8, 3)
+        getattr(init, strategy)(a.weight, np.random.default_rng(3))
+        getattr(init, strategy)(b.weight, np.random.default_rng(3))
+        np.testing.assert_array_equal(a.weight.data, b.weight.data)
+        getattr(init, strategy)(b.weight, np.random.default_rng(4))
+        assert not np.array_equal(a.weight.data, b.weight.data)
+
+    def test_orthogonal_conv_filters(self, rng):
+        conv = nn.Conv2d(8, 4, 3)  # 4 filters of 72 taps: rows orthonormal
+        init.orthogonal_(conv.weight, rng)
+        w = conv.weight.data.reshape(4, -1).astype(np.float64)
+        np.testing.assert_allclose(w @ w.T, np.eye(4), atol=1e-5)

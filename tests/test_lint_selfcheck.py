@@ -62,7 +62,6 @@ def test_real_tree_hot_paths_are_contracted():
     for qualname in (
             "repro.dse.evaluate.evaluate_records",
             "repro.dse.engine.evaluate_batch",
-            "repro.dse.engine.evaluate_one",
             "repro.dse.evaluate.evaluate_config",
             "repro.dse.evaluate.build_tech",
             "repro.dse.cache.DiskCache.lookup",

@@ -61,6 +61,29 @@ class TestTiling:
         with pytest.raises(ValueError):
             tile_layer_shapes(0, 4, NMPattern(1, 4), 1024)
 
+    @pytest.mark.parametrize("in_dim,out_dim,n,m,pe_pairs,max_rows", [
+        (300, 70, 1, 4, 1024, 128), (1152, 64, 1, 4, 1024, 1024),
+        (256, 32, 1, 4, 1024, 1024), (513, 17, 2, 4, 1024, 256),
+        (96, 200, 1, 8, 256, 1024), (2048, 9, 2, 8, 512, 512),
+        (40, 3, 1, 16, 64, 1024), (4, 1, 1, 4, 1, 1024)])
+    def test_exact_partition_within_pe(self, in_dim, out_dim, n, m,
+                                       pe_pairs, max_rows):
+        pattern = NMPattern(n, m)
+        blocks = tile_layer_shapes(in_dim, out_dim, pattern,
+                                   pe_pairs=pe_pairs, max_rows=max_rows)
+        covered = np.zeros((in_dim, out_dim), dtype=int)
+        for r, c, rows, cols in blocks:
+            assert rows > 0 and cols > 0
+            assert r % m == 0
+            covered[r:r + rows, c:c + cols] += 1
+            assert math.ceil(rows * pattern.density) * cols <= pe_pairs
+        assert (covered == 1).all()
+
+    @pytest.mark.parametrize("in_dim,out_dim", [(5, 0), (-4, 3), (0, 0)])
+    def test_nonpositive_dims_rejected(self, in_dim, out_dim):
+        with pytest.raises(ValueError):
+            tile_layer_shapes(in_dim, out_dim, NMPattern(1, 4), 1024)
+
 
 class TestHybridMapper:
     def test_residence_split(self, small_workload):

@@ -1,11 +1,10 @@
-"""Unit tests for optimizers and LR schedules."""
+"""Unit tests for optimizers and gradient clipping."""
 
 import numpy as np
 import pytest
 
 from repro.nn.modules import Parameter
-from repro.nn.optim import (SGD, Adam, CosineAnnealingLR, StepLR,
-                            clip_grad_norm)
+from repro.nn.optim import SGD, Adam, clip_grad_norm
 
 
 def quadratic_param(start=5.0):
@@ -107,38 +106,6 @@ class TestAdam:
         assert p.data[0] == 0.0
 
 
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        assert lrs == [1.0, 0.1, 0.1, pytest.approx(0.01)]
-
-    def test_cosine_endpoints(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_monotone_decrease(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=20)
-        prev = opt.lr
-        for _ in range(20):
-            sched.step()
-            assert opt.lr <= prev + 1e-12
-            prev = opt.lr
-
-    def test_cosine_invalid_tmax(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        with pytest.raises(ValueError):
-            CosineAnnealingLR(opt, t_max=0)
-
-
 class TestGradClip:
     def test_clips_large(self):
         p = Parameter(np.zeros(4))
@@ -152,3 +119,50 @@ class TestGradClip:
         p.grad = np.ones(4) * 0.1
         clip_grad_norm([p], 10.0)
         np.testing.assert_allclose(p.grad, 0.1 * np.ones(4))
+
+
+class TestReferenceUpdates:
+    """Several steps of each optimizer against its update rule in numpy."""
+
+    GRADS = [np.array([0.5, -1.0, 2.0]), np.array([-0.25, 0.75, 1.5]),
+             np.array([1.0, 0.0, -2.0]), np.array([0.1, -0.3, 0.2])]
+
+    @pytest.mark.parametrize("momentum,nesterov,weight_decay", [
+        (0.0, False, 0.0), (0.0, False, 0.1), (0.9, False, 0.0),
+        (0.9, True, 0.0), (0.9, False, 0.01), (0.5, True, 0.05)])
+    def test_sgd_matches_closed_form(self, momentum, nesterov, weight_decay):
+        lr = 0.1
+        p = Parameter(np.array([1.0, -2.0, 0.5]))
+        opt = SGD([p], lr=lr, momentum=momentum, nesterov=nesterov,
+                  weight_decay=weight_decay)
+        x, v = p.data.copy(), None
+        for grad in self.GRADS:
+            p.grad = grad.copy()
+            opt.step()
+            g = grad + weight_decay * x
+            if momentum:
+                v = g.copy() if v is None else momentum * v + g
+                g = g + momentum * v if nesterov else v
+            x = x - lr * g
+            np.testing.assert_allclose(p.data, x, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("betas,weight_decay", [
+        ((0.9, 0.999), 0.0), ((0.9, 0.999), 0.01), ((0.5, 0.9), 0.0)])
+    def test_adam_matches_closed_form(self, betas, weight_decay):
+        lr, eps = 0.05, 1e-8
+        b1, b2 = betas
+        p = Parameter(np.array([1.0, -2.0, 0.5]))
+        opt = Adam([p], lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
+        x = p.data.copy()
+        m = np.zeros(3)
+        v = np.zeros(3)
+        for t, grad in enumerate(self.GRADS, start=1):
+            p.grad = grad.copy()
+            opt.step()
+            g = grad + weight_decay * x
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+            np.testing.assert_allclose(p.data, x, rtol=1e-12, atol=1e-12)

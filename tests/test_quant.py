@@ -5,8 +5,7 @@ import pytest
 
 from repro import nn
 from repro.nn.tensor import Tensor
-from repro.quant import (INT8_QMAX, INT8_QMIN, ActivationCalibrator,
-                         MinMaxObserver, PercentileObserver, QuantParams,
+from repro.quant import (INT8_QMAX, INT8_QMIN, QuantParams,
                          fake_quantize_per_channel, per_channel_params,
                          quantize_model_ptq, quantize_weight_int)
 
@@ -53,6 +52,39 @@ class TestQuantParams:
             QuantParams.from_tensor(np.zeros(0))
 
 
+DISTRIBUTIONS = {
+    "normal": lambda r: r.standard_normal(500),
+    "positive": lambda r: r.uniform(0.5, 3.0, 500),
+    "negative": lambda r: -r.exponential(2.0, 500),
+    "long_tail": lambda r: r.standard_t(2, 500) * 10.0,
+}
+
+
+class TestCalibrationRange:
+    """``from_tensor`` sets the grid from the tensor's observed extremes."""
+
+    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+    def test_affine_grid_spans_observed_range(self, dist):
+        x = DISTRIBUTIONS[dist](np.random.default_rng(5))
+        params = QuantParams.from_tensor(x, symmetric=False)
+        q = params.quantize(x)
+        assert q[np.argmin(x)] == INT8_QMIN
+        assert q[np.argmax(x)] == INT8_QMAX
+        err = np.abs(params.fake_quantize(x) - x)
+        assert err.max() <= params.scale / 2 + 1e-9
+
+    @pytest.mark.parametrize("dist", sorted(DISTRIBUTIONS))
+    def test_symmetric_grid_spans_largest_magnitude(self, dist):
+        x = DISTRIBUTIONS[dist](np.random.default_rng(6))
+        params = QuantParams.from_tensor(x, symmetric=True)
+        assert params.zero_point == 0
+        assert params.scale == pytest.approx(np.abs(x).max() / INT8_QMAX)
+        q = params.quantize(x)
+        assert np.abs(q).max() == INT8_QMAX
+        err = np.abs(params.fake_quantize(x) - x)
+        assert err.max() <= params.scale / 2 + 1e-9
+
+
 class TestWeightQuant:
     def test_integer_extraction_preserves_zeros(self, rng):
         w = rng.standard_normal((8, 8))
@@ -77,36 +109,6 @@ class TestWeightQuant:
     def test_per_channel_params_count(self, rng):
         w = rng.standard_normal((5, 9))
         assert len(per_channel_params(w)) == 5
-
-
-class TestObservers:
-    def test_minmax_tracks_extremes(self):
-        obs = MinMaxObserver()
-        obs.observe(np.array([1.0, -3.0]))
-        obs.observe(np.array([5.0]))
-        assert obs.quant_range() == (-5.0, 5.0)
-
-    def test_minmax_affine(self):
-        obs = MinMaxObserver(symmetric=False)
-        obs.observe(np.array([1.0, 4.0]))
-        assert obs.quant_range() == (1.0, 4.0)
-
-    def test_uninitialized_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxObserver().quant_range()
-
-    def test_percentile_resists_outliers(self, rng):
-        obs_p = PercentileObserver(percentile=99.0)
-        obs_m = MinMaxObserver()
-        data = rng.standard_normal(5000)
-        data[0] = 1000.0  # single outlier
-        obs_p.observe(data)
-        obs_m.observe(data)
-        assert obs_p.quant_range()[1] < obs_m.quant_range()[1] / 10
-
-    def test_percentile_invalid(self):
-        with pytest.raises(ValueError):
-            PercentileObserver(percentile=10.0)
 
 
 class TestModelPTQ:
@@ -145,61 +147,3 @@ class TestModelPTQ:
         model = self._model()
         report = quantize_model_ptq(model)
         assert set(report) == {"layer0.weight", "layer2.weight"}
-
-
-class TestActivationCalibrator:
-    def test_collects_ranges(self, rng):
-        cal = ActivationCalibrator()
-        for _ in range(3):
-            cal.observe("conv1", rng.standard_normal(100))
-        params = cal.params()
-        assert "conv1" in params
-        assert params["conv1"].scale > 0
-
-
-class TestHistogramObserver:
-    def test_clips_long_tail(self, rng):
-        from repro.quant import HistogramObserver
-        data = rng.standard_normal(20000)
-        data[:20] *= 100.0
-        h = HistogramObserver()
-        m = MinMaxObserver()
-        h.observe(data)
-        m.observe(data)
-        assert h.quant_range()[1] < m.quant_range()[1] / 3
-
-    def test_keeps_full_range_when_uniformish(self, rng):
-        """With no outliers the KL threshold should stay near the max."""
-        from repro.quant import HistogramObserver
-        data = rng.uniform(-1, 1, 20000)
-        h = HistogramObserver()
-        h.observe(data)
-        lo, hi = h.quant_range()
-        assert hi > 0.8
-
-    def test_multi_batch_accumulation(self, rng):
-        from repro.quant import HistogramObserver
-        h = HistogramObserver()
-        for _ in range(5):
-            h.observe(rng.standard_normal(1000))
-        lo, hi = h.quant_range()
-        assert 0 < hi < 10
-
-    def test_uninitialized(self):
-        from repro.quant import HistogramObserver
-        import pytest as _pytest
-        with _pytest.raises(RuntimeError):
-            HistogramObserver().quant_range()
-
-    def test_bin_validation(self):
-        from repro.quant import HistogramObserver
-        import pytest as _pytest
-        with _pytest.raises(ValueError):
-            HistogramObserver(bins=64, quant_levels=128)
-
-    def test_symmetric_range(self, rng):
-        from repro.quant import HistogramObserver
-        h = HistogramObserver()
-        h.observe(rng.standard_normal(5000))
-        lo, hi = h.quant_range()
-        assert lo == -hi

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
-                       evaluate_config, evaluate_one, frontier_doc,
+                       evaluate_batch, evaluate_config, frontier_doc,
                        normalize_config, run_sweep)
 from repro.dse.cache import DiskCache, NullCache
 from repro.serve import build_sweep_spec
@@ -69,22 +69,30 @@ class TestEvaluateDifferential:
 
     def test_http_and_library_share_one_cache(self, tmp_path):
         """A config evaluated over HTTP is a warm hit for the library,
-        and vice versa — same content-hash key, same cache bytes."""
+        and vice versa — same content-hash key, same cache bytes.  The
+        library side is the path the server wraps, without ``repro.serve``:
+        normalize, hash, one cache-through ``evaluate_batch`` call."""
         cache = DiskCache(tmp_path / "shared_cache")
         with live_server(cache=cache) as (app, client):
             via_http = SAMPLE_CONFIGS[0]
             via_lib = SAMPLE_CONFIGS[1]
             _, doc, _ = client.post("/v1/evaluate", {"config": via_http})
             assert doc["cache"] == "miss"
-            record, served = evaluate_one(via_http, cache=cache)
-            assert served == "hit"
-            assert canon(record) == canon(doc["record"])
+            http_cfg = normalize_config(via_http)
+            http_key = config_key(http_cfg)
+            records, served = evaluate_batch([(http_key, http_cfg)],
+                                             cache=cache)
+            assert served[http_key] == "hit"
+            assert canon(records[http_key]) == canon(doc["record"])
 
-            lib_record, lib_served = evaluate_one(via_lib, cache=cache)
-            assert lib_served == "miss"
+            lib_cfg = normalize_config(via_lib)
+            lib_key = config_key(lib_cfg)
+            records, served = evaluate_batch([(lib_key, lib_cfg)],
+                                             cache=cache)
+            assert served[lib_key] == "miss"
             _, doc, _ = client.post("/v1/evaluate", {"config": via_lib})
             assert doc["cache"] == "hit"
-            assert canon(doc["record"]) == canon(lib_record)
+            assert canon(doc["record"]) == canon(records[lib_key])
 
     @pytest.mark.parametrize("bad", VALUE_INVALID_CONFIGS,
                              ids=["pattern", "device", "rows", "bits"])
@@ -115,15 +123,16 @@ class TestEvaluateDifferential:
     ], ids=["unknown-key", "missing-keys", "uncoercible", "no-config"])
     def test_shape_invalid_configs_are_schema_errors(self, tmp_path,
                                                      shape_bad, code):
-        """Exactly the configs ``normalize_config`` refuses (and that a
-        direct ``evaluate_one`` raises on) are 4xx at the schema layer."""
+        """Exactly the configs ``normalize_config`` refuses (so the library
+        path raises before hashing or evaluating) are 4xx at the schema
+        layer."""
         with live_server(tmp_path) as (app, client):
             status, doc, _ = client.post("/v1/evaluate", shape_bad)
             assert status == 400
             assert doc["error"]["code"] == code
             if shape_bad.get("config") and code != "unknown-field":
-                with pytest.raises((ValueError, TypeError)):
-                    evaluate_one(shape_bad["config"], cache=NullCache())
+                with pytest.raises(ValueError):
+                    normalize_config(shape_bad["config"])
 
 
 class TestSweepDifferential:

@@ -1,52 +1,4 @@
-"""Tests for the model-summary tool and the ASCII figure rendering."""
-
-import numpy as np
-import pytest
-
-from repro import nn
-from repro.nn.summary import LayerSummary, format_summary, summarize
-from repro.nn.tensor import Tensor
-
-
-class TestSummary:
-    def _model(self):
-        nn.set_seed(0)
-        return nn.Sequential(
-            nn.Conv2d(3, 8, 3, padding=1), nn.BatchNorm2d(8), nn.ReLU(),
-            nn.MaxPool2d(2), nn.Conv2d(8, 16, 3, padding=1),
-            nn.GlobalAvgPool2d(), nn.Linear(16, 5))
-
-    def test_shapes_match_forward(self):
-        model = self._model()
-        rows = summarize(model, (3, 16, 16))
-        out = model(Tensor(np.zeros((2, 3, 16, 16), dtype=np.float32)))
-        assert rows[-1].output_shape == out.shape[1:]
-
-    def test_params_match_model(self):
-        model = self._model()
-        rows = summarize(model, (3, 16, 16))
-        assert sum(r.params for r in rows) == model.num_parameters()
-
-    def test_macs_match_workload_convention(self):
-        """Conv MACs = out_ch * OH * OW * in_ch * k^2."""
-        model = nn.Sequential(nn.Conv2d(3, 8, 3, padding=1))
-        rows = summarize(model, (3, 16, 16))
-        assert rows[0].macs == 8 * 16 * 16 * 3 * 9
-
-    def test_trainable_fraction_reported(self):
-        model = self._model()
-        model.layers[0].weight.freeze()
-        rows = summarize(model, (3, 16, 16))
-        out = format_summary(rows)
-        assert "trainable fraction" in out
-        total = sum(r.params for r in rows)
-        train = sum(r.trainable_params for r in rows)
-        assert train < total
-
-    def test_format_contains_layers(self):
-        rows = summarize(self._model(), (3, 16, 16))
-        out = format_summary(rows, title="T")
-        assert "Conv2d" in out and "Linear" in out and "TOTAL" in out
+"""Tests for the ASCII figure rendering."""
 
 
 class TestFigureCharts:

@@ -157,12 +157,6 @@ class TestReductionsShaping:
         a[idx].sum().backward()
         np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0])
 
-    def test_pad2d(self, rng):
-        a = Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True)
-        out = a.pad2d(2)
-        assert out.shape == (1, 2, 7, 7)
-        check_grad(lambda: a.pad2d(2), [a])
-
     def test_concatenate(self, rng):
         a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
