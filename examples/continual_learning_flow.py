@@ -12,8 +12,6 @@
 Run: ``python examples/continual_learning_flow.py``  (~2 minutes)
 """
 
-import numpy as np
-
 from repro.datasets import base_pretraining_spec, generate_task, load_downstream_task
 from repro.repnet import (ContinualLearner, TrainConfig, build_repnet_model,
                           pretrain_backbone, sparsify_backbone)

@@ -12,11 +12,8 @@ both analyses at paper scale:
 Run: ``python examples/nvm_lifetime_study.py``
 """
 
-import numpy as np
-
 from repro.core import paper_workload
-from repro.energy import (MTJ, RRAMCell, RRAMParams, compare_nvm_write_cost,
-                          tasks_until_failure, training_lifetime_study)
+from repro.energy import MTJ, RRAMCell, RRAMParams, compare_nvm_write_cost
 from repro.harness.endurance import build_endurance, render_endurance
 
 # ------------------------------------------------------- 1. device level

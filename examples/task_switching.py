@@ -10,8 +10,6 @@ bit-identical once its adaptor is reloaded.
 Run: ``python examples/task_switching.py``  (~2 minutes)
 """
 
-import numpy as np
-
 from repro.datasets import base_pretraining_spec, generate_task, load_downstream_task
 from repro.energy import CostModel
 from repro.repnet import (SequentialLearner, TrainConfig, build_repnet_model,

@@ -16,7 +16,7 @@ this class is meant for functional verification and the examples.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,7 +42,8 @@ class MappedGemm:
     out_dim: int
     learnable: bool
     kind: str
-    tiles: List[Tuple[int, int, object]]   # (row_off, col_off, PE)
+    # (row_off, col_off, PE) per tile
+    tiles: List[Tuple[int, int, Union[SRAMSparsePE, MRAMSparsePE]]]
     weight_params: Optional[QuantParams] = None
     # The resident W^T of a learnable GEMM: one buffer while W^T fits one,
     # else one per forward tile.  Made by the first propagate_error and
@@ -160,12 +161,10 @@ class HybridAccelerator:
             return out
         return self._run_tiles(mapped, activations)
 
-    # ``pe.matmul`` resolves by name to every PE model's ``matmul``, the
-    # dense SRAM baseline's ``from_partials`` summary included, so the
-    # verifier bounds a tile sum by the widest of them.
     @width_contract(inputs="i8", weights="i8", accum="i64",
                     depth="MAX_ROW_TILES",
-                    returns="MAX_ROW_TILES * from_partials",
+                    returns="MAX_ROW_TILES"
+                            " * (SRAMSparsePE.matmul | MRAMSparsePE.matmul)",
                     params={"activations": "inputs"})
     def _run_tiles(self, mapped: MappedGemm,
                    activations: np.ndarray) -> np.ndarray:

@@ -285,7 +285,7 @@ def _spmm_gather_fast(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_spmm_gather_fast",
+                returns="_spmm_gather_reference | _spmm_gather_fast",
                 params={"activations": "inputs"})
 def spmm_gather(plan: KernelPlan, activations: np.ndarray,
                 impl: Optional[str] = None) -> np.ndarray:
@@ -349,7 +349,7 @@ def _spmm_bitserial_fast(plan: KernelPlan, activations: np.ndarray,
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_spmm_bitserial_fast",
+                returns="_spmm_bitserial_reference | _spmm_bitserial_fast",
                 params={"activations": "inputs"})
 def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
                    input_bits: int, impl: Optional[str] = None) -> np.ndarray:

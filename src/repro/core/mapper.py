@@ -18,13 +18,11 @@ import dataclasses
 import math
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..obs import get_tracer
 from ..sparsity.nm import NMPattern
 from .mram_pe import MRAMPEConfig
 from .sram_pe import SRAMPEConfig
-from .workload import LayerWorkload, Workload
+from .workload import Workload
 
 
 @dataclasses.dataclass(frozen=True)

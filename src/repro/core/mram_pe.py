@@ -28,7 +28,7 @@ the *frozen backbone* lives here while the learnable path lives in SRAM.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -18,7 +18,7 @@ classes — reproducing the transfer-learning structure the paper relies on.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -33,7 +33,6 @@ import numpy as np
 
 from ..datasets.synthetic import base_pretraining_spec, generate_task
 from ..datasets.tasks import TABLE1_TASKS, load_downstream_task
-from ..nn.modules import Linear
 from ..nn.tensor import Tensor
 from ..quant import quantize_model_ptq
 from ..repnet.backbone import BackboneClassifier

@@ -64,6 +64,27 @@ def names_imported_from(tree: ast.AST, module: str) -> Set[str]:
     return out
 
 
+def iter_nodes(node: ast.AST) -> Iterator[ast.AST]:
+    """Every node under ``node``, itself included, in source order.
+
+    Like :func:`ast.walk` but depth-first and without the ``ctx``
+    (Load/Store/Del) markers, which makes it about twice as fast.
+    """
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        fields = node._fields
+        for i in range(len(fields) - 1, -1, -1):
+            value = getattr(node, fields[i], None)
+            if type(value) is list:
+                for j in range(len(value) - 1, -1, -1):
+                    if isinstance(value[j], ast.AST):
+                        stack.append(value[j])
+            elif isinstance(value, ast.AST) and fields[i] != "ctx":
+                stack.append(value)
+
+
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, or None for anything else."""
     parts: List[str] = []
@@ -76,12 +97,40 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def module_assignments(body: List[ast.stmt]
+                       ) -> Iterator[Tuple[str, ast.AST, ast.stmt]]:
+    """``(name, value, statement)`` for each ``NAME = value`` or
+    ``NAME: T = value`` statement in ``body``."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                and isinstance(stmt.targets[0], ast.Name):
+            yield stmt.targets[0].id, stmt.value, stmt
+        elif isinstance(stmt, ast.AnnAssign) \
+                and isinstance(stmt.target, ast.Name) \
+                and stmt.value is not None:
+            yield stmt.target.id, stmt.value, stmt
+
+
 def call_keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
     """The value of keyword argument ``name`` on a call, if present."""
     for kw in node.keywords:
         if kw.arg == name:
             return kw.value
     return None
+
+
+def keyword_str(node: ast.Call, name: str) -> Optional[str]:
+    """A string-literal keyword argument of a call, if present."""
+    value = call_keyword(node, name)
+    if isinstance(value, ast.Constant) and isinstance(value.value, str):
+        return value.value
+    return None
+
+
+def decorator_tail(deco: ast.expr) -> Optional[str]:
+    """The last name a decorator spells (``@a.b(...)`` -> ``"b"``)."""
+    name = dotted_name(deco.func if isinstance(deco, ast.Call) else deco)
+    return name.split(".")[-1] if name else None
 
 
 def walk_with_function_stack(tree: ast.AST

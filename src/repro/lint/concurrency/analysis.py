@@ -1,7 +1,7 @@
-"""Interprocedural concurrency fixpoints over the effects call graph.
+"""Interprocedural concurrency fixpoints over the project call graph.
 
-Four summaries, all computed over the same :class:`~..effects.callgraph.
-CallGraph` the effects verifier builds (and caches) per run:
+Four summaries, all computed over the one :class:`~repro.lint.callgraph.
+CallGraph` a lint run builds and shares between its verifiers:
 
 **Entry locksets** — the set of locks *provably held whenever a function
 is entered*.  Public functions (and dunders) are entered lock-free by
@@ -38,8 +38,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..effects.analysis import analyze_project
-from ..effects.callgraph import CallGraph, FunctionInfo
+from ..callgraph import CallGraph, FunctionInfo
 from .locksets import EMPTY, FunctionFacts, analyze_function
 from .model import BLOCKING_INTERNAL, ProjectModel, build_model, short_lock
 
@@ -424,15 +423,10 @@ class ConcurrencyAnalysis:
 
 
 def analyze_concurrency(project) -> ConcurrencyAnalysis:
-    """The (cached) concurrency analysis of one linted project.
-
-    Reuses the effects verifier's call graph (itself cached on the
-    project context), so one ``--effects --concurrency`` run builds the
-    binding structure exactly once.
-    """
+    """The (cached) concurrency analysis of one linted project, over the
+    call graph the project context builds once per run."""
     cached = getattr(project, "_concurrency_analysis", None)
     if cached is None:
-        effects = analyze_project(project)
-        cached = ConcurrencyAnalysis.run(effects.graph)
+        cached = ConcurrencyAnalysis.run(project.call_graph)
         setattr(project, "_concurrency_analysis", cached)
     return cached

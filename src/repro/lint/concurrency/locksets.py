@@ -19,30 +19,27 @@ consume, each stamped with the lockset held at that point:
 * module-global writes (R14's "mutable state touched from a thread
   target needs a lock" check).
 
-Receiver typing goes through the model's per-class tables plus a local
-flow-insensitive environment (parameter annotations with ``Optional``
-unwrap, constructor-call locals, return-annotation typing, dict-value
-element typing), so ``self.jobs.get(...).state`` -style chains resolve
-without importing the code under analysis.
+Receivers are typed by the shared :class:`~repro.lint.callgraph.
+FunctionScope` (annotations, constructor-call locals, ``__init__``
+attribute types, return annotations, dict-value and loop-element
+typing), so ``self.jobs.get(...).state`` -style chains resolve without
+importing the code under analysis; this walker adds only what the scope
+does not know: sync objects with their lock identities, and futures.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from ..astutil import call_keyword, dotted_name
-from ..effects.callgraph import CallGraph, FunctionInfo
+from ..astutil import call_keyword
+from ..callgraph import CallGraph, FunctionInfo
 from .model import (BLOCKING_SYNC_METHODS, LOCK_KINDS, ProjectModel,
                     _sync_kind_of_call, is_blocking_external, lock_id,
-                    resolve_annotation, short_lock)
+                    short_lock)
 
 EMPTY: FrozenSet[str] = frozenset()
-
-#: Dict methods that return / iterate the value type.
-_DICT_VALUE_METHODS = frozenset({"get", "pop", "setdefault"})
-_DICT_ITER_METHODS = frozenset({"values"})
 
 #: Container-mutating methods (module-global hygiene, R14).
 _MUTATING_METHODS = frozenset({
@@ -163,11 +160,10 @@ class _Walker:
         self.graph: CallGraph = model.graph
         self.info = info
         self.facts = FunctionFacts(info=info)
-        self.own_class = (f"{info.module}.{info.class_name}"
-                          if info.class_name else None)
+        self.own_class = info.class_qualname
+        self.scope = self.graph.scope(info)
+        #: Local sync objects and futures, on top of the scope's types.
         self.env: Dict[str, Tuple] = {}
-        self.local_names: Set[str] = set()
-        self.declared_globals: Set[str] = set()
         self.loop_depth = 0
         self.deferred_depth = 0
 
@@ -178,252 +174,71 @@ class _Walker:
 
     # ----------------------------------------------------- local environment
     def _build_env(self) -> None:
-        node = self.info.node
-        args = node.args
-        for a in (list(getattr(args, "posonlyargs", [])) + list(args.args)
-                  + list(args.kwonlyargs)
-                  + [x for x in (args.vararg, args.kwarg) if x]):
-            self.local_names.add(a.arg)
-            if a.annotation is not None:
-                typed = resolve_annotation(self.graph, self.info.module,
-                                           a.annotation)
-                if typed is not None:
-                    self.env[a.arg] = typed
-        # Two passes so x = self.jobs.get(...) typed in pass 1 feeds
-        # y = x.tracer -style chains in pass 2.
+        # Two passes so ``lock = self._lock`` typed in pass 1 feeds
+        # ``cond = lock`` -style chains in pass 2.
         for _ in range(2):
-            for sub in ast.walk(node):
-                self._env_statement(sub)
-
-    def _env_statement(self, sub: ast.AST) -> None:
-        if isinstance(sub, ast.Global):
-            self.declared_globals.update(sub.names)
-        elif isinstance(sub, ast.Assign) and len(sub.targets) == 1 \
-                and isinstance(sub.targets[0], ast.Name):
-            name = sub.targets[0].id
-            self.local_names.add(name)
-            typed = self._expr_type(sub.value)
-            if typed is None:
-                # Function-local sync object: lock = threading.Lock().
-                kind = _sync_kind_of_call(self.graph, self.info.module,
-                                          sub.value)
-                if kind is not None:
-                    typed = ("sync", kind,
-                             lock_id(self.info.qualname, name))
-            if typed is not None:
-                self.env[name] = typed
-        elif isinstance(sub, ast.AnnAssign) \
-                and isinstance(sub.target, ast.Name):
-            self.local_names.add(sub.target.id)
-            typed = resolve_annotation(self.graph, self.info.module,
-                                       sub.annotation)
-            if typed is not None:
-                self.env[sub.target.id] = typed
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            self._bind_iter_target(sub.target, sub.iter)
-        elif isinstance(sub, ast.comprehension):
-            self._bind_iter_target(sub.target, sub.iter)
-        elif isinstance(sub, ast.withitem) and sub.optional_vars is not None:
-            if isinstance(sub.optional_vars, ast.Name):
-                self.local_names.add(sub.optional_vars.id)
-        elif isinstance(sub, ast.ExceptHandler) and sub.name:
-            self.local_names.add(sub.name)
-
-    def _bind_iter_target(self, target: ast.expr, it: ast.expr) -> None:
-        if not isinstance(target, ast.Name):
-            return
-        self.local_names.add(target.id)
-        elem = self._element_type(it)
-        if elem is not None:
-            self.env[target.id] = elem
-
-    def _element_type(self, it: ast.expr) -> Optional[Tuple]:
-        """Loop-variable type when iterating a typed container."""
-        typed = self._expr_type(it)
-        if typed is not None and typed[0] == "list_of":
-            return ("instance", typed[1])
-        if isinstance(it, ast.Call) and isinstance(it.func, ast.Attribute) \
-                and it.func.attr in _DICT_ITER_METHODS:
-            base = self._expr_type(it.func.value)
-            if base is not None and base[0] == "dict_of":
-                return ("instance", base[1])
-        return None
+            for name, sources in sorted(self.scope.sources.items()):
+                for kind, value, path in sources:
+                    if kind != "value" or path:
+                        continue
+                    typed = self._expr_type(value)
+                    sync = _sync_kind_of_call(self.graph, self.info.module,
+                                              value)
+                    if sync is not None:
+                        # Function-local sync object: lock = threading.Lock().
+                        typed = ("sync", sync,
+                                 lock_id(self.info.qualname, name))
+                    if typed is not None and typed[0] in ("sync", "future"):
+                        self.env[name] = typed
 
     def _expr_type(self, expr: Optional[ast.expr]) -> Optional[Tuple]:
-        """Flow-insensitive type of an expression, or None.
-
-        Tags: ("instance", qual), ("dict_of", qual), ("list_of", qual),
-        ("sync", kind, lock_identity), ("future",).
-        """
+        """The scope's type of ``expr``, with this verifier's own facts on
+        top: ``("sync", kind, lock identity)`` and ``("future",)``."""
         if expr is None:
             return None
-        if isinstance(expr, ast.IfExp):
-            return self._expr_type(expr.body) or self._expr_type(expr.orelse)
         if isinstance(expr, ast.Name):
-            if expr.id == "self" and self.own_class:
-                return ("instance", self.own_class)
             if expr.id in self.env:
                 return self.env[expr.id]
-            if expr.id in self.local_names:
-                return None
-            return self._module_value_type(self.info.module, expr.id)
-        if isinstance(expr, ast.Attribute):
-            base = self._expr_type(expr.value)
-            if base is None and isinstance(expr.value, ast.Name) \
-                    and expr.value.id not in self.local_names:
-                # Dotted module global: mod.NAME
-                resolved = self.graph.resolve_name(self.info.module,
-                                                   expr.value.id)
-                if resolved is not None and resolved[0] == "module":
-                    mid = lock_id(resolved[1], expr.attr)
-                    if mid in self.model.module_sync:
-                        return ("sync", self.model.module_sync[mid], mid)
-                    return self._module_value_type(resolved[1], expr.attr)
-                return None
-            if base is not None and base[0] == "instance":
-                owner = base[1]
-                sync = self.model.sync_owner(owner, expr.attr)
+            if expr.id not in self.scope.locals:
+                sync = self._module_sync(self.info.module, expr.id)
                 if sync is not None:
-                    kind, defining = sync
-                    return ("sync", kind, lock_id(defining, expr.attr))
-                return self.model.attr_type(owner, expr.attr)
-            return None
-        if isinstance(expr, ast.Call):
-            return self._call_type(expr)
-        return None
+                    return sync
+        elif isinstance(expr, ast.Attribute):
+            base = self._expr_type(expr.value)
+            if base is None:
+                target = self.scope.resolve(expr.value)
+                if target is not None and target[0] == "module":
+                    sync = self._module_sync(target[1], expr.attr)
+                    if sync is not None:
+                        return sync
+            elif base[0] == "instance":
+                owned = self.model.sync_owner(base[1], expr.attr)
+                if owned is not None:
+                    return ("sync", owned[0], lock_id(owned[1], expr.attr))
+            elif base[0] in ("sync", "future"):
+                return None
+        elif isinstance(expr, ast.Call):
+            sync = self._sync_call(expr)
+            if sync is not None:
+                return ("future",) if sync[::2] == ("executor", "submit") \
+                    else None
+        return self.scope.type_of(expr)
 
-    def _module_value_type(self, module: str, name: str) -> Optional[Tuple]:
-        """Type of a module-level binding (sync object or instance)."""
+    def _module_sync(self, module: str, name: str) -> Optional[Tuple]:
         mid = lock_id(module, name)
-        if mid in self.model.module_sync:
-            return ("sync", self.model.module_sync[mid], mid)
-        mod = self.graph.modules.get(module)
-        if mod is None:
-            return None
-        for stmt in mod.tree.body:
-            value = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name) \
-                    and stmt.targets[0].id == name:
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.target.id == name:
-                if stmt.annotation is not None:
-                    typed = resolve_annotation(self.graph, module,
-                                               stmt.annotation)
-                    if typed is not None:
-                        return typed
-                value = stmt.value
-            if isinstance(value, ast.Call):
-                dotted = dotted_name(value.func)
-                resolved = (self.graph.resolve_dotted(module, dotted)
-                            if dotted else None)
-                if resolved is not None and resolved[0] == "class":
-                    return ("instance", resolved[1])
-        return None
+        kind = self.model.module_sync.get(mid)
+        return ("sync", kind, mid) if kind is not None else None
 
-    def _call_type(self, call: ast.Call) -> Optional[Tuple]:
-        target = self._resolve_call(call)
-        if target is None:
+    def _sync_call(self, call: ast.Call) -> Optional[Tuple[str, str, str]]:
+        """(kind, lock identity, method) for a method call on a sync
+        object."""
+        func = call.func
+        if not isinstance(func, ast.Attribute):
             return None
-        tag = target[0]
-        if tag == "ctor":
-            return ("instance", target[1])
-        if tag == "func":
-            fn = self.graph.function_for(target[1])
-            if fn is not None and getattr(fn.node, "returns", None) is not None:
-                return resolve_annotation(self.graph, fn.module,
-                                          fn.node.returns)
+        receiver = self._expr_type(func.value)
+        if receiver is None or receiver[0] != "sync":
             return None
-        if tag == "dictop" and target[2] in _DICT_VALUE_METHODS:
-            return ("instance", target[1])
-        if tag == "sync" and target[1] == "executor" \
-                and target[3] == "submit":
-            return ("future",)
-        return None
-
-    # --------------------------------------------------------- call targets
-    def _resolve_call(self, call: ast.Call) -> Optional[Tuple]:
-        """Classify a call's target.
-
-        Tags: ("func", qual), ("ctor", class_qual), ("external", dotted),
-        ("sync", kind, lock_identity, method), ("dictop", qual, method),
-        ("future-op", method), ("fanout", (qual, ...)).
-        """
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        head = parts[0]
-        # Typed head: self, a typed local, or a module-level sync object.
-        base_type = None
-        if head == "self" and self.own_class:
-            base_type = ("instance", self.own_class)
-        elif head in self.env:
-            base_type = self.env[head]
-        elif head in self.local_names:
-            return None
-        if base_type is not None:
-            return self._resolve_typed(base_type, parts[1:])
-        mid = lock_id(self.info.module, head)
-        if len(parts) == 2 and mid in self.model.module_sync:
-            return ("sync", self.model.module_sync[mid], mid, parts[1])
-        resolved = self.graph.resolve_dotted(self.info.module, dotted)
-        if resolved is None:
-            typed = self._module_value_type(self.info.module, head)
-            if typed is not None:
-                return self._resolve_typed(typed, parts[1:])
-            return None
-        if resolved[0] == "func":
-            return ("func", resolved[1])
-        if resolved[0] == "class":
-            return ("ctor", resolved[1])
-        if resolved[0] == "external":
-            return ("external", resolved[1])
-        if resolved[0] == "registry":
-            return ("fanout", resolved[1])
-        if resolved[0] == "module" and len(parts) >= 3:
-            mid = lock_id(resolved[1], parts[1])
-            if mid in self.model.module_sync and len(parts) == 3:
-                return ("sync", self.model.module_sync[mid], mid, parts[2])
-        return None
-
-    def _resolve_typed(self, base_type: Tuple,
-                       attrs: List[str]) -> Optional[Tuple]:
-        """Follow ``attrs`` from a typed base down to a call target."""
-        if not attrs:
-            return None
-        if base_type[0] == "sync":
-            if len(attrs) == 1:
-                return ("sync", base_type[1], base_type[2], attrs[0])
-            return None
-        if base_type[0] == "future":
-            if len(attrs) == 1:
-                return ("future-op", attrs[0])
-            return None
-        if base_type[0] == "dict_of":
-            if len(attrs) == 1:
-                return ("dictop", base_type[1], attrs[0])
-            return None
-        if base_type[0] != "instance":
-            return None
-        owner = base_type[1]
-        if len(attrs) == 1:
-            method = self.graph.lookup_method(owner, attrs[0])
-            if method is not None:
-                return ("func", method.qualname)
-            return None
-        attr = attrs[0]
-        sync = self.model.sync_owner(owner, attr)
-        if sync is not None:
-            kind, defining = sync
-            return self._resolve_typed(
-                ("sync", kind, lock_id(defining, attr)), attrs[1:])
-        typed = self.model.attr_type(owner, attr)
-        if typed is not None:
-            return self._resolve_typed(typed, attrs[1:])
-        return None
+        return receiver[1], receiver[2], func.attr
 
     # ----------------------------------------------------------- lock exprs
     def _lock_of_expr(self, expr: ast.expr) -> Optional[Tuple[str, str]]:
@@ -535,13 +350,11 @@ class _Walker:
                            held: FrozenSet[str]) -> FrozenSet[str]:
         """Track bare ``lock.acquire()`` / ``lock.release()`` statements."""
         value = getattr(stmt, "value", None)
-        if not isinstance(value, ast.Call):
+        target = self._sync_call(value) if isinstance(value, ast.Call) \
+            else None
+        if target is None or target[0] not in LOCK_KINDS:
             return held
-        target = self._resolve_call(value)
-        if target is None or target[0] != "sync" \
-                or target[1] not in LOCK_KINDS:
-            return held
-        _, kind, identity, method = target
+        kind, identity, method = target
         if method == "acquire":
             self.facts.acquires.append(Acquire(
                 line=value.lineno, lock=identity, kind=kind,
@@ -610,7 +423,7 @@ class _Walker:
 
     def _record_name_store(self, node: ast.Name,
                            held: FrozenSet[str]) -> None:
-        if node.id in self.declared_globals:
+        if node.id in self.scope.globals:
             self.facts.global_writes.append(GlobalWrite(
                 line=node.lineno,
                 name=lock_id(self.info.module, node.id),
@@ -618,11 +431,8 @@ class _Walker:
 
     def _record_global_mutation(self, base: ast.Name, line: int,
                                 how: str, held: FrozenSet[str]) -> None:
-        if base.id in self.local_names or base.id == "self":
-            return
-        resolved = self.graph.resolve_name(self.info.module, base.id)
-        if resolved is not None and resolved[0] == "global" \
-                and resolved[1] in ("mutable", "object"):
+        resolved = self.scope.module_global(base.id)
+        if resolved is not None and resolved[1] in ("mutable", "object"):
             self.facts.global_writes.append(GlobalWrite(
                 line=line, name=lock_id(self.info.module, base.id),
                 detail=f"{how} on module global {base.id!r}", held=held))
@@ -649,65 +459,39 @@ class _Walker:
 
     # --------------------------------------------------------------- calls
     def _record_call(self, call: ast.Call, held: FrozenSet[str]) -> None:
-        target = self._resolve_call(call)
-        if target is None:
-            self._maybe_blocking_builtin(call, held)
-            self._maybe_thread(call, held)
-            self._maybe_global_mutation(call, held)
-            return
-        tag = target[0]
         deferred = self.deferred_depth > 0
-        if tag == "func":
-            self.facts.calls.append(CallSite(
-                line=call.lineno, callee=target[1], held=held,
-                deferred=deferred))
-        elif tag == "ctor":
-            init = self.graph.lookup_method(target[1], "__init__")
-            if init is not None:
-                self.facts.calls.append(CallSite(
-                    line=call.lineno, callee=init.qualname, held=held,
-                    deferred=deferred))
-        elif tag == "fanout":
-            for qual in target[1]:
-                self.facts.calls.append(CallSite(
-                    line=call.lineno, callee=qual, held=held,
-                    deferred=deferred))
-        elif tag == "external":
-            if is_blocking_external(target[1]) and not deferred:
-                self.facts.blocks.append(BlockOp(
-                    line=call.lineno, held=held,
-                    detail=f"blocking call {target[1]}(...)"))
-            self._maybe_thread(call, held)
-        elif tag == "future-op":
-            if target[1] == "result" and not deferred:
+        sync = self._sync_call(call)
+        if sync is not None:
+            self._record_sync_call(call, sync, held)
+            return
+        if isinstance(call.func, ast.Attribute) \
+                and self._expr_type(call.func.value) == ("future",):
+            if call.func.attr == "result" and not deferred:
                 self.facts.blocks.append(BlockOp(
                     line=call.lineno, held=held,
                     detail="Future.result() blocks until the worker "
                            "finishes"))
-        elif tag == "sync":
-            self._record_sync_call(call, target, held)
+            return
+        target = self.scope.resolve(call.func)
+        if target is not None and target[0] == "external":
+            if is_blocking_external(target[1]) and not deferred:
+                self.facts.blocks.append(BlockOp(
+                    line=call.lineno, held=held,
+                    detail=f"blocking call {target[1]}(...)"))
+            if target[1].split(".")[-1] == "Thread":
+                self._record_thread(call)
+            return
+        callees = self.scope.callees(call)
+        for callee in callees:
+            self.facts.calls.append(CallSite(
+                line=call.lineno, callee=callee, held=held,
+                deferred=deferred))
+        if target is None and not callees:
+            self._maybe_global_mutation(call, held)
 
-    def _maybe_blocking_builtin(self, call: ast.Call,
-                                held: FrozenSet[str]) -> None:
-        """Blocking leaves the call graph cannot resolve: ``open``,
-        ``input`` and friends are builtins with no import binding, so
-        they reach the unresolved branch rather than ``external``."""
-        if self.deferred_depth > 0:
-            return
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return
-        head = dotted.split(".")[0]
-        if head == "self" or head in self.env or head in self.local_names:
-            return
-        if is_blocking_external(dotted):
-            self.facts.blocks.append(BlockOp(
-                line=call.lineno, held=held,
-                detail=f"blocking call {dotted}(...)"))
-
-    def _record_sync_call(self, call: ast.Call, target: Tuple,
+    def _record_sync_call(self, call: ast.Call, target: Tuple[str, str, str],
                           held: FrozenSet[str]) -> None:
-        _, kind, identity, method = target
+        kind, identity, method = target
         deferred = self.deferred_depth > 0
         if (kind, method) in BLOCKING_SYNC_METHODS:
             releases = frozenset({identity}) \
@@ -764,14 +548,8 @@ class _Walker:
         self._record_global_mutation(
             func.value, call.lineno, f".{func.attr}(...) call", held)
 
-    def _maybe_thread(self, call: ast.Call, held: FrozenSet[str]) -> None:
-        """Record threading.Thread(...) constructions and their targets."""
-        dotted = dotted_name(call.func)
-        if dotted is None or dotted.split(".")[-1] != "Thread":
-            return
-        resolved = self.graph.resolve_dotted(self.info.module, dotted)
-        if resolved is not None and resolved[0] == "class":
-            return                      # an in-package class named Thread
+    def _record_thread(self, call: ast.Call) -> None:
+        """Record a threading.Thread(...) construction and its target."""
         daemon = None
         daemon_expr = call_keyword(call, "daemon")
         if isinstance(daemon_expr, ast.Constant) \
@@ -793,29 +571,9 @@ class _Walker:
         if isinstance(expr, ast.Lambda):
             self._walk_deferred([ast.Expr(value=expr.body)])
             return None
-        target = self._resolve_call_ref(expr)
-        if target is None:
-            return None
-        self.facts.calls.append(CallSite(line=line, callee=target,
-                                         held=EMPTY, deferred=True, via=via))
-        return target
-
-    def _resolve_call_ref(self, expr: ast.expr) -> Optional[str]:
-        """Resolve a *reference* (not a call) to a function qualname."""
-        dotted = dotted_name(expr)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if parts[0] == "self" and self.own_class and len(parts) == 2:
-            method = self.graph.lookup_method(self.own_class, parts[1])
-            return method.qualname if method is not None else None
-        if parts[0] in self.env:
-            typed = self.env[parts[0]]
-            if typed[0] == "instance" and len(parts) == 2:
-                method = self.graph.lookup_method(typed[1], parts[1])
-                return method.qualname if method is not None else None
-            return None
-        resolved = self.graph.resolve_dotted(self.info.module, dotted)
-        if resolved is not None and resolved[0] == "func":
-            return resolved[1]
-        return None
+        targets = self.scope.targets(expr)
+        for target in targets:
+            self.facts.calls.append(CallSite(line=line, callee=target,
+                                             held=EMPTY, deferred=True,
+                                             via=via))
+        return targets[0] if len(targets) == 1 else None

@@ -10,9 +10,8 @@ on lives here:
   targets, which are created once per process), or
   ``repro.obs.tracer._LOCK`` for a module-level lock.
 * **Per-class tables** — which attributes hold synchronization objects
-  (and of what kind), and which attributes hold instances of in-package
-  classes (so ``self.jobs.get(...)`` resolves through the attribute's
-  type).
+  (and of what kind).  Every other attribute type comes from the shared
+  call graph (:meth:`repro.lint.callgraph.CallGraph.attr_type`).
 * **Contracts** — ``@guarded_by`` field declarations resolved to lock
   identities, and ``@holds_no_locks`` markings on blocking entry points,
   both re-read from the AST (never imported).
@@ -28,8 +27,9 @@ import ast
 import dataclasses
 from typing import Dict, List, Optional, Tuple
 
-from ..astutil import dotted_name
-from ..effects.callgraph import CallGraph, ClassInfo
+from ..astutil import decorator_tail, dotted_name, keyword_str
+from ..callgraph import (CONSTRUCTOR_HOOKS, CallGraph, ClassInfo,
+                         self_attr_assignment)
 
 #: Constructor tails that create synchronization objects, by kind.
 SYNC_CONSTRUCTORS = {
@@ -107,9 +107,6 @@ class ClassModel:
     info: ClassInfo
     #: Synchronization attributes: name -> kind (see SYNC_CONSTRUCTORS).
     sync: Dict[str, str] = dataclasses.field(default_factory=dict)
-    #: Attribute types: name -> ("instance"|"dict_of"|"list_of", qualname).
-    attr_types: Dict[str, Tuple[str, str]] = dataclasses.field(
-        default_factory=dict)
     #: Guarded fields: field name -> resolved lock identity.
     guarded: Dict[str, str] = dataclasses.field(default_factory=dict)
     #: Line of the @guarded_by decoration that declared each field.
@@ -131,30 +128,28 @@ class ProjectModel:
         default_factory=dict)
 
     # -------------------------------------------------------------- queries
-    def class_model(self, qualname: str) -> Optional[ClassModel]:
-        return self.classes.get(qualname)
-
-    def guard_for(self, class_qualname: str, field: str) -> Optional[str]:
-        """The lock identity guarding ``field`` of ``class_qualname``,
-        searching in-package base classes too (inherited contracts)."""
-        seen = 0
+    def _inherited(self, class_qualname: str, table: str,
+                   key: str) -> Optional[Tuple[str, str]]:
+        """(value, defining class) of ``key`` in one per-class table,
+        searching the first in-package base class chain too."""
         current = class_qualname
-        while current is not None and seen < 16:
-            seen += 1
+        for _ in range(16):
             model = self.classes.get(current)
             if model is None:
                 return None
-            if field in model.guarded:
-                return model.guarded[field]
-            current = self._single_base(model)
+            if key in getattr(model, table):
+                return getattr(model, table)[key], current
+            bases = self.graph.bases(model.info)
+            if not bases:
+                return None
+            current = bases[0]
         return None
 
-    def _single_base(self, model: ClassModel) -> Optional[str]:
-        for base in model.info.bases:
-            resolved = self.graph.resolve_dotted(model.info.module, base)
-            if resolved is not None and resolved[0] == "class":
-                return resolved[1]
-        return None
+    def guard_for(self, class_qualname: str, field: str) -> Optional[str]:
+        """The lock identity guarding ``field`` of ``class_qualname``
+        (contracts are inherited)."""
+        found = self._inherited(class_qualname, "guarded", field)
+        return found[0] if found is not None else None
 
     def sync_kind(self, class_qualname: str, attr: str) -> Optional[str]:
         """The sync kind of ``class_qualname.attr`` (bases included)."""
@@ -168,31 +163,7 @@ class ProjectModel:
         The defining class matters for lock identity: ``NullCache``
         inherits ``DiskCache._lock``, and both must map to the *same*
         abstract lock."""
-        seen = 0
-        current = class_qualname
-        while current is not None and seen < 16:
-            seen += 1
-            model = self.classes.get(current)
-            if model is None:
-                return None
-            if attr in model.sync:
-                return model.sync[attr], current
-            current = self._single_base(model)
-        return None
-
-    def attr_type(self, class_qualname: str,
-                  attr: str) -> Optional[Tuple[str, str]]:
-        seen = 0
-        current = class_qualname
-        while current is not None and seen < 16:
-            seen += 1
-            model = self.classes.get(current)
-            if model is None:
-                return None
-            if attr in model.attr_types:
-                return model.attr_types[attr]
-            current = self._single_base(model)
-        return None
+        return self._inherited(class_qualname, "sync", attr)
 
     def is_reentrant_lock(self, lock: str) -> bool:
         kind = self.kind_of(lock)
@@ -233,52 +204,17 @@ def build_model(graph: CallGraph) -> ProjectModel:
 
 def _build_class(graph: CallGraph, info: ClassInfo) -> ClassModel:
     model = ClassModel(info=info)
-    for ctor_name in ("__init__", "__post_init__"):
+    for ctor_name in CONSTRUCTOR_HOOKS:
         ctor = info.methods.get(ctor_name)
         if ctor is None:
             continue
-        params = _param_types(graph, info.module, ctor.node)
         for node in ast.walk(ctor.node):
-            target, value, annotation = _self_attr_assignment(node)
-            if target is None:
-                continue
-            _classify_attr(graph, info.module, model, target, value,
-                           annotation, params)
+            target, value, _ = self_attr_assignment(node)
+            sync = (_sync_kind_of_call(graph, info.module, value)
+                    if target is not None else None)
+            if sync is not None:
+                model.sync[target] = sync
     return model
-
-
-def _self_attr_assignment(node: ast.AST):
-    """(attr, value, annotation) for ``self.X = ...`` statements."""
-    if isinstance(node, ast.Assign) and len(node.targets) == 1:
-        tgt = node.targets[0]
-        if isinstance(tgt, ast.Attribute) and isinstance(tgt.value, ast.Name) \
-                and tgt.value.id == "self":
-            return tgt.attr, node.value, None
-    elif isinstance(node, ast.AnnAssign) \
-            and isinstance(node.target, ast.Attribute) \
-            and isinstance(node.target.value, ast.Name) \
-            and node.target.value.id == "self":
-        return node.target.attr, node.value, node.annotation
-    return None, None, None
-
-
-def _classify_attr(graph: CallGraph, module: str, model: ClassModel,
-                   attr: str, value: Optional[ast.expr],
-                   annotation: Optional[ast.expr],
-                   params: Dict[str, Tuple[str, str]]) -> None:
-    if annotation is not None:
-        typed = resolve_annotation(graph, module, annotation)
-        if typed is not None:
-            model.attr_types.setdefault(attr, typed)
-    if value is None:
-        return
-    sync = _sync_kind_of_call(graph, module, value)
-    if sync is not None:
-        model.sync[attr] = sync
-        return
-    typed = _value_type(graph, module, value, params)
-    if typed is not None:
-        model.attr_types.setdefault(attr, typed)
 
 
 def _sync_kind_of_call(graph: CallGraph, module: str,
@@ -299,90 +235,8 @@ def _sync_kind_of_call(graph: CallGraph, module: str,
     return SYNC_CONSTRUCTORS[tail]
 
 
-def _value_type(graph: CallGraph, module: str, value: ast.expr,
-                params: Dict[str, Tuple[str, str]]
-                ) -> Optional[Tuple[str, str]]:
-    if isinstance(value, ast.IfExp):
-        return (_value_type(graph, module, value.body, params)
-                or _value_type(graph, module, value.orelse, params))
-    if isinstance(value, ast.Call):
-        dotted = dotted_name(value.func)
-        resolved = graph.resolve_dotted(module, dotted) if dotted else None
-        if resolved is not None and resolved[0] == "class":
-            return ("instance", resolved[1])
-        return None
-    if isinstance(value, ast.Name):
-        return params.get(value.id)
-    return None
-
-
-def _param_types(graph: CallGraph, module: str,
-                 node) -> Dict[str, Tuple[str, str]]:
-    out: Dict[str, Tuple[str, str]] = {}
-    args = node.args
-    for a in (list(getattr(args, "posonlyargs", [])) + list(args.args)
-              + list(args.kwonlyargs)):
-        if a.annotation is None:
-            continue
-        typed = resolve_annotation(graph, module, a.annotation)
-        if typed is not None:
-            out[a.arg] = typed
-    return out
-
-
-def resolve_annotation(graph: CallGraph, module: str,
-                       annotation: ast.expr) -> Optional[Tuple[str, str]]:
-    """Type info from an annotation: plain classes, ``Optional[C]``,
-    ``Dict[_, C]`` and ``List[C]``/``Sequence[C]``/``Iterable[C]``."""
-    if isinstance(annotation, ast.Constant) \
-            and isinstance(annotation.value, str):
-        try:
-            annotation = ast.parse(annotation.value, mode="eval").body
-        except SyntaxError:
-            return None
-    if isinstance(annotation, ast.Subscript):
-        head = dotted_name(annotation.value)
-        tail = head.split(".")[-1] if head else None
-        inner = annotation.slice
-        if tail == "Optional":
-            return resolve_annotation(graph, module, inner)
-        if tail in ("Dict", "dict", "Mapping", "MutableMapping") \
-                and isinstance(inner, ast.Tuple) and len(inner.elts) == 2:
-            value = resolve_annotation(graph, module, inner.elts[1])
-            if value is not None and value[0] == "instance":
-                return ("dict_of", value[1])
-            return None
-        if tail in ("List", "list", "Sequence", "Iterable", "Iterator",
-                    "FrozenSet", "Set", "Tuple"):
-            elt = inner.elts[0] if isinstance(inner, ast.Tuple) \
-                and inner.elts else inner
-            value = resolve_annotation(graph, module, elt)
-            if value is not None and value[0] == "instance":
-                return ("list_of", value[1])
-            return None
-        return None
-    dotted = dotted_name(annotation)
-    if dotted is None:
-        return None
-    resolved = graph.resolve_dotted(module, dotted)
-    if resolved is not None and resolved[0] == "class":
-        return ("instance", resolved[1])
-    return None
-
-
 def _collect_module_sync(model: ProjectModel, mod) -> None:
-    for stmt in mod.tree.body:
-        target = None
-        value = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            target, value = stmt.targets[0].id, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) \
-                and isinstance(stmt.target, ast.Name) \
-                and stmt.value is not None:
-            target, value = stmt.target.id, stmt.value
-        if target is None:
-            continue
+    for target, (_, value) in mod.values.items():
         kind = _sync_kind_of_call(model.graph, mod.name, value)
         if kind is not None:
             model.module_sync[lock_id(mod.name, target)] = kind
@@ -396,9 +250,7 @@ def _resolve_contracts(model: ProjectModel, cls: ClassModel) -> None:
     for deco in cls.info.node.decorator_list:
         if not isinstance(deco, ast.Call):
             continue
-        name = dotted_name(deco.func)
-        tail = name.split(".")[-1] if name else None
-        if tail != GUARDED_BY_DECORATOR:
+        if decorator_tail(deco) != GUARDED_BY_DECORATOR:
             continue
         literals: List[str] = []
         ok = True
@@ -461,16 +313,8 @@ def _resolve_lock_spec(model: ProjectModel, cls: ClassModel, spec: str,
 
 def _holds_no_locks_decl(decorators) -> Optional[Tuple[int, str]]:
     for deco in decorators:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = dotted_name(target)
-        tail = name.split(".")[-1] if name else None
-        if tail != HOLDS_NO_LOCKS_DECORATOR:
-            continue
-        reason = ""
-        if isinstance(deco, ast.Call):
-            for kw in deco.keywords:
-                if kw.arg == "reason" and isinstance(kw.value, ast.Constant) \
-                        and isinstance(kw.value.value, str):
-                    reason = kw.value.value
-        return deco.lineno, reason
+        if decorator_tail(deco) == HOLDS_NO_LOCKS_DECORATOR:
+            reason = (keyword_str(deco, "reason")
+                      if isinstance(deco, ast.Call) else None)
+            return deco.lineno, reason or ""
     return None

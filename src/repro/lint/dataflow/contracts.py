@@ -16,7 +16,8 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..astutil import dotted_name
+from ..astutil import decorator_tail, module_assignments
+from ..callgraph import module_name_for
 
 #: The decorator name the extractor recognises (bare or dotted tail).
 DECORATOR_NAME = "width_contract"
@@ -42,8 +43,9 @@ class ContractError:
 class WidthContract:
     """One extracted declaration, bound to its function definition."""
 
-    name: str                      # bare function name (summary-DB key)
+    name: str                      # bare function name
     qualname: str                  # Class.method / plain function name
+    module: str                    # defining module's dotted name
     path: str
     line: int
     arg_names: Tuple[str, ...]     # positional args, self/cls dropped
@@ -55,6 +57,11 @@ class WidthContract:
     returns: Optional[str] = None
     bounds: Dict[str, int] = dataclasses.field(default_factory=dict)
     params: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+    @property
+    def function(self) -> str:
+        """The decorated function's call-graph qualname (summary-DB key)."""
+        return f"{self.module}.{self.qualname}"
 
     def role_spec(self, role: str) -> Optional[str]:
         """The width spec declared for ``"inputs"`` / ``"weights"``."""
@@ -107,19 +114,8 @@ def fold_int(node: ast.AST, env: Dict[str, int]) -> Optional[int]:
 def module_int_constants(tree: ast.Module) -> Dict[str, int]:
     """UPPER_CASE module-level integer constants, folded in order."""
     env: Dict[str, int] = {}
-    for stmt in tree.body:
-        target = None
-        value = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            target, value = stmt.targets[0].id, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) \
-                and isinstance(stmt.target, ast.Name) \
-                and stmt.value is not None:
-            target, value = stmt.target.id, stmt.value
-        if target is None or not target.isupper():
-            continue
-        folded = fold_int(value, env)
+    for target, value, _ in module_assignments(tree.body):
+        folded = fold_int(value, env) if target.isupper() else None
         if folded is not None:
             env[target] = folded
     return env
@@ -202,10 +198,9 @@ def extract_contracts(tree: ast.Module, path: str,
 
 def _contract_decorator(fn: ast.AST) -> Optional[ast.Call]:
     for deco in fn.decorator_list:
-        if isinstance(deco, ast.Call):
-            name = dotted_name(deco.func)
-            if name is not None and name.split(".")[-1] == DECORATOR_NAME:
-                return deco
+        if isinstance(deco, ast.Call) \
+                and decorator_tail(deco) == DECORATOR_NAME:
+            return deco
     return None
 
 
@@ -277,7 +272,8 @@ def _build(fn, deco: ast.Call, class_name: Optional[str], path: str,
         arg_names = arg_names[1:]
     qualname = f"{class_name}.{fn.name}" if class_name else fn.name
     return WidthContract(
-        name=fn.name, qualname=qualname, path=path, line=line,
+        name=fn.name, qualname=qualname, module=module_name_for(path),
+        path=path, line=line,
         arg_names=arg_names, node=fn,
         inputs=text_field("inputs"), weights=text_field("weights"),
         accum=text_field("accum"), depth=text_field("depth"),

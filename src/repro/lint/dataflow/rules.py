@@ -27,6 +27,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..astutil import module_assignments
 from ..findings import Finding
 from ..registry import Rule, register
 from .analysis import analyze_function
@@ -62,23 +63,24 @@ ENTRY_ROLE_CONSTANTS = (
 )
 
 
-def _project_contracts(project) -> Tuple[List[Tuple[WidthContract, object]],
+def _project_contracts(project) -> Tuple[List[Tuple[WidthContract, object,
+                                                    Dict[str, int]]],
                                          List[Finding], Dict[str, int]]:
     """Contracts of every linted file, with their module contexts.
 
-    Returns ``(contract, ctx)`` pairs, extraction-error findings (as
-    bare tuples for the caller to stamp), and the widths constant table
-    (empty when ``core/widths.py`` is unavailable).
+    Returns ``(contract, ctx, module constants)`` triples, extraction-error
+    findings (as bare tuples for the caller to stamp), and the widths
+    constant table (empty when ``core/widths.py`` is unavailable).
     """
     consts = widths_constants(project) or {}
-    pairs: List[Tuple[WidthContract, object]] = []
+    pairs: List[Tuple[WidthContract, object, Dict[str, int]]] = []
     errors: List[Tuple[str, int, str]] = []
     for ctx in project.files:
         module_env = dict(consts)
         module_env.update(module_int_constants(ctx.tree))
         contracts, extraction_errors = extract_contracts(
             ctx.tree, ctx.path, module_env)
-        pairs.extend((c, ctx) for c in contracts)
+        pairs.extend((c, ctx, module_env) for c in contracts)
         errors.extend((e.path, e.line, e.message)
                       for e in extraction_errors)
     return pairs, errors, consts
@@ -102,20 +104,14 @@ class BitGrowthRule(Rule):
             yield self.finding(path, line, 0, message)
         if not pairs:
             return
-        db = SummaryDB([c for c, _ in pairs], consts)
-        for contract, ctx in pairs:
-            for problem in analyze_function(contract, db, self._env(
-                    ctx, consts), ctx.tree, ctx.source):
+        db = SummaryDB([c for c, _, _ in pairs], consts, project.call_graph)
+        for contract, ctx, env in pairs:
+            for problem in analyze_function(contract, db, env, ctx.tree,
+                                            ctx.source):
                 yield self.finding(contract.path, problem.line,
                                    problem.col, problem.message)
         for error in db.errors:
             yield self.finding(error.path, error.line, 0, error.message)
-
-    @staticmethod
-    def _env(ctx, consts: Dict[str, int]) -> Dict[str, int]:
-        env = dict(consts)
-        env.update(module_int_constants(ctx.tree))
-        return env
 
 
 @register
@@ -148,7 +144,8 @@ class WidthConsistencyRule(Rule):
             return
         path, tree = located
         declared = module_int_constants(tree)
-        lines = _constant_lines(tree)
+        lines = {name: stmt.lineno
+                 for name, _, stmt in module_assignments(tree.body)}
         for energy_name, widths_name in checked_pairs:
             expected = widths.get(widths_name)
             if expected is None:
@@ -185,7 +182,7 @@ class WidthConsistencyRule(Rule):
     def _entry_point_checks(self, project, widths: Dict[str, int]
                             ) -> Iterator[Finding]:
         pairs, _, _ = _project_contracts(project)
-        for contract, _ctx in pairs:
+        for contract, _, _ in pairs:
             if contract.name not in ENTRY_POINTS:
                 continue
             for role, widths_name in ENTRY_ROLE_CONSTANTS:
@@ -205,14 +202,3 @@ class WidthConsistencyRule(Rule):
                     " — update repro.core.widths and re-derive the "
                     "energy constants together")
 
-
-def _constant_lines(tree: ast.Module) -> Dict[str, int]:
-    lines: Dict[str, int] = {}
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            lines[stmt.targets[0].id] = stmt.lineno
-        elif isinstance(stmt, ast.AnnAssign) \
-                and isinstance(stmt.target, ast.Name):
-            lines[stmt.target.id] = stmt.lineno
-    return lines

@@ -3,13 +3,18 @@
 A contract's ``returns=`` declaration is one of three things —
 
 * a width spec (``"i8"``): the return range is that spec's range;
-* the bare name of another contracted function (``"spmm_bitserial"``):
-  the return range is *inherited* from that function's resolved summary,
-  so PE wrappers stay in sync with the kernels they delegate to;
-* an expression over roles, bounds, widths constants and summary names
-  (``"MAX_ROW_TILES * spmm_bitserial"``): evaluated in interval
-  arithmetic, then symmetrised to ``[-m, +m]`` of its magnitude — a
-  declared worst case is a magnitude, not a direction.
+* a reference to another contracted function (``"spmm_gather"``,
+  ``"SRAMSparsePE.matmul"``): the return range is *inherited* from that
+  function's resolved summary, so PE wrappers stay in sync with the
+  kernels they delegate to;
+* an expression over roles, bounds, widths constants and references,
+  ``|`` joining two (``"MAX_ROW_TILES * (A.matmul | B.matmul)"``):
+  evaluated in interval arithmetic, then symmetrised to ``[-m, +m]`` of
+  its magnitude — a declared worst case is a magnitude, not a direction.
+
+A reference resolves as in the decorator's own scope: a method of the
+decorated method's class, else a name of its module.  Calls are matched
+to contracts by the qualnames :mod:`repro.lint.callgraph` resolves.
 
 Resolution is memoised per contract; recursion through a cycle of
 summaries degrades to TOP (unknown) rather than looping.
@@ -18,40 +23,62 @@ summaries degrades to TOP (unknown) rather than looping.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from ..astutil import dotted_name
+from ..callgraph import CallGraph, FunctionInfo, FunctionScope
 from .contracts import ContractError, WidthContract
-from .intervals import (BOTTOM, TOP, Interval, const, from_width_spec,
-                        join_all)
-
-#: Role names usable inside ``returns=`` / ``depth=`` expressions.
-ROLE_NAMES = ("inputs", "weights", "depth")
+from .intervals import BOTTOM, TOP, Interval, const, from_width_spec
 
 
 class SummaryDB:
-    """All extracted contracts, indexed by bare function name."""
+    """All extracted contracts, keyed by their function's qualname."""
 
     def __init__(self, contracts: List[WidthContract],
-                 consts: Dict[str, int]):
+                 consts: Dict[str, int], graph: CallGraph):
         self.contracts = list(contracts)
         self.consts = dict(consts)
-        self.by_name: Dict[str, List[WidthContract]] = {}
-        for contract in contracts:
-            self.by_name.setdefault(contract.name, []).append(contract)
+        self.graph = graph
+        self.by_function = {c.function: c for c in contracts}
         self.errors: List[ContractError] = []
         self._returns_cache: Dict[int, Interval] = {}
         self._resolving: Set[int] = set()
 
     # ------------------------------------------------------------- lookups
-    def lookup(self, bare_name: str) -> List[WidthContract]:
-        return self.by_name.get(bare_name, [])
-
-    def returns_for_name(self, bare_name: str) -> Optional[Interval]:
-        """Joined return range of every contract sharing ``bare_name``."""
-        matches = self.lookup(bare_name)
-        if not matches:
+    def contracts_for(self, qualnames: Iterable[str]
+                      ) -> Optional[List[WidthContract]]:
+        """The contracts of ``qualnames``; None unless each has one."""
+        found = [self.by_function.get(q) for q in qualnames]
+        if not found or None in found:
             return None
-        return join_all(self.resolve_returns(c) for c in matches)
+        return found
+
+    def scope(self, contract: WidthContract) -> FunctionScope:
+        """The call-graph scope of a contracted function's body."""
+        info = self.graph.function_for(contract.function)
+        if info is None or info.node is not contract.node:   # a nested def
+            info = FunctionInfo(
+                qualname=contract.function, name=contract.name,
+                module=contract.module, class_name=None, node=contract.node,
+                path=contract.path, line=contract.line, decorators=[])
+        return self.graph.scope(info)
+
+    def _reference(self, node: ast.AST, contract: WidthContract
+                   ) -> Optional[WidthContract]:
+        """The contract a name in ``contract``'s expressions refers to."""
+        dotted = dotted_name(node)
+        if dotted is None:
+            return None
+        owner = contract.qualname.rpartition(".")[0]
+        method = (self.graph.lookup_method(f"{contract.module}.{owner}",
+                                           dotted)
+                  if owner and "." not in dotted else None)
+        if method is not None:
+            return self.by_function.get(method.qualname)
+        target = self.graph.resolve_dotted(contract.module, dotted)
+        if target is None or target[0] != "func":
+            return None
+        return self.by_function.get(target[1])
 
     # ----------------------------------------------------------- resolution
     def resolve_returns(self, contract: WidthContract) -> Interval:
@@ -77,9 +104,13 @@ class SummaryDB:
         spec = from_width_spec(text)
         if spec is not None:
             return spec
-        if text in self.by_name:   # bare summary name: inherit exactly
-            return join_all(self.resolve_returns(c)
-                            for c in self.by_name[text])
+        try:
+            inherited = self._reference(ast.parse(text, mode="eval").body,
+                                        contract)
+        except SyntaxError:
+            inherited = None
+        if inherited is not None:   # a bare reference: inherit exactly
+            return self.resolve_returns(inherited)
         value = self.eval_expr_text(text, contract)
         if value is None:
             return TOP
@@ -135,8 +166,8 @@ class SummaryDB:
                 return const(node.value)
             missing.append(repr(node.value))
             return TOP
-        if isinstance(node, ast.Name):
-            return self._name(node.id, contract, allow_roles, missing)
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            return self._name(node, contract, allow_roles, missing)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             return self._eval(node.operand, contract, allow_roles,
                               missing).neg()
@@ -155,13 +186,16 @@ class SummaryDB:
                 return left.lshift(right)
             if isinstance(node.op, ast.RShift):
                 return left.rshift(right)
+            if isinstance(node.op, ast.BitOr):
+                return left.join(right)
             missing.append(f"<operator {type(node.op).__name__}>")
             return TOP
         missing.append(f"<{type(node).__name__}>")
         return TOP
 
-    def _name(self, name: str, contract: WidthContract, allow_roles: bool,
-              missing: List[str]) -> Interval:
+    def _name(self, node: ast.expr, contract: WidthContract,
+              allow_roles: bool, missing: List[str]) -> Interval:
+        name = dotted_name(node) or f"<{type(node).__name__}>"
         if allow_roles and name in ("inputs", "weights"):
             spec = contract.role_spec(name)
             if spec is None:
@@ -180,9 +214,9 @@ class SummaryDB:
             return const(contract.bounds[name])
         if name in self.consts:
             return const(self.consts[name])
-        if allow_roles and name in self.by_name:
-            return join_all(self.resolve_returns(c)
-                            for c in self.by_name[name])
+        referenced = self._reference(node, contract) if allow_roles else None
+        if referenced is not None:
+            return self.resolve_returns(referenced)
         missing.append(name)
         return TOP
 

@@ -80,6 +80,7 @@ class Transfer:
                  module_consts: Dict[str, int], tree: ast.Module):
         self.contract = contract
         self.db = db
+        self.scope = db.scope(contract)
         self.consts = module_consts
         self.np_names = numpy_aliases(tree)
         self.depth_iv = db.depth_interval(contract)
@@ -95,7 +96,7 @@ class Transfer:
             else:
                 self.pinned[name] = resolved[0]
         self.reductions: Dict[int, ReductionSite] = {}
-        self.call_checks: Dict[Tuple[int, str], CallCheck] = {}
+        self.call_checks: Dict[Tuple[int, str, str], CallCheck] = {}
         self.returns: Interval = BOTTOM
 
     # ------------------------------------------------------------ entry env
@@ -341,7 +342,7 @@ class Transfer:
             return self._method_call(func.attr, base, node, env)
         if isinstance(func, ast.Name):
             return self._name_call(func.id, node, env)
-        return TOP
+        return self._summary_call(node, env)
 
     def _numpy_call(self, name: str, node: ast.Call, env: Env) -> Interval:
         args = node.args
@@ -427,7 +428,7 @@ class Transfer:
             return value
         if name in _PASSTHROUGH_METHODS:
             return self.eval(base, env)
-        return self._summary_call(name, node, env, check_args=True)
+        return self._summary_call(node, env)
 
     def _name_call(self, name: str, node: ast.Call, env: Env) -> Interval:
         args = node.args
@@ -448,16 +449,18 @@ class Transfer:
             return self._range_interval(node, env)
         if name == "bool":
             return Interval(0, 1)
-        return self._summary_call(name, node, env, check_args=True)
+        return self._summary_call(node, env)
 
-    def _summary_call(self, bare_name: str, node: ast.Call, env: Env,
-                      check_args: bool) -> Interval:
-        matches = self.db.lookup(bare_name)
-        if not matches:
+    def _summary_call(self, node: ast.Call, env: Env) -> Interval:
+        """A call to contracted functions: the join of their summaries,
+        each checking its arguments.  TOP unless the scope resolves the
+        callee and every function it may be carries a contract."""
+        callees = self.db.contracts_for(self.scope.targets(node.func))
+        if callees is None:
             return TOP
-        if check_args and len(matches) == 1:
-            self._check_call_args(matches[0], node, env)
-        return join_all(self.db.resolve_returns(c) for c in matches)
+        for callee in callees:
+            self._check_call_args(callee, node, env)
+        return join_all(self.db.resolve_returns(c) for c in callees)
 
     def _check_call_args(self, callee: WidthContract, node: ast.Call,
                          env: Env) -> None:
@@ -481,7 +484,7 @@ class Transfer:
                 continue
             declared, declared_text = resolved
             observed = self.eval(arg, env)
-            key = (id(node), pname)
+            key = (id(node), callee.function, pname)
             existing = self.call_checks.get(key)
             if existing is None:
                 self.call_checks[key] = CallCheck(

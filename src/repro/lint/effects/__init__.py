@@ -2,8 +2,9 @@
 
 Layered like the dataflow pass, one level up the call stack:
 
-:mod:`.callgraph`
-    Package-wide name binding and call resolution over the lint ASTs.
+:mod:`repro.lint.callgraph`
+    Package-wide name binding, local typing and call resolution, shared
+    with the dataflow and concurrency verifiers.
 :mod:`.lattice`
     The effect powerset lattice and witness :class:`~.lattice.Origin`.
 :mod:`.summaries`
@@ -19,7 +20,7 @@ Enabled with ``python -m repro.lint --effects``.
 """
 
 from .analysis import EffectAnalysis, analyze_project
-from .callgraph import CallGraph, module_name_for
+from ..callgraph import CallGraph, module_name_for
 from .lattice import (ALL_EFFECTS, AMBIENT_RNG, IO, NONDETERMINISTIC_ORDER,
                       PURE, READS_GLOBAL, REENTRANT_BANNED, WRITES_GLOBAL,
                       describe, effect_set, join)

@@ -20,9 +20,9 @@ misbehaves — that chain is what rule R8 prints.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
-from .callgraph import CallGraph, FunctionInfo
+from ..callgraph import CallGraph, FunctionInfo
 from .lattice import ALL_EFFECTS, Origin
 from .transfer import LocalFacts, analyze_local
 
@@ -118,9 +118,6 @@ class EffectAnalysis:
         summary = self.summaries.get(qualname)
         return summary.effects if summary is not None else frozenset()
 
-    def summary_for(self, qualname: str) -> Optional[FunctionSummary]:
-        return self.summaries.get(qualname)
-
     def declaration_errors(self) -> List[Tuple[str, int, str]]:
         """(path, line, message) for every malformed contract declaration."""
         out = []
@@ -173,12 +170,12 @@ class EffectAnalysis:
 def analyze_project(project) -> EffectAnalysis:
     """The (cached) effect analysis of one linted project.
 
-    R8, R9 and R10 all need the same graph and fixpoint; the first rule
-    to run builds it and the rest reuse it via an attribute stashed on
-    the :class:`~repro.lint.engine.ProjectContext`.
+    R8, R9 and R10 all need the same fixpoint over the project's call
+    graph; the first rule to run builds it and the rest reuse it via an
+    attribute stashed on the :class:`~repro.lint.engine.ProjectContext`.
     """
     cached = getattr(project, "_effects_analysis", None)
     if cached is None:
-        cached = EffectAnalysis.run(CallGraph.build(project))
+        cached = EffectAnalysis.run(project.call_graph)
         setattr(project, "_effects_analysis", cached)
     return cached

@@ -33,7 +33,7 @@ R10 — worker shippability
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..astutil import dotted_name
 from ..findings import Finding
@@ -318,7 +318,7 @@ class WorkerShippabilityRule(Rule):
         target = analysis.graph.function_for(resolved[1])
         if target is None:
             return
-        if target.is_method:
+        if target.class_name is not None:
             yield self.finding(
                 info.path, line, 0,
                 f"pool worker {dotted!r} {where} resolves to method "

@@ -85,11 +85,6 @@ LEAF_SUMMARIES: Dict[str, FrozenSet[str]] = {
     "datetime.date.today": effect_set(IO),
 }
 
-#: The argless-``default_rng()`` special case: with no seed the generator
-#: is OS-entropy-seeded, i.e. ambient randomness.
-ARGLESS_DEFAULT_RNG = effect_set(AMBIENT_RNG)
-
-
 def leaf_summary(dotted: str) -> Optional[FrozenSet[str]]:
     """The summary for an external dotted name, by longest-prefix match.
 

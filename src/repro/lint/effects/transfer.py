@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-from ..astutil import dotted_name
-from .callgraph import CallGraph, FunctionInfo, ModuleInfo
+from ..astutil import decorator_tail, dotted_name, iter_nodes, keyword_str
+from ..callgraph import CallGraph, FunctionInfo, FunctionScope
 from .lattice import (AMBIENT_RNG, NONDETERMINISTIC_ORDER, READS_GLOBAL,
                       WRITES_GLOBAL, Origin, effect_set)
-from .summaries import ARGLESS_DEFAULT_RNG, leaf_summary
+from .summaries import leaf_summary
 
 #: Method names that mutate their receiver in place.
 MUTATING_METHODS = frozenset({
@@ -50,11 +50,10 @@ EFFECTS_DECORATOR = "effects"
 
 @dataclasses.dataclass(frozen=True)
 class CallEdge:
-    """One resolved in-package call: who, from which line, and how."""
+    """One resolved in-package call: who, and from which line."""
 
     callee: str        # qualname
     line: int
-    via: str = "call"  # "call", "dispatch" (registry), "constructor"
 
 
 @dataclasses.dataclass
@@ -70,18 +69,12 @@ class LocalFacts:
     declared_reason: str = ""
     errors: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
 
-    def local_effects(self) -> frozenset:
-        return frozenset(o.effect for o in self.origins)
-
 
 def analyze_local(graph: CallGraph, info: FunctionInfo) -> LocalFacts:
     """Run the transfer over one function definition."""
     facts = LocalFacts(info=info)
     _extract_contracts(info, facts)
-    mod = graph.modules.get(info.module)
-    if mod is None:                 # defensive: unmapped module
-        return facts
-    _Transfer(graph, mod, info, facts).run()
+    _Transfer(graph.scope(info), facts).run()
     return facts
 
 
@@ -91,19 +84,17 @@ def analyze_local(graph: CallGraph, info: FunctionInfo) -> LocalFacts:
 
 def _extract_contracts(info: FunctionInfo, facts: LocalFacts) -> None:
     for deco in info.decorators:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = dotted_name(target)
-        tail = name.split(".")[-1] if name else None
+        tail = decorator_tail(deco)
         if tail == REENTRANT_DECORATOR:
             facts.reentrant_line = deco.lineno
             if isinstance(deco, ast.Call):
-                facts.reentrant_reason = _keyword_str(deco, "reason") or ""
+                facts.reentrant_reason = keyword_str(deco, "reason") or ""
         elif tail == EFFECTS_DECORATOR and isinstance(deco, ast.Call):
             declared, errors = _parse_effects(deco, info)
             facts.errors.extend(errors)
             if declared is not None:
                 facts.declared = declared
-                facts.declared_reason = _keyword_str(deco, "reason") or ""
+                facts.declared_reason = keyword_str(deco, "reason") or ""
 
 
 def _parse_effects(deco: ast.Call, info: FunctionInfo
@@ -119,7 +110,7 @@ def _parse_effects(deco: ast.Call, info: FunctionInfo
                            f"@effects on {info.name!r}: effect names must "
                            "be string literals"))
             return None, errors
-    reason = _keyword_str(deco, "reason")
+    reason = keyword_str(deco, "reason")
     if not reason:
         errors.append((deco.lineno,
                        f"@effects on {info.name!r} needs a non-empty "
@@ -132,214 +123,36 @@ def _parse_effects(deco: ast.Call, info: FunctionInfo
         return None, errors
 
 
-def _keyword_str(call: ast.Call, key: str) -> Optional[str]:
-    for kw in call.keywords:
-        if kw.arg == key and isinstance(kw.value, ast.Constant) \
-                and isinstance(kw.value.value, str):
-            return kw.value.value
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The transfer visitor
 # ---------------------------------------------------------------------------
 
 class _Transfer:
-    def __init__(self, graph: CallGraph, mod: ModuleInfo,
-                 info: FunctionInfo, facts: LocalFacts):
-        self.graph = graph
-        self.mod = mod
-        self.info = info
+    def __init__(self, scope: FunctionScope, facts: LocalFacts):
+        self.scope = scope
+        self.info = scope.info
         self.facts = facts
-        #: Function-local name kinds: "param", "local", "set",
-        #: ("instance", class_qualname), or binder Binding tuples for
-        #: function-level imports.
-        self.local_env: Dict[str, object] = {}
+        #: Locals every assignment of which is a set: iterating them is
+        #: hash-ordered.
+        self.set_locals = _set_locals(self.scope)
         self._seen_reads: set = set()
-        self._build_local_env()
 
     # ------------------------------------------------------------- plumbing
     def emit(self, effect: str, line: int, detail: str) -> None:
         self.facts.origins.append(Origin(effect=effect, line=line,
                                          kind="local", detail=detail))
 
-    def edge(self, qualname: str, line: int, via: str = "call") -> None:
-        self.facts.edges.append(CallEdge(callee=qualname, line=line,
-                                         via=via))
-
-    # ------------------------------------------------------------ local env
-    def _build_local_env(self) -> None:
-        args = self.info.node.args
-        every = (list(getattr(args, "posonlyargs", [])) + list(args.args)
-                 + list(args.kwonlyargs))
-        for a in every:
-            kind: object = "param"
-            cls = self._annotation_class(a.annotation)
-            if cls is not None:
-                kind = ("instance", cls)
-            self.local_env[a.arg] = kind
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                self.local_env[extra.arg] = "param"
-        # Flow-insensitive prepass: classify assigned locals and imports.
-        for node in ast.walk(self.info.node):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                self._bind_targets(node.target)
-            elif isinstance(node, ast.comprehension):
-                self._bind_targets(node.target)
-            elif isinstance(node, ast.ExceptHandler) and node.name:
-                self.local_env.setdefault(node.name, "local")
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                   ast.Lambda)):
-                if node is not self.info.node:
-                    # Nested callables: their params are locals too, and
-                    # the nested name itself (effects attribute outward).
-                    if not isinstance(node, ast.Lambda):
-                        self.local_env.setdefault(node.name, "nested-def")
-                    inner = node.args
-                    for a in (list(getattr(inner, "posonlyargs", []))
-                              + list(inner.args) + list(inner.kwonlyargs)):
-                        self.local_env.setdefault(a.arg, "param")
-                    for extra in (inner.vararg, inner.kwarg):
-                        if extra is not None:
-                            self.local_env.setdefault(extra.arg, "param")
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname \
-                        else alias.name.split(".")[0]
-                    self.local_env[local] = ("module", target)
-            elif isinstance(node, ast.ImportFrom):
-                target = self.graph._resolve_import_from(self.mod, node)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.local_env[local] = ("import", target, alias.name)
-            elif isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    if isinstance(tgt, ast.Name):
-                        self._classify_local(tgt.id, node.value)
-            elif isinstance(node, ast.AnnAssign) \
-                    and isinstance(node.target, ast.Name) \
-                    and node.value is not None:
-                self._classify_local(node.target.id, node.value)
-            elif isinstance(node, ast.withitem) \
-                    and node.optional_vars is not None \
-                    and isinstance(node.optional_vars, ast.Name) \
-                    and isinstance(node.context_expr, ast.Call):
-                self._classify_local(node.optional_vars.id,
-                                     node.context_expr)
-
-    def _bind_targets(self, target: ast.expr) -> None:
-        """Bind loop/comprehension targets as opaque locals."""
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                self.local_env.setdefault(node.id, "local")
-
-    def _classify_local(self, name: str, value: ast.expr) -> None:
-        existing = self.local_env.get(name)
-        kind = self._value_kind(value)
-        if existing is not None and existing != kind:
-            kind = "local"           # conflicting assignments: give up
-        self.local_env[name] = kind
-
-    def _value_kind(self, value: ast.expr) -> object:
-        if isinstance(value, (ast.Set, ast.SetComp)):
-            return "set"
-        if isinstance(value, ast.Call):
-            callee = dotted_name(value.func)
-            if callee in ("set", "frozenset"):
-                return "set"
-            resolved = self._resolve(callee) if callee else None
-            if resolved is not None and resolved[0] == "class":
-                return ("instance", resolved[1])
-            if resolved is not None and resolved[0] == "external" \
-                    and resolved[1] == "dataclasses.replace" \
-                    and value.args and isinstance(value.args[0], ast.Name):
-                # dataclasses.replace overlay: same type as its template.
-                inner = self.local_env.get(value.args[0].id)
-                if isinstance(inner, tuple) and inner[0] == "instance":
-                    return inner
-            return "local"
-        if isinstance(value, ast.Name):
-            inner = self.local_env.get(value.id)
-            if isinstance(inner, tuple) and inner[0] in ("instance",):
-                return inner
-            if inner == "set":
-                return "set"
-            return "local"
-        return "local"
-
-    def _annotation_class(self, annotation) -> Optional[str]:
-        if annotation is None:
-            return None
-        dotted = dotted_name(annotation)
-        if dotted is None:
-            return None
-        resolved = self._resolve(dotted)
-        if resolved is not None and resolved[0] == "class":
-            return resolved[1]
-        return None
-
-    # ----------------------------------------------------------- resolution
-    def _resolve(self, dotted: Optional[str]):
-        """Resolve a dotted name: locals (incl. local imports) first,
-        then the module namespace, then builtin leaf names."""
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        head = parts[0]
-        if head == "self" and self.info.class_name is not None:
-            # Before the local-env lookup: "self" is always a parameter,
-            # but it carries the enclosing class's method namespace.
-            if len(parts) == 2:
-                cls = f"{self.info.module}.{self.info.class_name}"
-                method = self.graph.lookup_method(cls, parts[1])
-                if method is not None:
-                    return ("func", method.qualname)
-            return ("local-value",)
-        local = self.local_env.get(head)
-        if local is not None:
-            if isinstance(local, tuple) and local[0] in ("module", "import"):
-                followed = self.graph._follow(self.mod, local, 0)
-                if followed is None:
-                    return None
-                return self.graph.descend(followed, parts[1:])
-            if isinstance(local, tuple) and local[0] == "instance" \
-                    and len(parts) == 2:
-                method = self.graph.lookup_method(local[1], parts[1])
-                if method is not None:
-                    return ("func", method.qualname)
-                return None
-            return ("local-value",)        # params/locals: opaque receiver
-        resolved = self.graph.resolve_dotted(self.mod.name, dotted)
-        if resolved is not None:
-            return resolved
-        if self.graph.resolve_name(self.mod.name, head) is not None:
-            return None                    # known head, unknowable tail
-        return ("external", dotted)        # unbound head: builtin/global ns
-
-    def _module_global(self, name: str) -> Optional[Tuple[str, int]]:
-        """(kind, line) when ``name`` is a module-level global binding."""
-        if name in self.local_env:
-            return None
-        resolved = self.graph.resolve_name(self.mod.name, name)
-        if resolved is not None and resolved[0] == "global":
-            return resolved[1], resolved[2]
-        return None
-
     # ------------------------------------------------------------- the walk
     def run(self) -> None:
+        handlers = {}
         for stmt in self.info.node.body:
-            self._walk(stmt)
-
-    def _walk(self, node: ast.AST) -> None:
-        handler = getattr(self, f"_visit_{type(node).__name__}", None)
-        if handler is not None:
-            handler(node)
-        for child in ast.iter_child_nodes(node):
-            self._walk(child)
+            for node in iter_nodes(stmt):
+                kind = type(node)
+                if kind not in handlers:
+                    handlers[kind] = getattr(self, f"_visit_{kind.__name__}",
+                                             None)
+                if handlers[kind] is not None:
+                    handlers[kind](node)
 
     # global / nonlocal -----------------------------------------------------
     def _visit_Global(self, node: ast.Global) -> None:
@@ -367,41 +180,36 @@ class _Transfer:
             for elt in target.elts:
                 self._check_store(elt)
             return
+        if not isinstance(target, (ast.Attribute, ast.Subscript)):
+            return
+        base = dotted_name(target.value)
+        if base is None or base.split(".")[0] == "self":
+            return
+        if isinstance(target, ast.Subscript) and "." not in base \
+                and self.scope.module_global(base) is not None:
+            self.emit(WRITES_GLOBAL, target.lineno,
+                      f"subscript store to module-level {base!r}")
+            return
+        resolved = self.scope.resolve(target.value)
+        if resolved is None or resolved[0] not in ("module", "global"):
+            return
         if isinstance(target, ast.Attribute):
-            base = dotted_name(target.value)
-            if base is None or base.split(".")[0] == "self":
-                return
-            resolved = self._resolve(base)
-            if resolved is not None and resolved[0] in ("module", "global"):
-                self.emit(WRITES_GLOBAL, target.lineno,
-                          f"attribute store '{base}.{target.attr}' on "
-                          "module-level state")
-        elif isinstance(target, ast.Subscript):
-            base = dotted_name(target.value)
-            if base is None:
-                return
-            head = base.split(".")[0]
-            if head == "self":
-                return
-            info = self._module_global(head) if "." not in base else None
-            if info is not None:
-                self.emit(WRITES_GLOBAL, target.lineno,
-                          f"subscript store to module-level {head!r}")
-                return
-            resolved = self._resolve(base)
-            if resolved is not None and resolved[0] in ("module", "global"):
-                self.emit(WRITES_GLOBAL, target.lineno,
-                          f"subscript store through module-level {base!r}")
+            self.emit(WRITES_GLOBAL, target.lineno,
+                      f"attribute store '{base}.{target.attr}' on "
+                      "module-level state")
+        else:
+            self.emit(WRITES_GLOBAL, target.lineno,
+                      f"subscript store through module-level {base!r}")
 
     # reads -----------------------------------------------------------------
     def _visit_Name(self, node: ast.Name) -> None:
         if not isinstance(node.ctx, ast.Load):
             return
-        info = self._module_global(node.id)
+        info = self.scope.module_global(node.id)
         if info is None:
             return
-        kind, _line = info
-        if kind in ("mutable", "object") and node.id not in self._seen_reads:
+        if info[1] in ("mutable", "object") \
+                and node.id not in self._seen_reads:
             self._seen_reads.add(node.id)
             self.emit(READS_GLOBAL, node.lineno,
                       f"read of module-level mutable {node.id!r}")
@@ -410,21 +218,8 @@ class _Transfer:
     def _visit_For(self, node: ast.For) -> None:
         self._check_iteration(node.iter)
 
-    def _visit_comprehension_iters(self, generators) -> None:
-        for gen in generators:
-            self._check_iteration(gen.iter)
-
-    def _visit_ListComp(self, node) -> None:
-        self._visit_comprehension_iters(node.generators)
-
-    def _visit_SetComp(self, node) -> None:
-        self._visit_comprehension_iters(node.generators)
-
-    def _visit_DictComp(self, node) -> None:
-        self._visit_comprehension_iters(node.generators)
-
-    def _visit_GeneratorExp(self, node) -> None:
-        self._visit_comprehension_iters(node.generators)
+    def _visit_comprehension(self, node: ast.comprehension) -> None:
+        self._check_iteration(node.iter)
 
     def _is_set_typed(self, expr: ast.expr) -> bool:
         if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -433,7 +228,7 @@ class _Transfer:
             callee = dotted_name(expr.func)
             return callee in ("set", "frozenset")
         if isinstance(expr, ast.Name):
-            return self.local_env.get(expr.id) == "set"
+            return expr.id in self.set_locals
         return False
 
     def _check_iteration(self, iter_expr: ast.expr) -> None:
@@ -444,49 +239,27 @@ class _Transfer:
 
     # calls -----------------------------------------------------------------
     def _visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        # Registry dispatch: REGISTRY[key](...)
-        if isinstance(func, ast.Subscript):
-            base = dotted_name(func.value)
-            resolved = self._resolve(base) if base else None
-            if resolved is not None and resolved[0] == "registry":
-                for qualname in resolved[1]:
-                    self.edge(qualname, node.lineno, via="dispatch")
-            return
-        dotted = dotted_name(func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
+        dotted = dotted_name(node.func)
+        parts = dotted.split(".") if dotted is not None else []
         # Order-sensitive reduction over a set-typed argument.
-        if parts[-1] in ORDER_SENSITIVE_REDUCERS and node.args \
+        if parts and parts[-1] in ORDER_SENSITIVE_REDUCERS and node.args \
                 and self._is_set_typed(node.args[0]):
             self.emit(NONDETERMINISTIC_ORDER, node.lineno,
                       f"{parts[-1]}() over a hash-ordered set")
         # Mutating method on module-level state.
         if len(parts) >= 2 and parts[-1] in MUTATING_METHODS:
-            info = self._module_global(parts[0])
-            if info is not None and info[0] in ("mutable", "object"):
+            info = self.scope.module_global(parts[0])
+            if info is not None and info[1] in ("mutable", "object"):
                 self.emit(WRITES_GLOBAL, node.lineno,
                           f"mutating call {dotted}() on module-level "
                           f"{parts[0]!r}")
                 return
-        resolved = self._resolve(dotted)
-        if resolved is None:
-            return
-        tag = resolved[0]
-        if tag == "func":
-            self.edge(resolved[1], node.lineno)
-        elif tag == "class":
-            for hook in ("__init__", "__post_init__", "__call__"):
-                method = self.graph.lookup_method(resolved[1], hook)
-                if method is not None:
-                    self.edge(method.qualname, node.lineno,
-                              via="constructor")
-        elif tag == "registry":
-            for qualname in resolved[1]:
-                self.edge(qualname, node.lineno, via="dispatch")
-        elif tag == "external":
+        resolved = self.scope.resolve(node.func)
+        if resolved is not None and resolved[0] == "external":
             self._external_call(resolved[1], node)
+            return
+        for callee in self.scope.callees(node):
+            self.facts.edges.append(CallEdge(callee=callee, line=node.lineno))
 
     def _external_call(self, dotted: str, node: ast.Call) -> None:
         if dotted.split(".")[-1] == "default_rng" and not node.args:
@@ -498,3 +271,25 @@ class _Transfer:
             return
         for effect in sorted(summary):
             self.emit(effect, node.lineno, f"call to {dotted}")
+
+
+def _set_locals(scope: FunctionScope) -> Set[str]:
+    """Locals every binding of which is a set literal, a ``set(...)`` or
+    ``frozenset(...)`` call, or another such local."""
+    sets: Set[str] = set()
+    while True:    # grows monotonically; chains settle within len(sources)
+        grown = {name for name, sources in scope.sources.items()
+                 if all(kind == "value" and not path
+                        and _is_set_value(value, sets)
+                        for kind, value, path in sources)}
+        if grown == sets:
+            return sets
+        sets = grown
+
+
+def _is_set_value(value: ast.expr, sets: Set[str]) -> bool:
+    if isinstance(value, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        return dotted_name(value.func) in ("set", "frozenset")
+    return isinstance(value, ast.Name) and value.id in sets

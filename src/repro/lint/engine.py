@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import re
 from pathlib import Path
 from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
@@ -30,6 +31,7 @@ from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 #: ``all_rules`` opt-in selector: False, True, or a set of group names.
 OptinSelector = Union[bool, Sequence[str]]
 
+from .callgraph import CallGraph
 from .findings import Finding
 from .registry import Rule, all_rules
 
@@ -116,6 +118,12 @@ class ProjectContext:
     """The whole linted file set, as handed to project-scoped rules."""
 
     files: List[FileContext]
+
+    @functools.cached_property
+    def call_graph(self) -> CallGraph:
+        """The project's call graph, built once per lint run and shared
+        by the dataflow, effects and concurrency verifiers."""
+        return CallGraph.build(self)
 
     def find(self, suffix: str) -> Optional[FileContext]:
         """The linted file whose path ends with ``suffix`` (posix match)."""

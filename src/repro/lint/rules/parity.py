@@ -18,7 +18,6 @@ dicts — and checks:
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..findings import Finding

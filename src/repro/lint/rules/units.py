@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..astutil import is_numeric_constant, module_constant_nodes
 from ..findings import Finding

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, astensor, unbroadcast
+from .tensor import Tensor, astensor
 
 
 # --------------------------------------------------------------------- im2col

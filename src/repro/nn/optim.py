@@ -10,7 +10,7 @@ during sparse fine-tuning (the pruner installs these masks).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 import numpy as np
 

@@ -14,8 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.modules import (BatchNorm2d, Conv2d, GlobalAvgPool2d, Linear, Module,
-                          ReLU, Sequential)
+from ..nn.modules import BatchNorm2d, Conv2d, Linear, Module
 from ..nn.tensor import Tensor
 
 

@@ -14,14 +14,14 @@ configuration is the paper's (Sec. 5.1):
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
 from ..nn.data import DataLoader, TensorDataset
 from ..nn.modules import Module
-from ..nn.optim import Adam, SGD, clip_grad_norm
+from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, no_grad
 from ..quant import quantize_model_ptq
 from ..sparsity import NMPattern, NMPruner, prune_model

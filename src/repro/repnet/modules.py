@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..nn import functional as F
 from ..nn.modules import AvgPool2d, Conv2d, Module
 from ..nn.tensor import Tensor
 

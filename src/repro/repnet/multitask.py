@@ -22,7 +22,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..nn.data import TensorDataset
-from ..quant import quantize_model_ptq
 from ..sparsity.nm import NMPattern
 from .continual import ContinualLearner, TrainConfig, evaluate
 from .model import RepNetModel

@@ -12,7 +12,7 @@ Combines the pieces of :mod:`repro.sparsity.nm` and
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

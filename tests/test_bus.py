@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bus import BusConfig, SharedBus, Transfer
+from repro.core.bus import BusConfig, SharedBus
 
 
 class TestConfig:

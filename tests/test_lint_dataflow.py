@@ -8,8 +8,6 @@ intervals, cycle handling).
 
 import ast
 
-import pytest
-
 from repro.lint.dataflow.cfg import build_cfg
 from repro.lint.dataflow.contracts import (extract_contracts, fold_int,
                                            module_int_constants)
@@ -17,6 +15,7 @@ from repro.lint.dataflow.intervals import (BOTTOM, TOP, Interval, const,
                                            from_width_spec, join_all,
                                            spec_bits)
 from repro.lint.dataflow.summaries import SummaryDB
+from repro.lint.engine import FileContext, ProjectContext
 
 
 # ---------------------------------------------------------------------------
@@ -189,61 +188,77 @@ class TestCFG:
 # summaries
 # ---------------------------------------------------------------------------
 
-def _contracts_for(src):
-    tree = ast.parse(src)
+def _summaries_for(src):
+    """The contracts of a one-module fixture and their summary database,
+    whose names resolve through the fixture's call graph."""
+    path = "src/repro/core/m.py"
+    project = ProjectContext(files=[FileContext.from_source(src, path)])
+    tree = project.files[0].tree
     env = module_int_constants(tree)
-    (contracts, errors) = extract_contracts(tree, "src/repro/core/m.py", env)
+    (contracts, errors) = extract_contracts(tree, path, env)
     assert not errors
-    return contracts, env
+    return contracts, SummaryDB(contracts, env, project.call_graph)
 
 
 class TestSummaries:
     def test_spec_returns(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             '@width_contract(returns="i16")\ndef f(x):\n    return x\n')
-        db = SummaryDB(contracts, env)
         assert db.resolve_returns(contracts[0]) == Interval(-32768, 32767)
 
     def test_expression_returns_symmetric(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             'D = 16\n'
             '@width_contract(inputs="i8", weights="i8", depth="D",\n'
             '                returns="depth * inputs * weights")\n'
             'def f(a, w):\n    return a @ w\n')
-        db = SummaryDB(contracts, env)
         iv = db.resolve_returns(contracts[0])
         assert iv == Interval(-16 * 128 * 128, 16 * 128 * 128)
 
     def test_summary_name_inherits(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             '@width_contract(returns="i8")\ndef inner(x):\n    return x\n'
             '@width_contract(returns="inner")\ndef outer(x):\n'
             '    return inner(x)\n')
-        db = SummaryDB(contracts, env)
         outer = [c for c in contracts if c.name == "outer"][0]
         assert db.resolve_returns(outer) == Interval(-128, 127)
 
+    def test_references_resolve_in_the_decorator_scope(self):
+        # A bare name in a method's contract is first a method of its own
+        # class; ``Class.method`` names one class's method; ``|`` joins.
+        contracts, db = _summaries_for(
+            'class A:\n'
+            '    @width_contract(returns="i8")\n'
+            '    def m(self, x):\n        return x\n'
+            'class B:\n'
+            '    @width_contract(returns="i16")\n'
+            '    def m(self, x):\n        return x\n'
+            '    @width_contract(returns="m")\n'
+            '    def own(self, x):\n        return self.m(x)\n'
+            '@width_contract(returns="4 * (A.m | B.m)")\n'
+            'def f(x):\n    return x\n')
+        by_name = {c.qualname: c for c in contracts}
+        assert db.resolve_returns(by_name["B.own"]) == Interval(-32768, 32767)
+        assert db.resolve_returns(by_name["f"]) == Interval(-131072, 131072)
+
     def test_cycle_resolves_to_top(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             '@width_contract(returns="b")\ndef a(x):\n    return b(x)\n'
             '@width_contract(returns="a")\ndef b(x):\n    return a(x)\n')
-        db = SummaryDB(contracts, env)
         assert db.resolve_returns(contracts[0]).is_top
 
     def test_depth_interval(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             'D = 1 << 6\n'
             '@width_contract(depth="D")\ndef f(x):\n    return x\n'
             '@width_contract()\ndef g(x):\n    return x\n')
-        db = SummaryDB(contracts, env)
         assert db.depth_interval(contracts[0]) == Interval(0, 64)
         # Missing depth is unbounded fan-in, not zero.
         assert db.depth_interval(contracts[1]) == Interval(0, None)
 
     def test_unresolvable_returns_records_error(self):
-        contracts, env = _contracts_for(
+        contracts, db = _summaries_for(
             '@width_contract(returns="NO_SUCH * inputs", inputs="i8")\n'
             'def f(x):\n    return x\n')
-        db = SummaryDB(contracts, env)
         assert db.resolve_returns(contracts[0]).is_top
         assert any("unresolvable" in e.message for e in db.errors)

@@ -10,8 +10,6 @@ the energy model) that R7 must flag.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, main
 from repro.lint.engine import audit_suppressions, lint_sources
@@ -161,6 +159,85 @@ def test_r6_flags_return_overflow():
     r6 = [f for f in res.findings if f.code == "R6"]
     assert len(r6) == 1
     assert "can return" in r6[0].message
+
+
+RECEIVERS = '''
+from typing import Union
+from repro.core.widths import width_contract
+
+
+class Narrow:
+    @width_contract(returns="i8")
+    def matmul(self, x):
+        return x
+
+
+class Wide:
+    @width_contract(returns="i32")
+    def matmul(self, x):
+        return x
+
+
+@width_contract(returns="i8")
+def typed(pe: Narrow, x):
+    return pe.matmul(x)
+
+
+@width_contract(returns="i16")
+def typed_wide(pe: Wide, x):
+    return pe.matmul(x)
+
+
+@width_contract(returns="i16")
+def untyped(pe, x):
+    return pe.matmul(x)
+
+
+@width_contract(returns="i16")
+def either(pe: Union[Narrow, Wide], x):
+    return pe.matmul(x)
+'''
+
+
+def test_r6_resolves_method_calls_by_receiver_type():
+    # A typed receiver is checked against its own class's contract only,
+    # an untyped one stays unbounded, and a Union joins both contracts.
+    res = lint_sources(_fixture_tree(**{
+        "src/repro/core/pes.py": RECEIVERS}), codes=["R6"])
+    flagged = sorted(f.message.split("'")[1] for f in res.findings
+                     if f.code == "R6" and "can return" in f.message)
+    assert flagged == ["either", "typed_wide"]
+
+
+DISPATCH = '''
+from repro.core.widths import width_contract
+
+
+@width_contract(returns="i8")
+def _narrow(x):
+    return x
+
+
+@width_contract(returns="i16")
+def _wide(x):
+    return x
+
+
+_IMPLS = {"narrow": _narrow, "wide": _wide}
+
+
+@width_contract(returns="i8")
+def dispatch(name, x):
+    return _IMPLS[name](x)
+'''
+
+
+def test_r6_checks_registry_dispatch_against_every_tier():
+    res = lint_sources(_fixture_tree(**{
+        "src/repro/core/dispatch.py": DISPATCH}), codes=["R6"])
+    r6 = [f for f in res.findings if f.code == "R6"]
+    assert len(r6) == 1
+    assert "'dispatch' can return [-32768, 32767]" in r6[0].message
 
 
 def test_r6_suppressible_with_pragma():

@@ -172,6 +172,54 @@ class TestMethodResolution:
             "    c.leaf()\n")})
         assert IO in a.effects_of("repro.m.caller")
 
+    def test_attribute_typed_in_init_resolves_methods(self):
+        a = _analyze({"repro/m.py": (
+            "class C:\n"
+            "    def leaf(self):\n"
+            "        print('x')\n"
+            "class Owner:\n"
+            "    def __init__(self):\n"
+            "        self.c = C()\n"
+            "    def top(self):\n"
+            "        return self.c.leaf()\n")})
+        assert IO in a.effects_of("repro.m.Owner.top")
+
+    def test_loop_over_typed_list_resolves_methods(self):
+        a = _analyze({"repro/m.py": (
+            "from typing import List\n"
+            "class C:\n"
+            "    def leaf(self):\n"
+            "        print('x')\n"
+            "def caller(xs: List[C]):\n"
+            "    for x in xs:\n"
+            "        x.leaf()\n")})
+        assert IO in a.effects_of("repro.m.caller")
+
+    def test_tuple_unpacked_loop_resolves_methods(self):
+        a = _analyze({"repro/m.py": (
+            "from typing import List, Tuple\n"
+            "class C:\n"
+            "    def leaf(self):\n"
+            "        print('x')\n"
+            "def caller(pairs: List[Tuple[int, C]]):\n"
+            "    for i, c in pairs:\n"
+            "        c.leaf()\n")})
+        assert IO in a.effects_of("repro.m.caller")
+
+    def test_union_receiver_reaches_every_member(self):
+        a = _analyze({"repro/m.py": (
+            "import random\n"
+            "from typing import Union\n"
+            "class A:\n"
+            "    def leaf(self):\n"
+            "        print('x')\n"
+            "class B:\n"
+            "    def leaf(self):\n"
+            "        return random.random()\n"
+            "def caller(x: Union[A, B]):\n"
+            "    x.leaf()\n")})
+        assert {IO, AMBIENT_RNG} <= a.effects_of("repro.m.caller")
+
     def test_base_class_method_resolves_through_inheritance(self):
         a = _analyze({"repro/m.py": (
             "class Base:\n"

@@ -8,8 +8,8 @@ import pytest
 from repro.core.mapper import (CoreConfig, HybridMapper, dense_core_requirement,
                                tile_layer_shapes)
 from repro.core.scheduler import SIMTScheduler
-from repro.core.workload import (LayerWorkload, Workload,
-                                 extract_repnet_workload, paper_workload)
+from repro.core.workload import (LayerWorkload, extract_repnet_workload,
+                                 paper_workload)
 from repro.repnet import build_repnet_model
 from repro.sparsity import NMPattern
 

@@ -1,13 +1,10 @@
 """Tests for the reliability models: write-verify and sense-margin analysis."""
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.core.write_verify import (WriteVerifyController,
                                      deployment_write_study)
-from repro.energy.mtj import MTJParams
 from repro.energy.sensing import (SenseConfig, margin_study,
                                   read_bit_error_rate, state_currents_ua)
 

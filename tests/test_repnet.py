@@ -5,10 +5,10 @@ import pytest
 
 from repro.datasets import TaskSpec, generate_task
 from repro.nn.tensor import Tensor
-from repro.repnet import (Backbone, BackboneClassifier, BasicBlock,
-                          ContinualLearner, RepNetModel, TrainConfig,
-                          build_repnet_model, evaluate, pretrain_backbone,
-                          quantize_backbone, sparsify_backbone)
+from repro.repnet import (Backbone, BasicBlock, ContinualLearner,
+                          TrainConfig, build_repnet_model, evaluate,
+                          pretrain_backbone, quantize_backbone,
+                          sparsify_backbone)
 from repro.sparsity import NMPattern, verify_nm
 
 

@@ -22,8 +22,7 @@ import repro
 from repro.dse.cache import DiskCache
 from repro.serve import ERROR_SCHEMA, ServeApp
 
-from tests.serve_utils import NOMINAL_CONFIG, Client, live_server, \
-    wait_for_job
+from tests.serve_utils import NOMINAL_CONFIG, live_server
 
 #: config_key(normalize_config(NOMINAL_CONFIG)) — content hashes are part
 #: of the wire contract, so the golden pins the literal digest.

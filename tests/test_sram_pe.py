@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.csc import CSCMatrix
 from repro.core.sram_pe import DenseDigitalPE, SRAMPEConfig, SRAMSparsePE
-from repro.sparsity import NMPattern, compute_nm_mask
+from repro.sparsity import NMPattern
 
 from .test_csc import sparse_int_matrix
 

@@ -1,7 +1,6 @@
 """Unit tests for the PEStats counters and report plumbing."""
 
 import numpy as np
-import pytest
 
 from repro.core.stats import PEStats
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.sram_pe import SRAMPEConfig
 from repro.core.transpose_pe import BackpropEngine, TransposedSRAMPE
 from repro.sparsity import NMPattern
 
