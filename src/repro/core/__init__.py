@@ -14,7 +14,6 @@ from .concurrency import guarded_by, holds_no_locks
 from .effects import effects, reentrant
 from .bitcell_array import BitCellArray, BitLevelSparsePE
 from .bitserial import from_partials, plane_weight, to_bit_planes
-from .bus import BusConfig, SharedBus
 from .fault_injection import gemm_error_study, inject_weight_bit_flips
 from .csc import CSCColumn, CSCMatrix
 from .kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS, KernelPlan,
@@ -25,12 +24,10 @@ from .mapper import (CoreConfig, HybridMapper, MappingPlan, Tile,
                      dense_core_requirement, tile_layer_shapes)
 from .mram_pe import (PIPELINE_DEPTH, MRAMDensePE, MRAMPEConfig,
                       MRAMSparsePE)
-from .scheduler import LayerSchedule, ScheduleResult, SIMTScheduler
 from .sram_pe import DenseDigitalPE, SRAMPEConfig, SRAMSparsePE
 from .stats import PEStats
 from .transpose_pe import BackpropEngine, TransposedSRAMPE
-from .write_verify import (WriteReport, WriteVerifyController,
-                           deployment_write_study)
+from .write_verify import WriteReport, WriteVerifyController
 from .workload import (LayerWorkload, Workload, extract_repnet_workload,
                        paper_workload)
 
@@ -46,13 +43,11 @@ __all__ = [
     "LayerWorkload", "Workload", "extract_repnet_workload", "paper_workload",
     "CoreConfig", "HybridMapper", "MappingPlan", "Tile", "tile_layer_shapes",
     "dense_core_requirement",
-    "SIMTScheduler", "ScheduleResult", "LayerSchedule",
     "DenseCIMDesign", "HybridSparseDesign", "HybridBatch", "PerfReport",
     "HybridAccelerator", "MappedGemm",
-    "WriteVerifyController", "WriteReport", "deployment_write_study",
+    "WriteVerifyController", "WriteReport",
     "BitCellArray", "BitLevelSparsePE",
     "inject_weight_bit_flips", "gemm_error_study",
-    "BusConfig", "SharedBus",
     "reentrant", "effects",
     "guarded_by", "holds_no_locks",
 ]

@@ -298,9 +298,3 @@ class HybridAccelerator:
         stats = self.stats()
         return {kind: self.cost.pe_stats_energy(s, kind)
                 for kind, s in stats.items()}
-
-    def pe_counts(self) -> Dict[str, int]:
-        counts = {"sram": 0, "mram": 0}
-        for mapped in self.gemms.values():
-            counts[mapped.kind] += mapped.pe_count
-        return counts

@@ -2,20 +2,15 @@
 
 Where :class:`~repro.core.sram_pe.SRAMSparsePE` models the PE at the
 dataflow level (vectorized, fast), this module models it at the *bit-cell*
-level: every stored weight is 8 physical bit-cells, every stored index 4
-bit-cells, and each cycle evaluates the actual circuit primitives —
-
-* the 8T cell's pass-gate AND of its stored bit with the shared input word
-  line (one input bit per row per cycle),
-* the per-pair 4-bit comparator against the lane's index-generator phase,
-* the lane's adder tree summing the comparator-gated, bit-weighted columns
-  (two's-complement weighting: the weight MSB column carries −128), and
-* the shift accumulator applying the input bit-plane weight.
+level: every stored weight is 8 physical bit-cells (two's-complement
+weighting: the weight MSB column carries −128).  The matmul's weights are
+decoded back from those cells, and the phase x bit-plane schedule is the
+shared bit-serial kernel's.
 
 It is deliberately loop-heavy and slow; its purpose is *cross-validation*:
 the test suite drives both models over the same packed contents and
-requires bit-identical results, anchoring the fast model's arithmetic to
-the circuit description.
+requires bit-identical results, anchoring the fast model's storage to the
+circuit description.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from .widths import width_contract
 
 
 class BitCellArray:
-    """Raw bit storage + per-cycle circuit evaluation for one PE array."""
+    """Raw bit storage for one PE array."""
 
     def __init__(self, config: Optional[SRAMPEConfig] = None):
         self.config = config or SRAMPEConfig()
@@ -42,14 +37,15 @@ class BitCellArray:
         # 8T compute cells: weight bits, one plane per bit position.
         self.weight_bits = np.zeros(
             (cfg.rows, cfg.lanes, cfg.weight_bits), dtype=np.uint8)
-        # 6T index cells adjacent to each weight word.
-        self.index_bits = np.zeros(
-            (cfg.rows, cfg.lanes, cfg.index_bits), dtype=np.uint8)
-        self.valid = np.zeros((cfg.rows, cfg.lanes), dtype=bool)
 
     # ------------------------------------------------------------------ store
     def store_pair(self, row: int, lane: int, weight: int, index: int) -> None:
-        """Write one (weight, index) pair into its bit-cells."""
+        """Write one pair's weight into its bit-cells.
+
+        The index must fit the pair's ``index_bits``-wide index cells; the
+        matmul reads row positions from the CSC encoding, so the index
+        bits are not stored.
+        """
         cfg = self.config
         lo, hi = -(1 << (cfg.weight_bits - 1)), (1 << (cfg.weight_bits - 1)) - 1
         if not lo <= weight <= hi:
@@ -59,9 +55,6 @@ class BitCellArray:
         unsigned = weight + (1 << cfg.weight_bits) if weight < 0 else weight
         for b in range(cfg.weight_bits):
             self.weight_bits[row, lane, b] = (unsigned >> b) & 1
-        for b in range(cfg.index_bits):
-            self.index_bits[row, lane, b] = (index >> b) & 1
-        self.valid[row, lane] = True
 
     def stored_weight(self, row: int, lane: int) -> int:
         """Decode the two's-complement weight back from its bit-cells."""
@@ -71,51 +64,6 @@ class BitCellArray:
             value += plane_weight(b, cfg.weight_bits) \
                 * int(self.weight_bits[row, lane, b])
         return value
-
-    def stored_index(self, row: int, lane: int) -> int:
-        return int(sum(int(self.index_bits[row, lane, b]) << b
-                       for b in range(self.config.index_bits)))
-
-    # ------------------------------------------------------------------ cycle
-    @width_contract(inputs="u1", weights="u1", accum="i64",
-                    depth="MAX_ARRAY_ROWS * BITSERIAL_MAX_BITS",
-                    returns="MAX_ARRAY_ROWS * BITSERIAL_MAX_BITS"
-                            " * (1 << (BITSERIAL_MAX_BITS - 1))",
-                    params={"input_bits": "inputs"})
-    def evaluate_cycle(self, input_bits: np.ndarray,
-                       phase: int) -> np.ndarray:
-        """One array cycle: AND, compare, adder-tree — per lane.
-
-        ``input_bits``: one bit per row (the input word lines this cycle).
-        ``phase``: the index generators' current value (shared across lanes
-        here; per-lane phases are a trivial generalization).
-
-        Returns the per-lane adder-tree outputs (signed partial sums).
-        """
-        cfg = self.config
-        input_bits = np.asarray(input_bits)
-        if input_bits.shape != (cfg.rows,):
-            raise ValueError(
-                f"need one input bit per row ({cfg.rows}), got "
-                f"{input_bits.shape}")
-        sums = np.zeros(cfg.lanes, dtype=np.int64)
-        for lane in range(cfg.lanes):
-            acc = 0
-            for row in range(cfg.rows):
-                if not self.valid[row, lane]:
-                    continue
-                # 4-bit comparator: stored index vs the generator phase.
-                if self.stored_index(row, lane) != phase:
-                    continue
-                if input_bits[row] == 0:
-                    continue  # pass-gate AND yields all-zero columns
-                # 8T AND per bit column, summed with two's-complement
-                # weights by the adder tree.
-                for b in range(cfg.weight_bits):
-                    if self.weight_bits[row, lane, b]:
-                        acc += plane_weight(b, cfg.weight_bits)
-            sums[lane] = acc
-        return sums
 
 
 class BitLevelSparsePE:

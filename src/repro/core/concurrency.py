@@ -95,7 +95,3 @@ def holds_no_locks(fn: Optional[_F] = None, *, reason: str = "") -> _F:
         return mark(fn)
     return mark  # type: ignore[return-value]
 
-
-def guarded_fields(cls: type) -> dict:
-    """The merged ``{field: lock}`` map declared on ``cls`` (possibly {})."""
-    return dict(getattr(cls, GUARDED_BY_ATTR, None) or {})

@@ -69,9 +69,6 @@ class MappingPlan:
     mram_pes_used: int
     cores_used: int
 
-    def layer_tiles(self, layer: str) -> List[Tile]:
-        return [t for t in self.tiles if t.layer == layer]
-
     @property
     def total_pairs(self) -> int:
         return sum(t.pairs for t in self.tiles)

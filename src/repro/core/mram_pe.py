@@ -118,10 +118,6 @@ class MRAMSparsePE:
     def loaded(self) -> bool:
         return self.csc is not None
 
-    @property
-    def rows_used(self) -> int:
-        return self._rows_used
-
     def occupancy(self) -> float:
         if self.csc is None:
             return 0.0

@@ -53,9 +53,6 @@ MAX_REDUCTION_DEPTH = 1 << 20
 #: (:meth:`repro.core.accelerator.HybridAccelerator.gemm`).
 MAX_ROW_TILES = 1 << 12
 
-#: Bound on physical rows of any bit-cell array variant.
-MAX_ARRAY_ROWS = 1 << 10
-
 #: Attribute name the decorator stores its metadata under.
 WIDTH_CONTRACT_ATTR = "__width_contract__"
 
@@ -80,7 +77,7 @@ def width_contract(inputs: Optional[str] = None,
     ``depth``
         Worst-case reduction fan-in as an expression over named bounds
         and :mod:`repro.core.widths` constants (e.g.
-        ``"MAX_ARRAY_ROWS * BITSERIAL_MAX_BITS"``).
+        ``"MAX_ROW_TILES * BITSERIAL_MAX_BITS"``).
     ``returns``
         Worst-case magnitude of the return value: a width spec, an
         expression, or the name of another contracted function whose

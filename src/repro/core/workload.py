@@ -155,10 +155,6 @@ class Workload:
     def total_macs(self) -> int:
         return sum(l.macs for l in self.layers)
 
-    @property
-    def learnable_macs(self) -> int:
-        return sum(l.macs for l in self.layers if l.learnable)
-
     def dense_bytes(self, weight_bits: int = 8) -> int:
         return self.total_weights * weight_bits // 8
 
@@ -182,11 +178,6 @@ class Workload:
             return weights * weight_bits
         return nm_compressed_bits(weights, pattern.density, weight_bits,
                                   index_bits)
-
-    def subset(self, learnable: bool) -> "Workload":
-        return Workload(
-            name=f"{self.name}:{'learnable' if learnable else 'frozen'}",
-            layers=tuple(l for l in self.layers if l.learnable == learnable))
 
 
 # ------------------------------------------------------- model extraction

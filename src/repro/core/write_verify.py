@@ -34,18 +34,6 @@ class WriteReport:
     energy_pj: float
     verify_reads: int
 
-    @property
-    def retry_rate(self) -> float:
-        if self.bits == 0:
-            return 0.0
-        return (self.attempts - self.bits) / self.bits
-
-    @property
-    def bit_error_rate(self) -> float:
-        if self.bits == 0:
-            return 0.0
-        return self.failures / self.bits
-
 
 class WriteVerifyController:
     """Write-verify-retry over stochastic MTJ switching.
@@ -140,22 +128,3 @@ class WriteVerifyController:
             energy_pj=attempts * self._pulse_energy_pj,
             verify_reads=verify_reads)
         return current, report
-
-
-def deployment_write_study(total_bits: int,
-                           params: MTJParams = MTJParams(),
-                           max_retries: int = 3) -> dict:
-    """Expected cost of deploying ``total_bits`` into MRAM with verify-retry.
-
-    Analytic composition (no Monte-Carlo), assuming half the bits toggle
-    (random data over an erased array averages to ~0.5 toggling).
-    """
-    ctrl = WriteVerifyController(params, max_retries=max_retries)
-    toggling = total_bits / 2.0
-    return {
-        "switch_probability": ctrl.switch_probability,
-        "expected_attempts_per_bit": ctrl.expected_attempts_per_bit(),
-        "expected_failure_rate": ctrl.expected_failure_rate(),
-        "total_write_energy_pj": toggling * ctrl.expected_energy_pj_per_bit(),
-        "energy_pj_per_bit": ctrl.expected_energy_pj_per_bit(),
-    }

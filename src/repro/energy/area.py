@@ -107,13 +107,3 @@ class AreaModel:
             "global_buffer": gb.buffer_area,
             "global_relu": gb.relu_area,
         })
-
-    def hybrid_design_area(self, backbone_compressed_bits: float,
-                           n_sram_pes: int,
-                           sram_storage_bits: float = 0.0) -> AreaReport:
-        """The hybrid's mm² breakdown (:func:`hybrid_area_components`)."""
-        gb = self.tech.global_blocks
-        return AreaReport(hybrid_area_components(
-            backbone_compressed_bits, n_sram_pes, sram_storage_bits,
-            self.tech.sram.total_area, gb.control_overhead_fraction,
-            gb.buffer_area, gb.relu_area))

@@ -78,11 +78,6 @@ class RRAMCell:
     def on_off_ratio(self) -> float:
         return self.params.resistance_hrs_ohm / self.params.resistance_lrs_ohm
 
-    @property
-    def worn_out(self) -> bool:
-        """True once the cell exceeded its endurance budget."""
-        return self.write_count >= self.params.endurance_cycles
-
     def read_current_ua(self) -> float:
         return self.params.read_voltage_v / self.resistance_ohm * UA_PER_A
 

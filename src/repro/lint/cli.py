@@ -7,10 +7,11 @@ or warning) survives suppressions, 2 on usage errors.  CI gates on this.
 the run; ``--effects`` adds the interprocedural effect & reentrancy
 verifier (rules R8/R9/R10); ``--concurrency`` adds the static
 concurrency verifier (rules R11-R14); the switches combine freely.
-``--list-suppressions`` audits every suppression pragma instead of
-linting; ``--strict`` escalates stale pragmas — pragmas that suppress
-nothing — into failures (as S1 findings in a lint run, as exit status 1
-in a ``--list-suppressions`` run).
+``--list-suppressions`` audits every suppression pragma against every
+rule instead of linting; ``--strict`` escalates stale pragmas — pragmas
+that suppress nothing — into failures (as exit status 1 in a
+``--list-suppressions`` run, as S1 findings in a lint run).  A lint run
+judges a pragma only when every code it names ran in that run.
 """
 
 from __future__ import annotations
@@ -145,9 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = lint_paths(args.paths, codes=codes,
                             include_optin=_optin_groups(args))
         if args.strict:
-            entries = audit_suppressions(args.paths, codes=codes)
             result.findings.extend(_stale_finding(e)
-                                   for e in entries if e.stale)
+                                   for e in result.pragmas if e.stale)
             result.findings.sort(key=lambda f: f.sort_key)
     except (FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

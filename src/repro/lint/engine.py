@@ -142,6 +142,9 @@ class LintResult:
     parse_errors: List[Finding] = dataclasses.field(default_factory=list)
     #: Findings a pragma removed — kept for the suppression audit.
     suppressed: List[Finding] = dataclasses.field(default_factory=list)
+    #: The pragmas this run can judge (every code they name ran), each
+    #: with the number of findings it covered; ``--strict`` reads these.
+    pragmas: List[SuppressionEntry] = dataclasses.field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -194,8 +197,9 @@ def _collect_findings(contexts: List[FileContext],
     return findings
 
 
-def _run_rules(contexts: List[FileContext], rules: Sequence[Rule]
-               ) -> Tuple[List[Finding], List[Finding]]:
+def _run_rules(contexts: List[FileContext], rules: Sequence[Rule],
+               files_checked: int, parse_errors: Sequence[Finding] = ()
+               ) -> LintResult:
     findings = _collect_findings(contexts, rules)
     by_path = {ctx.path: ctx for ctx in contexts}
 
@@ -207,8 +211,15 @@ def _run_rules(contexts: List[FileContext], rules: Sequence[Rule]
             suppressed.append(f)
             continue
         kept.append(f)
-    return (sorted(kept, key=lambda f: f.sort_key),
-            sorted(suppressed, key=lambda f: f.sort_key))
+    ran = {rule.code for rule in rules}
+    if len(ran) == len(all_rules(include_optin=True)):
+        ran.add(SUPPRESS_ALL)
+    return LintResult(
+        findings=sorted(kept, key=lambda f: f.sort_key),
+        files_checked=files_checked, parse_errors=list(parse_errors),
+        suppressed=sorted(suppressed, key=lambda f: f.sort_key),
+        pragmas=[e for e in _suppression_entries(contexts, suppressed)
+                 if ran.issuperset(e.codes)])
 
 
 def _parse_paths(paths: Sequence[str]
@@ -235,9 +246,7 @@ def lint_paths(paths: Sequence[str],
     """Lint files/directories on disk; the CLI's entry point."""
     rules = all_rules(codes, include_optin=include_optin)
     contexts, parse_errors = _parse_paths(paths)
-    findings, suppressed = _run_rules(contexts, rules)
-    return LintResult(findings=findings, files_checked=len(contexts),
-                      parse_errors=parse_errors, suppressed=suppressed)
+    return _run_rules(contexts, rules, len(contexts), parse_errors)
 
 
 def lint_sources(sources: Dict[str, str],
@@ -252,9 +261,7 @@ def lint_sources(sources: Dict[str, str],
     rules = all_rules(codes, include_optin=include_optin)
     contexts = [FileContext.from_source(src, path)
                 for path, src in sources.items()]
-    findings, suppressed = _run_rules(contexts, rules)
-    return LintResult(findings=findings, files_checked=len(contexts),
-                      suppressed=suppressed)
+    return _run_rules(contexts, rules, len(contexts))
 
 
 # ---------------------------------------------------------------------------
@@ -302,16 +309,22 @@ def audit_suppressions(paths: Sequence[str],
     """
     rules = all_rules(codes, include_optin=include_optin)
     contexts, _ = _parse_paths(paths)
-    raw = _collect_findings(contexts, rules)
+    return _suppression_entries(contexts, _collect_findings(contexts, rules))
+
+
+def _suppression_entries(contexts: List[FileContext],
+                         findings: Sequence[Finding]
+                         ) -> List[SuppressionEntry]:
+    """Every pragma in ``contexts``, counting the ``findings`` it covers."""
     by_path: Dict[str, List[Finding]] = {}
-    for f in raw:
+    for f in findings:
         by_path.setdefault(f.path, []).append(f)
 
     entries: List[SuppressionEntry] = []
     for ctx in contexts:
-        findings = by_path.get(ctx.path, [])
+        covered = by_path.get(ctx.path, [])
         for pragma in ctx.suppressions.pragmas:
-            matches = sum(1 for f in findings if pragma.covers(f))
+            matches = sum(1 for f in covered if pragma.covers(f))
             entries.append(SuppressionEntry(
                 path=ctx.path, line=pragma.line, kind=pragma.kind,
                 codes=pragma.codes, matches=matches))

@@ -6,25 +6,23 @@ learning recipe needs, with reverse-mode autograd verified against numerical
 differentiation in the test suite.
 """
 
-from . import functional, init
+from . import functional
 from .data import DataLoader, Dataset, Subset, TensorDataset
 from .functional import (accuracy, avg_pool2d, conv2d, cross_entropy,
                          global_avg_pool2d, linear, log_softmax, max_pool2d,
-                         mse_loss, relu, softmax)
-from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Dropout, Flatten,
-                      GlobalAvgPool2d, Linear, MaxPool2d, Module, Parameter,
-                      ReLU, Sequential, set_seed)
+                         relu)
+from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, Module,
+                      Parameter, ReLU)
 from .optim import SGD, Adam, Optimizer, clip_grad_norm
 from .tensor import Tensor, astensor, concatenate, no_grad, ones, randn, stack, zeros
 
 __all__ = [
     "Tensor", "astensor", "concatenate", "stack", "zeros", "ones", "randn",
-    "no_grad", "functional", "init",
+    "no_grad", "functional",
     "Module", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "ReLU",
-    "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d", "Flatten", "Dropout",
-    "Sequential", "set_seed",
+    "AvgPool2d", "Flatten",
     "Optimizer", "SGD", "Adam", "clip_grad_norm",
     "Dataset", "TensorDataset", "Subset", "DataLoader",
-    "cross_entropy", "mse_loss", "accuracy", "softmax", "log_softmax",
+    "cross_entropy", "accuracy", "log_softmax",
     "conv2d", "linear", "relu", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
 ]

@@ -160,12 +160,6 @@ def relu(x: Tensor) -> Tensor:
     return x.relu()
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
@@ -181,11 +175,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     logp = log_softmax(logits, axis=-1)
     picked = logp[np.arange(n), targets]
     return -picked.mean()
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    diff = pred - astensor(target)
-    return (diff * diff).mean()
 
 
 def accuracy(logits: Tensor, targets: np.ndarray) -> float:

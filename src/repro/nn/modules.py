@@ -157,12 +157,6 @@ def _kaiming_uniform(shape: Tuple[int, ...], fan_in: int,
 _default_rng = np.random.default_rng(0)
 
 
-def set_seed(seed: int) -> None:
-    """Reset the global initialisation RNG (tests/experiments call this)."""
-    global _default_rng
-    _default_rng = np.random.default_rng(seed)
-
-
 class Linear(Module):
     """Fully connected layer ``y = x @ W.T + b`` with Kaiming-uniform init."""
 
@@ -204,10 +198,6 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride,
                         padding=self.padding)
-
-    def weight_matrix(self) -> np.ndarray:
-        """GEMM view of the kernel: ``(out_channels, in_channels*k*k)``."""
-        return self.weight.data.reshape(self.out_channels, -1)
 
     def __repr__(self):
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "
@@ -259,19 +249,6 @@ class ReLU(Module):
         return "ReLU()"
 
 
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None):
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride or kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
-
-    def __repr__(self):
-        return f"MaxPool2d(k={self.kernel_size}, s={self.stride})"
-
-
 class AvgPool2d(Module):
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
@@ -285,62 +262,9 @@ class AvgPool2d(Module):
         return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"
 
 
-class GlobalAvgPool2d(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool2d(x)
-
-    def __repr__(self):
-        return "GlobalAvgPool2d()"
-
-
 class Flatten(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.flatten(start_dim=1)
 
     def __repr__(self):
         return "Flatten()"
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng or np.random.default_rng(0)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self.rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
-    def __repr__(self):
-        return f"Dropout(p={self.p})"
-
-
-class Sequential(Module):
-    """Chain of modules applied in order."""
-
-    def __init__(self, *layers: Module):
-        super().__init__()
-        self.layers = list(layers)
-        for i, layer in enumerate(layers):
-            setattr(self, f"layer{i}", layer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return x
-
-    def __getitem__(self, idx: int) -> Module:
-        return self.layers[idx]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __repr__(self):
-        inner = ", ".join(repr(l) for l in self.layers)
-        return f"Sequential({inner})"

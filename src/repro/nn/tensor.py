@@ -131,10 +131,6 @@ class Tensor:
         """Return the underlying ndarray (shared, not copied)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the autograd graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=self.requires_grad)
 
@@ -200,14 +196,14 @@ class Tensor:
 
     # ------------------------------------------------------------ arithmetic
     def __add__(self, other: Arrayish) -> "Tensor":
-        other = astensor(other)
-        out = self._make_child(self.data + other.data, (self, other))
+        rhs = astensor(other)
+        out = self._make_child(self.data + rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
                 if self.requires_grad:
                     self._accumulate(unbroadcast(g, self.shape))
-                if other.requires_grad:
-                    other._accumulate(unbroadcast(g, other.shape))
+                if rhs.requires_grad:
+                    rhs._accumulate(unbroadcast(g, rhs.shape))
             out._backward = _backward
         return out
 
@@ -228,29 +224,29 @@ class Tensor:
         return astensor(other) + (-self)
 
     def __mul__(self, other: Arrayish) -> "Tensor":
-        other = astensor(other)
-        out = self._make_child(self.data * other.data, (self, other))
+        rhs = astensor(other)
+        out = self._make_child(self.data * rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(g * other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(unbroadcast(g * self.data, other.shape))
+                    self._accumulate(unbroadcast(g * rhs.data, self.shape))
+                if rhs.requires_grad:
+                    rhs._accumulate(unbroadcast(g * self.data, rhs.shape))
             out._backward = _backward
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Arrayish) -> "Tensor":
-        other = astensor(other)
-        out = self._make_child(self.data / other.data, (self, other))
+        rhs = astensor(other)
+        out = self._make_child(self.data / rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
                 if self.requires_grad:
-                    self._accumulate(unbroadcast(g / other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        unbroadcast(-g * self.data / (other.data ** 2), other.shape)
+                    self._accumulate(unbroadcast(g / rhs.data, self.shape))
+                if rhs.requires_grad:
+                    rhs._accumulate(
+                        unbroadcast(-g * self.data / (rhs.data ** 2), rhs.shape)
                     )
             out._backward = _backward
         return out
@@ -269,11 +265,11 @@ class Tensor:
         return out
 
     def __matmul__(self, other: Arrayish) -> "Tensor":
-        other = astensor(other)
-        out = self._make_child(self.data @ other.data, (self, other))
+        rhs = astensor(other)
+        out = self._make_child(self.data @ rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
-                a, b = self.data, other.data
+                a, b = self.data, rhs.data
                 if self.requires_grad:
                     if b.ndim == 1:
                         ga = np.outer(g, b) if a.ndim == 2 else g[..., None] * b
@@ -282,14 +278,14 @@ class Tensor:
                     else:
                         ga = g @ b.swapaxes(-1, -2)
                     self._accumulate(unbroadcast(ga.reshape(a.shape) if ga.shape != a.shape and ga.size == a.size else ga, a.shape))
-                if other.requires_grad:
+                if rhs.requires_grad:
                     if a.ndim == 1:
                         gb = np.outer(a, g) if b.ndim == 2 else a[..., None] * g
                     elif b.ndim == 1:
                         gb = (a.swapaxes(-1, -2) @ g[..., None])[..., 0] if a.ndim > 2 else a.swapaxes(-1, -2) @ g
                     else:
                         gb = a.swapaxes(-1, -2) @ g
-                    other._accumulate(unbroadcast(gb.reshape(b.shape) if gb.shape != b.shape and gb.size == b.size else gb, b.shape))
+                    rhs._accumulate(unbroadcast(gb.reshape(b.shape) if gb.shape != b.shape and gb.size == b.size else gb, b.shape))
             out._backward = _backward
         return out
 
@@ -323,15 +319,6 @@ class Tensor:
             result = out.data  # not ``out``: see exp
             def _backward(g: np.ndarray) -> None:
                 self._accumulate(g * (1.0 - result ** 2))
-            out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        out = self._make_child(1.0 / (1.0 + np.exp(-self.data)), (self,))
-        if out.requires_grad:
-            result = out.data  # not ``out``: see exp
-            def _backward(g: np.ndarray) -> None:
-                self._accumulate(g * result * (1.0 - result))
             out._backward = _backward
         return out
 

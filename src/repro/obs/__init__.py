@@ -21,13 +21,11 @@ from .counters import as_counters, counter_delta, flatten_stats, nonzero
 from .export import (TRACE_SCHEMA, summarize, to_trace_events,
                      validate_trace_events, write_chrome_trace)
 from .tracer import (NULL_SPAN, TRACE_ENV_VAR, Span, Tracer, configure,
-                     get_tracer, global_tracer, span, tracing_enabled,
-                     use_tracer)
+                     get_tracer, span, use_tracer)
 
 __all__ = [
     "Span", "Tracer", "NULL_SPAN", "TRACE_ENV_VAR",
-    "configure", "get_tracer", "global_tracer", "span", "tracing_enabled",
-    "use_tracer",
+    "configure", "get_tracer", "span", "use_tracer",
     "as_counters", "counter_delta", "flatten_stats", "nonzero",
     "TRACE_SCHEMA", "summarize", "to_trace_events", "validate_trace_events",
     "write_chrome_trace",

@@ -235,11 +235,6 @@ def get_tracer() -> Tracer:
     return _TRACER if tracer is None else tracer
 
 
-def global_tracer() -> Tracer:
-    """The process-global tracer, ignoring any context-local override."""
-    return _TRACER
-
-
 class use_tracer:
     """Install ``tracer`` as the context-local tracer for a ``with`` block.
 
@@ -277,7 +272,3 @@ def configure(enabled: Optional[bool] = None, reset: bool = False) -> Tracer:
 def span(name: str, **attrs: object):
     """Module-level shorthand for ``get_tracer().span(...)``."""
     return get_tracer().span(name, **attrs)
-
-
-def tracing_enabled() -> bool:
-    return get_tracer().enabled

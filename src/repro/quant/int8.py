@@ -83,13 +83,6 @@ def quantize_weight_int(weight: np.ndarray, symmetric: bool = True
     return params.quantize(weight), params
 
 
-def per_channel_params(weight: np.ndarray, axis: int = 0) -> list:
-    """Per-output-channel symmetric QuantParams (sharper than per-tensor)."""
-    weight = np.asarray(weight)
-    moved = np.moveaxis(weight, axis, 0).reshape(weight.shape[axis], -1)
-    return [QuantParams.from_tensor(row) for row in moved]
-
-
 def fake_quantize_per_channel(weight: np.ndarray, axis: int = 0) -> np.ndarray:
     """Round-trip each output channel through its own INT8 grid."""
     weight = np.asarray(weight)

@@ -2,7 +2,7 @@
 
 from .backbone import Backbone, BackboneClassifier, BasicBlock
 from .continual import (ContinualLearner, TaskResult, TrainConfig, evaluate,
-                        pretrain_backbone, quantize_backbone, sparsify_backbone)
+                        pretrain_backbone, sparsify_backbone)
 from .model import RepNetModel, build_repnet_model
 from .multitask import SequentialLearner, TaskLibrary
 from .modules import ActivationConnector, RepNetModule
@@ -13,5 +13,5 @@ __all__ = [
     "RepNetModel", "build_repnet_model",
     "ContinualLearner", "TaskResult", "TrainConfig",
     "TaskLibrary", "SequentialLearner",
-    "evaluate", "pretrain_backbone", "sparsify_backbone", "quantize_backbone",
+    "evaluate", "pretrain_backbone", "sparsify_backbone",
 ]

@@ -97,11 +97,6 @@ def sparsify_backbone(backbone: Backbone, pattern: NMPattern) -> Dict[str, np.nd
     return prune_model(backbone, pattern)
 
 
-def quantize_backbone(backbone: Backbone) -> None:
-    """INT8 PTQ on the backbone weights (per-channel symmetric)."""
-    quantize_model_ptq(backbone, per_channel=True)
-
-
 @dataclasses.dataclass
 class TaskResult:
     """Outcome of adapting to one downstream task."""

@@ -13,7 +13,7 @@ pass) ranks the elements of each group, and the top-``n`` survive.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -146,29 +146,3 @@ def verify_nm(matrix: np.ndarray, pattern: NMPattern, axis: int = -1) -> bool:
     groups = padded.reshape(padded.shape[0], -1, pattern.m)
     nnz = (groups != 0).sum(axis=-1)
     return bool((nnz <= pattern.n).all())
-
-
-def nm_sparsify(weights: np.ndarray, pattern: NMPattern,
-                saliency: Optional[np.ndarray] = None,
-                axis: int = -1) -> Tuple[np.ndarray, np.ndarray]:
-    """One-shot N:M pruning: returns ``(masked_weights, mask)``.
-
-    Defaults to magnitude saliency, the paper's criterion for the PTQ'd
-    backbone; pass an explicit saliency for the gradient-informed Rep-Net
-    selection.  ``axis=0`` groups down the rows — the PIM ``(in, out)``
-    orientation used by :mod:`repro.core`.
-    """
-    saliency = np.abs(weights) if saliency is None else np.asarray(saliency)
-    if saliency.shape != weights.shape:
-        raise ValueError(
-            f"saliency shape {saliency.shape} != weight shape {weights.shape}")
-    mask = compute_nm_mask(saliency, pattern, axis=axis)
-    return apply_nm_mask(weights, mask), mask
-
-
-def sparsity_ratio(matrix: np.ndarray) -> float:
-    """Fraction of exactly-zero entries."""
-    matrix = np.asarray(matrix)
-    if matrix.size == 0:
-        return 0.0
-    return float((matrix == 0).mean())

@@ -9,8 +9,7 @@ and the PE's existing index/MUX machinery gathers activations in permuted
 order.
 
 This module implements retained-saliency evaluation and a swap-based local
-search (with random restarts) over channel permutations, plus the helpers
-to apply a permutation consistently to weights and activations.
+search (with random restarts) over channel permutations.
 """
 
 from __future__ import annotations
@@ -38,23 +37,6 @@ def retained_saliency(saliency: np.ndarray, pattern: NMPattern) -> float:
     # top-n per (group, column): partial sort along the group axis
     part = np.partition(groups, m - n, axis=1)[:, m - n:, :]
     return float(part.sum())
-
-
-def apply_permutation(matrix: np.ndarray, perm: np.ndarray,
-                      axis: int = 0) -> np.ndarray:
-    """Reorder ``matrix`` along ``axis`` by ``perm`` (a copy)."""
-    perm = np.asarray(perm)
-    if sorted(perm.tolist()) != list(range(matrix.shape[axis])):
-        raise ValueError("perm is not a permutation of the axis indices")
-    return np.take(matrix, perm, axis=axis)
-
-
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    """The inverse permutation (activations are gathered with this)."""
-    perm = np.asarray(perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(len(perm))
-    return inv
 
 
 def find_channel_permutation(saliency: np.ndarray, pattern: NMPattern,

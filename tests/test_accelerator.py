@@ -287,10 +287,3 @@ class TestAccounting:
         acc.load_gemm("m", w, learnable=False)
         report = acc.energy_report()
         assert report["mram"].write_pj > 5 * report["sram"].write_pj
-
-    def test_pe_counts(self, acc, rng):
-        w = sparse_int_matrix(rng, (64, 8), acc.pattern)
-        acc.load_gemm("a", w, learnable=True)
-        acc.load_gemm("b", w, learnable=False)
-        counts = acc.pe_counts()
-        assert counts["sram"] >= 1 and counts["mram"] >= 1

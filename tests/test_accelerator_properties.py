@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.core.accelerator import HybridAccelerator
 from repro.core.transpose_pe import BackpropEngine
 from repro.sparsity import NMPattern, compute_nm_mask
-from repro.sparsity.permutation import (apply_permutation,
-                                        find_channel_permutation,
-                                        invert_permutation,
+from repro.sparsity.permutation import (find_channel_permutation,
                                         retained_saliency)
 
 patterns = st.sampled_from([NMPattern(1, 4), NMPattern(2, 8),
@@ -76,17 +74,21 @@ class TestPermutationProperties:
                                            rng=rng)
         assert best >= base - 1e-9
 
-    @given(st.integers(0, 2**31))
+    @given(st.integers(0, 2**31), patterns)
     @settings(max_examples=25, deadline=None)
-    def test_permutation_preserves_matmul(self, seed):
-        """Permuting weights and gathering activations with the inverse is
-        an exact identity on the computation."""
+    def test_permutation_preserves_matmul(self, seed, pattern):
+        """Pruning in the searched channel order and gathering activations
+        in that order computes the same product as the inverse-permuted
+        weights on the original activations."""
         rng = np.random.default_rng(seed)
-        w = rng.integers(-50, 50, size=(24, 5))
-        x = rng.integers(-50, 50, size=(2, 24))
-        perm = rng.permutation(24)
-        wp = apply_permutation(w, perm)
-        np.testing.assert_array_equal(x[:, perm] @ wp, x @ w)
-        # and round-tripping through the inverse restores the matrix
-        np.testing.assert_array_equal(
-            apply_permutation(wp, invert_permutation(perm)), w)
+        dense = rng.integers(-50, 50, size=(pattern.m * 4, 5))
+        perm, _ = find_channel_permutation(np.abs(dense).astype(float),
+                                           pattern, iterations=50, rng=rng)
+        wp = dense[perm]
+        wp = wp * compute_nm_mask(np.abs(wp).astype(float), pattern, axis=0)
+        acc = HybridAccelerator(pattern)
+        acc.load_gemm("g", wp.astype(np.int64), learnable=True)
+        x = rng.integers(-50, 50, size=(2, dense.shape[0]))
+        w = np.empty_like(wp)
+        w[perm] = wp
+        np.testing.assert_array_equal(acc.gemm("g", x[:, perm]), x @ w)

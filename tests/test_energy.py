@@ -192,14 +192,20 @@ class TestAreaModel:
         assert 0 < report.fraction("sram_macros") <= 1
 
     def test_hybrid_design_components(self):
-        report = AreaModel().hybrid_design_area(
-            1e8, n_sram_pes=8, sram_storage_bits=1e6)
+        from repro.core import HybridSparseDesign, paper_workload
+        from repro.sparsity import NMPattern
+        report = HybridSparseDesign(NMPattern(1, 4)).area(paper_workload())
         for key in ("mram_storage", "mram_sparse_periphery", "sram_storage",
                     "sram_pes"):
             assert report.components[key] > 0
 
     def test_area_monotone_in_bits(self):
-        am = AreaModel()
-        small = am.hybrid_design_area(1e7, 4).total_mm2
-        large = am.hybrid_design_area(1e8, 4).total_mm2
-        assert large > small
+        """A sparser backbone stores fewer bits and takes less area."""
+        from repro.core import HybridSparseDesign, paper_workload
+        from repro.sparsity import NMPattern
+        w = paper_workload()
+        sparse, dense = (HybridSparseDesign(NMPattern(n, 16))
+                         for n in (1, 4))
+        assert (sparse.backbone_compressed_bits(w)
+                < dense.backbone_compressed_bits(w))
+        assert sparse.area(w).total_mm2 < dense.area(w).total_mm2

@@ -115,15 +115,12 @@ class TestPooling:
 
 
 class TestLossesActivations:
-    def test_softmax_rows_sum_to_one(self, rng):
-        x = Tensor(rng.standard_normal((4, 7)))
-        s = F.softmax(x)
-        np.testing.assert_allclose(s.data.sum(axis=-1), np.ones(4), rtol=1e-10)
-
     def test_log_softmax_consistency(self, rng):
         x = Tensor(rng.standard_normal((3, 5)))
+        e = np.exp(x.data)
         np.testing.assert_allclose(F.log_softmax(x).data,
-                                   np.log(F.softmax(x).data), rtol=1e-8)
+                                   np.log(e / e.sum(axis=-1, keepdims=True)),
+                                   rtol=1e-8)
 
     def test_cross_entropy_known_value(self):
         logits = Tensor(np.array([[100.0, 0.0], [0.0, 100.0]]))
@@ -136,7 +133,8 @@ class TestLossesActivations:
         loss = F.cross_entropy(logits, y)
         loss.backward()
         # analytic: softmax(p) - onehot, averaged
-        p = F.softmax(Tensor(logits.data)).data
+        e = np.exp(logits.data)
+        p = e / e.sum(axis=-1, keepdims=True)
         onehot = np.eye(3)[y]
         np.testing.assert_allclose(logits.grad, (p - onehot) / 4, rtol=1e-8)
 
@@ -144,12 +142,6 @@ class TestLossesActivations:
         logits = Tensor(rng.standard_normal((4, 3)))
         with pytest.raises(ValueError):
             F.cross_entropy(logits, np.zeros((4, 3)))
-
-    def test_mse(self, rng):
-        a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        b = rng.standard_normal((3, 3))
-        loss = F.mse_loss(a, b)
-        assert loss.item() == pytest.approx(((a.data - b) ** 2).mean())
 
     def test_accuracy(self):
         logits = Tensor(np.array([[1.0, 2.0], [3.0, 0.0]]))

@@ -10,14 +10,16 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import (HybridAccelerator, HybridMapper, SIMTScheduler,
-                        extract_repnet_workload)
+from repro.core import (HybridAccelerator, HybridMapper,
+                        HybridSparseDesign, extract_repnet_workload)
 from repro.nn import functional as F
 from repro.nn.functional import im2col
 from repro.nn.tensor import Tensor
 from repro.quant import QuantParams, quantize_weight_int
 from repro.repnet import build_repnet_model
 from repro.sparsity import NMPattern, compute_nm_mask
+
+from .nn_helpers import Sequential, set_seed
 
 
 @pytest.fixture
@@ -30,11 +32,11 @@ class TestConvOnAccelerator:
 
     def test_conv_gemm_matches_software(self, rng):
         pattern = NMPattern(2, 8)
-        nn.set_seed(0)
+        set_seed(0)
         conv = nn.Conv2d(8, 16, 3, padding=1, bias=False)
 
         # Prune + quantize the kernel in its GEMM view (in=72, out=16).
-        wmat = conv.weight_matrix().T.astype(np.float64)   # (72, 16)
+        wmat = conv.weight.data.reshape(16, -1).T.astype(np.float64)   # (72, 16)
         mask = compute_nm_mask(np.abs(wmat), pattern, axis=0)
         w_int, params = quantize_weight_int(wmat * mask)
         w_int = (w_int * mask).astype(np.int64)
@@ -72,8 +74,8 @@ class TestClassifierOnAccelerator:
         W_true = rng.standard_normal((32, 4))
         y = (X.astype(np.float64) @ W_true).argmax(axis=1)
 
-        nn.set_seed(1)
-        model = nn.Sequential(nn.Linear(32, 24), nn.ReLU(), nn.Linear(24, 4))
+        set_seed(1)
+        model = Sequential(nn.Linear(32, 24), nn.ReLU(), nn.Linear(24, 4))
         opt = nn.Adam(model.parameters(), lr=0.02)
         for _ in range(60):
             loss = F.cross_entropy(model(Tensor(X)), y)
@@ -129,7 +131,7 @@ class TestClassifierOnAccelerator:
 
 
 class TestWorkloadToSchedule:
-    """Model -> workload -> mapping -> schedule is self-consistent."""
+    """Model -> workload -> mapping -> analytical design is self-consistent."""
 
     def test_end_to_end_pipeline(self):
         model = build_repnet_model(widths=(8, 16), strides=(1, 2),
@@ -138,19 +140,24 @@ class TestWorkloadToSchedule:
         workload = extract_repnet_workload(model, 16)
         pattern = NMPattern(1, 4)
 
-        mapper = HybridMapper(pattern)
-        plan = mapper.map_workload(workload)
-        sched = SIMTScheduler(plan)
-        inf = sched.schedule_inference(workload)
-        bwd = sched.schedule_backward(workload)
+        plan = HybridMapper(pattern).map_workload(workload)
+        kinds = {t.layer: t.kind for t in plan.tiles}
+        # every layer is mapped, frozen -> MRAM and learnable -> SRAM
+        assert set(kinds) == {l.name for l in workload.layers}
+        for layer in workload.layers:
+            assert kinds[layer.name] == ("sram" if layer.learnable else "mram")
+        assert plan.mram_pes_used > 0 and plan.sram_pes_used > 0
 
-        assert inf.total_cycles > 0
-        assert bwd.total_cycles > 0
-        # backward touches only SRAM (learnable) layers
-        assert inf.by_kind("mram") > 0
-        assert bwd.by_kind("mram") == 0
-        # the frozen backbone dominates inference compute here
-        assert inf.by_kind("mram") > inf.by_kind("sram") * 0.1
+        design = HybridSparseDesign(pattern)
+        inf = design.inference(workload)
+        learn = design.training_step(workload, batch=1)
+        step = design.training_step(workload, batch=1, include_forward=True)
+        assert inf.latency_s > 0 and inf.energy_j > 0
+        # inference writes nothing; learning writes only SRAM weights
+        assert inf.energy.write_pj == 0
+        assert learn.energy.write_pj > 0
+        # a full step is the forward pass followed by the learning phase
+        assert step.latency_s == pytest.approx(inf.latency_s + learn.latency_s)
 
     def test_storage_consistency_with_designs(self):
         """Mapper storage and the analytical design agree on compression."""

@@ -10,6 +10,8 @@ the energy model) that R7 must flag.
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, main
 from repro.lint.engine import audit_suppressions, lint_sources
@@ -396,3 +398,93 @@ def test_cli_strict_lint_reports_stale_as_s1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--strict", str(mod)]) == EXIT_FINDINGS
     assert "S1" in capsys.readouterr().out
+
+
+def test_cli_strict_stale_r1_pragma_fails(tmp_path, capsys):
+    mod = tmp_path / "mod.py"
+    mod.write_text("x = 1  # repro-lint: disable-line=R1\n")
+    assert main(["--strict", str(mod)]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert "S1" in out and "disable-line=R1" in out
+
+
+def test_cli_strict_judges_only_pragmas_whose_rules_ran(tmp_path, capsys):
+    """An R8 pragma cannot be judged by a run that left R8 out; the
+    all-rules audit (``--list-suppressions``) still judges it."""
+    mod = tmp_path / "mod.py"
+    mod.write_text("x = 1  # repro-lint: disable-line=R8\n")
+    assert main(["--strict", str(mod)]) == EXIT_CLEAN
+    assert "S1" not in capsys.readouterr().out
+    assert main(["--effects", "--strict", str(mod)]) == EXIT_FINDINGS
+    assert "S1" in capsys.readouterr().out
+    assert main(["--list-suppressions", "--strict",
+                 str(mod)]) == EXIT_FINDINGS
+    capsys.readouterr()
+
+
+def test_cli_strict_is_one_lint_pass(tmp_path, monkeypatch, capsys):
+    """``--strict`` judges pragmas from the lint pass's own findings: the
+    call graph (and every verifier on it) is built once."""
+    from repro.lint.callgraph import CallGraph
+    build = CallGraph.build.__func__
+    built = []
+
+    def counting_build(cls, project):
+        built.append(project)
+        return build(cls, project)
+
+    monkeypatch.setattr(CallGraph, "build", classmethod(counting_build))
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f():\n    return 1\n")
+    assert main(["--effects", "--strict", str(mod)]) == EXIT_CLEAN
+    capsys.readouterr()
+    assert len(built) == 1
+
+
+RULES = all_rules(include_optin=True)
+OPTIN_RULES = [r for r in RULES if r.optin]
+
+
+def _stale_pragma_module(tmp_path, code):
+    """A clean module whose only pragma names ``code`` and covers nothing."""
+    mod = tmp_path / "mod.py"
+    mod.write_text(f"x = 1  # repro-lint: disable-line={code}\n")
+    return mod
+
+
+@pytest.mark.parametrize("code", [r.code for r in RULES])
+def test_cli_strict_judges_pragma_of_selected_rule(tmp_path, capsys, code):
+    mod = _stale_pragma_module(tmp_path, code)
+    assert main(["--rules", code, "--strict", str(mod)]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert "S1" in out and f"disable-line={code}" in out
+
+
+@pytest.mark.parametrize("code", [r.code for r in RULES])
+def test_cli_strict_leaves_pragma_of_unselected_rule_unjudged(
+        tmp_path, capsys, code):
+    mod = _stale_pragma_module(tmp_path, code)
+    other = "R2" if code == "R1" else "R1"
+    assert main(["--rules", other, "--strict", str(mod)]) == EXIT_CLEAN
+    assert "S1" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code", [r.code for r in OPTIN_RULES])
+def test_cli_strict_judges_optin_pragma_only_under_its_switch(
+        tmp_path, capsys, code):
+    rule = next(r for r in OPTIN_RULES if r.code == code)
+    mod = _stale_pragma_module(tmp_path, code)
+    assert main(["--strict", str(mod)]) == EXIT_CLEAN
+    assert "S1" not in capsys.readouterr().out
+    assert main([f"--{rule.group}", "--strict", str(mod)]) == EXIT_FINDINGS
+    assert f"disable-line={code}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code", [r.code for r in RULES])
+def test_list_suppressions_strict_judges_every_rule(tmp_path, capsys, code):
+    """The all-rules audit needs no switch to judge an opt-in pragma."""
+    mod = _stale_pragma_module(tmp_path, code)
+    assert main(["--list-suppressions", "--strict",
+                 str(mod)]) == EXIT_FINDINGS
+    out = capsys.readouterr().out
+    assert f"disable-line={code}" in out and "STALE" in out

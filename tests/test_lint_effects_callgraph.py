@@ -9,9 +9,13 @@ registry, decorated functions, package ``__init__`` re-exports, aliases,
 relative imports, and function-local imports.
 """
 
+from pathlib import Path
+
 from repro.lint.effects import (AMBIENT_RNG, IO, READS_GLOBAL, WRITES_GLOBAL,
                                 CallGraph, EffectAnalysis, module_name_for)
 from repro.lint.engine import FileContext, ProjectContext
+
+TENSOR_PY = Path(__file__).resolve().parent.parent / "src/repro/nn/tensor.py"
 
 
 def _analyze(sources):
@@ -229,6 +233,17 @@ class TestMethodResolution:
             "    def top(self):\n"
             "        return self.leaf()\n")})
         assert IO in a.effects_of("repro.m.Child.top")
+
+
+class TestRealTree:
+    def test_tensor_operators_accumulate_into_both_operands(self):
+        """Each binary operator's backward accumulates into ``self`` and
+        into the converted right operand: two edges to ``_accumulate``."""
+        a = _analyze({"src/repro/nn/tensor.py": TENSOR_PY.read_text()})
+        target = "repro.nn.tensor.Tensor._accumulate"
+        for op in ("__add__", "__mul__", "__truediv__", "__matmul__"):
+            edges = a.summaries[f"repro.nn.tensor.Tensor.{op}"].facts.edges
+            assert len({e.line for e in edges if e.callee == target}) == 2, op
 
 
 class TestDecoratedFunctions:

@@ -1,4 +1,4 @@
-"""Unit tests for the mapper, core hierarchy, and SIMT scheduler."""
+"""Unit tests for the mapper, the core hierarchy and the workload model."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.mapper import (CoreConfig, HybridMapper, dense_core_requirement,
                                tile_layer_shapes)
-from repro.core.scheduler import SIMTScheduler
 from repro.core.workload import (LayerWorkload, extract_repnet_workload,
                                  paper_workload)
 from repro.repnet import build_repnet_model
@@ -117,47 +116,6 @@ class TestHybridMapper:
         assert report["mram_bytes"] < CoreConfig().mram_capacity_bytes
 
 
-class TestScheduler:
-    def test_timeline_monotone(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        res = sched.schedule_inference(small_workload)
-        prev_end = 0.0
-        for entry in res.layers:
-            assert entry.start_cycle == prev_end
-            assert entry.end_cycle > entry.start_cycle
-            prev_end = entry.end_cycle
-        assert res.total_cycles == prev_end
-
-    def test_batch_scales_cycles(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        c1 = sched.schedule_inference(small_workload, batch=1).total_cycles
-        c4 = sched.schedule_inference(small_workload, batch=4).total_cycles
-        assert c4 == pytest.approx(4 * c1)
-
-    def test_backward_covers_learnable_only(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        res = sched.schedule_backward(small_workload)
-        assert all(e.kind == "sram" for e in res.layers)
-        learnable = [l.name for l in small_workload.layers if l.learnable]
-        assert len(res.layers) == len(learnable)
-
-    def test_bottleneck(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        res = SIMTScheduler(plan).schedule_inference(small_workload)
-        bn = res.bottleneck()
-        assert bn.cycles == max(e.cycles for e in res.layers)
-
-    def test_utilization_report(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        util = SIMTScheduler(plan).utilization(small_workload)
-        assert util["sram_pes_live"] > 0
-        assert util["mram_pes_live"] > 0
-        assert 0 < util["mram_occupancy"] <= 1.0
-
-
 class TestWorkload:
     def test_paper_workload_matches_claims(self):
         w = paper_workload()
@@ -200,40 +158,3 @@ class TestWorkload:
     def test_layer_validation(self):
         with pytest.raises(ValueError):
             LayerWorkload("bad", in_dim=0, out_dim=4)
-
-    def test_subset(self):
-        w = paper_workload()
-        learnable = w.subset(learnable=True)
-        assert all(l.learnable for l in learnable.layers)
-        assert learnable.total_weights == w.learnable_weights
-
-
-class TestPipelinedSchedule:
-    def test_pipelined_no_faster_for_single_sample(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        seq = sched.schedule_inference(small_workload, batch=1).total_cycles
-        pipe = sched.schedule_inference(small_workload, batch=1,
-                                        pipelined=True).total_cycles
-        assert pipe == pytest.approx(seq)
-
-    def test_pipelined_faster_for_batches(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        seq = sched.schedule_inference(small_workload, batch=16).total_cycles
-        pipe = sched.schedule_inference(small_workload, batch=16,
-                                        pipelined=True).total_cycles
-        assert pipe < seq
-
-    def test_pipelined_throughput_bound_by_bottleneck(self, small_workload):
-        plan = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)
-        sched = SIMTScheduler(plan)
-        c16 = sched.schedule_inference(small_workload, batch=16,
-                                       pipelined=True).total_cycles
-        c32 = sched.schedule_inference(small_workload, batch=32,
-                                       pipelined=True).total_cycles
-        # marginal cost per extra sample = bottleneck cycles (constant)
-        marginal = (c32 - c16) / 16
-        c48 = sched.schedule_inference(small_workload, batch=48,
-                                       pipelined=True).total_cycles
-        assert (c48 - c32) / 16 == pytest.approx(marginal)

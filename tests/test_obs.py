@@ -226,16 +226,16 @@ class TestContextLocalTracer:
 
     def test_use_tracer_scopes_span_routing(self):
         local = Tracer(enabled=True)
-        assert obs.get_tracer() is obs.global_tracer()
+        assert obs.get_tracer() is obs.configure()
         with obs.use_tracer(local):
             assert obs.get_tracer() is local
             with obs.span("scoped") as sp:
                 sp.count(widgets=3)
-        assert obs.get_tracer() is obs.global_tracer()
+        assert obs.get_tracer() is obs.configure()
         (span,) = local.finished_spans()
         assert span.name == "scoped"
         assert span.counters == {"widgets": 3}
-        assert obs.global_tracer().finished_spans() == []
+        assert obs.configure().finished_spans() == []
 
     def test_use_tracer_nests_and_restores(self):
         outer, inner = Tracer(enabled=True), Tracer(enabled=True)
@@ -247,18 +247,12 @@ class TestContextLocalTracer:
         assert [s.name for s in inner.finished_spans()] == ["deep"]
         assert outer.finished_spans() == []
 
-    def test_tracing_enabled_follows_the_context_tracer(self):
-        assert not obs.tracing_enabled()
-        with obs.use_tracer(Tracer(enabled=True)):
-            assert obs.tracing_enabled()
-        assert not obs.tracing_enabled()
-
     def test_configure_still_targets_the_global_tracer(self):
         local = Tracer(enabled=True)
         with obs.use_tracer(local):
             obs.configure(enabled=True, reset=True)
             assert local.enabled            # untouched by configure
-        assert obs.global_tracer().enabled
+        assert obs.configure().enabled
         obs.configure(enabled=False, reset=True)
 
     def test_interleaved_threads_never_cross_attach_counters(self):
@@ -292,4 +286,4 @@ class TestContextLocalTracer:
             assert spans["work"].attrs == {"lane": i}
             assert spans["work"].counters == {"steps": 100 + i}
             assert spans["step"].parent == spans["work"].index
-        assert obs.global_tracer().finished_spans() == []
+        assert obs.configure().finished_spans() == []

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sparsity import NMPattern, compute_nm_mask
-from repro.sparsity.permutation import (apply_permutation,
-                                        find_channel_permutation,
-                                        invert_permutation, permutation_gain,
-                                        retained_saliency)
+from repro.sparsity.permutation import (find_channel_permutation,
+                                        permutation_gain, retained_saliency)
 
 
 @pytest.fixture
@@ -38,17 +36,6 @@ class TestRetainedSaliency:
 
 
 class TestPermutationHelpers:
-    def test_apply_and_invert(self, rng):
-        m = rng.random((8, 3))
-        perm = rng.permutation(8)
-        permuted = apply_permutation(m, perm)
-        restored = apply_permutation(permuted, invert_permutation(perm))
-        np.testing.assert_array_equal(restored, m)
-
-    def test_apply_rejects_non_permutation(self, rng):
-        with pytest.raises(ValueError):
-            apply_permutation(rng.random((4, 2)), np.array([0, 0, 1, 2]))
-
     def test_gather_consistency(self, rng):
         """Permuted-weight matmul with permuted activations is invariant —
         the hardware's correctness condition."""
@@ -120,6 +107,6 @@ class TestSearch:
         w = rng.standard_normal((64, 8))
         perm, _ = find_channel_permutation(np.abs(w), pattern,
                                            iterations=200, rng=rng)
-        wp = apply_permutation(w, perm)
+        wp = w[perm]
         mask = compute_nm_mask(np.abs(wp), pattern, axis=0)
         assert verify_nm(wp * mask, pattern, axis=0)

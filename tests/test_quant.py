@@ -6,8 +6,10 @@ import pytest
 from repro import nn
 from repro.nn.tensor import Tensor
 from repro.quant import (INT8_QMAX, INT8_QMIN, QuantParams,
-                         fake_quantize_per_channel, per_channel_params,
-                         quantize_model_ptq, quantize_weight_int)
+                         fake_quantize_per_channel, quantize_model_ptq,
+                         quantize_weight_int)
+
+from .nn_helpers import Sequential, set_seed
 
 
 @pytest.fixture
@@ -106,15 +108,11 @@ class TestWeightQuant:
         pt = params.fake_quantize(w)
         assert np.abs(pc[0] - w[0]).max() < np.abs(pt[0] - w[0]).max()
 
-    def test_per_channel_params_count(self, rng):
-        w = rng.standard_normal((5, 9))
-        assert len(per_channel_params(w)) == 5
-
 
 class TestModelPTQ:
     def _model(self):
-        nn.set_seed(0)
-        return nn.Sequential(nn.Linear(8, 16), nn.ReLU(), nn.Linear(16, 4))
+        set_seed(0)
+        return Sequential(nn.Linear(8, 16), nn.ReLU(), nn.Linear(16, 4))
 
     def test_weights_land_on_grid(self):
         model = self._model()

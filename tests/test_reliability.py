@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.write_verify import (WriteVerifyController,
-                                     deployment_write_study)
+from repro.core.write_verify import WriteVerifyController
 from repro.energy.sensing import (SenseConfig, margin_study,
                                   read_bit_error_rate, state_currents_ua)
 
@@ -68,7 +67,7 @@ class TestWriteVerifyMonteCarlo:
         target = np.ones(512, dtype=np.int8)
         result, report = ctrl.write_bits(current, target, rng)
         assert report.failures > 0
-        assert report.bit_error_rate > 0.5  # nearly nothing switches
+        assert report.failures / report.bits > 0.5  # nearly nothing switches
 
     def test_monte_carlo_matches_analytic(self):
         ctrl = WriteVerifyController(write_current_ua=32.0, max_retries=3)
@@ -91,11 +90,12 @@ class TestDeploymentStudy:
     def test_paper_scale_deployment(self):
         """Deploying the compressed 26 MB backbone is a one-time, bounded cost."""
         bits = int(9.75 * 2**20 * 8)   # 1:4-compressed backbone
-        study = deployment_write_study(bits)
-        assert study["expected_failure_rate"] < 1e-3
-        assert study["total_write_energy_pj"] > 0
+        ctrl = WriteVerifyController(max_retries=3)
+        assert ctrl.expected_failure_rate() < 1e-3
+        # half the bits toggle when random data lands on an erased array
+        assert bits / 2 * ctrl.expected_energy_pj_per_bit() > 0
         # energy per bit within ~2x of the Table 2 figure (retry overhead)
-        assert study["energy_pj_per_bit"] < 0.2
+        assert ctrl.expected_energy_pj_per_bit() < 0.2
 
 
 class TestSensing:

@@ -7,8 +7,7 @@ from repro.datasets import TaskSpec, generate_task
 from repro.nn.tensor import Tensor
 from repro.repnet import (Backbone, BasicBlock, ContinualLearner,
                           TrainConfig, build_repnet_model, evaluate,
-                          pretrain_backbone, quantize_backbone,
-                          sparsify_backbone)
+                          pretrain_backbone, sparsify_backbone)
 from repro.sparsity import NMPattern, verify_nm
 
 
@@ -121,13 +120,6 @@ class TestTrainingFlows:
             if hasattr(mod, "weight") and mod.weight is not None \
                     and mod.weight.ndim >= 2:
                 assert verify_nm(mod.weight.data, pattern), name
-
-    def test_quantize_backbone_runs(self, rng):
-        model = tiny_model()
-        quantize_backbone(model.backbone)
-        out = model.backbone(
-            Tensor(rng.standard_normal((1, 3, 8, 8)).astype(np.float32)))
-        assert np.isfinite(out.data).all()
 
     def test_continual_dense_task(self):
         train, test = tiny_task(num_classes=3, per_class=12, seed=9)

@@ -293,8 +293,8 @@ class TestTracerIsolation:
             t = threading.Thread(target=child)
             t.start()
             t.join(timeout=10)
-        assert obs.get_tracer() is obs.global_tracer()
-        assert seen == [obs.global_tracer()]
+        assert obs.get_tracer() is obs.configure()
+        assert seen == [obs.configure()]
 
     def test_server_request_spans_stay_off_the_global_tracer(self, tmp_path):
         obs.configure(enabled=True, reset=True)
@@ -312,7 +312,7 @@ class TestTracerIsolation:
             assert "dse.cache.lookup" in names
             # Nothing the server did landed on the process-global tracer.
             global_names = {s.name for s in
-                            obs.global_tracer().finished_spans()}
+                            obs.configure().finished_spans()}
             assert not {n for n in global_names
                         if n.startswith(("serve.", "dse."))}
         finally:

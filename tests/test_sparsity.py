@@ -9,9 +9,10 @@ from repro.nn.data import DataLoader, TensorDataset
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.sparsity import (GradientSaliency, NMPattern, NMPruner,
-                            apply_nm_mask, compute_nm_mask, nm_sparsify,
-                            prunable_parameters, prune_model, sparsity_ratio,
-                            verify_nm)
+                            apply_nm_mask, compute_nm_mask,
+                            prunable_parameters, prune_model, verify_nm)
+
+from .nn_helpers import Sequential, set_seed
 
 
 class TestNMPattern:
@@ -91,14 +92,6 @@ class TestMask:
         with pytest.raises(ValueError):
             apply_nm_mask(np.ones((2, 4)), np.ones((2, 5)))
 
-    def test_nm_sparsify_magnitude(self):
-        w = np.array([[0.1, -5.0, 0.2, 3.0]])
-        sparse, mask = nm_sparsify(w, NMPattern(1, 4))
-        np.testing.assert_array_equal(sparse, [[0, -5.0, 0, 0]])
-
-    def test_sparsity_ratio(self):
-        assert sparsity_ratio(np.array([0, 1, 0, 1])) == 0.5
-        assert sparsity_ratio(np.zeros(0)) == 0.0
 
 
 class TestSaliency:
@@ -124,8 +117,8 @@ class TestSaliency:
 
 
 def small_model():
-    nn.set_seed(0)
-    return nn.Sequential(nn.Linear(16, 24), nn.ReLU(), nn.Linear(24, 3))
+    set_seed(0)
+    return Sequential(nn.Linear(16, 24), nn.ReLU(), nn.Linear(24, 3))
 
 
 def small_loader(n=40):
@@ -195,8 +188,8 @@ class TestPruner:
 
     def test_gradient_calibration_prefers_useful_weights(self):
         """Weights with systematically larger gradients should be kept."""
-        nn.set_seed(1)
-        model = nn.Sequential(nn.Linear(8, 4))
+        set_seed(1)
+        model = Sequential(nn.Linear(8, 4))
         lin = model.layers[0]
         # Make data where only the first two input dims matter.
         rng = np.random.default_rng(5)
