@@ -16,8 +16,7 @@ from .bitcell_array import BitCellArray, BitLevelSparsePE
 from .bitserial import from_partials, plane_weight, to_bit_planes
 from .fault_injection import gemm_error_study, inject_weight_bit_flips
 from .csc import CSCColumn, CSCMatrix
-from .kernels import (DEFAULT_KERNEL, KERNEL_IMPLEMENTATIONS, KernelPlan,
-                      resolve_kernel, spmm_bitserial, spmm_gather)
+from .kernels import KernelPlan, spmm_bitserial, spmm_gather
 from .designs import (DenseCIMDesign, HybridBatch, HybridSparseDesign,
                       PerfReport)
 from .mapper import (CoreConfig, HybridMapper, MappingPlan, Tile,
@@ -33,8 +32,7 @@ from .workload import (LayerWorkload, Workload, extract_repnet_workload,
 
 __all__ = [
     "CSCMatrix", "CSCColumn",
-    "KernelPlan", "spmm_gather", "spmm_bitserial", "resolve_kernel",
-    "DEFAULT_KERNEL", "KERNEL_IMPLEMENTATIONS",
+    "KernelPlan", "spmm_gather", "spmm_bitserial",
     "to_bit_planes", "from_partials", "plane_weight",
     "SRAMPEConfig", "SRAMSparsePE", "DenseDigitalPE",
     "MRAMPEConfig", "MRAMSparsePE", "MRAMDensePE", "PIPELINE_DEPTH",

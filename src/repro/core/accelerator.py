@@ -62,15 +62,10 @@ class HybridAccelerator:
     def __init__(self, pattern: NMPattern,
                  sram_config: Optional[SRAMPEConfig] = None,
                  mram_config: Optional[MRAMPEConfig] = None,
-                 tech: TechnologyModel = DEFAULT_TECH,
-                 kernel: Optional[str] = None):
+                 tech: TechnologyModel = DEFAULT_TECH):
         self.pattern = pattern
         self.sram_config = sram_config or SRAMPEConfig()
         self.mram_config = mram_config or MRAMPEConfig()
-        # Kernel implementation for every PE this accelerator instantiates
-        # (None -> the "fast" default; tests pass "reference", the oracle).
-        # Purely a simulator-speed knob: stats/energy are identical either way.
-        self.kernel = kernel
         self.cost = CostModel(tech)
         self.gemms: Dict[str, MappedGemm] = {}
         self.backprop = BackpropEngine(self.sram_config)
@@ -113,9 +108,8 @@ class HybridAccelerator:
             for r, c, rows, cols in tile_layer_shapes(
                     in_dim, out_dim, self.pattern, pe_pairs, max_rows=max_rows):
                 block = weight_int[r:r + rows, c:c + cols]
-                pe = (SRAMSparsePE(self.sram_config, kernel=self.kernel)
-                      if kind == "sram"
-                      else MRAMSparsePE(self.mram_config, kernel=self.kernel))
+                pe = (SRAMSparsePE(self.sram_config) if kind == "sram"
+                      else MRAMSparsePE(self.mram_config))
                 pe.load(block, self.pattern)
                 tiles.append((r, c, pe))
             sp.count(tiles=len(tiles), weights=int(in_dim) * int(out_dim))

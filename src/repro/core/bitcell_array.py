@@ -70,19 +70,17 @@ class BitLevelSparsePE:
     """A complete sparse-matmul flow on :class:`BitCellArray`.
 
     Packs a CSC matrix with the same column-major policy as
-    :class:`~repro.core.sram_pe.SRAMSparsePE` and executes the full
-    phase x bit-plane schedule, including the shift accumulator and the
-    row-wise (cross-lane) accumulation for spilled columns.
+    :class:`~repro.core.sram_pe.SRAMSparsePE` and multiplies with the
+    weights decoded back from the cells, spilled columns included; the
+    phase x bit-plane schedule is the shared bit-serial kernel's.
 
     No harness runs it: it is the gate-level oracle that
     ``tests/test_bitcell_array.py::TestCrossValidation`` holds
     ``SRAMSparsePE.matmul`` to, bit for bit.
     """
 
-    def __init__(self, config: Optional[SRAMPEConfig] = None,
-                 kernel: Optional[str] = None):
+    def __init__(self, config: Optional[SRAMPEConfig] = None):
         self.config = config or SRAMPEConfig()
-        self.kernel = kernel  # None -> the "fast" default
         self.array = BitCellArray(self.config)
         self._placements: List[List[Tuple[int, int]]] = []  # per column: cells
         self._col_rows: List[np.ndarray] = []
@@ -137,9 +135,9 @@ class BitLevelSparsePE:
         The operands are read back bit-by-bit from the array (see
         :meth:`_plan_from_cells`); the phase x bit-plane schedule itself is
         the shared :func:`~repro.core.kernels.spmm_bitserial` kernel's job
-        (walked by its reference tier, folded by linearity in its fast
-        tier), so this model cross-validates the storage circuits while the
-        differential suite cross-validates the kernels.
+        (folded by linearity; its oracle walks the planes), so this model
+        cross-validates the storage circuits while the differential suite
+        cross-validates the kernels.
         """
         if self._pattern is None:
             raise RuntimeError("load() a matrix first")
@@ -149,5 +147,4 @@ class BitLevelSparsePE:
         if in_dim != self._shape[0]:
             raise ValueError("activation dim mismatch")
         require_integer_activations(activations, "bit-level SRAM PE")
-        return spmm_bitserial(self._plan, activations, cfg.input_bits,
-                              impl=self.kernel)
+        return spmm_bitserial(self._plan, activations, cfg.input_bits)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -129,26 +129,3 @@ class CSCMatrix:
     @property
     def nnz(self) -> int:
         return int(self.col_ptr[-1])
-
-    def storage_bits(self, weight_bits: int = 8,
-                     index_bits: Optional[int] = None) -> int:
-        """Bits to store the compressed (value, index) pairs."""
-        index_bits = self.pattern.index_bits if index_bits is None else index_bits
-        return self.nnz * (weight_bits + index_bits)
-
-    def dense_storage_bits(self, weight_bits: int = 8) -> int:
-        return self.shape[0] * self.shape[1] * weight_bits
-
-    def compression_ratio(self, weight_bits: int = 8,
-                          index_bits: Optional[int] = None) -> float:
-        """compressed bits / dense bits (< 1 is a win)."""
-        dense = self.dense_storage_bits(weight_bits)
-        if dense == 0:
-            return 1.0
-        return self.storage_bits(weight_bits, index_bits) / dense
-
-    def max_column_nnz(self) -> int:
-        return int(self.column_nnz().max(initial=0))
-
-    def column_nnz(self) -> np.ndarray:
-        return np.diff(self.col_ptr)

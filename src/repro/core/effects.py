@@ -47,8 +47,8 @@ def reentrant(fn: Optional[_F] = None, *, reason: str = "") -> _F:
     """Declare a function reentrant (stateless-per-call, shard-safe).
 
     Usable bare (``@reentrant``) or called (``@reentrant(reason=...)``).
-    Returns the function unchanged — no wrapper, so decorated workers
-    remain picklable by the process pool exactly as before.
+    Returns the function unchanged — no wrapper, so a decorated function
+    pickles by name exactly as the undecorated one does.
 
     Rule R8 verifies the declaration: the function must be transitively
     free of ``WRITES_GLOBAL``, ``AMBIENT_RNG`` and

@@ -1,4 +1,4 @@
-"""Sparse-PE compute kernels: one contract, two interchangeable implementations.
+"""Sparse-PE compute kernels: one production kernel per dataflow.
 
 Both PE functional models reduce to the same two primitives:
 
@@ -10,30 +10,23 @@ Both PE functional models reduce to the same two primitives:
   are adder-tree-summed per plane, and the shift accumulator recombines the
   planes.
 
-Each primitive ships in two implementations, selected by the ``impl``
-argument (default ``fast``):
+Each runs fully vectorized.  A :class:`KernelPlan` built once at ``load()``
+time shares the CSC triplet (contiguous ``values`` / ``row_indices`` /
+``col_ptr`` arrays) and adds a zero-padded ``(max_nnz, out_dim)`` gather
+matrix, so an entire matmul is one fancy-index gather plus one einsum.  The
+SRAM kernel needs no bit planes at all: by linearity,
+``sum_b plane_weight(b) * plane_b(x) == x`` for every in-range ``x``, so the
+shift-accumulated plane partials equal the plain gather.  After the same
+signed-range check the planes would enforce, it *is* the gather.
 
-``reference``
-    The readable per-column Python loops the PE models originally inlined.
-    One numpy call per output column (and per bit plane for the SRAM
-    kernel) — easy to audit against the paper's dataflow description, slow.
-    It is the oracle the differential tests hold ``fast`` to.
-
-``fast``
-    Fully vectorized.  A :class:`KernelPlan` built once at ``load()`` time
-    shares the CSC triplet (contiguous ``values`` / ``row_indices`` /
-    ``col_ptr`` arrays) and adds a zero-padded ``(max_nnz, out_dim)`` gather
-    matrix, so an entire matmul is one fancy-index gather plus one einsum.
-    The SRAM kernel needs no bit planes at all: by linearity,
-    ``sum_b plane_weight(b) * plane_b(x) == x`` for every in-range ``x``,
-    so the shift-accumulated plane partials equal the plain gather.  After
-    the same signed-range check the planes would enforce, it *is*
-    :func:`spmm_gather`'s fast kernel.
-
-Both implementations are bit-identical on int64 (enforced by
-``tests/test_kernels_differential.py``), and the choice is observably pure:
-stats charging lives in the PE models and is analytical (derived from nnz,
-geometry and batch — never from loop trip counts), so switching kernels can
+:func:`spmm_gather_reference` and :func:`spmm_bitserial_reference` keep the
+readable per-column (and per-bit-plane) loops the PE models originally
+inlined: easy to audit against the paper's dataflow description, slow, and
+run by tests only.  They are the oracles ``tests/test_kernels_differential.py``
+holds the production kernels to, bit for bit on int64; the tests substitute
+them into the PE modules to compare whole PEs and accelerators.  Stats
+charging lives in the PE models and is analytical (derived from nnz,
+geometry and batch, never from loop trip counts), so the substitution can
 never change reported cycles, energy or any other hardware number.
 """
 
@@ -50,23 +43,6 @@ from .widths import BITSERIAL_MAX_BITS, width_contract
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .csc import CSCMatrix
-
-#: Implementation used when ``impl`` is not given.
-DEFAULT_KERNEL = "fast"
-
-#: The recognised implementation names.
-KERNEL_IMPLEMENTATIONS = ("reference", "fast")
-
-
-def resolve_kernel(impl: Optional[str] = None) -> str:
-    """Resolve an implementation name: the argument, else the default."""
-    name = impl or DEFAULT_KERNEL
-    if name not in KERNEL_IMPLEMENTATIONS:
-        raise ValueError(
-            f"unknown kernel implementation {name!r}; "
-            f"choose from {KERNEL_IMPLEMENTATIONS}")
-    return name
-
 
 def require_integer_activations(activations: np.ndarray, pe_name: str) -> None:
     """Reject float activations up front (silent truncation is a footgun)."""
@@ -177,12 +153,8 @@ class KernelPlan:
     def nnz(self) -> int:
         return len(self.values)
 
-    @property
-    def max_column_nnz(self) -> int:
-        return self.gather_rows.shape[0]
-
     def column_slices(self) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(column, row_indices, values)`` — the reference kernels'
+        """Yield ``(column, row_indices, values)`` — the oracles'
         view of the plan, identical to walking ``csc.columns``."""
         for c in range(self.shape[1]):
             lo, hi = self.col_ptr[c], self.col_ptr[c + 1]
@@ -252,11 +224,50 @@ def _check_activations(plan: KernelPlan, activations: np.ndarray,
 @width_contract(inputs="i8", weights="i8", accum="i64",
                 depth="MAX_REDUCTION_DEPTH",
                 returns="depth * inputs * weights",
+                params={"activations": "inputs",
+                        "plan.gather_values": "weights"})
+def _gather(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
+    """One fancy-index gather + one einsum over the padded plan."""
+    batch = activations.shape[0]
+    if plan.nnz == 0:
+        return np.zeros((batch, plan.shape[1]), dtype=np.int64)
+    # The gather copies anyway; an int64 input needs no cast copy first.
+    gathered = activations.astype(np.int64, copy=False)[:, plan.gather_rows]
+    return np.einsum("bkc,kc->bc", gathered, plan.gather_values)
+
+
+@width_contract(inputs="i8", weights="i8", accum="i64",
+                returns="_gather",
+                params={"activations": "inputs"})
+def spmm_gather(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
+    """``activations @ W`` via MUX-select gather (int64, bit-exact).
+
+    ``activations``: integer ``(batch, in_dim)``.  Returns ``(batch,
+    out_dim)`` int64, equal to ``activations @ plan.decode()`` exactly.
+    """
+    activations = _check_activations(plan, activations, "spmm_gather")
+    tracer = get_tracer()
+    if tracer.enabled:
+        with tracer.span("kernel.spmm_gather") as sp:
+            sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
+            return _gather(plan, activations)
+    return _gather(plan, activations)
+
+
+@width_contract(inputs="i8", weights="i8", accum="i64",
+                depth="MAX_REDUCTION_DEPTH",
+                returns="depth * inputs * weights",
                 params={"activations": "inputs", "vals": "weights",
                         "plan.values": "weights"})
-def _spmm_gather_reference(plan: KernelPlan,
-                           activations: np.ndarray) -> np.ndarray:
-    """Per-column loop, moved verbatim from ``MRAMSparsePE.matmul``."""
+def spmm_gather_reference(plan: KernelPlan,
+                          activations: np.ndarray) -> np.ndarray:
+    """Oracle for :func:`spmm_gather`: the per-column loop the MRAM PE
+    originally inlined.
+
+    ``tests/test_kernels_differential.py::TestDifferentialSweep`` holds
+    :func:`spmm_gather` to it bit for bit.
+    """
+    activations = _check_activations(plan, activations, "spmm_gather")
     batch = activations.shape[0]
     out = np.zeros((batch, plan.shape[1]), dtype=np.int64)
     for c, rows, vals in plan.column_slices():
@@ -269,44 +280,33 @@ def _spmm_gather_reference(plan: KernelPlan,
     return out
 
 
-@width_contract(inputs="i8", weights="i8", accum="i64",
-                depth="MAX_REDUCTION_DEPTH",
-                returns="depth * inputs * weights",
-                params={"activations": "inputs",
-                        "plan.gather_values": "weights"})
-def _spmm_gather_fast(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
-    """One fancy-index gather + one einsum over the padded plan."""
-    batch = activations.shape[0]
-    if plan.nnz == 0:
-        return np.zeros((batch, plan.shape[1]), dtype=np.int64)
-    # The gather copies anyway; an int64 input needs no cast copy first.
-    gathered = activations.astype(np.int64, copy=False)[:, plan.gather_rows]
-    return np.einsum("bkc,kc->bc", gathered, plan.gather_values)
-
-
-@width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_spmm_gather_reference | _spmm_gather_fast",
-                params={"activations": "inputs"})
-def spmm_gather(plan: KernelPlan, activations: np.ndarray,
-                impl: Optional[str] = None) -> np.ndarray:
-    """``activations @ W`` via MUX-select gather (int64, bit-exact).
-
-    ``activations``: integer ``(batch, in_dim)``.  Returns ``(batch,
-    out_dim)`` int64, equal to ``activations @ plan.decode()`` exactly.
-    """
-    activations = _check_activations(plan, activations, "spmm_gather")
-    name = resolve_kernel(impl)
-    tracer = get_tracer()
-    if tracer.enabled:
-        with tracer.span("kernel.spmm_gather", impl=name) as sp:
-            sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
-            return _GATHER_IMPLS[name](plan, activations)
-    return _GATHER_IMPLS[name](plan, activations)
-
-
 # ---------------------------------------------------------------------------
 # spmm_bitserial — SRAM-style bit-plane x index-phase dataflow
 # ---------------------------------------------------------------------------
+
+@width_contract(inputs="i8", weights="i8", accum="i64",
+                returns="_gather",
+                bounds={"input_bits": BITSERIAL_MAX_BITS},
+                params={"activations": "inputs"})
+def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
+                   input_bits: int) -> np.ndarray:
+    """``activations @ W`` via the bit-serial schedule (int64, bit-exact).
+
+    ``activations`` must fit ``input_bits``-bit two's complement, else
+    ``ValueError``.  The plane schedule folds away by linearity (module
+    docstring): after the range check the planes imply, one gather is
+    exact, so the result equals ``activations @ plan.decode()``.
+    """
+    activations = _check_activations(plan, activations, "spmm_bitserial")
+    require_signed_range(activations, input_bits)
+    tracer = get_tracer()
+    if tracer.enabled:
+        with tracer.span("kernel.spmm_bitserial",
+                         input_bits=input_bits) as sp:
+            sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
+            return _gather(plan, activations)
+    return _gather(plan, activations)
+
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
                 depth="MAX_REDUCTION_DEPTH",
@@ -314,10 +314,15 @@ def spmm_gather(plan: KernelPlan, activations: np.ndarray,
                 bounds={"input_bits": BITSERIAL_MAX_BITS},
                 params={"activations": "inputs", "vals": "weights",
                         "plan.values": "weights"})
-def _spmm_bitserial_reference(plan: KernelPlan, activations: np.ndarray,
-                              input_bits: int) -> np.ndarray:
-    """Per-column, per-bit-plane loop, moved verbatim from
-    ``SRAMSparsePE.matmul``."""
+def spmm_bitserial_reference(plan: KernelPlan, activations: np.ndarray,
+                             input_bits: int) -> np.ndarray:
+    """Oracle for :func:`spmm_bitserial`: the per-column, per-bit-plane
+    loop the SRAM PE originally inlined.
+
+    ``tests/test_kernels_differential.py::TestDifferentialSweep`` holds
+    :func:`spmm_bitserial` to it bit for bit.
+    """
+    activations = _check_activations(plan, activations, "spmm_bitserial")
     planes = to_bit_planes(activations, input_bits)  # (bits, batch, in)
     batch = activations.shape[0]
     out = np.zeros((batch, plan.shape[1]), dtype=np.int64)
@@ -334,50 +339,3 @@ def _spmm_bitserial_reference(plan: KernelPlan, activations: np.ndarray,
         # Step 3: shift accumulate (two's complement plane weights).
         out[:, c] = from_partials(partials, input_bits)
     return out
-
-
-@width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_spmm_gather_fast",
-                bounds={"input_bits": BITSERIAL_MAX_BITS},
-                params={"activations": "inputs"})
-def _spmm_bitserial_fast(plan: KernelPlan, activations: np.ndarray,
-                         input_bits: int) -> np.ndarray:
-    """The plane schedule folded away by linearity (module docstring):
-    after the range check the planes imply, one gather is exact."""
-    require_signed_range(activations, input_bits)
-    return _spmm_gather_fast(plan, activations)
-
-
-@width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_spmm_bitserial_reference | _spmm_bitserial_fast",
-                params={"activations": "inputs"})
-def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
-                   input_bits: int, impl: Optional[str] = None) -> np.ndarray:
-    """``activations @ W`` via the bit-serial schedule (int64, bit-exact).
-
-    ``activations`` must fit ``input_bits``-bit two's complement, else
-    ``ValueError``.  The reference tier walks the bit-plane x phase
-    dataflow; the fast tier folds the planes away by linearity and runs
-    one gather.  Either way the result equals ``activations @
-    plan.decode()`` exactly.
-    """
-    activations = _check_activations(plan, activations, "spmm_bitserial")
-    name = resolve_kernel(impl)
-    tracer = get_tracer()
-    if tracer.enabled:
-        with tracer.span("kernel.spmm_bitserial", impl=name,
-                         input_bits=input_bits) as sp:
-            sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
-            return _BITSERIAL_IMPLS[name](plan, activations, input_bits)
-    return _BITSERIAL_IMPLS[name](plan, activations, input_bits)
-
-
-_GATHER_IMPLS = {
-    "reference": _spmm_gather_reference,
-    "fast": _spmm_gather_fast,
-}
-
-_BITSERIAL_IMPLS = {
-    "reference": _spmm_bitserial_reference,
-    "fast": _spmm_bitserial_fast,
-}

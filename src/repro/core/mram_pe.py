@@ -74,10 +74,8 @@ class MRAMPEConfig:
 class MRAMSparsePE:
     """Functional + cycle model of the near-memory MRAM sparse PE."""
 
-    def __init__(self, config: Optional[MRAMPEConfig] = None,
-                 kernel: Optional[str] = None):
+    def __init__(self, config: Optional[MRAMPEConfig] = None):
         self.config = config or MRAMPEConfig()
-        self.kernel = kernel  # None -> the "fast" default
         self.csc: Optional[CSCMatrix] = None
         self.stats = PEStats()
         self._plan: Optional[KernelPlan] = None
@@ -114,16 +112,6 @@ class MRAMSparsePE:
         self.stats.weight_bits_written += csc.nnz * cfg.weight_bits
         self.stats.index_bits_written += csc.nnz * cfg.index_bits
 
-    @property
-    def loaded(self) -> bool:
-        return self.csc is not None
-
-    def occupancy(self) -> float:
-        if self.csc is None:
-            return 0.0
-        # A utilization *ratio* is float by design, not datapath arithmetic.
-        return self.csc.nnz / self.config.pair_capacity  # repro-lint: disable-line=R1
-
     # ---------------------------------------------------------------- matmul
     @width_contract(inputs="i8", weights="i8", accum="i64",
                     returns="spmm_gather",
@@ -149,7 +137,7 @@ class MRAMSparsePE:
         require_integer_activations(activations, "MRAM PE")
         require_signed_range(activations, self.config.input_bits)
 
-        out = spmm_gather(self._plan, activations, impl=self.kernel)
+        out = spmm_gather(self._plan, activations)
 
         self._charge_matmul_stats(batch)
         return out

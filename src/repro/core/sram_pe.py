@@ -87,10 +87,8 @@ def check_weight_range(matrix: np.ndarray, bits: int) -> None:
 class SRAMSparsePE:
     """Functional + cycle-accurate model of the SRAM sparse PE."""
 
-    def __init__(self, config: Optional[SRAMPEConfig] = None,
-                 kernel: Optional[str] = None):
+    def __init__(self, config: Optional[SRAMPEConfig] = None):
         self.config = config or SRAMPEConfig()
-        self.kernel = kernel  # None -> the "fast" default
         self.csc: Optional[CSCMatrix] = None
         self.lanes_used = 0      # lanes holding at least one entry
         self.spill_columns = 0   # columns whose entries straddle two lanes
@@ -142,17 +140,6 @@ class SRAMSparsePE:
         self.stats.weight_bits_written += self.csc.nnz * cfg.weight_bits
         self.stats.index_bits_written += self.csc.nnz * cfg.index_bits
 
-    @property
-    def loaded(self) -> bool:
-        return self.csc is not None
-
-    def occupancy(self) -> float:
-        """Fraction of (weight, index) pairs in use."""
-        if self.csc is None:
-            return 0.0
-        # A utilization *ratio* is float by design, not datapath arithmetic.
-        return self.csc.nnz / self.config.pair_capacity  # repro-lint: disable-line=R1
-
     # ---------------------------------------------------------------- matmul
     @width_contract(inputs="i8", weights="i8", accum="i64",
                     returns="spmm_bitserial",
@@ -164,11 +151,10 @@ class SRAMSparsePE:
         signed range.  Returns int64 ``(batch, out_dim)``.
 
         Cycles and energy are charged analytically from nnz, geometry and
-        batch.  The numbers come from :func:`spmm_bitserial`: its
-        ``reference`` tier walks the bit planes x index phases x comparator
-        gating, its default ``fast`` tier folds the planes away by
-        linearity; both equal ``activations @ dense`` exactly and reject
-        activations outside the signed ``input_bits`` range.
+        batch.  The numbers come from :func:`spmm_bitserial`, which folds
+        the bit planes x index phases x comparator gating away by linearity
+        (its oracle walks them); it equals ``activations @ dense`` exactly
+        and rejects activations outside the signed ``input_bits`` range.
         """
         if self.csc is None:
             raise RuntimeError("load() a weight matrix first")
@@ -181,8 +167,7 @@ class SRAMSparsePE:
                 f"activation dim {in_dim} != matrix in_dim {csc.shape[0]}")
         require_integer_activations(activations, "SRAM PE")
 
-        out = spmm_bitserial(self._plan, activations, cfg.input_bits,
-                             impl=self.kernel)
+        out = spmm_bitserial(self._plan, activations, cfg.input_bits)
 
         self._charge_matmul_stats(batch)
         return out

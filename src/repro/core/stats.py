@@ -38,17 +38,6 @@ class PEStats:
                     getattr(self, field.name) + getattr(other, field.name))
         return self
 
-    def scaled(self, factor: int) -> "PEStats":
-        """Return a copy with every counter multiplied by ``factor``.
-
-        Used when one simulated tile stands for ``factor`` identical tiles
-        running in parallel (SIMT replication across cores/banks).
-        """
-        out = PEStats()
-        for field in dataclasses.fields(self):
-            setattr(out, field.name, getattr(self, field.name) * factor)
-        return out
-
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
 

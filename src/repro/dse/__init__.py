@@ -28,7 +28,7 @@ from .evaluate import (METRIC_KEYS, RECORD_SCHEMA, build_tech,
                        evaluate_config, evaluate_records, get_workload)
 from .export import (dumps_canonical, render_frontier, render_summary,
                      write_csv, write_json)
-from .pareto import (OBJECTIVE_KEYS, OBJECTIVES, dominates, objective_vector,
+from .pareto import (OBJECTIVE_KEYS, OBJECTIVES, objective_vector,
                      pareto_reduce, record_sort_key)
 from .spec import (CONFIG_KEYS, DEVICE_CORNERS, PRESETS, SPEC_SCHEMA,
                    DEFAULT_SPEC, FULL_SPEC, SMOKE_SPEC, SweepSpec,
@@ -43,7 +43,7 @@ __all__ = [
     "DiskCache", "NullCache", "CACHE_SCHEMA", "DEFAULT_CACHE_DIR",
     "run_sweep", "evaluate_batch", "frontier_doc",
     "SWEEP_SCHEMA", "FRONTIER_SCHEMA",
-    "pareto_reduce", "dominates", "objective_vector", "record_sort_key",
+    "pareto_reduce", "objective_vector", "record_sort_key",
     "OBJECTIVES", "OBJECTIVE_KEYS",
     "write_json", "write_csv", "dumps_canonical", "render_frontier",
     "render_summary",

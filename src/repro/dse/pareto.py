@@ -39,12 +39,6 @@ def objective_vector(record: Mapping[str, object]) -> Tuple[float, ...]:
     return tuple(sign * float(metrics[key]) for key, sign in OBJECTIVES)
 
 
-def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Vector dominance: ``a`` no worse everywhere, strictly better once."""
-    return all(x <= y for x, y in zip(a, b)) and any(
-        x < y for x, y in zip(a, b))
-
-
 def record_sort_key(record: Mapping[str, object]) -> Tuple:
     """Total order: objectives, then the content hash as a stable tie-break."""
     return objective_vector(record) + (str(record.get("key", "")),)

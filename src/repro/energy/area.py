@@ -52,10 +52,6 @@ class AreaReport:
     def total_mm2(self) -> float:
         return total_mm2(self.components.values())
 
-    def fraction(self, key: str) -> float:
-        total = self.total_mm2
-        return self.components.get(key, 0.0) / total if total else 0.0
-
 
 def hybrid_area_components(backbone_compressed_bits, n_sram_pes,
                            sram_storage_bits, sram_pe_mm2,

@@ -72,14 +72,6 @@ class EnergyBreakdown:
             buffer_pj=self.buffer_pj + other.buffer_pj,
         )
 
-    def scaled(self, factor: float) -> "EnergyBreakdown":
-        return EnergyBreakdown(
-            leakage_pj=self.leakage_pj * factor,
-            compute_pj=self.compute_pj * factor,
-            write_pj=self.write_pj * factor,
-            buffer_pj=self.buffer_pj * factor,
-        )
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "leakage_pj": self.leakage_pj,

@@ -68,10 +68,6 @@ class MTJ:
         p = self.params
         return (p.resistance_ap_ohm - p.resistance_p_ohm) / p.resistance_p_ohm
 
-    def read_current_ua(self, read_voltage_v: float = 0.1) -> float:
-        """Sense current at a (disturb-safe) read voltage."""
-        return read_voltage_v / self.resistance_ohm * UA_PER_A
-
     def sense_margin_ua(self, read_voltage_v: float = 0.1) -> float:
         """Current difference between the two states the SA must resolve."""
         p = self.params

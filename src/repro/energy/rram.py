@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .tech import GlobalSpec, MRAMPESpec, SRAMPESpec, TechnologyModel
-from .units import PJ_PER_J, S_PER_NS, UA_PER_A
+from .units import PJ_PER_J, S_PER_NS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,9 +77,6 @@ class RRAMCell:
     @property
     def on_off_ratio(self) -> float:
         return self.params.resistance_hrs_ohm / self.params.resistance_lrs_ohm
-
-    def read_current_ua(self) -> float:
-        return self.params.read_voltage_v / self.resistance_ohm * UA_PER_A
 
     def write(self, target_state: int,
               rng: Optional[np.random.Generator] = None) -> bool:

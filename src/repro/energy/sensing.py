@@ -18,8 +18,6 @@ import dataclasses
 import math
 from typing import Dict
 
-from scipy.stats import norm
-
 from .mtj import MTJParams
 from .units import UA_PER_A
 
@@ -71,6 +69,10 @@ def read_bit_error_rate(params: MTJParams = MTJParams(),
     the cell current against the midpoint reference with its own Gaussian
     offset.  BER = average of the two states' miscompare probabilities.
     """
+    # Imported here, not at module top: scipy.stats takes about a second to
+    # import, and only the ablations harness reaches this function.
+    from scipy.stats import norm
+
     cur = state_currents_ua(params, config)
     i_ref = cur["i_ref_ua"]
 

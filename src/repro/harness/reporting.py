@@ -53,13 +53,6 @@ def save_json(result: Dict, path: Optional[str]) -> None:
         json.dump(result, f, indent=2, default=str)
 
 
-def normalize(values: Sequence[float], reference: float) -> List[float]:
-    """Divide each value by ``reference`` (guarding zero)."""
-    if reference == 0:
-        raise ValueError("cannot normalize to a zero reference")
-    return [v / reference for v in values]
-
-
 # ---------------------------------------------------------------------------
 # Observability plumbing shared by every harness entry point
 # ---------------------------------------------------------------------------

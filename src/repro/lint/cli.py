@@ -5,7 +5,7 @@ or warning) survives suppressions, 2 on usage errors.  CI gates on this.
 
 ``--dataflow`` adds the opt-in flow-sensitive verifier (rules R6/R7) to
 the run; ``--effects`` adds the interprocedural effect & reentrancy
-verifier (rules R8/R9/R10); ``--concurrency`` adds the static
+verifier (rules R8/R9); ``--concurrency`` adds the static
 concurrency verifier (rules R11-R14); the switches combine freely.
 ``--list-suppressions`` audits every suppression pragma against every
 rule instead of linting; ``--strict`` escalates stale pragmas — pragmas
@@ -54,8 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--effects", action="store_true",
         help="also run the interprocedural effect & reentrancy verifier "
-             "(rules R8 reentrancy, R9 cache-key-completeness, "
-             "R10 worker-shippability)")
+             "(rules R8 reentrancy, R9 cache-key-completeness)")
     parser.add_argument(
         "--concurrency", action="store_true",
         help="also run the static concurrency verifier (rules R11 "

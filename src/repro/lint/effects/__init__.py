@@ -1,4 +1,4 @@
-"""Interprocedural effect & reentrancy verifier (rules R8–R10).
+"""Interprocedural effect & reentrancy verifier (rules R8–R9).
 
 Layered like the dataflow pass, one level up the call stack:
 
@@ -14,7 +14,7 @@ Layered like the dataflow pass, one level up the call stack:
 :mod:`.analysis`
     The worklist fixpoint and witness-chain reconstruction.
 :mod:`.rules`
-    R8 reentrancy, R9 cache-key completeness, R10 worker shippability.
+    R8 reentrancy, R9 cache-key completeness.
 
 Enabled with ``python -m repro.lint --effects``.
 """

@@ -170,7 +170,7 @@ class EffectAnalysis:
 def analyze_project(project) -> EffectAnalysis:
     """The (cached) effect analysis of one linted project.
 
-    R8, R9 and R10 all need the same fixpoint over the project's call
+    R8 and R9 both need the same fixpoint over the project's call
     graph; the first rule to run builds it and the rest reuse it via an
     attribute stashed on the :class:`~repro.lint.engine.ProjectContext`.
     """

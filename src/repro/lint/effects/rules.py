@@ -1,7 +1,7 @@
-"""Rules R8 (reentrancy), R9 (cache-key completeness), R10 (shippability).
+"""Rules R8 (reentrancy) and R9 (cache-key completeness).
 
-All three are *opt-in* project rules behind ``python -m repro.lint
---effects`` (or explicit ``--rules R8,R9,R10``); they share one call
+Both are *opt-in* project rules behind ``python -m repro.lint
+--effects`` (or explicit ``--rules R8,R9``); they share one call
 graph and one effect fixpoint per run (:func:`~.analysis.analyze_project`
 caches it on the project context).
 
@@ -21,13 +21,6 @@ R9 — cache-key completeness
     returned dict must carry exactly those keys.  A field read but not
     keyed means two configs differing only in that field share a cache
     entry: silent wrong results, the worst failure mode a cache has.
-
-R10 — worker shippability
-    Anything submitted to a ``ProcessPoolExecutor`` (``pool.map`` /
-    ``pool.submit``) must be a module-top-level function — not a lambda,
-    nested closure or bound method (pickle refuses or, worse, drags
-    object state across the fork) — and its parameters must not be
-    annotated with known-unpicklable types (locks, sockets, threads).
 """
 
 from __future__ import annotations
@@ -47,10 +40,6 @@ CONFIG_PARAM_NAMES = frozenset({"config", "cfg"})
 #: Where the canonical cache-key tuple lives.
 SPEC_SUFFIX = "dse/spec.py"
 CONFIG_KEYS_NAME = "CONFIG_KEYS"
-
-#: Annotation dotted-name prefixes that are never picklable.
-UNPICKLABLE_PREFIXES = ("threading.", "_thread.", "socket.",
-                       "multiprocessing.")
 
 
 @register
@@ -228,142 +217,6 @@ class CacheKeyCompletenessRule(Rule):
                         f"{CONFIG_KEYS_NAME} ({spec_path}) does not "
                         "declare it — add it to the key document or drop "
                         "it from the normalizer")
-
-
-@register
-class WorkerShippabilityRule(Rule):
-    code = "R10"
-    name = "worker-shippability"
-    severity = "error"
-    scope = "project"
-    optin = True
-    group = "effects"
-    description = ("functions submitted to a ProcessPoolExecutor must be "
-                   "module-top-level and closure-free, with no "
-                   "known-unpicklable parameter annotations")
-
-    def check_project(self, project) -> Iterator[Finding]:
-        analysis = analyze_project(project)
-        for qualname in sorted(analysis.summaries):
-            summary = analysis.summaries[qualname]
-            yield from self._check_function(analysis, summary)
-
-    def _check_function(self, analysis: EffectAnalysis,
-                        summary) -> Iterator[Finding]:
-        info = summary.info
-        pools = _pool_names(info.node)
-        if not pools:
-            return
-        nested = {n.name for n in ast.walk(info.node)
-                  if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                  and n is not info.node}
-        for call in ast.walk(info.node):
-            if not isinstance(call, ast.Call):
-                continue
-            func = call.func
-            if not (isinstance(func, ast.Attribute)
-                    and func.attr in ("map", "submit")
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in pools):
-                continue
-            if not call.args:
-                continue
-            worker = call.args[0]
-            yield from self._check_worker(analysis, info, nested,
-                                          worker, call.lineno)
-
-    def _check_worker(self, analysis: EffectAnalysis, info, nested: Set[str],
-                      worker: ast.expr, line: int) -> Iterator[Finding]:
-        where = f"in {info.qualname}"
-        if isinstance(worker, ast.Lambda):
-            yield self.finding(
-                info.path, line, 0,
-                f"lambda submitted to a process pool {where}: lambdas "
-                "are not picklable — hoist the worker to module top "
-                "level")
-            return
-        dotted = dotted_name(worker)
-        if dotted is None:
-            yield self.finding(
-                info.path, line, 0,
-                f"pool worker {where} is not a plain function reference "
-                "— workers must be module-top-level functions")
-            return
-        parts = dotted.split(".")
-        if parts[0] == "self":
-            yield self.finding(
-                info.path, line, 0,
-                f"bound method {dotted!r} submitted to a process pool "
-                f"{where}: pickling drags the receiver's state across "
-                "the fork — use a module-top-level function taking "
-                "explicit arguments")
-            return
-        if parts[0] in nested:
-            yield self.finding(
-                info.path, line, 0,
-                f"nested function {dotted!r} submitted to a process "
-                f"pool {where}: closures are not picklable — hoist it "
-                "to module top level")
-            return
-        mod = analysis.graph.modules.get(info.module)
-        resolved = (analysis.graph.resolve_dotted(mod.name, dotted)
-                    if mod is not None else None)
-        if resolved is None or resolved[0] != "func":
-            yield self.finding(
-                info.path, line, 0,
-                f"pool worker {dotted!r} {where} does not resolve to a "
-                "module-top-level function in the linted tree — workers "
-                "must be importable by name in the child process")
-            return
-        target = analysis.graph.function_for(resolved[1])
-        if target is None:
-            return
-        if target.class_name is not None:
-            yield self.finding(
-                info.path, line, 0,
-                f"pool worker {dotted!r} {where} resolves to method "
-                f"{target.qualname!r} — unbound/bound methods are not "
-                "shippable; use a module-top-level function")
-            return
-        yield from self._annotation_checks(target, line, info)
-
-    def _annotation_checks(self, target, line: int,
-                           caller) -> Iterator[Finding]:
-        args = target.node.args
-        for a in (list(getattr(args, "posonlyargs", [])) + list(args.args)
-                  + list(args.kwonlyargs)):
-            ann = dotted_name(a.annotation) if a.annotation is not None \
-                else None
-            if ann is None:
-                continue
-            if any(ann == p.rstrip(".") or ann.startswith(p)
-                   for p in UNPICKLABLE_PREFIXES):
-                yield self.finding(
-                    target.path, target.line, 0,
-                    f"pool worker {target.qualname!r} (submitted at "
-                    f"{caller.path}:{line}) takes parameter {a.arg!r} "
-                    f"annotated {ann!r}, which is not picklable — pass "
-                    "plain data and reconstruct the resource in the "
-                    "child")
-
-
-def _pool_names(fn_node) -> Set[str]:
-    """Local names bound to ProcessPoolExecutor instances in ``fn_node``."""
-    pools: Set[str] = set()
-    for node in ast.walk(fn_node):
-        call = None
-        target = None
-        if isinstance(node, ast.withitem) and node.optional_vars is not None:
-            call, target = node.context_expr, node.optional_vars
-        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-            call, target = node.value, node.targets[0]
-        if not (isinstance(call, ast.Call) and isinstance(target, ast.Name)):
-            continue
-        callee = dotted_name(call.func)
-        if callee is not None \
-                and callee.split(".")[-1] == "ProcessPoolExecutor":
-            pools.add(target.id)
-    return pools
 
 
 def _string_tuple(tree: ast.Module, name: str) -> Optional[List[str]]:

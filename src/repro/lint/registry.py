@@ -36,7 +36,7 @@ class Rule:
     scope: str = "file"           # "file" or "project"
     description: str = ""
     #: Opt-in rules (the dataflow verifier's R6/R7, the effects verifier's
-    #: R8-R10) are excluded from the default rule set; enable them with
+    #: R8/R9) are excluded from the default rule set; enable them with
     #: explicit codes or include_optin.
     optin: bool = False
     #: Opt-in family this rule belongs to ("dataflow", "effects"); the

@@ -6,8 +6,8 @@ A float sneaking into these modules — a true division, a default-dtype
 allocation, a float ``astype`` — silently breaks bit-exactness with the
 hardware's two's-complement arithmetic long before any test notices.
 R1 flags the float-producing constructs inside the kernel/PE modules;
-deliberate float utilities (occupancy ratios) carry a
-``# repro-lint: disable-line=R1`` pragma.
+a deliberate float utility carries a ``# repro-lint: disable-line=R1``
+pragma.
 """
 
 from __future__ import annotations

@@ -11,17 +11,16 @@ from .data import DataLoader, Dataset, Subset, TensorDataset
 from .functional import (accuracy, avg_pool2d, conv2d, cross_entropy,
                          global_avg_pool2d, linear, log_softmax, max_pool2d,
                          relu)
-from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, Module,
-                      Parameter, ReLU)
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .tensor import Tensor, astensor, concatenate, no_grad, ones, randn, stack, zeros
+from .modules import (AvgPool2d, BatchNorm2d, Conv2d, Linear, Module,
+                      Parameter)
+from .optim import Adam, Optimizer, clip_grad_norm
+from .tensor import Tensor, astensor, concatenate, no_grad, ones, stack, zeros
 
 __all__ = [
-    "Tensor", "astensor", "concatenate", "stack", "zeros", "ones", "randn",
+    "Tensor", "astensor", "concatenate", "stack", "zeros", "ones",
     "no_grad", "functional",
-    "Module", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "ReLU",
-    "AvgPool2d", "Flatten",
-    "Optimizer", "SGD", "Adam", "clip_grad_norm",
+    "Module", "Parameter", "Linear", "Conv2d", "BatchNorm2d", "AvgPool2d",
+    "Optimizer", "Adam", "clip_grad_norm",
     "Dataset", "TensorDataset", "Subset", "DataLoader",
     "cross_entropy", "accuracy", "log_softmax",
     "conv2d", "linear", "relu", "max_pool2d", "avg_pool2d", "global_avg_pool2d",

@@ -9,7 +9,6 @@ the INT8 quantizer can discover them by name.
 from __future__ import annotations
 
 import math
-import pickle
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -31,10 +30,6 @@ class Parameter(Tensor):
         self.trainable = False
         self.requires_grad = False
         self.grad = None
-
-    def unfreeze(self) -> None:
-        self.trainable = True
-        self.requires_grad = True
 
 
 class Module:
@@ -100,11 +95,6 @@ class Module:
             p.freeze()
         return self
 
-    def unfreeze(self) -> "Module":
-        for p in self.parameters():
-            p.unfreeze()
-        return self
-
     # ------------------------------------------------------------------ call
     def forward(self, *args, **kwargs):
         raise NotImplementedError
@@ -137,14 +127,6 @@ class Module:
                 if key + "running_mean" in state:
                     mod.running_mean = state[key + "running_mean"].copy()
                     mod.running_var = state[key + "running_var"].copy()
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as f:
-            pickle.dump(self.state_dict(), f)
-
-    def load(self, path: str) -> None:
-        with open(path, "rb") as f:
-            self.load_state_dict(pickle.load(f))
 
 
 # ------------------------------------------------------------------- layers
@@ -241,14 +223,6 @@ class BatchNorm2d(Module):
         return f"BatchNorm2d({self.num_features})"
 
 
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-    def __repr__(self):
-        return "ReLU()"
-
-
 class AvgPool2d(Module):
     def __init__(self, kernel_size: int, stride: Optional[int] = None):
         super().__init__()
@@ -260,11 +234,3 @@ class AvgPool2d(Module):
 
     def __repr__(self):
         return f"AvgPool2d(k={self.kernel_size}, s={self.stride})"
-
-
-class Flatten(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.flatten(start_dim=1)
-
-    def __repr__(self):
-        return "Flatten()"

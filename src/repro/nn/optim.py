@@ -47,38 +47,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """SGD with momentum, Nesterov and decoupled weight decay."""
-
-    def __init__(self, params: Iterable[Parameter], lr: float = 0.01,
-                 momentum: float = 0.0, weight_decay: float = 0.0,
-                 nesterov: bool = False):
-        super().__init__(params, lr)
-        if nesterov and momentum == 0.0:
-            raise ValueError("nesterov requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: Dict[int, np.ndarray] = {}
-
-    def step(self) -> None:
-        for p in self.params:
-            if not p.trainable or p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum:
-                v = self._velocity.get(id(p))
-                v = self.momentum * v + g if v is not None else g.copy()
-                self._velocity[id(p)] = v
-                g = g + self.momentum * v if self.nesterov else v
-            p.data = p.data - self.lr * self._masked(p, g)
-            mask = self._masks.get(id(p))
-            if mask is not None:
-                p.data = p.data * mask
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 

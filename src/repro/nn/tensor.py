@@ -405,10 +405,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def flatten(self, start_dim: int = 0) -> "Tensor":
-        lead = self.shape[:start_dim]
-        return self.reshape(lead + (-1,))
-
     def transpose(self, *axes) -> "Tensor":
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
@@ -475,20 +471,6 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-#: Seed of the fallback Generator :func:`randn` builds when no ``rng`` is
-#: passed.  Library code must be reproducible by default (R4): an unseeded
-#: Generator would make every bare ``randn`` call unrepeatable.  Note the
-#: fallback is *fresh per call* — two bare calls return identical tensors;
-#: pass an ``rng`` to draw a stream.
-RANDN_FALLBACK_SEED: int = 0
-
-
-def randn(*shape, rng: Optional[np.random.Generator] = None,
-          requires_grad: bool = False) -> Tensor:
-    rng = rng or np.random.default_rng(RANDN_FALLBACK_SEED)
-    return Tensor(rng.standard_normal(shape), requires_grad=requires_grad)
 
 
 class no_grad:

@@ -5,13 +5,12 @@ from .nm import (INDEX_BITS, MAX_GROUP_SIZE, NMPattern, apply_nm_mask,
 from .permutation import (find_channel_permutation, permutation_gain,
                           retained_saliency)
 from .pruner import NMPruner, prunable_parameters, prune_model
-from .saliency import (GradientSaliency, magnitude_saliency,
-                       one_epoch_gradient_saliency)
+from .saliency import GradientSaliency, one_epoch_gradient_saliency
 
 __all__ = [
     "NMPattern", "compute_nm_mask", "apply_nm_mask",
     "verify_nm", "MAX_GROUP_SIZE", "INDEX_BITS",
-    "magnitude_saliency", "GradientSaliency", "one_epoch_gradient_saliency",
+    "GradientSaliency", "one_epoch_gradient_saliency",
     "NMPruner", "prune_model", "prunable_parameters",
     "find_channel_permutation", "retained_saliency", "permutation_gain",
 ]

@@ -102,16 +102,10 @@ class NMPruner:
             self.masks[name] = mask
         return self.masks
 
-    def calibrate_magnitude(self) -> Dict[str, np.ndarray]:
-        """Fallback mask selection from weight magnitude only (no data needed)."""
-        self.masks = {name: compute_nm_mask(np.abs(p.data), self.pattern)
-                      for name, p in self._targets()}
-        return self.masks
-
     def apply(self, optimizer: Optional[Optimizer] = None) -> None:
         """Zero pruned weights and (optionally) pin the mask in the optimizer."""
         if not self.masks:
-            raise RuntimeError("call calibrate() or calibrate_magnitude() first")
+            raise RuntimeError("call calibrate() first")
         by_name = dict(self._targets())
         for name, mask in self.masks.items():
             param = by_name[name]

@@ -5,7 +5,7 @@ across all weights on the RepNet path to identify the most crucial N weights
 among every consecutive M weights, based on magnitude."  We implement both
 criteria:
 
-* :func:`magnitude_saliency` — |w| (used for the PTQ backbone).
+* magnitude, |w|, which ``prune_model`` uses for the PTQ backbone.
 * :class:`GradientSaliency` — accumulates |g| over one calibration epoch and
   scores each weight by |w| * |g_accumulated| (first-order Taylor importance),
   the gradient-informed variant used before fine-tuning the Rep-Net path.
@@ -21,11 +21,6 @@ from ..nn import functional as F
 from ..nn.data import DataLoader
 from ..nn.modules import Module, Parameter
 from ..nn.tensor import Tensor
-
-
-def magnitude_saliency(weights: np.ndarray) -> np.ndarray:
-    """Plain |w| importance."""
-    return np.abs(np.asarray(weights))
 
 
 class GradientSaliency:

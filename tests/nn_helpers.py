@@ -1,5 +1,5 @@
-"""Model-building helpers the tests share: a layer chain and a seed reset
-for ``repro.nn``'s default initialisation RNG."""
+"""Model-building helpers the tests share: a layer chain, a ReLU layer and
+a seed reset for ``repro.nn``'s default initialisation RNG."""
 
 import numpy as np
 
@@ -26,3 +26,8 @@ class Sequential(Module):
         for layer in self.layers:
             x = layer(x)
         return x
+
+
+class ReLU(Module):
+    def forward(self, x: Tensor) -> Tensor:
+        return x.relu()

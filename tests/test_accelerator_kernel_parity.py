@@ -1,11 +1,13 @@
 """Kernel parity over the whole accelerator surface.
 
 Two ``HybridAccelerator(NMPattern(1, 4))`` instances — one on the
-``reference`` oracle kernels, one on the default — run the same training
-step over scaled-down Rep-Net GEMMs: frozen backbone layers (MRAM gather)
-and learnable Rep-Net layers (SRAM bit-serial, error propagation, weight
+reference oracle kernels (substituted by the ``oracle_kernels`` fixture),
+one on the production kernels — run the same training step over
+scaled-down Rep-Net GEMMs: frozen backbone layers (MRAM gather) and
+learnable Rep-Net layers (SRAM bit-serial, error propagation, weight
 gradient and update).  Every output array and every ``PEStats`` counter
-must be identical, so the kernel choice is observably pure end to end.
+must be identical, so the production kernels are observably pure end to
+end.
 """
 
 import numpy as np
@@ -46,10 +48,10 @@ def _nm_weight(rng, in_dim, out_dim):
     return np.where(mask.astype(bool), dense, 0)
 
 
-def _run(kernel, seed):
+def _run(seed):
     """One step on a fresh accelerator: (outputs by call, stats by PE)."""
     rng = np.random.default_rng(seed)
-    acc = HybridAccelerator(PATTERN, kernel=kernel)
+    acc = HybridAccelerator(PATTERN)
     outputs = {}
     for name, in_dim, out_dim, learnable in GEMMS:
         weight = _nm_weight(rng, in_dim, out_dim)
@@ -74,9 +76,10 @@ def _run(kernel, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_reference_and_default_kernels_agree(seed):
-    ref_out, ref_stats = _run("reference", seed)
-    out, stats = _run(None, seed)
+def test_reference_and_default_kernels_agree(oracle_kernels, seed):
+    with oracle_kernels():
+        ref_out, ref_stats = _run(seed)
+    out, stats = _run(seed)
     assert out.keys() == ref_out.keys()
     for key, want in ref_out.items():
         assert out[key].dtype == want.dtype, key

@@ -27,8 +27,8 @@ class TestReentrant:
         assert getattr(f, REENTRANT_ATTR) == {"reason": "pool worker"}
 
     def test_decorated_worker_stays_picklable(self):
-        """No wrapper means process pools ship the function exactly as
-        before — the property R10 exists to protect."""
+        """No wrapper means the decorated function pickles by name exactly
+        as the undecorated one does."""
         marked = reentrant(_top_level_worker)
         clone = pickle.loads(pickle.dumps(marked))
         assert clone(21) == 42

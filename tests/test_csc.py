@@ -81,25 +81,6 @@ class TestCSC:
         with pytest.raises(ValueError):
             CSCMatrix.from_dense(np.zeros(8, dtype=int), NMPattern(1, 4))
 
-    def test_storage_accounting(self, rng):
-        pattern = NMPattern(1, 4)
-        dense = sparse_int_matrix(rng, (32, 8), pattern)
-        csc = CSCMatrix.from_dense(dense, pattern)
-        nnz = int((dense != 0).sum())
-        assert csc.nnz == nnz
-        # pattern-minimal indices (2 bits for m=4) vs the hardware's fixed 4
-        assert csc.storage_bits() == nnz * (8 + 2)
-        assert csc.storage_bits(index_bits=4) == nnz * 12
-        assert csc.dense_storage_bits() == 32 * 8 * 8
-
-    def test_compression_ratio_below_density_budget(self, rng):
-        """Compressed bits <= density * (1 + idx overhead) * dense bits."""
-        pattern = NMPattern(1, 4)
-        dense = sparse_int_matrix(rng, (128, 16), pattern)
-        csc = CSCMatrix.from_dense(dense, pattern)
-        budget = pattern.density * (8 + 4) / 8
-        assert csc.compression_ratio() <= budget + 1e-9
-
     def test_row_indices(self):
         col = CSCColumn(values=np.array([5, -3]),
                         group_ids=np.array([0, 2]),
@@ -110,13 +91,6 @@ class TestCSC:
         with pytest.raises(ValueError):
             CSCColumn(values=np.array([1]), group_ids=np.array([0, 1]),
                       intra_indices=np.array([0]))
-
-    def test_column_nnz_stats(self, rng):
-        pattern = NMPattern(1, 4)
-        dense = sparse_int_matrix(rng, (16, 5), pattern)
-        csc = CSCMatrix.from_dense(dense, pattern)
-        assert csc.max_column_nnz() == csc.column_nnz().max()
-        assert csc.column_nnz().sum() == csc.nnz
 
     def test_all_zero_matrix(self):
         csc = CSCMatrix.from_dense(np.zeros((16, 4), dtype=int), NMPattern(1, 4))

@@ -16,9 +16,10 @@ from repro.dse import (FULL_SPEC, NullCache, config_key, evaluate_config,
                        evaluate_records, normalize_config, pareto_reduce,
                        run_sweep)
 from repro.dse.evaluate import RECORD_SCHEMA, build_tech, get_workload
-from repro.dse.pareto import dominates, objective_vector, record_sort_key
+from repro.dse.pareto import objective_vector, record_sort_key
 from repro.sparsity.nm import NMPattern
 from tests.test_designs_differential import LoopHybridSparseDesign
+from tests.test_dse_pareto import dominates
 
 
 # ----------------------------------------------------------------- oracles

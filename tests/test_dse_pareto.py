@@ -7,8 +7,14 @@ record-level reducer.
 import numpy as np
 import pytest
 
-from repro.dse import (OBJECTIVE_KEYS, dominates, objective_vector,
-                       pareto_reduce, record_sort_key)
+from repro.dse import (OBJECTIVE_KEYS, objective_vector, pareto_reduce,
+                       record_sort_key)
+
+
+def dominates(a, b) -> bool:
+    """Vector dominance: ``a`` no worse everywhere, strictly better once."""
+    return all(x <= y for x, y in zip(a, b)) and any(
+        x < y for x, y in zip(a, b))
 
 
 def make_record(key: str, area, power, edp, density) -> dict:

@@ -7,18 +7,13 @@ import pytest
 from repro.harness import (Table1Config, build_fig7, build_fig8, build_table2,
                            render_fig7, render_fig8, render_table1,
                            render_table2, run_table1)
-from repro.harness.reporting import format_table, normalize, save_json
+from repro.harness.reporting import format_table, save_json
 
 
 class TestReporting:
     def test_format_table(self):
         out = format_table(["a", "bb"], [[1, 2.5], ["x", 0.001]], title="T")
         assert "T" in out and "a" in out and "2.500" in out
-
-    def test_normalize(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-        with pytest.raises(ValueError):
-            normalize([1.0], 0.0)
 
     def test_save_json(self, tmp_path):
         path = tmp_path / "out" / "r.json"

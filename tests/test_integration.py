@@ -19,7 +19,7 @@ from repro.quant import QuantParams, quantize_weight_int
 from repro.repnet import build_repnet_model
 from repro.sparsity import NMPattern, compute_nm_mask
 
-from .nn_helpers import Sequential, set_seed
+from .nn_helpers import ReLU, Sequential, set_seed
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ class TestClassifierOnAccelerator:
         y = (X.astype(np.float64) @ W_true).argmax(axis=1)
 
         set_seed(1)
-        model = Sequential(nn.Linear(32, 24), nn.ReLU(), nn.Linear(24, 4))
+        model = Sequential(nn.Linear(32, 24), ReLU(), nn.Linear(24, 4))
         opt = nn.Adam(model.parameters(), lr=0.02)
         for _ in range(60):
             loss = F.cross_entropy(model(Tensor(X)), y)

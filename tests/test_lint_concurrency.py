@@ -441,5 +441,5 @@ class TestOptinGroups:
     def test_groups_compose_with_effects(self):
         codes = [r.code for r in
                  all_rules(include_optin=["effects", "concurrency"])]
-        for code in ("R8", "R9", "R10", "R11", "R12", "R13", "R14"):
+        for code in ("R8", "R9", "R11", "R12", "R13", "R14"):
             assert code in codes

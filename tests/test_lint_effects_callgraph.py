@@ -3,10 +3,10 @@
 Each fixture is an in-memory mini-package routed through
 :func:`repro.lint.engine.lint_sources` exactly like the real tree, so the
 module-identity mapping, import resolution and method lookup run the same
-code paths CI runs.  The adversarial shapes are the ones the real repo
-actually contains: ``dataclasses.replace`` overlays, the ``impl=`` kernel
-registry, decorated functions, package ``__init__`` re-exports, aliases,
-relative imports, and function-local imports.
+code paths CI runs.  The adversarial shapes are the ones a Python package
+commonly contains: ``dataclasses.replace`` overlays, a registry dict of
+functions called by key, decorated functions, package ``__init__``
+re-exports, aliases, relative imports, and function-local imports.
 """
 
 from pathlib import Path

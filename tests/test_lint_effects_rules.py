@@ -1,4 +1,4 @@
-"""Rules R8/R9/R10 plus the SARIF reporter and the opt-in group plumbing."""
+"""Rules R8/R9 plus the SARIF reporter and the opt-in group plumbing."""
 
 import json
 from pathlib import Path
@@ -192,105 +192,22 @@ class TestR9:
 
 
 # ---------------------------------------------------------------------------
-# R10 — worker shippability
-# ---------------------------------------------------------------------------
-
-class TestR10:
-    def test_real_tree_workers_ship(self):
-        """The package starts no process pool today, so this guards any
-        pool added later; the synthetic sources below exercise the rule."""
-        result = lint_sources(_real_tree_sources(), codes=["R10"])
-        assert result.ok
-
-    def test_lambda_nested_and_method_workers_flagged(self):
-        result = lint_sources({"repro/pools.py": (
-            "import concurrent.futures\n"
-            "def work(x):\n"
-            "    return x\n"
-            "class Owner:\n"
-            "    def method(self, x):\n"
-            "        return x\n"
-            "def sweep(items):\n"
-            "    owner = Owner()\n"
-            "    with concurrent.futures.ProcessPoolExecutor() as pool:\n"
-            "        a = list(pool.map(lambda x: x, items))\n"
-            "        def inner(x):\n"
-            "            return x\n"
-            "        b = list(pool.map(inner, items))\n"
-            "        c = list(pool.map(owner.method, items))\n"
-            "        d = pool.submit(work, 1)\n"
-            "    return a, b, c, d\n")}, codes=["R10"])
-        messages = " | ".join(f.message for f in result.findings)
-        assert len(result.findings) == 3
-        assert "lambda" in messages
-        assert "nested function 'inner'" in messages
-        assert "owner.method" in messages
-
-    def test_self_method_worker_flagged(self):
-        result = lint_sources({"repro/pools.py": (
-            "import concurrent.futures\n"
-            "class Sweeper:\n"
-            "    def eval_one(self, x):\n"
-            "        return x\n"
-            "    def run(self, items):\n"
-            "        with concurrent.futures.ProcessPoolExecutor() as pool:\n"
-            "            return list(pool.map(self.eval_one, items))\n")},
-            codes=["R10"])
-        assert len(result.findings) == 1
-        assert "bound method" in result.findings[0].message
-
-    def test_unpicklable_annotation_flagged(self):
-        result = lint_sources({"repro/pools.py": (
-            "import concurrent.futures\n"
-            "import threading\n"
-            "def work(x, lock: threading.Lock):\n"
-            "    return x\n"
-            "def sweep(items):\n"
-            "    with concurrent.futures.ProcessPoolExecutor() as pool:\n"
-            "        return pool.submit(work, items, None)\n")},
-            codes=["R10"])
-        assert len(result.findings) == 1
-        assert "threading.Lock" in result.findings[0].message
-
-    def test_toplevel_worker_passes_even_when_decorated(self):
-        result = lint_sources({"repro/pools.py": (
-            "import concurrent.futures\n"
-            "from repro.core.effects import reentrant\n"
-            "@reentrant\n"
-            "def work(x):\n"
-            "    return x\n"
-            "def sweep(items):\n"
-            "    with concurrent.futures.ProcessPoolExecutor() as pool:\n"
-            "        return list(pool.map(work, items))\n")}, codes=["R10"])
-        assert result.ok
-
-    def test_thread_pools_are_exempt(self):
-        result = lint_sources({"repro/pools.py": (
-            "import concurrent.futures\n"
-            "def sweep(items):\n"
-            "    with concurrent.futures.ThreadPoolExecutor() as pool:\n"
-            "        return list(pool.map(lambda x: x, items))\n")},
-            codes=["R10"])
-        assert result.ok
-
-
-# ---------------------------------------------------------------------------
 # Opt-in group plumbing
 # ---------------------------------------------------------------------------
 
 class TestOptinGroups:
     def test_default_rule_set_excludes_effects_rules(self):
         codes = [r.code for r in all_rules()]
-        assert "R8" not in codes and "R9" not in codes and "R10" not in codes
+        assert "R8" not in codes and "R9" not in codes
 
     def test_include_optin_true_selects_every_family(self):
         codes = [r.code for r in all_rules(include_optin=True)]
-        for code in ("R6", "R7", "R8", "R9", "R10"):
+        for code in ("R6", "R7", "R8", "R9"):
             assert code in codes
 
-    def test_effects_group_selects_only_r8_to_r10(self):
+    def test_effects_group_selects_only_r8_and_r9(self):
         codes = [r.code for r in all_rules(include_optin=["effects"])]
-        assert "R8" in codes and "R9" in codes and "R10" in codes
+        assert "R8" in codes and "R9" in codes
         assert "R6" not in codes and "R7" not in codes
 
     def test_dataflow_group_unchanged_by_effects_family(self):
@@ -301,7 +218,7 @@ class TestOptinGroups:
     def test_groups_compose(self):
         codes = [r.code for r in
                  all_rules(include_optin=["dataflow", "effects"])]
-        for code in ("R6", "R7", "R8", "R9", "R10"):
+        for code in ("R6", "R7", "R8", "R9"):
             assert code in codes
 
 

@@ -215,53 +215,46 @@ class TestR4WallClockDurations:
 
 class TestR5KernelParity:
     TEST_PATH = "tests/test_kernels_differential.py"
+    BOTH = ("def test_spmm():\n"
+            "    spmm_dot(plan)\n    spmm_dot_reference(plan)\n")
 
     @staticmethod
-    def kernels_src(impls='("reference", "fast")',
-                    dispatch='{"reference": _spmm_reference, '
-                             '"fast": _spmm_fast}',
-                    public="def spmm(plan):\n    pass\n"):
-        return (f"KERNEL_IMPLEMENTATIONS = {impls}\n\n\n"
-                f"{public}\n\n"
-                "def _spmm_reference(plan):\n    pass\n\n\n"
-                "def _spmm_fast(plan):\n    pass\n\n\n"
-                f"_SPMM_IMPLS = {dispatch}\n")
+    def kernels_src(oracle="def spmm_dot_reference(plan):\n    pass\n"):
+        return ("def spmm_dot(plan):\n    pass\n\n\n"
+                f"{oracle}\n\n"
+                "def _helper(plan):\n    pass\n")
 
-    def lint(self, kernels, test_text="def test_spmm():\n    pass\n"):
+    def lint(self, kernels, test_text=BOTH):
         sources = {KERNELS: kernels}
         if test_text is not None:
             sources[self.TEST_PATH] = test_text
         return lint_sources(sources, codes=["R5"]).findings
 
-    def test_complete_registry_passes(self):
+    def test_kernel_with_tested_oracle_passes(self):
         assert self.lint(self.kernels_src()) == []
 
-    def test_missing_fast_impl_flagged(self):
-        found = self.lint(self.kernels_src(
-            dispatch='{"reference": _spmm_reference}'))
-        assert any("no `fast` implementation" in f.message for f in found)
-
-    def test_unknown_impl_flagged(self):
-        found = self.lint(self.kernels_src(
-            dispatch='{"reference": _spmm_reference, "fast": _spmm_fast, '
-                     '"turbo": _spmm_fast}'))
-        assert any("unknown implementation `turbo`" in f.message
-                   for f in found)
-
-    def test_missing_public_function_flagged(self):
-        found = self.lint(self.kernels_src(public="PAD = 0\n"))
-        assert any("no such public function" in f.message for f in found)
+    def test_missing_oracle_flagged(self):
+        (f,) = self.lint(self.kernels_src(oracle="PAD = 0\n"))
+        assert "no `spmm_dot_reference` oracle" in f.message
 
     def test_kernel_absent_from_differential_suite_flagged(self):
-        found = self.lint(self.kernels_src(),
-                          test_text="def test_other():\n    pass\n")
-        assert any("never appears" in f.message for f in found)
+        (f,) = self.lint(self.kernels_src(),
+                         test_text="def test_spmm():\n"
+                                   "    spmm_dot_reference(plan)\n")
+        assert "`spmm_dot` never appears" in f.message
 
-    def test_missing_implementations_tuple_flagged(self):
-        src = ("def _spmm_reference(plan):\n    pass\n\n\n"
-               "_SPMM_IMPLS = {\"reference\": _spmm_reference}\n")
-        found = self.lint(src)
-        assert any("KERNEL_IMPLEMENTATIONS" in f.message for f in found)
+    def test_oracle_absent_from_differential_suite_flagged(self):
+        (f,) = self.lint(self.kernels_src(),
+                         test_text="def test_spmm():\n    spmm_dot(plan)\n")
+        assert "`spmm_dot_reference` never appears" in f.message
+
+    def test_missing_differential_suite_flagged(self):
+        (f,) = self.lint(self.kernels_src(), test_text=None)
+        assert "not found" in f.message
+
+    def test_module_without_kernels_flagged(self):
+        (f,) = self.lint("def _helper(plan):\n    pass\n")
+        assert "no public `spmm_*` kernel" in f.message
 
     def test_rule_inert_without_kernels_module(self):
         result = lint_sources({"src/repro/core/bus.py": "x = 1\n"},

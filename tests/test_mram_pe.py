@@ -68,7 +68,7 @@ class TestLoad:
                 pe.load(w, pattern)
             assert str(excinfo.value) == message
             assert pe.stats == PEStats()
-            assert not pe.loaded
+            assert pe.csc is None
         for value in (lo, hi):
             w = np.zeros((8, 2), dtype=np.int64)
             w[4, 1] = value

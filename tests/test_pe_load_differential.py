@@ -70,12 +70,6 @@ class OracleCSCMatrix:
     def nnz(self) -> int:
         return self._nnz
 
-    def max_column_nnz(self) -> int:
-        return max((col.nnz for col in self.columns), default=0)
-
-    def column_nnz(self) -> np.ndarray:
-        return np.array([col.nnz for col in self.columns], dtype=np.int64)
-
 
 def oracle_plan_from_columns(columns: Sequence[Tuple[np.ndarray, np.ndarray]],
                              shape: Tuple[int, int]) -> KernelPlan:
@@ -298,8 +292,6 @@ def assert_same_csc(matrix, pattern, strict) -> None:
         assert_same_array(got_col.group_ids, want_col.group_ids)
         assert_same_array(got_col.intra_indices, want_col.intra_indices)
     assert csc.nnz == oracle.nnz
-    assert csc.max_column_nnz() == oracle.max_column_nnz()
-    assert_same_array(csc.column_nnz(), oracle.column_nnz())
     assert_same_array(csc.decode(), oracle.decode())
 
     plan = KernelPlan.from_csc(csc)

@@ -9,7 +9,7 @@ from repro.quant import (INT8_QMAX, INT8_QMIN, QuantParams,
                          fake_quantize_per_channel, quantize_model_ptq,
                          quantize_weight_int)
 
-from .nn_helpers import Sequential, set_seed
+from .nn_helpers import ReLU, Sequential, set_seed
 
 
 @pytest.fixture
@@ -112,7 +112,7 @@ class TestWeightQuant:
 class TestModelPTQ:
     def _model(self):
         set_seed(0)
-        return Sequential(nn.Linear(8, 16), nn.ReLU(), nn.Linear(16, 4))
+        return Sequential(nn.Linear(8, 16), ReLU(), nn.Linear(16, 4))
 
     def test_weights_land_on_grid(self):
         model = self._model()

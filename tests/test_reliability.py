@@ -1,5 +1,10 @@
 """Tests for the reliability models: write-verify and sense-margin analysis."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,3 +131,19 @@ class TestSensing:
     def test_invalid_sigma(self):
         with pytest.raises(ValueError):
             SenseConfig(resistance_sigma=0.7)
+
+
+def test_package_import_does_not_load_scipy():
+    """scipy is imported only when a BER is computed: importing the
+    package, the server or the sweep engine in a fresh interpreter leaves
+    it unloaded (it would otherwise be most of start-up time and RSS)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, repro, repro.serve, repro.dse\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -61,9 +61,6 @@ class TestRRAMDevice:
         with pytest.raises(ValueError):
             RRAMCell(state=7)
 
-    def test_read_current(self):
-        assert RRAMCell().read_current_ua() > 0
-
 
 class TestRRAMTechnology:
     def test_spec_carries_rram_constants(self):

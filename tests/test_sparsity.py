@@ -12,7 +12,7 @@ from repro.sparsity import (GradientSaliency, NMPattern, NMPruner,
                             apply_nm_mask, compute_nm_mask,
                             prunable_parameters, prune_model, verify_nm)
 
-from .nn_helpers import Sequential, set_seed
+from .nn_helpers import ReLU, Sequential, set_seed
 
 
 class TestNMPattern:
@@ -118,7 +118,7 @@ class TestSaliency:
 
 def small_model():
     set_seed(0)
-    return Sequential(nn.Linear(16, 24), nn.ReLU(), nn.Linear(24, 3))
+    return Sequential(nn.Linear(16, 24), ReLU(), nn.Linear(24, 3))
 
 
 def small_loader(n=40):
@@ -167,7 +167,7 @@ class TestPruner:
         model = small_model()
         pattern = NMPattern(1, 4)
         pruner = NMPruner(model, pattern)
-        pruner.calibrate_magnitude()
+        pruner.calibrate(small_loader())
         opt = Adam(model.trainable_parameters(), lr=0.01)
         pruner.apply(opt)
 

@@ -22,13 +22,6 @@ class TestPEStats:
         c = PEStats(cycles=3) + PEStats(cycles=4)
         assert c.cycles == 7
 
-    def test_scaled_replication(self):
-        """SIMT replication: one simulated tile stands for N identical ones."""
-        a = PEStats(cycles=10, macs=100, adder_tree_ops=7)
-        b = a.scaled(4)
-        assert b.cycles == 40 and b.macs == 400 and b.adder_tree_ops == 28
-        assert a.cycles == 10  # original untouched
-
     def test_mac_efficiency(self):
         s = PEStats(macs=25, dense_equivalent_macs=100)
         assert s.mac_efficiency == 0.25
@@ -111,13 +104,6 @@ class TestFieldCoverage:
         a.merge(b)
         for name, value in expect.items():
             assert getattr(a, name) == value, name
-
-    def test_scaled_multiplies_every_field(self):
-        import dataclasses as _dc
-        a = self._distinct(3)
-        s = a.scaled(5)
-        for f in _dc.fields(PEStats):
-            assert getattr(s, f.name) == 5 * getattr(a, f.name), f.name
 
     def test_as_dict_covers_every_field_and_round_trips(self):
         import dataclasses as _dc

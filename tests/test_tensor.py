@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.tensor import (Tensor, concatenate, no_grad, ones, randn, stack,
+from repro.nn.tensor import (Tensor, concatenate, no_grad, ones, stack,
                              unbroadcast, zeros)
 
 
@@ -292,4 +292,3 @@ class TestEngine:
     def test_factories(self):
         assert zeros((2, 2)).data.sum() == 0
         assert ones((2, 2)).data.sum() == 4
-        assert randn(3, 4, rng=np.random.default_rng(0)).shape == (3, 4)

@@ -1,17 +1,20 @@
 """Regrowth guard: no public name in ``src/repro`` is reached only by tests.
 
-The scan pairs an AST walk with a word search.  The AST walk collects every
-public top-level function and class, and every public method of a top-level
-class, in ``src/repro`` outside ``lint/``.  The word search then looks for
-each name anywhere in the ``.py`` files of ``src/``, ``examples/`` and
-``perfbench/``, outside the definition itself.  Import and ``__all__`` lines
-in ``__init__.py`` files are skipped, since a re-export is not a caller.
+The guard collects every public top-level function and class, and every
+public method of a top-level class, in ``src/repro`` outside ``lint/``.  It
+then scans the ``.py`` files of ``src/``, ``examples/`` and ``perfbench/``
+for references, outside the definition itself: every ``Name``, every
+``Attribute``, every imported name, and every component of a dotted-name
+string such as ``"repro.nn.functional.max_pool2d"`` or
+``"repro.core.sram_pe:SRAMSparsePE"`` (perfbench wraps layers it names by
+string).  Words in docstrings and comments are not references.  Imports in
+``__init__.py`` files are skipped, since a re-export is not a caller.
 
-A name with no caller fails the test unless ``ALLOWED`` lists it with its
-reason.  There are three accepted reasons: an oracle that a test holds a
-production path to, a method a framework dispatches by name, and an
-analytical quantity that the planned cross-check of the analytical and
-bit-true hardware models names.
+A name with no reference fails the test unless ``ALLOWED`` lists it with
+its reason.  There are four accepted reasons: an oracle that a test holds a
+production path to, a method a framework dispatches by name, a checker CI
+runs, and an analytical quantity that the planned cross-check of the
+analytical and bit-true hardware models names.
 """
 
 import ast
@@ -25,6 +28,7 @@ CALLER_ROOTS = ("src", "examples", "perfbench")
 
 ORACLE = "oracle"
 DISPATCH = "framework dispatch"
+CI_CHECK = "checker CI runs"
 CROSS_CHECK = "analytical-vs-bit-true cross-check"
 
 #: ``qualname -> (reason, why)``: the names allowed to have no caller.
@@ -38,11 +42,21 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "MRAMDensePE": (
         ORACLE, "test_mram_pe.py::TestDenseMRAM measures the sparse MRAM "
                 "PE's read, MAC and cycle savings against it"),
+    "spmm_gather_reference": (
+        ORACLE, "test_kernels_differential.py holds spmm_gather and, "
+                "through the oracle_kernels fixture, the MRAM PE to it"),
+    "spmm_bitserial_reference": (
+        ORACLE, "test_kernels_differential.py holds spmm_bitserial and, "
+                "through the oracle_kernels fixture, the SRAM PEs to it"),
     "_Handler.do_GET": (DISPATCH, "http.server calls do_<VERB>"),
     "_Handler.do_POST": (DISPATCH, "http.server calls do_<VERB>"),
     "_Handler.do_PUT": (DISPATCH, "http.server calls do_<VERB>"),
     "_Handler.do_DELETE": (DISPATCH, "http.server calls do_<VERB>"),
     "_Handler.do_PATCH": (DISPATCH, "http.server calls do_<VERB>"),
+    "_Handler.log_message": (
+        DISPATCH, "http.server calls it to log each request"),
+    "validate_trace_events": (
+        CI_CHECK, "CI's dse-check job validates the sweep trace with it"),
     "HybridSparseDesign.mram_array_count": (
         CROSS_CHECK, "the MRAM array count both hardware models claim"),
     "Workload.compressed_bits": (
@@ -50,7 +64,7 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
                      "models claim"),
 }
 
-_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -71,37 +85,38 @@ def public_definitions() -> Iterator[Tuple[Path, str, ast.AST]]:
                         yield path, f"{node.name}.{sub.name}", sub
 
 
-def _reexport_lines(tree: ast.Module) -> set:
-    lines = set()
-    for node in tree.body:
-        reexport = isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets))
-        if reexport:
-            lines.update(range(node.lineno, node.end_lineno + 1))
-    return lines
+def referenced_names(node: ast.AST) -> Tuple[str, ...]:
+    """The names one AST node refers to (see the module docstring)."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return tuple(part for alias in node.names
+                     for part in alias.name.split("."))
+    if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+            and _DOTTED.fullmatch(node.value):
+        return tuple(re.split(r"[.:]", node.value))
+    return ()
 
 
-def word_uses() -> Dict[str, List[Tuple[Path, int]]]:
-    """Every word in the caller roots, with where it occurs."""
+def references() -> Dict[str, List[Tuple[Path, int]]]:
+    """Every name the caller roots refer to, with where."""
     uses: Dict[str, List[Tuple[Path, int]]] = {}
     for root in CALLER_ROOTS:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            text = path.read_text(encoding="utf-8")
-            skip = (_reexport_lines(ast.parse(text))
-                    if path.name == "__init__.py" else set())
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                if lineno in skip:
+            reexports = path.name == "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if reexports and isinstance(node, (ast.Import, ast.ImportFrom)):
                     continue
-                for word in _WORD.findall(line):
-                    uses.setdefault(word, []).append((path, lineno))
+                for name in referenced_names(node):
+                    uses.setdefault(name, []).append((path, node.lineno))
     return uses
 
 
 def uncalled_names() -> Dict[str, Tuple[Path, ast.AST]]:
-    """Public names with no word-level caller outside their definition."""
-    uses = word_uses()
+    """Public names with no reference outside their definition."""
+    uses = references()
     found: Dict[str, Tuple[Path, ast.AST]] = {}
     for path, qualname, node in public_definitions():
         lo, hi = node.lineno, node.end_lineno
