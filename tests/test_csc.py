@@ -92,6 +92,15 @@ class TestCSC:
             CSCColumn(values=np.array([1]), group_ids=np.array([0, 1]),
                       intra_indices=np.array([0]))
 
+    def test_column_nnz_stats(self, rng):
+        pattern = NMPattern(1, 4)
+        dense = sparse_int_matrix(rng, (16, 5), pattern)
+        csc = CSCMatrix.from_dense(dense, pattern)
+        per_column = np.diff(csc.col_ptr)
+        np.testing.assert_array_equal(per_column, (dense != 0).sum(axis=0))
+        assert [col.nnz for col in csc.columns] == per_column.tolist()
+        assert per_column.sum() == csc.nnz
+
     def test_all_zero_matrix(self):
         csc = CSCMatrix.from_dense(np.zeros((16, 4), dtype=int), NMPattern(1, 4))
         assert csc.nnz == 0

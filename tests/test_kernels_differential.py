@@ -13,17 +13,20 @@ to its signed ``input_bits`` range, the condition its plane-free gather
 relies on.
 """
 
+import ast
 import contextlib
 import dataclasses
+import inspect
 import re
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.csc import CSCMatrix
-from repro.core import kernels
+from repro.core import HybridAccelerator, kernels
 from repro.core.bitcell_array import BitLevelSparsePE
 from repro.core.kernels import (KernelPlan, spmm_bitserial,
                                 spmm_bitserial_reference, spmm_gather,
@@ -32,6 +35,8 @@ from repro.core.mram_pe import MRAMDensePE, MRAMPEConfig, MRAMSparsePE
 from repro.core.sram_pe import SRAMPEConfig, SRAMSparsePE
 from repro.core.widths import BITSERIAL_MAX_BITS, BITSERIAL_MIN_BITS
 from repro.sparsity import NMPattern, compute_nm_mask
+
+from .conftest import KERNEL_SITES
 
 PATTERNS = [NMPattern(1, 4), NMPattern(2, 8), NMPattern(1, 8),
             NMPattern(2, 16)]
@@ -199,6 +204,48 @@ class TestDifferentialSweep:
                     pe = cls(cfg)
                     pe.load(w, pattern)
                     np.testing.assert_array_equal(pe.matmul(x), expected)
+
+
+    @pytest.mark.parametrize("pattern", PATTERNS, ids=PATTERN_IDS)
+    def test_bit_level_pe_agrees_across_kernels(self, rng, kernel_tiers,
+                                                pattern):
+        """The gate-level PE, whose operands are decoded from its bit-cells,
+        matches on the kernel and on the oracle."""
+        w = nm_sparse(rng, (128, 8), pattern)
+        x = activations_for(rng, 3, 128)
+        for tier in kernel_tiers.values():
+            with tier():
+                pe = BitLevelSparsePE()
+                pe.load(w, pattern)
+                np.testing.assert_array_equal(pe.matmul(x), x @ w)
+
+
+class TestOneKernelPerDataflow:
+    """Each dataflow has one production kernel: nothing selects another."""
+
+    @pytest.mark.parametrize("target", [
+        spmm_gather, spmm_bitserial, HybridAccelerator, SRAMSparsePE,
+        MRAMSparsePE, BitLevelSparsePE], ids=lambda t: t.__name__)
+    def test_takes_no_kernel_selector(self, target):
+        params = set(inspect.signature(target).parameters)
+        assert not params & {"kernel", "impl"}
+
+    def test_kernel_sites_cover_every_pe_module(self):
+        """``oracle_kernels`` patches every module that binds a kernel."""
+        package = Path(kernels.__file__).resolve().parent.parent
+        sites = set()
+        for path in package.rglob("*.py"):
+            rel = path.relative_to(package)
+            if rel.parts[0] == "lint" or path.name == "__init__.py":
+                continue
+            module = ".".join(("repro",) + rel.with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and \
+                        (node.module or "").endswith("kernels"):
+                    sites.update(
+                        (module, alias.name) for alias in node.names
+                        if alias.name.startswith("spmm_"))
+        assert sites == set(KERNEL_SITES)
 
 
 class TestPlan:

@@ -498,11 +498,30 @@ def test_list_suppressions_strict_judges_every_rule(tmp_path, capsys, code):
 # resolved accumulator bounds on the real tree
 # ---------------------------------------------------------------------------
 
-def test_real_tree_accumulator_bounds():
-    """The summaries the dataflow verifier proves: each sparse kernel and
-    PE ``matmul`` is ``MAX_REDUCTION_DEPTH`` x i8 x i8 (±2^34), and the
-    accelerator's tile sum is ``MAX_ROW_TILES`` of those (±2^46), 16 bits
-    inside the i64 accumulator."""
+#: ``function -> bits``: the proved return bound is ``±2^bits``.  Each
+#: production kernel and PE ``matmul`` is ``MAX_REDUCTION_DEPTH`` x i8 x i8
+#: (±2^34); the accelerator's tile sum is ``MAX_ROW_TILES`` of those
+#: (±2^46), 16 bits inside the i64 accumulator.  The bit-serial oracle and
+#: the dense digital PE return through ``from_partials``, whose contract
+#: bounds any plane count (±2^50).
+ACCUMULATOR_BOUNDS = {
+    "accelerator.HybridAccelerator._run_tiles": 46,
+    "accelerator.HybridAccelerator.gemm": 46,
+    "kernels.spmm_gather": 34,
+    "kernels.spmm_bitserial": 34,
+    "kernels.spmm_gather_reference": 34,
+    "sram_pe.SRAMSparsePE.matmul": 34,
+    "mram_pe.MRAMSparsePE.matmul": 34,
+    "mram_pe.MRAMDensePE.matmul": 34,
+    "bitcell_array.BitLevelSparsePE.matmul": 34,
+    "kernels.spmm_bitserial_reference": 50,
+    "sram_pe.DenseDigitalPE.matmul": 50,
+}
+
+
+@pytest.fixture(scope="module")
+def real_tree_bounds():
+    """``function -> Interval``: every return bound the verifier proves."""
     from repro.lint.dataflow.rules import _project_contracts
     from repro.lint.dataflow.summaries import SummaryDB
     from repro.lint.engine import ProjectContext, _parse_paths
@@ -512,16 +531,13 @@ def test_real_tree_accumulator_bounds():
     pairs, errors, consts = _project_contracts(project)
     assert errors == []
     db = SummaryDB([c for c, _, _ in pairs], consts, project.call_graph)
-    bounds = {c.function.removeprefix("repro.core."): db.resolve_returns(c)
-              for c, _, _ in pairs}
-    expected = {
-        "accelerator.HybridAccelerator._run_tiles": 46,
-        "accelerator.HybridAccelerator.gemm": 46,
-        "kernels.spmm_gather": 34,
-        "kernels.spmm_bitserial": 34,
-        "sram_pe.SRAMSparsePE.matmul": 34,
-        "mram_pe.MRAMSparsePE.matmul": 34,
-    }
-    for function, bits in expected.items():
-        iv = bounds[function]
-        assert (iv.lo, iv.hi) == (-(1 << bits), 1 << bits), function
+    return {c.function.removeprefix("repro.core."): db.resolve_returns(c)
+            for c, _, _ in pairs}
+
+
+@pytest.mark.parametrize("function,bits", ACCUMULATOR_BOUNDS.items(),
+                         ids=list(ACCUMULATOR_BOUNDS))
+def test_real_tree_accumulator_bounds(real_tree_bounds, function, bits):
+    """The summaries the dataflow verifier proves on the real tree."""
+    iv = real_tree_bounds[function]
+    assert (iv.lo, iv.hi) == (-(1 << bits), 1 << bits)

@@ -7,7 +7,9 @@ Rule codes are passed explicitly so one family's fixture cannot trip
 another family's rule.
 """
 
-from repro.lint import lint_source, lint_sources
+from pathlib import Path
+
+from repro.lint import lint_paths, lint_source, lint_sources
 
 KERNELS = "src/repro/core/kernels.py"
 ENERGY = "src/repro/energy/model.py"
@@ -255,6 +257,19 @@ class TestR5KernelParity:
     def test_module_without_kernels_flagged(self):
         (f,) = self.lint("def _helper(plan):\n    pass\n")
         assert "no public `spmm_*` kernel" in f.message
+
+    def test_each_kernel_judged_on_its_own(self):
+        kernels = self.kernels_src() + "\n\ndef spmm_sum(plan):\n    pass\n"
+        (f,) = self.lint(kernels, test_text=self.BOTH + "spmm_sum\n"
+                                                      "spmm_sum_reference\n")
+        assert "no `spmm_sum_reference` oracle" in f.message
+
+    def test_real_tree_kernels_have_tested_oracles(self):
+        """On disk the rule finds the differential suite above the package
+        and every production kernel passes."""
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        result = lint_paths([str(src)], codes=["R5"])
+        assert result.findings == []
 
     def test_rule_inert_without_kernels_module(self):
         result = lint_sources({"src/repro/core/bus.py": "x = 1\n"},

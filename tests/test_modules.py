@@ -53,6 +53,13 @@ class TestModuleTraversal:
         model.train()
         assert model.layers[1].training
 
+    def test_module_freeze_freezes_every_parameter(self):
+        model = Sequential(nn.Linear(3, 4), ReLU(), nn.Linear(4, 2))
+        assert model.freeze() is model
+        assert all(not p.trainable and not p.requires_grad
+                   for p in model.parameters())
+        assert model.num_parameters(trainable_only=True) == 0
+
     def test_zero_grad(self):
         lin = nn.Linear(3, 3)
         lin.weight.grad = np.ones((3, 3))

@@ -89,6 +89,16 @@ class TestCSCProperties:
 
     @given(sparse_int_cases())
     @settings(max_examples=60, deadline=None)
+    def test_storage_never_exceeds_budget(self, case):
+        """Loading writes at most the N:M budget of (weight, index) pairs."""
+        matrix, pattern, _ = case
+        pe = SRAMSparsePE()
+        pe.load(matrix, pattern)
+        written = pe.stats.weight_bits_written + pe.stats.index_bits_written
+        assert written <= pattern.density * matrix.size * (8 + 4) + 1e-9
+
+    @given(sparse_int_cases())
+    @settings(max_examples=60, deadline=None)
     def test_index_range(self, case):
         matrix, pattern, _ = case
         csc = CSCMatrix.from_dense(matrix, pattern)

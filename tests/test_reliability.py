@@ -133,15 +133,19 @@ class TestSensing:
             SenseConfig(resistance_sigma=0.7)
 
 
-def test_package_import_does_not_load_scipy():
+@pytest.mark.parametrize("module", ["repro", "repro.serve", "repro.dse",
+                                    "repro.harness", "repro.energy",
+                                    "repro.core"])
+def test_package_import_does_not_load_scipy(module):
     """scipy is imported only when a BER is computed: importing the
-    package, the server or the sweep engine in a fresh interpreter leaves
-    it unloaded (it would otherwise be most of start-up time and RSS)."""
+    package, the server, the sweep engine, the experiment harness or the
+    hardware models in a fresh interpreter leaves it unloaded (it would
+    otherwise be most of start-up time and RSS)."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, repro, repro.serve, repro.dse\n"
+    code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

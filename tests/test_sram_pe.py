@@ -209,3 +209,15 @@ class TestSparseVsDense:
         dense.matmul(x)
         assert sparse.stats.macs / dense.stats.macs == \
             pytest.approx(pattern.density, abs=0.05)
+
+    def test_storage_reduction(self, rng, pattern):
+        w = sparse_int_matrix(rng, (128, 8), pattern)
+        sparse = SRAMSparsePE()
+        sparse.load(w, pattern)
+        dense = DenseDigitalPE()
+        dense.load(w)
+        stored = sparse.stats.weight_bits_written + \
+            sparse.stats.index_bits_written
+        ratio = stored / dense.stats.weight_bits_written
+        # 12-bit (weight, index) pairs against 8-bit dense weights
+        assert ratio == pytest.approx(pattern.density * 1.5, abs=0.05)

@@ -19,8 +19,11 @@ analytical and bit-true hardware models names.
 
 import ast
 import re
+import sys
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -149,3 +152,82 @@ def test_oracles_say_so_in_their_docstrings():
         if reason == ORACLE:
             doc = ast.get_docstring(nodes[qualname]) or ""
             assert "tests/" in doc and "::" in doc, qualname
+
+
+@pytest.mark.parametrize("qualname", sorted(
+    q for q, (reason, _) in ALLOWED.items() if reason == ORACLE))
+def test_oracle_docstring_names_a_real_test(qualname):
+    """The ``tests/<file>::<Class>`` an oracle's docstring names exists."""
+    nodes = {q: node for _, q, node in public_definitions()}
+    doc = ast.get_docstring(nodes[qualname]) or ""
+    named = re.findall(r"tests/(\w+\.py)::(\w+)", doc)
+    assert named, qualname
+    for filename, test in named:
+        tree = ast.parse((REPO_ROOT / "tests" / filename).read_text(
+            encoding="utf-8"))
+        assert any(isinstance(n, _DEFS) and n.name == test
+                   for n in ast.walk(tree)), f"{filename}::{test}"
+
+
+# ---------------------------------------------------------------------------
+# the scan itself, on single statements and on a toy repository
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("source,names", [
+    ("spmm_gather(plan, x)", ("spmm_gather", "plan", "x")),
+    ("pe.stats.macs", ("pe", "stats", "macs")),
+    ("import repro.core.kernels", ("repro", "core", "kernels")),
+    ("from repro.core import kernels as k", ("kernels",)),
+    ("patch('repro.nn.functional.max_pool2d')",
+     ("patch", "repro", "nn", "functional", "max_pool2d")),
+    ("wrap('repro.core.sram_pe:SRAMSparsePE')",
+     ("wrap", "repro", "core", "sram_pe", "SRAMSparsePE")),
+    ('"""Calls occupancy once. See repro.core for more."""', ()),
+    ("label = 'occupancy'", ("label",)),
+], ids=["call", "attribute", "import", "import-from", "dotted-string",
+        "colon-string", "prose-string", "bare-word-string"])
+def test_referenced_names(source, names):
+    found = [name for node in ast.walk(ast.parse(source))
+             for name in referenced_names(node)]
+    assert sorted(found) == sorted(names)
+
+
+@pytest.fixture
+def toy_tree(tmp_path, monkeypatch):
+    """A repository with one package module and a caller in each root."""
+    files = {
+        "src/repro/__init__.py": "from .toy import exported\n",
+        "src/repro/toy.py": (
+            "def called():\n    pass\n\n\n"
+            "def exported():\n    pass\n\n\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+            "def _private():\n    pass\n\n\n"
+            "class Named:\n"
+            "    def used(self):\n        pass\n\n"
+            "    def unused(self):\n        pass\n"),
+        "src/repro/lint/rules.py": "def lint_only():\n    pass\n",
+        "examples/demo.py": "from repro.toy import called\ncalled()\n",
+        "perfbench/run.py": ("SPANS = ['repro.toy:Named']\n\n\n"
+                             "def go(obj):\n    obj.used()\n"),
+    }
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(module, "PACKAGE", tmp_path / "src" / "repro")
+    return tmp_path
+
+
+def test_scan_finds_exactly_the_uncalled_names(toy_tree):
+    """A re-export and a self-call are not callers; a plain call, a method
+    call on any object and a dotted-name string are."""
+    assert sorted(uncalled_names()) == ["Named.unused", "exported",
+                                        "recursive"]
+
+
+def test_lint_and_private_names_are_not_covered(toy_tree):
+    covered = {qualname for _, qualname, _ in public_definitions()}
+    assert covered == {"called", "exported", "recursive", "Named",
+                       "Named.used", "Named.unused"}
