@@ -6,8 +6,8 @@ job executor, a lock-guarded tracer.  The invariants that keep it correct — *w
 guards which field*, and *which entry points may never be called with a
 lock held* — live in code review today.  These decorators make them
 declarations the static concurrency verifier in
-:mod:`repro.lint.concurrency` (rules R11-R14, ``python -m repro.lint
---concurrency``) re-reads from the AST and proves over the package-wide
+:mod:`repro.lint.concurrency` (rules R11-R14 of ``python -m
+repro.lint``) re-reads from the AST and proves over the package-wide
 call graph.
 
 :func:`guarded_by` is the Eraser-style field contract: it names a lock
@@ -52,8 +52,8 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
 
     Stackable: several ``@guarded_by`` decorations on one class merge,
     so different locks can guard different field groups.  The decorator
-    only records the declaration; rule R11 (``python -m repro.lint
-    --concurrency``) is what verifies every access site.
+    only records the declaration; rule R11 of ``python -m repro.lint``
+    is what verifies every access site.
     """
     if not lock or not isinstance(lock, str):
         raise ValueError("guarded_by() needs a lock attribute name")

@@ -10,7 +10,7 @@ or what ran before.
 :func:`reentrant` declares that contract on a function.  Like
 :func:`repro.core.widths.width_contract`, it is a no-op at runtime beyond
 attaching metadata: the interprocedural effect verifier in
-:mod:`repro.lint.effects` (rule R8, ``python -m repro.lint --effects``)
+:mod:`repro.lint.effects` (rule R8 of ``python -m repro.lint``)
 re-reads the same declaration from the AST and *proves* the property over
 the package-wide call graph, reporting the offending call chain when it
 does not hold.
@@ -70,8 +70,7 @@ def effects(*names: str, reason: str) -> Callable[[_F], _F]:
     ``names`` are drawn from :data:`EFFECT_NAMES`; an empty list declares
     the function pure.  ``reason`` is mandatory — a declared summary is a
     trust statement, and the justification must travel with it (the
-    verifier surfaces declarations in its reports, and the suppression
-    audit treats an unjustified one as a defect).
+    verifier reports an unjustified one as a finding).
     """
     unknown = [n for n in names if n not in EFFECT_NAMES]
     if unknown:

@@ -124,9 +124,7 @@ class HybridMapper:
         sram_next = 0
         mram_next = 0
         sram_pairs = self.core.sram.pair_capacity
-        mram_pairs = self.core.mram.rows * (
-            self.core.mram.row_bits
-            // (self.core.mram.weight_bits + self.core.mram.index_bits))
+        mram_pairs = self.core.mram.pair_capacity
 
         for layer in workload.layers:
             kind = "sram" if layer.learnable else "mram"
@@ -152,11 +150,16 @@ class HybridMapper:
                            cores_used=cores)
 
     def storage_report(self, workload: Workload) -> Dict[str, float]:
-        """Bytes by residence, plus the dense baseline for comparison."""
+        """Bytes by residence, plus the dense baseline for comparison.
+
+        Each residence's pairs are charged its own PEs' ``weight_bits +
+        index_bits``."""
         plan = self.map_workload(workload)
-        pair_bits = 8 + 4
-        sram_bits = sum(t.pairs for t in plan.tiles if t.kind == "sram") * pair_bits
-        mram_bits = sum(t.pairs for t in plan.tiles if t.kind == "mram") * pair_bits
+        sram, mram = self.core.sram, self.core.mram
+        sram_bits = sum(t.pairs for t in plan.tiles if t.kind == "sram") \
+            * (sram.weight_bits + sram.index_bits)
+        mram_bits = sum(t.pairs for t in plan.tiles if t.kind == "mram") \
+            * (mram.weight_bits + mram.index_bits)
         return {
             "sram_bytes": sram_bits / 8,
             "mram_bytes": mram_bits / 8,

@@ -4,23 +4,23 @@ Generic linters cannot know that the PE datapaths are integer-only, that
 every energy figure is picojoules, that :class:`~repro.core.stats.PEStats`
 counters must merge rather than be overwritten, that library randomness must
 flow through seeded ``np.random.Generator`` parameters, or that every
-kernel ships a ``reference`` and a ``fast`` implementation covered by the
-differential suite.  This package encodes those invariants as five rule
-families (R1–R5) over a small visitor engine, wired into CI via
-``python -m repro.lint src/repro``.
+production kernel has a tested ``<kernel>_reference`` oracle.  This package
+encodes those invariants as rules R1–R5 over a small visitor engine, plus
+three verifiers over a shared call graph: bit widths (R6/R7), effects and
+reentrancy (R8/R9) and concurrency (R11–R14).  ``python -m repro.lint
+src/repro`` runs every rule in one pass; CI gates on it.
 
-See docs/METHODOLOGY.md §8 for the rule catalogue and suppression syntax.
+See docs/METHODOLOGY.md §8 for the rule catalogue.
 """
 
-from .engine import (FileContext, LintResult, ProjectContext, Suppressions,
-                     lint_paths, lint_source, lint_sources)
+from .engine import (FileContext, LintResult, ProjectContext, lint_paths,
+                     lint_sources)
 from .findings import SEVERITIES, Finding
-from .registry import Rule, all_rules, get_rule, register
+from .registry import Rule, all_rules, register
 from .reporters import REPORTERS, json_report, text_report
 
 __all__ = [
     "FileContext", "Finding", "LintResult", "ProjectContext", "REPORTERS",
-    "Rule", "SEVERITIES", "Suppressions", "all_rules", "get_rule",
-    "json_report", "lint_paths", "lint_source", "lint_sources", "register",
-    "text_report",
+    "Rule", "SEVERITIES", "all_rules", "json_report", "lint_paths",
+    "lint_sources", "register", "text_report",
 ]

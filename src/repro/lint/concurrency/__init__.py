@@ -1,4 +1,4 @@
-"""Static concurrency verifier: rules R11-R14 (``--concurrency``).
+"""Static concurrency verifier: rules R11-R14.
 
 One rung above the effects verifier on the repo's static-analysis
 ladder: where :mod:`repro.lint.effects` certifies the *process*-parallel

@@ -1,11 +1,11 @@
 """Rules R11 (guarded fields), R12 (no blocking while locked),
 R13 (deadlock freedom), R14 (thread hygiene).
 
-All four are *opt-in* project rules behind ``python -m repro.lint
---concurrency`` (or explicit ``--rules R11,...``); they share one model,
-one lockset pass and one set of interprocedural fixpoints per run
-(:func:`~.analysis.analyze_concurrency` caches it on the project
-context, and the call graph itself is shared with the effects verifier).
+All four are project rules and run on every ``python -m repro.lint``;
+they share one model, one lockset pass and one set of interprocedural
+fixpoints per run (:func:`~.analysis.analyze_concurrency` caches it on
+the project context, and the call graph itself is shared with the
+effects verifier).
 
 R11 — guarded-field discipline
     Every access to a ``@guarded_by``-declared field must occur with the
@@ -55,8 +55,6 @@ class GuardedFieldRule(Rule):
     name = "guarded-field-discipline"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "concurrency"
     description = ("every access to a @guarded_by-declared field must hold "
                    "the declared lock (Eraser-style lockset analysis with "
                    "interprocedural entry locksets and witness paths)")
@@ -90,8 +88,6 @@ class BlockingWhileLockedRule(Rule):
     name = "no-blocking-while-locked"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "concurrency"
     description = ("no blocking leaf (engine evaluation, file IO, "
                    "Event/Condition waits, executor hand-offs, "
                    "socket/HTTP) may be reached while holding a lock it "
@@ -139,8 +135,6 @@ class DeadlockFreedomRule(Rule):
     name = "deadlock-freedom"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "concurrency"
     description = ("the global lock-acquisition order graph must be "
                    "acyclic, and non-reentrant locks must not be "
                    "re-acquired on a path that already holds them")
@@ -194,8 +188,6 @@ class ThreadHygieneRule(Rule):
     name = "thread-hygiene"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "concurrency"
     description = ("threads must be daemon or provably joined, "
                    "Condition.wait must sit in a predicate loop, "
                    "Event.wait must carry a timeout, and module globals "

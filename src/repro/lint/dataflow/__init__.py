@@ -8,8 +8,6 @@ through each function's CFG (:mod:`.cfg`) using numpy-aware transfer
 functions (:mod:`.transfer`) and cross-function summaries
 (:mod:`.summaries`); :mod:`.rules` turns the stabilised facts into R6
 (bit-growth) and R7 (width-consistency) findings.
-
-Enabled with ``python -m repro.lint --dataflow``.
 """
 
 from .analysis import Problem, analyze_function

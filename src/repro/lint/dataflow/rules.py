@@ -1,8 +1,6 @@
 """Rules R6 (bit-growth) and R7 (width-consistency).
 
-Both are *opt-in* project rules: ``python -m repro.lint --dataflow``
-(or an explicit ``--rules R6,R7``) enables them; the default rule set
-is unchanged so the base linter's behaviour is stable.
+Both are project rules and run on every ``python -m repro.lint``.
 
 R6 — bit-growth
     Extracts every ``@width_contract`` declaration in the linted tree,
@@ -92,8 +90,6 @@ class BitGrowthRule(Rule):
     name = "bit-growth"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "dataflow"
     description = ("every reduction's worst-case range must fit the "
                    "@width_contract accumulator (flow-sensitive interval "
                    "analysis with function summaries)")
@@ -120,8 +116,6 @@ class WidthConsistencyRule(Rule):
     name = "width-consistency"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "dataflow"
     description = ("@width_contract widths on datapath entry points must "
                    "match repro.core.widths, which the energy model "
                    "(energy/sensing.py, energy/cost.py) must mirror")

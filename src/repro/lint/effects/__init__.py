@@ -15,8 +15,6 @@ Layered like the dataflow pass, one level up the call stack:
     The worklist fixpoint and witness-chain reconstruction.
 :mod:`.rules`
     R8 reentrancy, R9 cache-key completeness.
-
-Enabled with ``python -m repro.lint --effects``.
 """
 
 from .analysis import EffectAnalysis, analyze_project

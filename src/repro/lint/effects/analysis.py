@@ -114,10 +114,6 @@ class EffectAnalysis:
         return grew
 
     # -------------------------------------------------------------- queries
-    def effects_of(self, qualname: str) -> FrozenSet[str]:
-        summary = self.summaries.get(qualname)
-        return summary.effects if summary is not None else frozenset()
-
     def declaration_errors(self) -> List[Tuple[str, int, str]]:
         """(path, line, message) for every malformed contract declaration."""
         out = []

@@ -1,9 +1,8 @@
 """Rules R8 (reentrancy) and R9 (cache-key completeness).
 
-Both are *opt-in* project rules behind ``python -m repro.lint
---effects`` (or explicit ``--rules R8,R9``); they share one call
-graph and one effect fixpoint per run (:func:`~.analysis.analyze_project`
-caches it on the project context).
+Both are project rules and run on every ``python -m repro.lint``; they
+share one call graph and one effect fixpoint per run
+(:func:`~.analysis.analyze_project` caches it on the project context).
 
 R8 — reentrancy
     Every ``@reentrant``-contracted function must be transitively free of
@@ -48,8 +47,6 @@ class ReentrancyRule(Rule):
     name = "reentrancy"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "effects"
     description = ("@reentrant functions must be transitively free of "
                    "global writes, ambient RNG and hash-order-dependent "
                    "iteration (interprocedural effect analysis with "
@@ -78,8 +75,6 @@ class CacheKeyCompletenessRule(Rule):
     name = "cache-key-completeness"
     severity = "error"
     scope = "project"
-    optin = True
-    group = "effects"
     description = ("config fields read by the DSE evaluate path must all "
                    "appear in CONFIG_KEYS (dse/spec.py), and "
                    "normalize_config must emit exactly those keys — else "

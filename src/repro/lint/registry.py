@@ -1,6 +1,6 @@
 """Rule base class and the process-wide rule registry.
 
-A rule is a small object with a stable ``code`` (``R1`` … ``R5``), a
+A rule is a small object with a stable ``code`` (``R1`` … ``R14``), a
 kebab-case ``name``, a ``severity``, and one of two scopes:
 
 ``file``
@@ -13,13 +13,13 @@ kebab-case ``name``, a ``severity``, and one of two scopes:
     ``core/kernels.py`` to the differential test suite.
 
 Rules self-register at import time via the :func:`register` decorator;
-:func:`all_rules` is what the engine iterates.
+:func:`all_rules` is what the engine iterates.  Every registered rule runs
+on every lint; only tests narrow a run to named codes.
 """
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
-                    Union)
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 from .findings import SEVERITIES, Finding
 
@@ -35,13 +35,6 @@ class Rule:
     severity: str = "error"
     scope: str = "file"           # "file" or "project"
     description: str = ""
-    #: Opt-in rules (the dataflow verifier's R6/R7, the effects verifier's
-    #: R8/R9) are excluded from the default rule set; enable them with
-    #: explicit codes or include_optin.
-    optin: bool = False
-    #: Opt-in family this rule belongs to ("dataflow", "effects"); the
-    #: CLI's --dataflow / --effects switches enable groups independently.
-    group: Optional[str] = None
 
     def applies_to(self, path: str) -> bool:
         """Whether this (file-scoped) rule runs on ``path`` (posix-style)."""
@@ -78,29 +71,12 @@ def register(rule_cls):
     return rule_cls
 
 
-def all_rules(codes: Optional[Iterable[str]] = None,
-              include_optin: Union[bool, Iterable[str]] = False
-              ) -> List[Rule]:
-    """Registered rules, optionally restricted to ``codes`` (unknown → error).
-
-    Without explicit ``codes``, opt-in rules are excluded unless
-    ``include_optin`` selects them: ``True`` enables every opt-in rule,
-    a collection of group names (``["effects"]``) enables just those
-    families — the CLI's ``--dataflow`` / ``--effects`` switches.
-    Naming a code explicitly always selects it, opt-in or not.
-    """
+def all_rules(codes: Optional[Iterable[str]] = None) -> List[Rule]:
+    """Every registered rule in code order, or just ``codes`` (unknown →
+    ``KeyError``)."""
     _ensure_loaded()
     if codes is None:
-        if include_optin is True:
-            selected = lambda r: True               # noqa: E731
-        elif not include_optin:
-            selected = lambda r: not r.optin        # noqa: E731
-        else:
-            groups = set(include_optin)
-            selected = lambda r: (not r.optin       # noqa: E731
-                                  or r.group in groups)
-        return [_REGISTRY[c] for c in sorted(_REGISTRY)
-                if selected(_REGISTRY[c])]
+        return [_REGISTRY[c] for c in sorted(_REGISTRY)]
     out = []
     for code in codes:
         if code not in _REGISTRY:
@@ -108,11 +84,6 @@ def all_rules(codes: Optional[Iterable[str]] = None,
                 f"unknown rule {code!r}; known: {sorted(_REGISTRY)}")
         out.append(_REGISTRY[code])
     return out
-
-
-def get_rule(code: str) -> Rule:
-    _ensure_loaded()
-    return _REGISTRY[code]
 
 
 def _ensure_loaded() -> None:

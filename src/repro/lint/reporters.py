@@ -44,8 +44,8 @@ def sarif_report(result: LintResult) -> str:
     """SARIF 2.1.0 — the format GitHub code scanning ingests.
 
     One run, one result per finding; rule metadata comes from the
-    registry when the code is registered (E0 parse errors and S1 stale
-    pragmas are synthesized from the finding itself).
+    registry when the code is registered (E0 parse errors are synthesized
+    from the finding itself).
     """
     from .registry import _REGISTRY, _ensure_loaded
     _ensure_loaded()

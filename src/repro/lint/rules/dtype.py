@@ -6,8 +6,7 @@ A float sneaking into these modules — a true division, a default-dtype
 allocation, a float ``astype`` — silently breaks bit-exactness with the
 hardware's two's-complement arithmetic long before any test notices.
 R1 flags the float-producing constructs inside the kernel/PE modules;
-a deliberate float utility carries a ``# repro-lint: disable-line=R1``
-pragma.
+a deliberate float utility belongs in a module outside that surface.
 """
 
 from __future__ import annotations
@@ -97,7 +96,8 @@ class DtypeDisciplineRule(Rule):
                 yield self.finding(
                     ctx.path, node.lineno, node.col_offset,
                     "true division `/` produces float64 — use `//` "
-                    "(or suppress if a float ratio is intended)")
+                    "(a float ratio belongs outside the integer datapath "
+                    "modules)")
             if isinstance(node, ast.AugAssign) \
                     and isinstance(node.op, ast.Div):
                 yield self.finding(

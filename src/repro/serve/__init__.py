@@ -21,7 +21,7 @@ reproduction's reentrant library calls into a service:
 The served results are **byte-identical** to direct library calls — the
 differential suite (``tests/test_serve_differential.py``) and the
 concurrency suite (``tests/test_serve_concurrency.py``) certify it, and
-the effect verifier (``python -m repro.lint --effects``) proves the
+the effect verifier (rule R8 of ``python -m repro.lint``) proves the
 handlers' evaluation path reentrant.
 
 Entry point: ``python -m repro.serve`` (or ``python -m repro serve``).

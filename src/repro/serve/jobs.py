@@ -17,7 +17,7 @@ finished job is immutable.  The runner re-checks the state under the
 store lock before flipping to ``running``, so a cancel that lands first
 always wins.
 
-Concurrency discipline (verified by ``repro.lint --concurrency``): a
+Concurrency discipline (verified by ``repro.lint``'s rules R11-R14): a
 job's mutable fields are guarded by the owning store's ``_lock`` —
 declared with ``@guarded_by`` below — and every externally visible
 document is a *snapshot* built while holding it (:meth:`JobStore.doc`,

@@ -3,13 +3,21 @@
 ``oracle_kernels`` swaps the reference oracles of ``repro.core.kernels``
 in for the production kernels, at the module globals the PE models call
 through, so a whole PE or accelerator can be run on either and compared.
+
+``real_tree_lint`` and ``real_tree_project`` parse ``src/repro`` once per
+session, so the lint tests that judge the real tree share one run of the
+linter's call graph and verifiers instead of repeating it per test.
 """
 
 import contextlib
+from pathlib import Path
 
 import pytest
 
 from repro.core import kernels
+
+#: The package the linter gates in CI.
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: ``(module, kernel name)``: every module-level lookup of a kernel.
 KERNEL_SITES = (
@@ -34,3 +42,20 @@ def oracle_kernels(monkeypatch):
                               getattr(kernels, f"{name}_reference"))
             yield
     return substituted
+
+
+@pytest.fixture(scope="session")
+def real_tree_lint():
+    """Every rule's findings on ``src/repro``, from one lint pass."""
+    from repro.lint import lint_paths
+    return lint_paths([str(SRC)])
+
+
+@pytest.fixture(scope="session")
+def real_tree_project():
+    """``src/repro`` parsed once; the call graph and the verifiers'
+    analyses are cached on it, so tests may share them."""
+    from repro.lint.engine import ProjectContext, _parse_paths
+    contexts, parse_errors = _parse_paths([str(SRC)])
+    assert parse_errors == []
+    return ProjectContext(files=contexts)

@@ -22,6 +22,13 @@ class TestBitCellStorage:
             array.store_pair(0, 0, w, 5)
             assert array.stored_weight(0, 0) == w
 
+    def test_roundtrip_all_indices(self):
+        array = BitCellArray(SRAMPEConfig(rows=4, lanes=1))
+        for index in range(16):
+            array.store_pair(1, 0, -3, index)
+            assert array.stored_index(1, 0) == index
+            assert array.stored_weight(1, 0) == -3
+
     def test_range_checks(self):
         array = BitCellArray()
         with pytest.raises(ValueError):
@@ -56,6 +63,22 @@ class TestCrossValidation:
         pe = BitLevelSparsePE()
         pe.load(w, pattern)
         np.testing.assert_array_equal(pe.matmul(x), x @ w)
+
+    def test_row_positions_come_from_the_index_cells(self):
+        """Flipping one stored index bit moves the weight to another row
+        of its group, and the output follows the cells, not the CSC
+        input: the index decode is the oracle's own."""
+        pattern = NMPattern(1, 4)
+        w = np.zeros((8, 1), dtype=np.int64)
+        w[4, 0] = 3                       # group 1, intra-group index 0
+        x = np.array([[0, 0, 0, 0, 10, 20, 0, 0]])
+        pe = BitLevelSparsePE()
+        pe.load(w, pattern)
+        np.testing.assert_array_equal(pe.matmul(x), [[30]])
+        assert pe.array.stored_index(0, 0) == 0
+        pe.array.index_bits[0, 0, 0] ^= 1   # index 0 -> 1: row 4 -> row 5
+        assert pe.array.stored_index(0, 0) == 1
+        np.testing.assert_array_equal(pe.matmul(x), [[60]])
 
     def test_requires_load(self, rng):
         with pytest.raises(RuntimeError):

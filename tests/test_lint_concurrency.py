@@ -1,4 +1,4 @@
-"""Rules R11-R14 (the static concurrency verifier) plus group plumbing.
+"""Rules R11-R14 (the static concurrency verifier).
 
 Fixture tests pin each rule's core judgment on minimal sources; the
 mutation tests take the real tree, plant one specific concurrency bug
@@ -10,7 +10,6 @@ chain included — the acceptance seeds from the verifier's design issue.
 from pathlib import Path
 
 from repro.lint.engine import lint_sources
-from repro.lint.registry import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -414,32 +413,10 @@ class TestR14:
 
 
 # ---------------------------------------------------------------------------
-# The real tree and the group plumbing
+# The real tree
 # ---------------------------------------------------------------------------
 
 class TestRealTree:
-    def test_real_tree_is_concurrency_clean(self):
-        result = lint_sources(_real_tree_sources(), codes=CONCURRENCY)
-        assert result.ok, "\n".join(f.message for f in result.findings)
-
-    def test_cli_gate_matches(self):
-        from repro.lint.cli import EXIT_CLEAN, main
-        src = REPO_ROOT / "src" / "repro"
-        assert main(["--concurrency", "--strict", str(src)]) == EXIT_CLEAN
-
-
-class TestOptinGroups:
-    def test_default_rule_set_excludes_concurrency_rules(self):
-        codes = [r.code for r in all_rules()]
-        assert not set(CONCURRENCY) & set(codes)
-
-    def test_concurrency_group_selects_r11_to_r14(self):
-        codes = [r.code for r in all_rules(include_optin=["concurrency"])]
-        assert set(CONCURRENCY) <= set(codes)
-        assert "R6" not in codes and "R8" not in codes
-
-    def test_groups_compose_with_effects(self):
-        codes = [r.code for r in
-                 all_rules(include_optin=["effects", "concurrency"])]
-        for code in ("R8", "R9", "R11", "R12", "R13", "R14"):
-            assert code in codes
+    def test_real_tree_is_concurrency_clean(self, real_tree_lint):
+        found = [f for f in real_tree_lint.findings if f.code in CONCURRENCY]
+        assert found == [], "\n".join(f.message for f in found)

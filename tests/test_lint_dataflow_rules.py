@@ -1,5 +1,5 @@
-"""End-to-end tests for dataflow rules R6/R7, the CLI flags, and the
-suppression audit.
+"""End-to-end tests for dataflow rules R6/R7: fixtures, the real tree and
+the CLI.
 
 The two fixtures the PR's acceptance criteria name are here: an
 under-provisioned accumulator that R6 must flag with a concrete witness
@@ -8,17 +8,11 @@ the energy model) that R7 must flag.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, main
-from repro.lint.engine import audit_suppressions, lint_sources
-from repro.lint.registry import all_rules
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src" / "repro"
+from repro.lint.engine import lint_sources
 
 # A minimal widths module so fixtures resolve constants without the real
 # package (lint_sources never imports code, it only parses).
@@ -242,16 +236,6 @@ def test_r6_checks_registry_dispatch_against_every_tier():
     assert "'dispatch' can return [-32768, 32767]" in r6[0].message
 
 
-def test_r6_suppressible_with_pragma():
-    suppressed = UNDERPROVISIONED.replace(
-        "        acc += a[i] * w[i]",
-        "        acc += a[i] * w[i]  # repro-lint: disable-line=R6")
-    res = lint_sources(_fixture_tree(**{
-        "src/repro/core/bad.py": suppressed}), codes=["R6"])
-    assert res.findings == []
-    assert len(res.suppressed) == 1
-
-
 # ---------------------------------------------------------------------------
 # R7 width-consistency
 # ---------------------------------------------------------------------------
@@ -304,33 +288,14 @@ def test_r7_flags_missing_energy_constant():
 
 
 # ---------------------------------------------------------------------------
-# opt-in behaviour, real tree, CLI
+# real tree, CLI
 # ---------------------------------------------------------------------------
 
-def test_r6_r7_are_opt_in():
-    default_codes = {r.code for r in all_rules()}
-    assert "R6" not in default_codes and "R7" not in default_codes
-    with_optin = {r.code for r in all_rules(include_optin=True)}
-    assert {"R6", "R7"} <= with_optin
-    # Explicit selection works without the flag.
-    assert {r.code for r in all_rules(codes=["R6"])} == {"R6"}
-
-
-def test_real_tree_clean_under_dataflow():
-    res = lint_paths([str(SRC)], codes=["R6", "R7"])
-    assert res.parse_errors == []
-    assert res.ok, "dataflow findings on the real tree:\n" + "\n".join(
-        f.format() for f in res.all_findings())
-
-
-def test_cli_dataflow_exits_clean_on_real_tree(capsys):
-    assert main(["--dataflow", str(SRC)]) == EXIT_CLEAN
-    assert "clean:" in capsys.readouterr().out
-
-
-def test_cli_dataflow_strict_exits_clean_on_real_tree(capsys):
-    assert main(["--dataflow", "--strict", str(SRC)]) == EXIT_CLEAN
-    capsys.readouterr()
+def test_real_tree_clean_under_dataflow(real_tree_lint):
+    res = [f for f in real_tree_lint.all_findings()
+           if f.code in ("E0", "R6", "R7")]
+    assert res == [], "dataflow findings on the real tree:\n" + "\n".join(
+        f.format() for f in res)
 
 
 def test_cli_dataflow_json_reports_findings(tmp_path, capsys):
@@ -338,97 +303,15 @@ def test_cli_dataflow_json_reports_findings(tmp_path, capsys):
     bad.mkdir(parents=True)
     (bad / "widths.py").write_text(WIDTHS_FIXTURE)
     (bad / "bad.py").write_text(UNDERPROVISIONED)
-    assert main(["--dataflow", "--format", "json",
-                 str(tmp_path / "src")]) == EXIT_FINDINGS
+    assert main(["--format", "json", str(tmp_path / "src")]) == EXIT_FINDINGS
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     assert any(f["code"] == "R6" for f in payload["findings"])
 
 
-# ---------------------------------------------------------------------------
-# suppression audit (--list-suppressions)
-# ---------------------------------------------------------------------------
-
-def test_audit_real_tree_pragmas_all_live():
-    entries = audit_suppressions([str(SRC)])
-    stale = [e for e in entries if e.stale]
-    assert stale == [], "stale pragmas:\n" + "\n".join(
-        e.format() for e in stale)
-
-
-def test_audit_detects_stale_pragma(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1  # repro-lint: disable-line=R4\n")
-    entries = audit_suppressions([str(mod)])
-    assert len(entries) == 1
-    assert entries[0].stale
-    assert "STALE" in entries[0].format()
-
-
-def test_cli_list_suppressions(tmp_path, capsys):
-    core = tmp_path / "src" / "repro" / "core"
-    core.mkdir(parents=True)
-    (core / "sram_pe.py").write_text(
-        "def ratio(used, cap):\n"
-        "    return used / cap  # repro-lint: disable-line=R1\n")
-    assert main(["--list-suppressions", str(tmp_path / "src")]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "sram_pe.py:2: disable-line=R1 (1 finding suppressed)" in out
-    assert "1 suppression pragma" in out
-
-
-def test_cli_list_suppressions_strict_fails_on_stale(tmp_path, capsys):
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1  # repro-lint: disable-line=R4\n")
-    assert main(["--list-suppressions", str(mod)]) == EXIT_CLEAN
-    capsys.readouterr()
-    assert main(["--list-suppressions", "--strict",
-                 str(mod)]) == EXIT_FINDINGS
-    assert "STALE" in capsys.readouterr().out
-
-
-def test_cli_list_suppressions_json(capsys):
-    assert main(["--list-suppressions", "--format", "json",
-                 str(SRC)]) == EXIT_CLEAN
-    payload = json.loads(capsys.readouterr().out)
-    assert all({"path", "line", "kind", "codes", "matches",
-                "stale"} <= set(e) for e in payload)
-
-
-def test_cli_strict_lint_reports_stale_as_s1(tmp_path, capsys):
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1  # repro-lint: disable-line=R4\n")
-    assert main([str(mod)]) == EXIT_CLEAN
-    capsys.readouterr()
-    assert main(["--strict", str(mod)]) == EXIT_FINDINGS
-    assert "S1" in capsys.readouterr().out
-
-
-def test_cli_strict_stale_r1_pragma_fails(tmp_path, capsys):
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1  # repro-lint: disable-line=R1\n")
-    assert main(["--strict", str(mod)]) == EXIT_FINDINGS
-    out = capsys.readouterr().out
-    assert "S1" in out and "disable-line=R1" in out
-
-
-def test_cli_strict_judges_only_pragmas_whose_rules_ran(tmp_path, capsys):
-    """An R8 pragma cannot be judged by a run that left R8 out; the
-    all-rules audit (``--list-suppressions``) still judges it."""
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1  # repro-lint: disable-line=R8\n")
-    assert main(["--strict", str(mod)]) == EXIT_CLEAN
-    assert "S1" not in capsys.readouterr().out
-    assert main(["--effects", "--strict", str(mod)]) == EXIT_FINDINGS
-    assert "S1" in capsys.readouterr().out
-    assert main(["--list-suppressions", "--strict",
-                 str(mod)]) == EXIT_FINDINGS
-    capsys.readouterr()
-
-
-def test_cli_strict_is_one_lint_pass(tmp_path, monkeypatch, capsys):
-    """``--strict`` judges pragmas from the lint pass's own findings: the
-    call graph (and every verifier on it) is built once."""
+def test_cli_builds_the_call_graph_once(tmp_path, monkeypatch, capsys):
+    """One lint pass builds one call graph, shared by the dataflow,
+    effects and concurrency verifiers."""
     from repro.lint.callgraph import CallGraph
     build = CallGraph.build.__func__
     built = []
@@ -440,58 +323,9 @@ def test_cli_strict_is_one_lint_pass(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(CallGraph, "build", classmethod(counting_build))
     mod = tmp_path / "mod.py"
     mod.write_text("def f():\n    return 1\n")
-    assert main(["--effects", "--strict", str(mod)]) == EXIT_CLEAN
+    assert main([str(mod)]) == EXIT_CLEAN
     capsys.readouterr()
     assert len(built) == 1
-
-
-RULES = all_rules(include_optin=True)
-OPTIN_RULES = [r for r in RULES if r.optin]
-
-
-def _stale_pragma_module(tmp_path, code):
-    """A clean module whose only pragma names ``code`` and covers nothing."""
-    mod = tmp_path / "mod.py"
-    mod.write_text(f"x = 1  # repro-lint: disable-line={code}\n")
-    return mod
-
-
-@pytest.mark.parametrize("code", [r.code for r in RULES])
-def test_cli_strict_judges_pragma_of_selected_rule(tmp_path, capsys, code):
-    mod = _stale_pragma_module(tmp_path, code)
-    assert main(["--rules", code, "--strict", str(mod)]) == EXIT_FINDINGS
-    out = capsys.readouterr().out
-    assert "S1" in out and f"disable-line={code}" in out
-
-
-@pytest.mark.parametrize("code", [r.code for r in RULES])
-def test_cli_strict_leaves_pragma_of_unselected_rule_unjudged(
-        tmp_path, capsys, code):
-    mod = _stale_pragma_module(tmp_path, code)
-    other = "R2" if code == "R1" else "R1"
-    assert main(["--rules", other, "--strict", str(mod)]) == EXIT_CLEAN
-    assert "S1" not in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("code", [r.code for r in OPTIN_RULES])
-def test_cli_strict_judges_optin_pragma_only_under_its_switch(
-        tmp_path, capsys, code):
-    rule = next(r for r in OPTIN_RULES if r.code == code)
-    mod = _stale_pragma_module(tmp_path, code)
-    assert main(["--strict", str(mod)]) == EXIT_CLEAN
-    assert "S1" not in capsys.readouterr().out
-    assert main([f"--{rule.group}", "--strict", str(mod)]) == EXIT_FINDINGS
-    assert f"disable-line={code}" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("code", [r.code for r in RULES])
-def test_list_suppressions_strict_judges_every_rule(tmp_path, capsys, code):
-    """The all-rules audit needs no switch to judge an opt-in pragma."""
-    mod = _stale_pragma_module(tmp_path, code)
-    assert main(["--list-suppressions", "--strict",
-                 str(mod)]) == EXIT_FINDINGS
-    out = capsys.readouterr().out
-    assert f"disable-line={code}" in out and "STALE" in out
 
 
 # ---------------------------------------------------------------------------
@@ -520,14 +354,12 @@ ACCUMULATOR_BOUNDS = {
 
 
 @pytest.fixture(scope="module")
-def real_tree_bounds():
+def real_tree_bounds(real_tree_project):
     """``function -> Interval``: every return bound the verifier proves."""
     from repro.lint.dataflow.rules import _project_contracts
     from repro.lint.dataflow.summaries import SummaryDB
-    from repro.lint.engine import ProjectContext, _parse_paths
 
-    contexts, _ = _parse_paths([str(SRC)])
-    project = ProjectContext(files=contexts)
+    project = real_tree_project
     pairs, errors, consts = _project_contracts(project)
     assert errors == []
     db = SummaryDB([c for c, _, _ in pairs], consts, project.call_graph)

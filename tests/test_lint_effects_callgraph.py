@@ -24,6 +24,12 @@ def _analyze(sources):
     return EffectAnalysis.run(CallGraph.build(ProjectContext(files=files)))
 
 
+def effects_of(analysis, qualname):
+    """The fixpoint effect set of ``qualname`` (empty if unknown)."""
+    summary = analysis.summaries.get(qualname)
+    return summary.effects if summary is not None else frozenset()
+
+
 class TestModuleIdentity:
     def test_src_layout_and_fixture_layout_agree(self):
         assert module_name_for("src/repro/dse/cache.py") == "repro.dse.cache"
@@ -44,7 +50,7 @@ class TestDirectCalls:
             "    return np.random.rand()\n"
             "def top():\n"
             "    return leaf()\n")})
-        assert AMBIENT_RNG in a.effects_of("repro.m.top")
+        assert AMBIENT_RNG in effects_of(a, "repro.m.top")
 
     def test_cross_module_import_propagates(self):
         a = _analyze({
@@ -54,7 +60,7 @@ class TestDirectCalls:
                            "def caller():\n"
                            "    noisy()\n"),
         })
-        assert IO in a.effects_of("repro.b.caller")
+        assert IO in effects_of(a, "repro.b.caller")
 
     def test_relative_import_resolves(self):
         a = _analyze({
@@ -66,7 +72,7 @@ class TestDirectCalls:
                                "def caller():\n"
                                "    return draw()\n"),
         })
-        assert AMBIENT_RNG in a.effects_of("repro.pkg.b.caller")
+        assert AMBIENT_RNG in effects_of(a, "repro.pkg.b.caller")
 
     def test_function_local_import_resolves(self):
         a = _analyze({
@@ -76,7 +82,7 @@ class TestDirectCalls:
                            "    from repro.a import noisy\n"
                            "    noisy()\n"),
         })
-        assert IO in a.effects_of("repro.b.caller")
+        assert IO in effects_of(a, "repro.b.caller")
 
 
 class TestReexportsAndAliases:
@@ -90,7 +96,7 @@ class TestReexportsAndAliases:
                              "def caller():\n"
                              "    work()\n"),
         })
-        assert WRITES_GLOBAL in a.effects_of("repro.use.caller")
+        assert WRITES_GLOBAL in effects_of(a, "repro.use.caller")
 
     def test_toplevel_alias_resolves(self):
         a = _analyze({"repro/m.py": (
@@ -99,7 +105,7 @@ class TestReexportsAndAliases:
             "renamed = original\n"
             "def caller():\n"
             "    renamed()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_import_as_alias_resolves(self):
         a = _analyze({
@@ -109,7 +115,7 @@ class TestReexportsAndAliases:
                            "def caller():\n"
                            "    quiet()\n"),
         })
-        assert IO in a.effects_of("repro.b.caller")
+        assert IO in effects_of(a, "repro.b.caller")
 
 
 class TestRegistryDispatch:
@@ -126,7 +132,7 @@ class TestRegistryDispatch:
     def test_dispatch_fans_out_to_every_impl(self):
         a = _analyze(self.SOURCES)
         # The dispatcher inherits the join over all registered impls.
-        assert AMBIENT_RNG in a.effects_of("repro.kernels.dispatch")
+        assert AMBIENT_RNG in effects_of(a, "repro.kernels.dispatch")
 
     def test_witness_names_the_effectful_impl(self):
         a = _analyze(self.SOURCES)
@@ -142,7 +148,7 @@ class TestMethodResolution:
             "        print('x')\n"
             "    def top(self):\n"
             "        return self.leaf()\n")})
-        assert IO in a.effects_of("repro.m.C.top")
+        assert IO in effects_of(a, "repro.m.C.top")
 
     def test_constructor_typed_local_resolves_methods(self):
         a = _analyze({"repro/m.py": (
@@ -152,7 +158,7 @@ class TestMethodResolution:
             "def caller():\n"
             "    c = C()\n"
             "    c.leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_dataclasses_replace_preserves_receiver_type(self):
         a = _analyze({"repro/m.py": (
@@ -165,7 +171,7 @@ class TestMethodResolution:
             "def caller(c: C):\n"
             "    d = dataclasses.replace(c, x=1)\n"
             "    d.leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_annotation_typed_param_resolves_methods(self):
         a = _analyze({"repro/m.py": (
@@ -174,7 +180,7 @@ class TestMethodResolution:
             "        print('x')\n"
             "def caller(c: C):\n"
             "    c.leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_attribute_typed_in_init_resolves_methods(self):
         a = _analyze({"repro/m.py": (
@@ -186,7 +192,7 @@ class TestMethodResolution:
             "        self.c = C()\n"
             "    def top(self):\n"
             "        return self.c.leaf()\n")})
-        assert IO in a.effects_of("repro.m.Owner.top")
+        assert IO in effects_of(a, "repro.m.Owner.top")
 
     def test_loop_over_typed_list_resolves_methods(self):
         a = _analyze({"repro/m.py": (
@@ -197,7 +203,7 @@ class TestMethodResolution:
             "def caller(xs: List[C]):\n"
             "    for x in xs:\n"
             "        x.leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_tuple_unpacked_loop_resolves_methods(self):
         a = _analyze({"repro/m.py": (
@@ -208,7 +214,7 @@ class TestMethodResolution:
             "def caller(pairs: List[Tuple[int, C]]):\n"
             "    for i, c in pairs:\n"
             "        c.leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
     def test_union_receiver_reaches_every_member(self):
         a = _analyze({"repro/m.py": (
@@ -222,7 +228,7 @@ class TestMethodResolution:
             "        return random.random()\n"
             "def caller(x: Union[A, B]):\n"
             "    x.leaf()\n")})
-        assert {IO, AMBIENT_RNG} <= a.effects_of("repro.m.caller")
+        assert {IO, AMBIENT_RNG} <= effects_of(a, "repro.m.caller")
 
     def test_base_class_method_resolves_through_inheritance(self):
         a = _analyze({"repro/m.py": (
@@ -232,7 +238,7 @@ class TestMethodResolution:
             "class Child(Base):\n"
             "    def top(self):\n"
             "        return self.leaf()\n")})
-        assert IO in a.effects_of("repro.m.Child.top")
+        assert IO in effects_of(a, "repro.m.Child.top")
 
 
 class TestRealTree:
@@ -255,7 +261,7 @@ class TestDecoratedFunctions:
             "    print('x')\n"
             "def caller():\n"
             "    leaf()\n")})
-        assert IO in a.effects_of("repro.m.caller")
+        assert IO in effects_of(a, "repro.m.caller")
 
 
 class TestLocalFacts:
@@ -265,21 +271,21 @@ class TestLocalFacts:
             "def bump():\n"
             "    global COUNT\n"
             "    COUNT += 1\n")})
-        assert WRITES_GLOBAL in a.effects_of("repro.m.bump")
+        assert WRITES_GLOBAL in effects_of(a, "repro.m.bump")
 
     def test_mutating_method_on_module_global_is_a_write(self):
         a = _analyze({"repro/m.py": (
             "ITEMS = []\n"
             "def push(x):\n"
             "    ITEMS.append(x)\n")})
-        assert WRITES_GLOBAL in a.effects_of("repro.m.push")
+        assert WRITES_GLOBAL in effects_of(a, "repro.m.push")
 
     def test_read_of_module_mutable_is_a_read_not_a_write(self):
         a = _analyze({"repro/m.py": (
             "TABLE = {'a': 1}\n"
             "def peek(k):\n"
             "    return TABLE[k]\n")})
-        effects = a.effects_of("repro.m.peek")
+        effects = effects_of(a, "repro.m.peek")
         assert READS_GLOBAL in effects
         assert WRITES_GLOBAL not in effects
 
@@ -289,21 +295,21 @@ class TestLocalFacts:
             "    out = []\n"
             "    out.append(1)\n"
             "    return out\n")})
-        assert a.effects_of("repro.m.build") == frozenset()
+        assert effects_of(a, "repro.m.build") == frozenset()
 
     def test_seeded_default_rng_is_pure(self):
         a = _analyze({"repro/m.py": (
             "import numpy as np\n"
             "def draw():\n"
             "    return np.random.default_rng(0).normal()\n")})
-        assert AMBIENT_RNG not in a.effects_of("repro.m.draw")
+        assert AMBIENT_RNG not in effects_of(a, "repro.m.draw")
 
     def test_argless_default_rng_is_ambient(self):
         a = _analyze({"repro/m.py": (
             "import numpy as np\n"
             "def draw():\n"
             "    return np.random.default_rng().normal()\n")})
-        assert AMBIENT_RNG in a.effects_of("repro.m.draw")
+        assert AMBIENT_RNG in effects_of(a, "repro.m.draw")
 
     def test_set_iteration_is_nondeterministic_order(self):
         from repro.lint.effects import NONDETERMINISTIC_ORDER
@@ -311,7 +317,7 @@ class TestLocalFacts:
             "def collect(items):\n"
             "    seen = set(items)\n"
             "    return [x for x in seen]\n")})
-        assert NONDETERMINISTIC_ORDER in a.effects_of("repro.m.collect")
+        assert NONDETERMINISTIC_ORDER in effects_of(a, "repro.m.collect")
 
     def test_sorted_set_iteration_is_clean(self):
         from repro.lint.effects import NONDETERMINISTIC_ORDER
@@ -319,7 +325,7 @@ class TestLocalFacts:
             "def collect(items):\n"
             "    seen = set(items)\n"
             "    return [x for x in sorted(seen)]\n")})
-        assert NONDETERMINISTIC_ORDER not in a.effects_of("repro.m.collect")
+        assert NONDETERMINISTIC_ORDER not in effects_of(a, "repro.m.collect")
 
 
 class TestEffectsOverride:
@@ -332,7 +338,7 @@ class TestEffectsOverride:
             "    if k not in _MEMO:\n"
             "        _MEMO[k] = k * 2\n"
             "    return _MEMO[k]\n")})
-        effects_set = a.effects_of("repro.m.cached")
+        effects_set = effects_of(a, "repro.m.cached")
         assert effects_set == frozenset({READS_GLOBAL})
 
     def test_missing_reason_is_a_declaration_error(self):

@@ -1,10 +1,9 @@
-"""Rules R8/R9 plus the SARIF reporter and the opt-in group plumbing."""
+"""Rules R8/R9 plus the SARIF reporter."""
 
 import json
 from pathlib import Path
 
 from repro.lint.engine import lint_sources
-from repro.lint.registry import all_rules
 from repro.lint.reporters import sarif_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -107,16 +106,6 @@ class TestR8:
         assert [f.code for f in result.findings] == ["R8"]
         assert "reason" in result.findings[0].message
 
-    def test_pragma_can_suppress_r8(self):
-        result = lint_sources({"repro/bad.py": (
-            "from repro.core.effects import reentrant\n"
-            "CACHE = {}\n"
-            "@reentrant  # repro-lint: disable-line=R8\n"
-            "def memo(k):\n"
-            "    CACHE[k] = k\n")}, codes=["R8"])
-        assert result.ok
-        assert len(result.suppressed) == 1
-
     def test_real_tree_memo_without_override_is_caught(self):
         """Satellite 1's hazard: strip get_workload's @effects declaration
         and the _WORKLOADS memo write must flag every contracted caller."""
@@ -138,9 +127,8 @@ class TestR8:
 # ---------------------------------------------------------------------------
 
 class TestR9:
-    def test_real_tree_is_complete(self):
-        result = lint_sources(_real_tree_sources(), codes=["R9"])
-        assert result.ok
+    def test_real_tree_is_complete(self, real_tree_lint):
+        assert [f for f in real_tree_lint.findings if f.code == "R9"] == []
 
     def test_dropping_a_key_from_config_keys_is_caught(self):
         """The ISSUE's mutation test: remove "workload" from CONFIG_KEYS
@@ -189,37 +177,6 @@ class TestR9:
         result = lint_sources({"repro/m.py": "def f(config):\n    return 1\n"},
                               codes=["R9"])
         assert result.ok
-
-
-# ---------------------------------------------------------------------------
-# Opt-in group plumbing
-# ---------------------------------------------------------------------------
-
-class TestOptinGroups:
-    def test_default_rule_set_excludes_effects_rules(self):
-        codes = [r.code for r in all_rules()]
-        assert "R8" not in codes and "R9" not in codes
-
-    def test_include_optin_true_selects_every_family(self):
-        codes = [r.code for r in all_rules(include_optin=True)]
-        for code in ("R6", "R7", "R8", "R9"):
-            assert code in codes
-
-    def test_effects_group_selects_only_r8_and_r9(self):
-        codes = [r.code for r in all_rules(include_optin=["effects"])]
-        assert "R8" in codes and "R9" in codes
-        assert "R6" not in codes and "R7" not in codes
-
-    def test_dataflow_group_unchanged_by_effects_family(self):
-        codes = [r.code for r in all_rules(include_optin=["dataflow"])]
-        assert "R6" in codes and "R7" in codes
-        assert "R8" not in codes
-
-    def test_groups_compose(self):
-        codes = [r.code for r in
-                 all_rules(include_optin=["dataflow", "effects"])]
-        for code in ("R6", "R7", "R8", "R9"):
-            assert code in codes
 
 
 # ---------------------------------------------------------------------------

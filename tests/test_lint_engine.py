@@ -1,18 +1,18 @@
-"""Engine-level tests for repro.lint: suppressions, registry, reporters, CLI.
+"""Engine-level tests for repro.lint: registry, reporters, CLI.
 
 The rule-specific positive/negative fixtures live in test_lint_rules.py;
-this file covers the machinery those rules run on — pragma parsing, rule
-selection, report rendering, exit codes and file discovery.
+this file covers the machinery those rules run on — rule selection,
+report rendering, exit codes and file discovery.
 """
 
 import json
 
 import pytest
 
-from repro.lint import (Finding, Suppressions, all_rules, get_rule,
-                        json_report, lint_source, lint_sources, lint_paths,
-                        text_report)
-from repro.lint.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
+from repro.lint import (Finding, all_rules, json_report, lint_paths,
+                        lint_sources, text_report)
+from repro.lint.cli import (EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE,
+                            build_parser, main)
 from repro.lint.engine import discover_files
 
 # Any path under src/repro triggers R4 on a legacy np.random call — the
@@ -21,51 +21,20 @@ R4_BAD = "import numpy as np\n\nx = np.random.rand(3)\n"
 R4_PATH = "src/repro/harness/sweep.py"
 
 
-class TestSuppressions:
-    def test_file_wide_disable(self):
-        src = "# repro-lint: disable=R4\n" + R4_BAD
-        assert lint_source(src, R4_PATH) == []
-
-    def test_file_wide_disable_is_per_code(self):
-        src = "# repro-lint: disable=R1,R3\n" + R4_BAD
-        findings = lint_source(src, R4_PATH)
-        assert [f.code for f in findings] == ["R4"]
-
-    def test_disable_all_wildcard(self):
-        src = "# repro-lint: disable=all\n" + R4_BAD
-        assert lint_source(src, R4_PATH) == []
-
-    def test_line_scoped_disable_covers_only_its_line(self):
-        src = ("import numpy as np\n"
-               "a = np.random.rand(2)  # repro-lint: disable-line=R4\n"
-               "b = np.random.rand(2)\n")
-        findings = lint_source(src, R4_PATH)
-        assert len(findings) == 1
-        assert findings[0].line == 3
-
-    def test_pragma_parsing(self):
-        supp = Suppressions.from_source(
-            "# repro-lint: disable=R1, R2\n"
-            "x = 1  # repro-lint: disable-line=R3  # a ratio on purpose\n")
-        assert supp.file_codes == {"R1", "R2"}
-        assert supp.line_codes == {2: {"R3"}}
-
-
 class TestRegistry:
-    def test_all_five_rules_registered(self):
+    def test_all_thirteen_rules_registered(self):
         rules = all_rules()
-        assert [r.code for r in rules] == ["R1", "R2", "R3", "R4", "R5"]
+        assert sorted(int(r.code[1:]) for r in rules) == \
+            [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14]
         by_code = {r.code: r for r in rules}
         assert by_code["R2"].severity == "warning"
-        assert {by_code[c].severity for c in ("R1", "R3", "R4", "R5")} \
-            == {"error"}
-        assert by_code["R5"].scope == "project"
-        assert all(by_code[c].scope == "file"
-                   for c in ("R1", "R2", "R3", "R4"))
+        assert {r.severity for r in rules if r.code != "R2"} == {"error"}
+        assert [r.code for r in rules if r.scope == "file"] == \
+            ["R1", "R2", "R3", "R4"]
 
     def test_code_filtering(self):
         assert [r.code for r in all_rules(["R4"])] == ["R4"]
-        assert get_rule("R1").name == "dtype-discipline"
+        assert all_rules(["R1"])[0].name == "dtype-discipline"
 
     def test_unknown_code_raises(self):
         with pytest.raises(KeyError):
@@ -74,6 +43,22 @@ class TestRegistry:
     def test_filtered_run_skips_other_rules(self):
         result = lint_sources({R4_PATH: R4_BAD}, codes=["R1"])
         assert result.ok
+
+    def test_default_run_includes_every_verifier(self):
+        """No codes means every rule: a base rule (R4), the effects
+        verifier (R8) and the concurrency verifier (R14) all report."""
+        result = lint_sources({
+            R4_PATH: R4_BAD,
+            "src/repro/deep.py": (
+                "import threading\n"
+                "import numpy as np\n"
+                "from repro.core.effects import reentrant\n"
+                "@reentrant\n"
+                "def draw():\n"
+                "    return np.random.rand()\n"
+                "def start(work):\n"
+                "    threading.Thread(target=work).start()\n")})
+        assert {"R4", "R8", "R14"} <= {f.code for f in result.findings}
 
 
 class TestReporters:
@@ -144,14 +129,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "R4" in out and ":3:" in out and "np.random" in out
 
-    def test_rules_filter(self, tmp_path, capsys):
-        p = tmp_path / "src" / "repro" / "harness"
-        p.mkdir(parents=True)
-        bad = p / "sweep.py"
-        bad.write_text(R4_BAD)
-        assert main([str(bad), "--rules", "R1,R2"]) == EXIT_CLEAN
-        capsys.readouterr()
-
     def test_json_format(self, tmp_path, capsys):
         p = tmp_path / "clean.py"
         p.write_text("x = 1\n")
@@ -166,5 +143,11 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        for code in ("R1", "R2", "R3", "R4", "R5"):
-            assert code in out
+        for rule in all_rules():
+            assert f"{rule.code}  {rule.name}" in out
+
+    def test_only_paths_format_and_list_rules(self):
+        """No option selects, skips or suppresses a rule."""
+        options = {opt for action in build_parser()._actions
+                   for opt in action.option_strings}
+        assert options == {"-h", "--help", "--format", "--list-rules"}

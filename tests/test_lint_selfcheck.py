@@ -1,21 +1,18 @@
 """Self-check: the real ``src/repro`` tree passes its own linter.
 
 This is the test-suite mirror of the CI lint gate — if a change introduces
-a dtype/unit/stats/determinism/parity violation (or an unjustified
-suppression removal breaks one), it fails here before it fails in CI.
+a violation of any rule (R1–R9, R11–R14), it fails here before it fails
+in CI.  The tree is linted once per session (``real_tree_lint`` in
+``conftest.py``); one CLI run checks the gate's own exit status.
 """
 
-from pathlib import Path
-
-from repro.lint import lint_paths
 from repro.lint.cli import EXIT_CLEAN, main
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src" / "repro"
+from .conftest import SRC
 
 
-def test_real_tree_is_clean():
-    result = lint_paths([str(SRC)])
+def test_real_tree_is_clean(real_tree_lint):
+    result = real_tree_lint
     assert result.parse_errors == []
     assert result.ok, "lint findings on the real tree:\n" + "\n".join(
         f.format() for f in result.all_findings())
@@ -23,11 +20,10 @@ def test_real_tree_is_clean():
     assert result.files_checked >= 70
 
 
-def test_r5_sees_the_real_differential_suite():
+def test_r5_sees_the_real_differential_suite(real_tree_lint):
     """Kernel parity runs against the on-disk tests/ even when only
     src/repro is linted — the suite lookup walks up from kernels.py."""
-    result = lint_paths([str(SRC)], codes=["R5"])
-    assert result.ok
+    assert [f for f in real_tree_lint.findings if f.code == "R5"] == []
 
 
 def test_cli_gate_matches_ci_invocation(capsys):
@@ -35,29 +31,13 @@ def test_cli_gate_matches_ci_invocation(capsys):
     assert "clean:" in capsys.readouterr().out
 
 
-def test_real_tree_is_clean_under_dataflow(capsys):
-    """The CI gate also runs the opt-in dataflow verifier in strict mode:
-    every @width_contract must hold and every pragma must earn its keep."""
-    assert main(["--dataflow", "--strict", str(SRC)]) == EXIT_CLEAN
-    capsys.readouterr()
-
-
-def test_real_tree_is_clean_under_effects(capsys):
-    """The effect verifier in strict mode: every @reentrant contract in
-    the DSE/serve/harness hot paths must prove out over the call graph."""
-    assert main(["--effects", "--strict", str(SRC)]) == EXIT_CLEAN
-    capsys.readouterr()
-
-
-def test_real_tree_hot_paths_are_contracted():
+def test_real_tree_hot_paths_are_contracted(real_tree_project):
     """The certification the ROADMAP's sharding/serve items rely on: the
     batch entry point, the per-point evaluator, the cache paths, the
     serve validators and the harness builders all carry @reentrant."""
     from repro.lint.effects import analyze_project
-    from repro.lint.engine import ProjectContext, _parse_paths
 
-    contexts, _ = _parse_paths([str(SRC)])
-    analysis = analyze_project(ProjectContext(files=contexts))
+    analysis = analyze_project(real_tree_project)
     contracted = {s.info.qualname for s in analysis.reentrant_functions()}
     for qualname in (
             "repro.dse.evaluate.evaluate_records",

@@ -7,6 +7,8 @@ import pytest
 
 from repro.core.mapper import (CoreConfig, HybridMapper, dense_core_requirement,
                                tile_layer_shapes)
+from repro.core.mram_pe import MRAMPEConfig
+from repro.core.sram_pe import SRAMPEConfig
 from repro.core.workload import (LayerWorkload, extract_repnet_workload,
                                  paper_workload)
 from repro.repnet import build_repnet_model
@@ -100,6 +102,24 @@ class TestHybridMapper:
         # 1:4 with 12-bit pairs: <= 0.375 of dense plus padding slack
         assert report["compression_ratio"] <= 0.40
         assert report["sram_bytes"] < report["mram_bytes"]
+
+    def test_storage_report_charges_each_kind_its_own_pair_bits(
+            self, small_workload):
+        """A core whose PEs store 4-bit weights with 3-bit (SRAM) or 2-bit
+        (MRAM) indices reports 7- and 6-bit pairs, not 8 + 4."""
+        pattern = NMPattern(1, 4)
+        core = CoreConfig(mram=MRAMPEConfig(weight_bits=4, index_bits=2),
+                          sram=SRAMPEConfig(weight_bits=4, index_bits=3))
+        mapper = HybridMapper(pattern, core)
+        plan = mapper.map_workload(small_workload)
+        pairs = {kind: sum(t.pairs for t in plan.tiles if t.kind == kind)
+                 for kind in ("sram", "mram")}
+        report = mapper.storage_report(small_workload)
+        assert report["sram_bytes"] == pairs["sram"] * 7 / 8
+        assert report["mram_bytes"] == pairs["mram"] * 6 / 8
+        assert report["compression_ratio"] == (
+            (pairs["sram"] * 7 + pairs["mram"] * 6)
+            / (small_workload.total_weights * 8))
 
     def test_sparser_pattern_needs_fewer_pes(self, small_workload):
         p14 = HybridMapper(NMPattern(1, 4)).map_workload(small_workload)

@@ -1,20 +1,22 @@
 """Regrowth guard: no public name in ``src/repro`` is reached only by tests.
 
 The guard collects every public top-level function and class, and every
-public method of a top-level class, in ``src/repro`` outside ``lint/``.  It
-then scans the ``.py`` files of ``src/``, ``examples/`` and ``perfbench/``
+public method of a top-level class, in ``src/repro``.  It then scans the ``.py`` files of ``src/``, ``examples/`` and ``perfbench/``
 for references, outside the definition itself: every ``Name``, every
 ``Attribute``, every imported name, and every component of a dotted-name
 string such as ``"repro.nn.functional.max_pool2d"`` or
 ``"repro.core.sram_pe:SRAMSparsePE"`` (perfbench wraps layers it names by
 string).  Words in docstrings and comments are not references.  Imports in
-``__init__.py`` files are skipped, since a re-export is not a caller.
+``__init__.py`` files are skipped, since a re-export is not a caller.  A
+definition decorated with a registrar (``@register``, which instantiates
+each lint rule class) has the registry as its caller.
 
 A name with no reference fails the test unless ``ALLOWED`` lists it with
-its reason.  There are four accepted reasons: an oracle that a test holds a
+its reason.  There are five accepted reasons: an oracle that a test holds a
 production path to, a method a framework dispatches by name, a checker CI
-runs, and an analytical quantity that the planned cross-check of the
-analytical and bit-true hardware models names.
+runs, an analytical quantity that the planned cross-check of the
+analytical and bit-true hardware models names, and the linter's in-memory
+entry point that every rule fixture runs through.
 """
 
 import ast
@@ -33,6 +35,11 @@ ORACLE = "oracle"
 DISPATCH = "framework dispatch"
 CI_CHECK = "checker CI runs"
 CROSS_CHECK = "analytical-vs-bit-true cross-check"
+FIXTURE_DOOR = "lint fixtures' entry point"
+
+#: Decorators that call what they decorate, so the decorated name has a
+#: caller: ``repro.lint.registry.register`` instantiates each rule class.
+REGISTRARS = frozenset({"register"})
 
 #: ``qualname -> (reason, why)``: the names allowed to have no caller.
 ALLOWED: Dict[str, Tuple[str, str]] = {
@@ -58,6 +65,12 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "_Handler.do_PATCH": (DISPATCH, "http.server calls do_<VERB>"),
     "_Handler.log_message": (
         DISPATCH, "http.server calls it to log each request"),
+    "Interval.bitand": (
+        DISPATCH, "lint/dataflow/transfer.py's _BINOPS maps ast.BitAnd to "
+                  "it by name"),
+    "Interval.bitor": (
+        DISPATCH, "lint/dataflow/transfer.py's _BINOPS maps ast.BitOr to "
+                  "it by name"),
     "validate_trace_events": (
         CI_CHECK, "CI's dse-check job validates the sweep trace with it"),
     "HybridSparseDesign.mram_array_count": (
@@ -65,6 +78,9 @@ ALLOWED: Dict[str, Tuple[str, str]] = {
     "Workload.compressed_bits": (
         CROSS_CHECK, "the compressed (weight, index) storage both hardware "
                      "models claim"),
+    "lint_sources": (
+        FIXTURE_DOOR, "every rule's fixture tests lint in-memory sources "
+                      "through it; it shares _run_rules with lint_paths"),
 }
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:[.:][A-Za-z_]\w*)+")
@@ -75,8 +91,6 @@ _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 def public_definitions() -> Iterator[Tuple[Path, str, ast.AST]]:
     """``(path, qualname, node)`` for every public name the guard covers."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        if path.relative_to(PACKAGE).parts[0] == "lint":
-            continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if not isinstance(node, _DEFS):
                 continue
@@ -117,11 +131,19 @@ def references() -> Dict[str, List[Tuple[Path, int]]]:
     return uses
 
 
+def registered(node: ast.AST) -> bool:
+    """Whether a registrar decorates ``node`` (see ``REGISTRARS``)."""
+    return any(isinstance(d, ast.Name) and d.id in REGISTRARS
+               for d in getattr(node, "decorator_list", ()))
+
+
 def uncalled_names() -> Dict[str, Tuple[Path, ast.AST]]:
     """Public names with no reference outside their definition."""
     uses = references()
     found: Dict[str, Tuple[Path, ast.AST]] = {}
     for path, qualname, node in public_definitions():
+        if registered(node):
+            continue
         lo, hi = node.lineno, node.end_lineno
         if not any(not (where == path and lo <= line <= hi)
                    for where, line in uses.get(node.name, ())):
@@ -205,7 +227,11 @@ def toy_tree(tmp_path, monkeypatch):
             "class Named:\n"
             "    def used(self):\n        pass\n\n"
             "    def unused(self):\n        pass\n"),
-        "src/repro/lint/rules.py": "def lint_only():\n    pass\n",
+        "src/repro/lint/rules.py": (
+            "from .registry import register\n\n\n"
+            "def lint_only():\n    pass\n\n\n"
+            "@register\n"
+            "class Rule:\n    pass\n"),
         "examples/demo.py": "from repro.toy import called\ncalled()\n",
         "perfbench/run.py": ("SPANS = ['repro.toy:Named']\n\n\n"
                              "def go(obj):\n    obj.used()\n"),
@@ -222,12 +248,12 @@ def toy_tree(tmp_path, monkeypatch):
 
 def test_scan_finds_exactly_the_uncalled_names(toy_tree):
     """A re-export and a self-call are not callers; a plain call, a method
-    call on any object and a dotted-name string are."""
+    call on any object, a dotted-name string and a registrar are."""
     assert sorted(uncalled_names()) == ["Named.unused", "exported",
-                                        "recursive"]
+                                        "lint_only", "recursive"]
 
 
-def test_lint_and_private_names_are_not_covered(toy_tree):
+def test_private_names_are_not_covered(toy_tree):
     covered = {qualname for _, qualname, _ in public_definitions()}
     assert covered == {"called", "exported", "recursive", "Named",
-                       "Named.used", "Named.unused"}
+                       "Named.used", "Named.unused", "lint_only", "Rule"}
