@@ -7,7 +7,8 @@ flow through seeded ``np.random.Generator`` parameters, or that every
 production kernel has a tested ``<kernel>_reference`` oracle.  This package
 encodes those invariants as rules R1–R5 over a small visitor engine, plus
 three verifiers over a shared call graph: bit widths (R6/R7), effects and
-reentrancy (R8/R9) and concurrency (R11–R14).  ``python -m repro.lint
+reentrancy (R8/R9) and concurrency (R11–R14); the last two also share one
+interprocedural layer (:mod:`.interproc`).  ``python -m repro.lint
 src/repro`` runs every rule in one pass; CI gates on it.
 
 See docs/METHODOLOGY.md §8 for the rule catalogue.

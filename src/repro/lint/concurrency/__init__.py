@@ -15,12 +15,16 @@ Layout mirrors :mod:`repro.lint.effects`:
   threads a held-lock set through ``with lock:`` scopes and
   ``acquire()``/``release()`` pairs, recording guarded-field accesses,
   call sites, lock acquisitions, blocking operations, thread creation,
-  and wait-discipline facts — each stamped with the lockset held there.
-* :mod:`.analysis` — the interprocedural fixpoints over the shared
+  wait-discipline facts and writes to module-level state (the global-
+  write classifier R8 also reads) — each stamped with the lockset held
+  there.
+* :mod:`.analysis` — the interprocedural summaries over the shared
   :mod:`repro.lint.callgraph`: entry locksets (must-hold intersection
-  over call sites), may-block summaries, transitively-acquired lock
-  sets, and the global lock-acquisition order graph, plus witness-chain
-  reconstruction.
+  over call sites, its own fixpoint), then may-block and
+  transitively-acquired lock summaries, thread reachability and witness
+  chains from the layer shared with the effects verifier
+  (:mod:`repro.lint.interproc`), and the global lock-acquisition order
+  graph.
 * :mod:`.rules` — R11 guarded-field discipline, R12 no-blocking-while-
   locked, R13 deadlock freedom, R14 thread hygiene.
 """

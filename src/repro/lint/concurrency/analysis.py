@@ -1,7 +1,8 @@
-"""Interprocedural concurrency fixpoints over the project call graph.
+"""Interprocedural concurrency summaries over the project call graph.
 
-Four summaries, all computed over the one :class:`~repro.lint.callgraph.
-CallGraph` a lint run builds and shares between its verifiers:
+Built over the one :class:`~repro.lint.callgraph.CallGraph` a lint run
+builds and shares between its verifiers, and over the shared layer in
+:mod:`repro.lint.interproc`:
 
 **Entry locksets** — the set of locks *provably held whenever a function
 is entered*.  Public functions (and dunders) are entered lock-free by
@@ -12,20 +13,23 @@ bodies) run on another thread and contribute an empty site.  The
 fixpoint only shrinks, so recompute-until-stable terminates.  This is
 what lets ``Job._doc`` stay lock-free in source while R11 proves its
 guarded reads safe: every call site sits inside ``JobStore._lock``.
+It is the one must-summary here, so it keeps its own fixpoint.
 
-**May-block summaries** — which functions can reach a blocking leaf
-(R12), each with one representative origin *and the lockset that leaf
-releases while blocked*: ``Condition.wait`` drops its own lock, so a
-caller holding exactly that condition is fine, while any other held
-lock is a finding.  Origins prefer non-releasing leaves (strictest).
-
-**Acquired locksets** — which locks a function (transitively) acquires,
-with origin chains; crossed with locks held at call sites this yields
-the global lock-*order* graph whose cycles are R13's deadlocks, and
-re-acquisition of a non-reentrant lock on a path that already holds it.
+**May-block and acquired-lock summaries** — two runs of the shared
+may-summary propagation (:func:`~repro.lint.interproc.propagate`) over
+the non-deferred call sites.  A function may block (R12) when it reaches
+a blocking leaf; the leaf's local fact records the locks it releases
+while blocked (``Condition.wait`` drops its own lock, so a caller
+holding exactly that condition is fine, while any other held lock is a
+finding), and a local leaf that releases nothing is preferred
+(strictest).  The acquired set holds the locks a function (transitively)
+takes; crossed with locks held at call sites it yields the global
+lock-*order* graph whose cycles are R13's deadlocks, and re-acquisition
+of a non-reentrant lock on a path that already holds it.
 
 **Thread-reachability** — functions reachable from thread targets and
-executor submissions, the scope of R14's module-global hygiene check.
+executor submissions (:func:`~repro.lint.interproc.reachable`), the
+scope of R14's check on writes to module-level state.
 
 The dedup discipline: *local* checks use locally-held locks only, and
 *call-site* checks use site-held locks only — entry-set contributions
@@ -38,33 +42,18 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..callgraph import CallGraph, FunctionInfo
+from ..callgraph import CallGraph
+from ..interproc import (Origin, Summary, format_witness, propagate,
+                         reachable, witness)
 from .locksets import EMPTY, FunctionFacts, analyze_function
 from .model import BLOCKING_INTERNAL, ProjectModel, build_model, short_lock
 
-#: Bounds on fixpoint rounds / witness reconstruction / cycle DFS depth.
+#: Bounds on entry-lockset rounds / unguarded-path walks / cycle DFS depth.
 _ROUND_BOUND = 64
 _WITNESS_BOUND = 16
 
-
-@dataclasses.dataclass
-class BlockOrigin:
-    """Why a function may block: one representative origin."""
-    line: int
-    kind: str                    # "local" | "call" | "declared"
-    detail: str
-    callee: Optional[str] = None
-    #: Locks the (ultimate) blocking leaf releases while blocked.
-    releases: FrozenSet[str] = EMPTY
-
-
-@dataclasses.dataclass
-class AcquireOrigin:
-    """How a lock enters a function's acquired set."""
-    line: int
-    kind: str                    # "local" | "call"
-    detail: str
-    callee: Optional[str] = None
+#: The one atom of a may-block summary.
+BLOCKS = "blocks"
 
 
 @dataclasses.dataclass
@@ -75,7 +64,6 @@ class OrderEdge:
     qualname: str
     line: int
     detail: str
-    callee: Optional[str] = None
 
 
 _Site = Tuple[str, int, FrozenSet[str], bool]    # caller, line, held, deferred
@@ -90,8 +78,12 @@ class ConcurrencyAnalysis:
         self.facts: Dict[str, FunctionFacts] = {}
         self.entry: Dict[str, FrozenSet[str]] = {}
         self.sites_by_callee: Dict[str, List[_Site]] = {}
-        self.blocks: Dict[str, Optional[BlockOrigin]] = {}
-        self.acquired: Dict[str, Dict[str, AcquireOrigin]] = {}
+        #: qualname -> {BLOCKS: origin} when it may block, else {}.
+        self.blocks: Dict[str, Summary] = {}
+        #: Blocking leaf qualname -> locks its blocking fact releases.
+        self.releases: Dict[str, FrozenSet[str]] = {}
+        #: qualname -> acquired lock -> first origin.
+        self.acquired: Dict[str, Summary] = {}
         self.order_edges: Dict[Tuple[str, str], OrderEdge] = {}
         self.thread_reachable: Set[str] = set()
 
@@ -108,10 +100,16 @@ class ConcurrencyAnalysis:
                 self.sites_by_callee.setdefault(site.callee, []).append(
                     (qualname, site.line, site.held, site.deferred))
         self._entry_fixpoint(order)
-        self._block_fixpoint(order)
-        self._acquired_fixpoint(order)
+        edges = {q: self.facts[q].calls for q in order}
+        self.blocks = propagate({q: self._local_block(q) for q in order},
+                                edges)
+        self.acquired = propagate(
+            {q: self._local_acquires(q) for q in order}, edges)
         self._order_graph(order)
-        self._reachability()
+        self.thread_reachable = reachable(
+            (site.callee for q in order for site in self.facts[q].calls
+             if site.deferred and site.via in ("thread-target", "executor")),
+            edges)
         return self
 
     # ------------------------------------------------------- entry locksets
@@ -158,79 +156,42 @@ class ConcurrencyAnalysis:
         self.entry = {q: (v if v is not None else EMPTY)
                       for q, v in known.items()}
 
-    # ---------------------------------------------------- may-block fixpoint
-    def _block_fixpoint(self, order: List[str]) -> None:
-        for qualname in order:
-            self.blocks[qualname] = self._initial_block(qualname)
-        for _ in range(_ROUND_BOUND):
-            changed = False
-            for qualname in order:
-                if self.blocks[qualname] is not None:
-                    continue
-                for site in self.facts[qualname].calls:
-                    if site.deferred:
-                        continue
-                    origin = self.blocks.get(site.callee)
-                    if origin is None:
-                        continue
-                    self.blocks[qualname] = BlockOrigin(
-                        line=site.line, kind="call",
-                        detail=f"calls {site.callee}", callee=site.callee,
-                        releases=origin.releases)
-                    changed = True
-                    break
-            if not changed:
-                break
-
-    def _initial_block(self, qualname: str) -> Optional[BlockOrigin]:
+    # ------------------------------------------------------ local summaries
+    def _local_block(self, qualname: str) -> Summary:
         ops = self.facts[qualname].blocks
         if ops:
             # Prefer a leaf that releases nothing: strictest summary.
             best = min(ops, key=lambda o: (len(o.releases), o.line))
-            return BlockOrigin(line=best.line, kind="local",
-                               detail=best.detail, releases=best.releases)
+            self.releases[qualname] = best.releases
+            return {BLOCKS: Origin(line=best.line, kind="local",
+                                   detail=best.detail)}
         decl = self.model.holds_no_locks.get(qualname)
         if decl is not None:
             line, reason = decl
             suffix = f" ({reason})" if reason else ""
-            return BlockOrigin(line=line, kind="declared",
-                               detail=f"declared @holds_no_locks{suffix}")
-        if qualname in BLOCKING_INTERNAL:
-            info = self.graph.function_for(qualname)
-            return BlockOrigin(line=info.line if info else 0,
-                               kind="declared",
-                               detail="curated blocking entry point "
-                                      "(engine evaluation)")
-        return None
+            detail = f"declared @holds_no_locks{suffix}"
+        elif qualname in BLOCKING_INTERNAL:
+            line = self.graph.functions[qualname].line
+            detail = "curated blocking entry point (engine evaluation)"
+        else:
+            return {}
+        self.releases[qualname] = EMPTY
+        return {BLOCKS: Origin(line=line, kind="local", detail=detail)}
 
-    # ----------------------------------------------------- acquired fixpoint
-    def _acquired_fixpoint(self, order: List[str]) -> None:
-        for qualname in order:
-            table: Dict[str, AcquireOrigin] = {}
-            for acq in self.facts[qualname].acquires:
-                if acq.deferred or acq.lock in table:
-                    continue
-                table[acq.lock] = AcquireOrigin(
+    def _local_acquires(self, qualname: str) -> Summary:
+        table: Summary = {}
+        for acq in self.facts[qualname].acquires:
+            if not acq.deferred and acq.lock not in table:
+                table[acq.lock] = Origin(
                     line=acq.line, kind="local",
                     detail=f"acquires {short_lock(acq.lock)}")
-            self.acquired[qualname] = table
-        for _ in range(_ROUND_BOUND):
-            changed = False
-            for qualname in order:
-                table = self.acquired[qualname]
-                for site in self.facts[qualname].calls:
-                    if site.deferred:
-                        continue
-                    for lock in self.acquired.get(site.callee, ()):
-                        if lock in table:
-                            continue
-                        table[lock] = AcquireOrigin(
-                            line=site.line, kind="call",
-                            detail=f"calls {site.callee}",
-                            callee=site.callee)
-                        changed = True
-            if not changed:
-                break
+        return table
+
+    def block_releases(self, qualname: str) -> FrozenSet[str]:
+        """The locks released while blocked by the leaf that ``qualname``'s
+        may-block witness chain ends at."""
+        leaf, _origin = witness(self.blocks, qualname, BLOCKS)[-1]
+        return self.releases[leaf]
 
     # ----------------------------------------------------------- order graph
     def _order_graph(self, order: List[str]) -> None:
@@ -256,8 +217,7 @@ class ConcurrencyAnalysis:
                             first=held, second=lock, qualname=qualname,
                             line=site.line,
                             detail=f"calls {site.callee}, which acquires "
-                                   f"{short_lock(lock)}",
-                            callee=site.callee))
+                                   f"{short_lock(lock)}"))
 
     def _add_edge(self, edge: OrderEdge) -> None:
         self.order_edges.setdefault((edge.first, edge.second), edge)
@@ -309,78 +269,13 @@ class ConcurrencyAnalysis:
                 for lock in sorted(site.held):
                     if lock in self.acquired.get(site.callee, ()) \
                             and not self.model.is_reentrant_lock(lock):
-                        out.append((
-                            qualname, site.line, lock,
-                            self.format_acquire_witness(
-                                qualname, site, lock)))
+                        chain = format_witness(self.graph, self.acquired,
+                                               site.callee, lock)
+                        out.append((qualname, site.line, lock,
+                                    f"{qualname}:{site.line} -> {chain}"))
         return out
 
-    # --------------------------------------------------------- reachability
-    def _reachability(self) -> None:
-        roots = []
-        for qualname in sorted(self.facts):
-            for fact in self.facts[qualname].threads:
-                if fact.target:
-                    roots.append(fact.target)
-            for site in self.facts[qualname].calls:
-                if site.deferred and site.via in ("thread-target",
-                                                  "executor"):
-                    roots.append(site.callee)
-        frontier = list(roots)
-        while frontier:
-            qualname = frontier.pop()
-            if qualname in self.thread_reachable \
-                    or qualname not in self.facts:
-                continue
-            self.thread_reachable.add(qualname)
-            for site in self.facts[qualname].calls:
-                if not site.deferred:
-                    frontier.append(site.callee)
-
     # ------------------------------------------------------------ witnesses
-    def format_block_witness(self, qualname: str, line: int) -> str:
-        """``caller:line -> ... [path:leaf_line: leaf detail]`` for R12."""
-        steps: List[Tuple[str, int]] = [(qualname, line)]
-        origin = self.blocks.get(qualname)
-        current = qualname
-        for _ in range(_WITNESS_BOUND):
-            if origin is None:
-                break
-            if origin.kind != "call" or origin.callee is None:
-                break
-            steps.append((origin.callee,
-                          self.blocks[origin.callee].line
-                          if self.blocks.get(origin.callee) else origin.line))
-            current = origin.callee
-            origin = self.blocks.get(current)
-        hops = " -> ".join(f"{q}:{ln}" for q, ln in steps)
-        leaf = self.blocks.get(current)
-        info = self.graph.function_for(current)
-        if leaf is None or info is None:
-            return hops
-        return f"{hops} [{info.path}:{leaf.line}: {leaf.detail}]"
-
-    def format_acquire_witness(self, qualname: str, site,
-                               lock: str) -> str:
-        """Call chain from a holding site down to the acquiring line."""
-        steps: List[Tuple[str, int]] = [(qualname, site.line)]
-        current = site.callee
-        for _ in range(_WITNESS_BOUND):
-            origin = self.acquired.get(current, {}).get(lock)
-            if origin is None:
-                break
-            steps.append((current, origin.line))
-            if origin.kind == "local" or origin.callee is None:
-                break
-            current = origin.callee
-        hops = " -> ".join(f"{q}:{ln}" for q, ln in steps)
-        info = self.graph.function_for(current)
-        origin = self.acquired.get(current, {}).get(lock)
-        if info is None or origin is None:
-            return hops
-        return (f"{hops} [{info.path}:{origin.line}: acquires "
-                f"{short_lock(lock)} while holding it on the same path]")
-
     def format_unguarded_witness(self, qualname: str, line: int,
                                  lock: str, detail: str) -> str:
         """A lock-free path from a public root down to the access (R11)."""
@@ -417,9 +312,6 @@ class ConcurrencyAnalysis:
             for line, message in cls.errors:
                 out.append((cls.info.path, line, message))
         return out
-
-    def info_for(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.graph.function_for(qualname)
 
 
 def analyze_concurrency(project) -> ConcurrencyAnalysis:

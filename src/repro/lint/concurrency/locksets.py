@@ -16,8 +16,9 @@ consume, each stamped with the lockset held at that point:
 * blocking operations with the locks they release while blocked (R12 —
   ``Condition.wait`` drops its own lock),
 * thread construction/join and wait-discipline facts (R14),
-* module-global writes (R14's "mutable state touched from a thread
-  target needs a lock" check).
+* writes to module-level state, as the shared
+  :func:`~repro.lint.interproc.global_write` classifies them (R14's
+  "mutable state touched from a thread target needs a lock" check).
 
 Receivers are typed by the shared :class:`~repro.lint.callgraph.
 FunctionScope` (annotations, constructor-call locals, ``__init__``
@@ -35,17 +36,12 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..astutil import call_keyword
 from ..callgraph import CallGraph, FunctionInfo
+from ..interproc import CallEdge, global_write
 from .model import (BLOCKING_SYNC_METHODS, LOCK_KINDS, ProjectModel,
                     _sync_kind_of_call, is_blocking_external, lock_id,
                     short_lock)
 
 EMPTY: FrozenSet[str] = frozenset()
-
-#: Container-mutating methods (module-global hygiene, R14).
-_MUTATING_METHODS = frozenset({
-    "append", "add", "update", "setdefault", "pop", "popitem", "clear",
-    "extend", "insert", "remove", "discard", "appendleft",
-})
 
 
 # ---------------------------------------------------------------------------
@@ -64,16 +60,15 @@ class FieldAccess:
 
 
 @dataclasses.dataclass
-class CallSite:
-    """A resolved call edge, stamped with the locks held at the site."""
-    line: int
-    callee: str
-    held: FrozenSet[str]
-    #: Deferred sites (thread targets, executor submissions, lambda
-    #: bodies) run later on another thread: they seed entry locksets
-    #: (with an empty held set) and R14 reachability, but do not make
-    #: the *enclosing* function block or acquire anything.
-    deferred: bool = False
+class CallSite(CallEdge):
+    """A resolved call edge, stamped with the locks held at the site.
+
+    Deferred sites (thread targets, executor submissions, lambda bodies)
+    run later on another thread: they seed entry locksets (with an empty
+    held set) and R14 reachability, but do not make the *enclosing*
+    function block or acquire anything.
+    """
+    held: FrozenSet[str] = EMPTY
     via: str = "call"
 
 
@@ -124,9 +119,9 @@ class WaitFact:
 
 @dataclasses.dataclass
 class GlobalWrite:
-    """A write/mutation of module-level mutable state."""
+    """A write to module-level state (:func:`~repro.lint.interproc.
+    global_write`)."""
     line: int
-    name: str                   # module-qualified global name
     detail: str
     held: FrozenSet[str]
 
@@ -271,6 +266,7 @@ class _Walker:
                 self._scan_expr(stmt.test, held)
             else:
                 self._scan_expr(stmt.iter, held)
+                self._scan_expr(stmt.target, held)
             self.loop_depth += 1
             try:
                 self._walk_body(stmt.body, held)
@@ -300,17 +296,17 @@ class _Walker:
         if isinstance(stmt, ast.Assign):
             self._scan_expr(stmt.value, held)
             for target in stmt.targets:
-                self._scan_store(target, held)
+                self._scan_expr(target, held)
             self._note_thread_binding(stmt, held)
             return self._straightline_sync(stmt, held)
         if isinstance(stmt, ast.AugAssign):
             self._scan_expr(stmt.value, held)
-            self._scan_store(stmt.target, held)
+            self._scan_expr(stmt.target, held)
             return held
         if isinstance(stmt, ast.AnnAssign):
             self._scan_expr(stmt.value, held)
             if stmt.value is not None:
-                self._scan_store(stmt.target, held)
+                self._scan_expr(stmt.target, held)
             return held
         if isinstance(stmt, ast.Expr):
             self._scan_expr(stmt.value, held)
@@ -321,7 +317,7 @@ class _Walker:
             return held
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                self._scan_store(target, held)
+                self._scan_expr(target, held)
             return held
         for value in ast.iter_child_nodes(stmt):
             if isinstance(value, ast.expr):
@@ -343,6 +339,7 @@ class _Walker:
                 acquired_here.append(identity)
             else:
                 self._scan_expr(item.context_expr, current)
+            self._scan_expr(item.optional_vars, current)
         after = self._walk_body(stmt.body, current)
         return after - frozenset(acquired_here)
 
@@ -398,9 +395,10 @@ class _Walker:
                 self._record_access(node, held,
                                     write=isinstance(node.ctx,
                                                      (ast.Store, ast.Del)))
-            elif isinstance(node, ast.Name):
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    self._record_name_store(node, held)
+            detail = global_write(self.scope, node)
+            if detail is not None:
+                self.facts.global_writes.append(GlobalWrite(
+                    line=node.lineno, detail=detail, held=held))
             stack.extend(ast.iter_child_nodes(node))
 
     def _walk_deferred(self, body: List[ast.stmt]) -> None:
@@ -410,32 +408,6 @@ class _Walker:
             self._walk_body(body, EMPTY)
         finally:
             self.deferred_depth -= 1
-
-    def _scan_store(self, target: ast.expr, held: FrozenSet[str]) -> None:
-        self._scan_expr(target, held)
-        # Subscript/attribute stores on module globals: d[k] = v, g.x = v.
-        base = target
-        while isinstance(base, (ast.Subscript, ast.Attribute)):
-            base = base.value
-        if isinstance(base, ast.Name) and base is not target:
-            self._record_global_mutation(base, target.lineno,
-                                         "item/attribute store", held)
-
-    def _record_name_store(self, node: ast.Name,
-                           held: FrozenSet[str]) -> None:
-        if node.id in self.scope.globals:
-            self.facts.global_writes.append(GlobalWrite(
-                line=node.lineno,
-                name=lock_id(self.info.module, node.id),
-                detail=f"rebinds module global {node.id!r}", held=held))
-
-    def _record_global_mutation(self, base: ast.Name, line: int,
-                                how: str, held: FrozenSet[str]) -> None:
-        resolved = self.scope.module_global(base.id)
-        if resolved is not None and resolved[1] in ("mutable", "object"):
-            self.facts.global_writes.append(GlobalWrite(
-                line=line, name=lock_id(self.info.module, base.id),
-                detail=f"{how} on module global {base.id!r}", held=held))
 
     # ------------------------------------------------------------ accesses
     def _record_access(self, node: ast.Attribute, held: FrozenSet[str],
@@ -481,13 +453,10 @@ class _Walker:
             if target[1].split(".")[-1] == "Thread":
                 self._record_thread(call)
             return
-        callees = self.scope.callees(call)
-        for callee in callees:
+        for callee in self.scope.callees(call):
             self.facts.calls.append(CallSite(
                 line=call.lineno, callee=callee, held=held,
                 deferred=deferred))
-        if target is None and not callees:
-            self._maybe_global_mutation(call, held)
 
     def _record_sync_call(self, call: ast.Call, target: Tuple[str, str, str],
                           held: FrozenSet[str]) -> None:
@@ -536,17 +505,6 @@ class _Walker:
         if isinstance(recv, ast.Name):
             return ("local", recv.id)
         return None
-
-    def _maybe_global_mutation(self, call: ast.Call,
-                               held: FrozenSet[str]) -> None:
-        """Mutating-method calls on module globals: _CACHE.clear() etc."""
-        func = call.func
-        if not (isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Name)):
-            return
-        self._record_global_mutation(
-            func.value, call.lineno, f".{func.attr}(...) call", held)
 
     def _record_thread(self, call: ast.Call) -> None:
         """Record a threading.Thread(...) construction and its target."""

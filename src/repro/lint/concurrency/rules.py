@@ -3,9 +3,9 @@ R13 (deadlock freedom), R14 (thread hygiene).
 
 All four are project rules and run on every ``python -m repro.lint``;
 they share one model, one lockset pass and one set of interprocedural
-fixpoints per run (:func:`~.analysis.analyze_concurrency` caches it on
-the project context, and the call graph itself is shared with the
-effects verifier).
+summaries per run (:func:`~.analysis.analyze_concurrency` caches it on
+the project context; the call graph and :mod:`repro.lint.interproc` are
+shared with the effects verifier).
 
 R11 — guarded-field discipline
     Every access to a ``@guarded_by``-declared field must occur with the
@@ -30,8 +30,9 @@ R13 — deadlock freedom
 R14 — thread hygiene
     Every ``threading.Thread`` is daemon or provably joined; every
     ``Condition.wait`` sits in a predicate loop; every ``Event.wait``
-    passes a timeout; module-level mutable state written from a
-    thread-target-reachable function has some lock held.
+    passes a timeout; every write to module-level state (the shared
+    :func:`~repro.lint.interproc.global_write` classifier, the one R8
+    reads) in a thread-target-reachable function has some lock held.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ from __future__ import annotations
 from typing import Iterator, List, Set, Tuple
 
 from ..findings import Finding
+from ..interproc import format_witness
 from ..registry import Rule, register
-from .analysis import ConcurrencyAnalysis, analyze_concurrency
+from .analysis import BLOCKS, ConcurrencyAnalysis, analyze_concurrency
 from .locksets import EMPTY
 from .model import short_lock
 
@@ -111,15 +113,15 @@ class BlockingWhileLockedRule(Rule):
             for site in facts.calls:
                 if site.deferred or not site.held:
                     continue
-                origin = analysis.blocks.get(site.callee)
+                origin = analysis.blocks.get(site.callee, {}).get(BLOCKS)
                 if origin is None:
                     continue
-                stuck = site.held - origin.releases
+                stuck = site.held - analysis.block_releases(site.callee)
                 if not stuck:
                     continue
                 locks = ", ".join(short_lock(x) for x in sorted(stuck))
-                tail = analysis.format_block_witness(site.callee,
-                                                     origin.line)
+                tail = format_witness(analysis.graph, analysis.blocks,
+                                      site.callee, BLOCKS)
                 yield self.finding(
                     facts.info.path, site.line, 0,
                     f"{qualname} calls {site.callee} while holding "
@@ -144,7 +146,7 @@ class DeadlockFreedomRule(Rule):
         for cycle in self._canonical_cycles(analysis):
             yield self._cycle_finding(analysis, cycle)
         for qualname, line, lock, witness in analysis.reacquisitions():
-            info = analysis.info_for(qualname)
+            info = analysis.graph.function_for(qualname)
             if info is None:
                 continue
             yield self.finding(
@@ -173,7 +175,7 @@ class DeadlockFreedomRule(Rule):
             edge = analysis.order_edges[(first, second)]
             witnesses.append(f"{edge.qualname}:{edge.line} ({edge.detail})")
         head = analysis.order_edges[(cycle[0], cycle[1 % len(cycle)])]
-        info = analysis.info_for(head.qualname)
+        info = analysis.graph.function_for(head.qualname)
         return self.finding(
             info.path if info else "?", head.line, 0,
             f"lock-order cycle {ring}: two threads taking these locks in "

@@ -5,14 +5,19 @@ Layered like the dataflow pass, one level up the call stack:
 :mod:`repro.lint.callgraph`
     Package-wide name binding, local typing and call resolution, shared
     with the dataflow and concurrency verifiers.
+:mod:`repro.lint.interproc`
+    The layer shared with the concurrency verifier: the one global-write
+    classifier (``WRITES_GLOBAL`` here, R14's unlocked writes there), the
+    one may-summary propagation, the witness walk and reachability.
 :mod:`.lattice`
-    The effect powerset lattice and witness :class:`~.lattice.Origin`.
+    The effect atoms and the powerset lattice over them.
 :mod:`.summaries`
     The external-leaf trust table (stdlib/numpy effect summaries).
 :mod:`.transfer`
     Per-function local facts and call edges.
 :mod:`.analysis`
-    The worklist fixpoint and witness-chain reconstruction.
+    Local facts propagated to fixpoint summaries, ``@effects`` leaves
+    held fixed.
 :mod:`.rules`
     R8 reentrancy, R9 cache-key completeness.
 """

@@ -13,8 +13,10 @@ Atoms:
     Benign for reentrancy — equal inputs still give equal outputs — but
     tracked because a read today is a write-site candidate tomorrow.
 ``WRITES_GLOBAL``
-    Mutates module-level state: ``global`` rebinding, attribute or
-    subscript stores on module objects, mutating method calls on them.
+    Mutates module-level state: what
+    :func:`repro.lint.interproc.global_write` classifies as a write
+    (``global`` rebinding, stores and ``del`` through module-level
+    objects, mutating method calls on them).
 ``AMBIENT_RNG``
     Draws from process-global randomness (``np.random.*``, ``random.*``,
     argless ``default_rng()``) — output depends on what ran before.
@@ -34,8 +36,7 @@ may not let one call perturb the next or depend on hash seeds.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Iterable
 
 READS_GLOBAL = "READS_GLOBAL"
 WRITES_GLOBAL = "WRITES_GLOBAL"
@@ -77,27 +78,3 @@ def describe(effects: FrozenSet[str]) -> str:
     if not effects:
         return "PURE"
     return "{" + ", ".join(e for e in ALL_EFFECTS if e in effects) + "}"
-
-
-@dataclasses.dataclass(frozen=True)
-class Origin:
-    """Why a function has one effect atom: a local fact or a callee.
-
-    ``kind == "local"``: ``detail`` describes the AST fact (``"call to
-    numpy.random.rand"``) at ``line`` of the function's own file.
-    ``kind == "call"``: the atom was inherited from ``callee`` (a
-    function qualname) invoked at ``line``; witness chains follow these
-    links until they bottom out at a local fact.
-    """
-
-    effect: str
-    line: int
-    kind: str                      # "local" or "call"
-    detail: str
-    callee: Optional[str] = None
-
-    def __post_init__(self):
-        if self.effect not in ALL_EFFECTS:
-            raise ValueError(f"unknown effect {self.effect!r}")
-        if self.kind not in ("local", "call"):
-            raise ValueError(f"origin kind {self.kind!r}")

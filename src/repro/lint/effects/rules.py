@@ -29,6 +29,7 @@ from typing import Iterator, List, Optional, Set, Tuple
 
 from ..astutil import dotted_name
 from ..findings import Finding
+from ..interproc import format_witness, reachable
 from ..registry import Rule, register
 from .analysis import EffectAnalysis, analyze_project
 from .lattice import ALL_EFFECTS, REENTRANT_BANNED, describe
@@ -56,15 +57,17 @@ class ReentrancyRule(Rule):
         analysis = analyze_project(project)
         for path, line, message in analysis.declaration_errors():
             yield self.finding(path, line, 0, message)
-        for summary in analysis.reentrant_functions():
-            info = summary.info
-            banned = summary.effects & REENTRANT_BANNED
+        for facts in analysis.reentrant_functions():
+            info = facts.info
+            effects = frozenset(analysis.origins[info.qualname])
+            banned = effects & REENTRANT_BANNED
             for effect in (e for e in ALL_EFFECTS if e in banned):
-                chain = analysis.format_witness(info.qualname, effect)
+                chain = format_witness(analysis.graph, analysis.origins,
+                                       info.qualname, effect)
                 yield self.finding(
-                    info.path, summary.facts.reentrant_line or info.line, 0,
+                    info.path, facts.reentrant_line, 0,
                     f"@reentrant {info.qualname!r} has {effect} "
-                    f"(summary {describe(summary.effects)}); witness: "
+                    f"(summary {describe(effects)}); witness: "
                     f"{chain} — make the leaf explicit-state, or declare "
                     "a trusted @effects(...) summary with a reason")
 
@@ -82,7 +85,7 @@ class CacheKeyCompletenessRule(Rule):
 
     def check_project(self, project) -> Iterator[Finding]:
         analysis = analyze_project(project)
-        entries = [q for q in sorted(analysis.summaries)
+        entries = [q for q in sorted(analysis.facts)
                    if q.endswith(".evaluate_config")]
         if not entries:
             return
@@ -90,9 +93,9 @@ class CacheKeyCompletenessRule(Rule):
         if keys is None:
             return    # no canonical key document visible: nothing to check
         key_set, spec_path = keys
-        reachable = self._reachable(analysis, entries)
-        for qualname in sorted(reachable):
-            info = analysis.summaries[qualname].info
+        edges = {q: f.edges for q, f in analysis.facts.items()}
+        for qualname in sorted(reachable(entries, edges)):
+            info = analysis.facts[qualname].info
             for key, line in self._config_reads(info.node):
                 if key not in key_set:
                     yield self.finding(
@@ -106,19 +109,6 @@ class CacheKeyCompletenessRule(Rule):
                                           spec_path)
 
     # ------------------------------------------------------------- plumbing
-    def _reachable(self, analysis: EffectAnalysis,
-                   entries: List[str]) -> Set[str]:
-        seen: Set[str] = set()
-        frontier = list(entries)
-        while frontier:
-            qualname = frontier.pop()
-            if qualname in seen or qualname not in analysis.summaries:
-                continue
-            seen.add(qualname)
-            for edge in analysis.summaries[qualname].facts.edges:
-                frontier.append(edge.callee)
-        return seen
-
     def _config_reads(self, fn_node) -> List[Tuple[str, int]]:
         """(key, line) for each config-document field read in the body.
 
@@ -187,10 +177,10 @@ class CacheKeyCompletenessRule(Rule):
                           key_set: Set[str],
                           spec_path: str) -> Iterator[Finding]:
         """normalize_config's dict literal must emit exactly CONFIG_KEYS."""
-        for qualname in sorted(analysis.summaries):
+        for qualname in sorted(analysis.facts):
             if not qualname.endswith(".normalize_config"):
                 continue
-            info = analysis.summaries[qualname].info
+            info = analysis.facts[qualname].info
             for node in ast.walk(info.node):
                 if not (isinstance(node, ast.Return)
                         and isinstance(node.value, ast.Dict)):

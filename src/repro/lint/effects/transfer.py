@@ -2,10 +2,11 @@
 
 For one function the transfer produces:
 
-* **local effects with origins** — ``global`` rebindings, attribute or
-  subscript stores on module-level objects, mutating method calls on
-  them, reads of module-level mutable state, ambient-RNG calls, IO and
-  hash-ordered iteration (each with the line and a human description);
+* **local effects with origins** — writes to module-level state (the
+  shared :func:`~repro.lint.interproc.global_write` classifier), reads
+  of module-level mutable state, ambient-RNG calls, IO and hash-ordered
+  iteration (each with the line and a human description; the first
+  origin of each atom is kept);
 * **call edges** — every call the binder resolves to an in-package
   function, including constructor edges (``__init__``/``__post_init__``)
   and registry fan-out (``REGISTRY[name](...)`` edges to every
@@ -25,20 +26,14 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..astutil import decorator_tail, dotted_name, iter_nodes, keyword_str
 from ..callgraph import CallGraph, FunctionInfo, FunctionScope
+from ..interproc import CallEdge, Origin, global_write
 from .lattice import (AMBIENT_RNG, NONDETERMINISTIC_ORDER, READS_GLOBAL,
-                      WRITES_GLOBAL, Origin, effect_set)
+                      WRITES_GLOBAL, effect_set)
 from .summaries import leaf_summary
-
-#: Method names that mutate their receiver in place.
-MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "pop", "popitem",
-    "clear", "remove", "discard", "setdefault", "sort", "reverse",
-    "__setitem__", "__delitem__",
-})
 
 #: Reducers whose result depends on element order (joined/accumulated).
 ORDER_SENSITIVE_REDUCERS = frozenset({"sum", "join", "list", "tuple"})
@@ -48,20 +43,13 @@ REENTRANT_DECORATOR = "reentrant"
 EFFECTS_DECORATOR = "effects"
 
 
-@dataclasses.dataclass(frozen=True)
-class CallEdge:
-    """One resolved in-package call: who, and from which line."""
-
-    callee: str        # qualname
-    line: int
-
-
 @dataclasses.dataclass
 class LocalFacts:
     """Everything the transfer learned about one function."""
 
     info: FunctionInfo
-    origins: List[Origin] = dataclasses.field(default_factory=list)
+    #: Effect atom -> its first local origin.
+    origins: Dict[str, Origin] = dataclasses.field(default_factory=dict)
     edges: List[CallEdge] = dataclasses.field(default_factory=list)
     reentrant_line: Optional[int] = None
     reentrant_reason: str = ""
@@ -135,12 +123,12 @@ class _Transfer:
         #: Locals every assignment of which is a set: iterating them is
         #: hash-ordered.
         self.set_locals = _set_locals(self.scope)
-        self._seen_reads: set = set()
 
     # ------------------------------------------------------------- plumbing
     def emit(self, effect: str, line: int, detail: str) -> None:
-        self.facts.origins.append(Origin(effect=effect, line=line,
-                                         kind="local", detail=detail))
+        if effect not in self.facts.origins:
+            self.facts.origins[effect] = Origin(line=line, kind="local",
+                                                detail=detail)
 
     # ------------------------------------------------------------- the walk
     def run(self) -> None:
@@ -154,63 +142,21 @@ class _Transfer:
                 if handlers[kind] is not None:
                     handlers[kind](node)
 
-    # global / nonlocal -----------------------------------------------------
-    def _visit_Global(self, node: ast.Global) -> None:
-        self.emit(WRITES_GLOBAL, node.lineno,
-                  f"'global {', '.join(node.names)}' rebinding")
+    # writes to module-level state ----------------------------------------
+    def _check_write(self, node: ast.AST) -> None:
+        detail = global_write(self.scope, node)
+        if detail is not None:
+            self.emit(WRITES_GLOBAL, node.lineno, detail)
 
-    # assignments -----------------------------------------------------------
-    def _visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_store(target)
-
-    def _visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store(node.target)
-
-    def _visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_store(node.target)
-
-    def _visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            self._check_store(target)
-
-    def _check_store(self, target: ast.expr) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._check_store(elt)
-            return
-        if not isinstance(target, (ast.Attribute, ast.Subscript)):
-            return
-        base = dotted_name(target.value)
-        if base is None or base.split(".")[0] == "self":
-            return
-        if isinstance(target, ast.Subscript) and "." not in base \
-                and self.scope.module_global(base) is not None:
-            self.emit(WRITES_GLOBAL, target.lineno,
-                      f"subscript store to module-level {base!r}")
-            return
-        resolved = self.scope.resolve(target.value)
-        if resolved is None or resolved[0] not in ("module", "global"):
-            return
-        if isinstance(target, ast.Attribute):
-            self.emit(WRITES_GLOBAL, target.lineno,
-                      f"attribute store '{base}.{target.attr}' on "
-                      "module-level state")
-        else:
-            self.emit(WRITES_GLOBAL, target.lineno,
-                      f"subscript store through module-level {base!r}")
+    _visit_Attribute = _visit_Subscript = _check_write
 
     # reads -----------------------------------------------------------------
     def _visit_Name(self, node: ast.Name) -> None:
         if not isinstance(node.ctx, ast.Load):
+            self._check_write(node)
             return
         info = self.scope.module_global(node.id)
-        if info is None:
-            return
-        if info[1] in ("mutable", "object") \
-                and node.id not in self._seen_reads:
-            self._seen_reads.add(node.id)
+        if info is not None and info[1] in ("mutable", "object"):
             self.emit(READS_GLOBAL, node.lineno,
                       f"read of module-level mutable {node.id!r}")
 
@@ -246,14 +192,7 @@ class _Transfer:
                 and self._is_set_typed(node.args[0]):
             self.emit(NONDETERMINISTIC_ORDER, node.lineno,
                       f"{parts[-1]}() over a hash-ordered set")
-        # Mutating method on module-level state.
-        if len(parts) >= 2 and parts[-1] in MUTATING_METHODS:
-            info = self.scope.module_global(parts[0])
-            if info is not None and info[1] in ("mutable", "object"):
-                self.emit(WRITES_GLOBAL, node.lineno,
-                          f"mutating call {dotted}() on module-level "
-                          f"{parts[0]!r}")
-                return
+        self._check_write(node)
         resolved = self.scope.resolve(node.func)
         if resolved is not None and resolved[0] == "external":
             self._external_call(resolved[1], node)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from repro.lint.effects import (AMBIENT_RNG, IO, READS_GLOBAL, WRITES_GLOBAL,
                                 CallGraph, EffectAnalysis, module_name_for)
-from repro.lint.engine import FileContext, ProjectContext
+from repro.lint.engine import FileContext, ProjectContext, lint_sources
 
 TENSOR_PY = Path(__file__).resolve().parent.parent / "src/repro/nn/tensor.py"
 
@@ -26,8 +26,7 @@ def _analyze(sources):
 
 def effects_of(analysis, qualname):
     """The fixpoint effect set of ``qualname`` (empty if unknown)."""
-    summary = analysis.summaries.get(qualname)
-    return summary.effects if summary is not None else frozenset()
+    return frozenset(analysis.origins.get(qualname, ()))
 
 
 class TestModuleIdentity:
@@ -135,9 +134,13 @@ class TestRegistryDispatch:
         assert AMBIENT_RNG in effects_of(a, "repro.kernels.dispatch")
 
     def test_witness_names_the_effectful_impl(self):
-        a = _analyze(self.SOURCES)
-        chain = a.format_witness("repro.kernels.dispatch", AMBIENT_RNG)
-        assert "_impl_b" in chain
+        source = self.SOURCES["repro/kernels.py"].replace(
+            "def dispatch", "from repro.core.effects import reentrant\n"
+            "@reentrant\ndef dispatch")
+        findings = lint_sources({"repro/kernels.py": source},
+                                codes=["R8"]).findings
+        assert [f.code for f in findings] == ["R8"]
+        assert "repro.kernels._impl_b" in findings[0].message
 
 
 class TestMethodResolution:
@@ -248,7 +251,7 @@ class TestRealTree:
         a = _analyze({"src/repro/nn/tensor.py": TENSOR_PY.read_text()})
         target = "repro.nn.tensor.Tensor._accumulate"
         for op in ("__add__", "__mul__", "__truediv__", "__matmul__"):
-            edges = a.summaries[f"repro.nn.tensor.Tensor.{op}"].facts.edges
+            edges = a.facts[f"repro.nn.tensor.Tensor.{op}"].edges
             assert len({e.line for e in edges if e.callee == target}) == 2, op
 
 

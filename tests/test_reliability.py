@@ -140,14 +140,17 @@ def test_package_import_does_not_load_scipy(module):
     """scipy is imported only when a BER is computed: importing the
     package, the server, the sweep engine, the experiment harness or the
     hardware models in a fresh interpreter leaves it unloaded (it would
-    otherwise be most of start-up time and RSS)."""
+    otherwise be most of start-up time and RSS).  No ``repro.lint``
+    module is loaded either: the linter is on no path these packages
+    run."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     code = (f"import sys, {module}\n"
             "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy'))")
+            "             if m.split('.')[0] == 'scipy'\n"
+            "             or m.startswith('repro.lint')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -5,7 +5,9 @@ With Nagle's algorithm on, the kernel holds the body until the client
 acknowledges the headers, and a client that delays its ACK (about 40 ms
 on Linux) stalls every response on a reused connection.  The handler
 therefore sets ``TCP_NODELAY``; this suite measures the effect over one
-keep-alive connection with the batching window at 0.
+keep-alive connection.  Every timed request is a cache hit, which the
+server answers without evaluating anything, so a delayed ACK would be
+most of its latency.
 """
 
 import http.client

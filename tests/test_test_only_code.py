@@ -20,6 +20,7 @@ entry point that every rule fixture runs through.
 """
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -88,10 +89,16 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+@functools.lru_cache(maxsize=None)
+def parse(path: Path) -> ast.Module:
+    """One parse per file for the whole session; the trees are only read."""
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
 def public_definitions() -> Iterator[Tuple[Path, str, ast.AST]]:
     """``(path, qualname, node)`` for every public name the guard covers."""
     for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in parse(path).body:
             if not isinstance(node, _DEFS):
                 continue
             if not node.name.startswith("_"):
@@ -123,7 +130,7 @@ def references() -> Dict[str, List[Tuple[Path, int]]]:
     for root in CALLER_ROOTS:
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
             reexports = path.name == "__init__.py"
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for node in ast.walk(parse(path)):
                 if reexports and isinstance(node, (ast.Import, ast.ImportFrom)):
                     continue
                 for name in referenced_names(node):
@@ -185,8 +192,7 @@ def test_oracle_docstring_names_a_real_test(qualname):
     named = re.findall(r"tests/(\w+\.py)::(\w+)", doc)
     assert named, qualname
     for filename, test in named:
-        tree = ast.parse((REPO_ROOT / "tests" / filename).read_text(
-            encoding="utf-8"))
+        tree = parse(REPO_ROOT / "tests" / filename)
         assert any(isinstance(n, _DEFS) and n.name == test
                    for n in ast.walk(tree)), f"{filename}::{test}"
 
