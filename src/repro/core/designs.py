@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,7 @@ from ..energy.area import AreaModel, AreaReport, hybrid_area_components
 from ..energy.cost import CostModel, EnergyBreakdown, leakage_mw, write_cycles
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..sparsity.nm import NMPattern
+from .effects import effects
 from .mram_pe import PIPELINE_DEPTH
 from .workload import LayerTable, Workload, nm_compressed_bits
 
@@ -280,6 +282,34 @@ def _tech_levers(tech: TechnologyModel) -> Tuple[tuple, tuple]:
     return ints, floats
 
 
+#: Per-process memo of :func:`_tech_levers` by tech identity: a sweep
+#: batches the same few tech objects slice after slice.  Each entry holds
+#: its tech, so no other object can take that id while it is cached.
+#: Bounded like ``repro.dse.evaluate``'s tech memo; written only under
+#: ``_LEVERS_LOCK``.
+_LEVERS: Dict[int, Tuple[TechnologyModel, Tuple[tuple, tuple]]] = {}
+_LEVERS_MAX = 128
+_LEVERS_LOCK = threading.Lock()
+
+
+@effects("READS_GLOBAL",
+         reason="bounded idempotent per-process memo: every store writes "
+                "what _tech_levers() computes for that (frozen) tech, so "
+                "concurrent, repeated or post-eviction calls observe equal "
+                "results; callers see a pure lookup")
+def _memo_tech_levers(tech: TechnologyModel) -> Tuple[tuple, tuple]:
+    with _LEVERS_LOCK:
+        entry = _LEVERS.get(id(tech))
+    if entry is not None:
+        return entry[1]
+    levers = _tech_levers(tech)
+    with _LEVERS_LOCK:
+        if len(_LEVERS) >= _LEVERS_MAX:
+            del _LEVERS[next(iter(_LEVERS))]
+        _LEVERS[id(tech)] = (tech, levers)
+    return levers
+
+
 class HybridBatch:
     """The hybrid's area, inference and training formulas for C designs
     on one workload.
@@ -322,7 +352,7 @@ class HybridBatch:
             distinct: Dict[int, Tuple[int, TechnologyModel]] = {}
             rows = [distinct.setdefault(id(t), (len(distinct), t))[0]
                     for t in techs]
-            levers = [_tech_levers(t) for _, t in distinct.values()]
+            levers = [_memo_tech_levers(t) for _, t in distinct.values()]
             ints = np.array([i for i, _ in levers],
                             dtype=np.int64)[rows].T[:, :, None]
             floats = np.array([f for _, f in levers],

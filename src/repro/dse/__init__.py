@@ -14,8 +14,8 @@ Determinism guarantees (enforced by ``tests/test_dse_*.py``):
 * a config's record is bit-identical whether it is evaluated alone or
   batched with any other configs;
 * a warm (fully cached) run reproduces the cold run exactly;
-* the frontier is a function of the config *set* — input order and
-  duplicate configs never change it;
+* the frontier is a function of the record *set* — record order never
+  changes it;
 * duplicated metric vectors keep exactly one canonical representative.
 
 Entry point: ``python -m repro.dse`` (or ``python -m repro dse``).

@@ -26,31 +26,15 @@ from .export import render_frontier, render_summary, write_csv, write_json
 from .spec import PRESETS, SweepSpec
 
 
-def _csv_list(text: str) -> List[str]:
-    return [item.strip() for item in text.split(",") if item.strip()]
-
-
-def _int_list(text: str) -> List[int]:
-    return [int(item) for item in _csv_list(text)]
-
-
 def build_spec(args: argparse.Namespace) -> SweepSpec:
-    """The preset, with any lever overridden from the command line."""
+    """The preset, with any lever overridden from the command line
+    (comma-separated values; :class:`SweepSpec` coerces their types)."""
+    overrides = {lever: tuple(v.strip() for v in text.split(",") if v.strip())
+                 for lever in ("patterns", "bus_bits", "mram_rows",
+                               "weight_bits", "devices")
+                 if (text := getattr(args, lever))}
     spec = PRESETS[args.preset]
-    overrides = {}
-    if args.patterns:
-        overrides["patterns"] = tuple(_csv_list(args.patterns))
-    if args.bus_bits:
-        overrides["bus_bits"] = tuple(_int_list(args.bus_bits))
-    if args.mram_rows:
-        overrides["mram_rows"] = tuple(_int_list(args.mram_rows))
-    if args.weight_bits:
-        overrides["weight_bits"] = tuple(_int_list(args.weight_bits))
-    if args.devices:
-        overrides["devices"] = tuple(_csv_list(args.devices))
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    return spec
+    return dataclasses.replace(spec, **overrides) if overrides else spec
 
 
 def main(argv: Optional[List[str]] = None) -> int:

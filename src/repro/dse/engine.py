@@ -2,8 +2,8 @@
 
 Execution model:
 
-* Configs are normalized and content-hashed once, up front, in spec
-  enumeration order — that order is the merge order.
+* :meth:`~repro.dse.spec.SweepSpec.keyed` keys the spec's (normalized)
+  configs in enumeration order — that order is the merge order.
 * Cache lookups run first; only misses are evaluated.
 * The misses are evaluated in one pass through
   :func:`repro.dse.evaluate.evaluate_records`, which runs them as a
@@ -26,7 +26,8 @@ from .cache import DiskCache
 # Re-exports evaluate_config: callers and perfbench's layer trace find it here.
 from .evaluate import evaluate_config, evaluate_records  # noqa: F401
 from .pareto import OBJECTIVE_KEYS, pareto_reduce, record_sort_key
-from .spec import SweepSpec, config_key, normalize_config
+# Re-exports config_key and normalize_config for perfbench's layer trace.
+from .spec import SweepSpec, config_key, normalize_config  # noqa: F401
 
 #: Schema tags of the engine's two result documents.
 SWEEP_SCHEMA = "repro.dse/sweep/1"
@@ -75,29 +76,11 @@ def evaluate_batch(keyed: Sequence[Tuple[str, Dict[str, object]]],
 
 @holds_no_locks(reason="drives evaluate_batch (blocking engine work) and "
                        "must be entered lock-free for the same reason")
-def run_sweep(spec: Optional[SweepSpec] = None,
-              configs: Optional[Sequence[Mapping[str, object]]] = None,
+def run_sweep(spec: SweepSpec,
               cache: Optional[DiskCache] = None) -> Dict[str, object]:
-    """Run one sweep; returns the full sweep document.
-
-    Exactly one of ``spec`` / ``configs`` supplies the config list
-    (``configs`` wins when both are given — the spec is then metadata
-    only).  Duplicate configs are collapsed to one evaluation.
-    """
-    if spec is None and configs is None:
-        raise ValueError("run_sweep needs a spec or an explicit config list")
-    raw = list(configs) if configs is not None else spec.configs()
+    """Run one sweep over ``spec``'s configs; returns the sweep document."""
+    keyed = spec.keyed()
     tracer = get_tracer()
-
-    keyed: List[tuple] = []
-    seen_keys: set = set()
-    for raw_cfg in raw:
-        cfg = normalize_config(raw_cfg)
-        key = config_key(cfg)
-        if key in seen_keys:
-            continue
-        seen_keys.add(key)
-        keyed.append((key, cfg))
 
     with tracer.span("dse.sweep", configs=len(keyed)) as sp:
         records, served = evaluate_batch(keyed, cache=cache)
@@ -114,7 +97,7 @@ def run_sweep(spec: Optional[SweepSpec] = None,
 
     return {
         "schema": SWEEP_SCHEMA,
-        "spec": spec.as_dict() if spec is not None else None,
+        "spec": spec.as_dict(),
         "configs": len(keyed),
         "records": ordered,
         "errors": errors,

@@ -147,21 +147,27 @@ def _evaluate(workload: Workload, members: Sequence[tuple]
     area = batch.area()
     inference = batch.inference()
     training = batch.training_step()
-    columns = [inference.latency_s, inference.energy_j, training.edp_js,
-               training.latency_s, *area.values()]
+    latency, energy_j = inference.latency_s, inference.energy_j
+    if len(members) == 1:   # serve's miss path: scalar results
+        power = avg_power_mw(energy_j, latency)
+    else:                   # avg_power_mw over (C, 1) columns
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = np.where(latency <= 0, 0.0, energy_j / latency * 1e3)
+    columns = [total_mm2(area.values()), latency, power, training.edp_js,
+               training.latency_s]
     rows = np.array(columns, dtype=np.float64).reshape(len(columns), -1).T
     return [{
         "schema": RECORD_SCHEMA, "key": key, "config": cfg,
         "metrics": {
-            "area_mm2": total_mm2(mm2),
+            "area_mm2": area_mm2,
             "density": pattern.density,
             "inference_latency_s": latency,
-            "inference_power_mw": avg_power_mw(energy_j, latency),
+            "inference_power_mw": power,
             "training_edp_js": edp,
             "training_latency_s": train_latency,
         },
     } for (key, cfg, (pattern, _, _)),
-        (latency, energy_j, edp, train_latency, *mm2)
+        (area_mm2, latency, power, edp, train_latency)
         in zip(members, rows.tolist())]
 
 

@@ -18,7 +18,8 @@ Levers (all orthogonal):
 
 Config identity is a content hash: the canonical JSON (sorted keys,
 compact separators) of the normalized config dict, SHA-256'd.  Two dicts
-with the same items in any insertion order hash identically.
+with the same items in any insertion order hash identically.  Keys render
+that JSON from one fixed format (:data:`CONFIG_JSON`), not ``json.dumps``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import dataclasses
 import hashlib
 import itertools
 import json
+# What json.dumps returns for a str, without its per-call encoder set-up.
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from ..sparsity.nm import NMPattern
@@ -66,9 +69,22 @@ def canonical_json(mapping: Mapping[str, object]) -> str:
                       separators=(",", ":"), ensure_ascii=True)
 
 
+#: :func:`canonical_json` of a normalized config: ints go in as ``%d``,
+#: strings as their JSON literals.
+CONFIG_JSON = ('{"bus_bits":%d,"device":%s,"mram_rows":%d,"pattern":%s,'
+               '"weight_bits":%d,"workload":%s}')
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def config_key(config: Mapping[str, object]) -> str:
-    """SHA-256 content hash of a config's canonical JSON."""
-    return hashlib.sha256(canonical_json(config).encode("ascii")).hexdigest()
+    """SHA-256 content hash of a normalized config's canonical JSON."""
+    return _sha256(CONFIG_JSON % (
+        config["bus_bits"], _quote(config["device"]), config["mram_rows"],
+        _quote(config["pattern"]), config["weight_bits"],
+        _quote(config["workload"])))
 
 
 def normalize_config(config: Mapping[str, object]) -> Dict[str, object]:
@@ -120,17 +136,14 @@ class SweepSpec:
     workload: str = "paper"
 
     def __post_init__(self):
-        object.__setattr__(self, "patterns",
-                           _unique("patterns", self.patterns))
-        object.__setattr__(self, "bus_bits",
-                           _unique("bus_bits", [int(b) for b in self.bus_bits]))
-        object.__setattr__(self, "mram_rows",
-                           _unique("mram_rows",
-                                   [int(r) for r in self.mram_rows]))
-        object.__setattr__(self, "weight_bits",
-                           _unique("weight_bits",
-                                   [int(w) for w in self.weight_bits]))
-        object.__setattr__(self, "devices", _unique("devices", self.devices))
+        # Coerced as normalize_config coerces: enumerated configs are
+        # normalized by construction.
+        for lever, kind in (("patterns", str), ("bus_bits", int),
+                            ("mram_rows", int), ("weight_bits", int),
+                            ("devices", str)):
+            object.__setattr__(self, lever, _unique(
+                lever, [kind(v) for v in getattr(self, lever)]))
+        object.__setattr__(self, "workload", str(self.workload))
         for pattern in self.patterns:
             NMPattern.parse(pattern)      # raises on malformed patterns
         for bus in self.bus_bits:
@@ -168,6 +181,18 @@ class SweepSpec:
 
     def configs(self) -> List[Dict[str, object]]:
         return list(self.enumerate())
+
+    def keyed(self) -> List[Tuple[str, Dict[str, object]]]:
+        """``(config_key(c), c)`` for every config, in enumeration order,
+        with each string lever JSON-quoted once for the whole spec."""
+        workload = _quote(self.workload)
+        quoted = itertools.product(
+            map(_quote, self.patterns), self.bus_bits, self.mram_rows,
+            self.weight_bits, map(_quote, self.devices))
+        return [(_sha256(CONFIG_JSON % (bus, device, rows, pattern, bits,
+                                        workload)), cfg)
+                for (pattern, bus, rows, bits, device), cfg
+                in zip(quoted, self.enumerate())]
 
     def as_dict(self) -> Dict[str, object]:
         return {"schema": SPEC_SCHEMA,

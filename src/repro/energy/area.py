@@ -38,8 +38,13 @@ MRAM_SPARSE_PERIPHERY_FACTOR = 0.7
 
 
 def total_mm2(components: Iterable[float]) -> float:
-    """Total of per-component areas, added in order."""
-    return sum(components)
+    """Total of per-component areas (floats, or columns of a batch of
+    designs), added strictly left to right from 0: builtin ``sum()`` of
+    floats is compensated from Python 3.12 on, while column sums are not."""
+    total = 0
+    for mm2 in components:
+        total = total + mm2
+    return total
 
 
 @dataclasses.dataclass

@@ -39,6 +39,7 @@ lock, so each violating chain produces exactly one finding.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -48,9 +49,10 @@ from ..interproc import (Origin, Summary, format_witness, propagate,
 from .locksets import EMPTY, FunctionFacts, analyze_function
 from .model import BLOCKING_INTERNAL, ProjectModel, build_model, short_lock
 
-#: Bounds on entry-lockset rounds / unguarded-path walks / cycle DFS depth.
+#: Bounds on entry-lockset rounds / unguarded-path walks and the edge
+#: witnesses one lock-order cycle finding lists.
 _ROUND_BOUND = 64
-_WITNESS_BOUND = 16
+WITNESS_BOUND = 16
 
 #: The one atom of a may-block summary.
 BLOCKS = "blocks"
@@ -223,7 +225,9 @@ class ConcurrencyAnalysis:
         self.order_edges.setdefault((edge.first, edge.second), edge)
 
     def lock_cycles(self) -> List[List[str]]:
-        """Simple cycles of the lock-order graph, each reported once."""
+        """A shortest cycle of the lock-order graph through each lock that
+        lies on one, each node set reported once.  Every cycle, however
+        many locks it spans, puts its locks in some reported cycle."""
         adjacency: Dict[str, List[str]] = {}
         for first, second in self.order_edges:
             adjacency.setdefault(first, []).append(second)
@@ -231,22 +235,11 @@ class ConcurrencyAnalysis:
             targets.sort()
         cycles: List[List[str]] = []
         seen: Set[FrozenSet[str]] = set()
-
-        def dfs(node: str, path: List[str], on_path: Set[str]) -> None:
-            if len(path) > _WITNESS_BOUND:
-                return
-            for nxt in adjacency.get(node, ()):
-                if nxt in on_path:
-                    cycle = path[path.index(nxt):]
-                    key = frozenset(cycle)
-                    if key not in seen:
-                        seen.add(key)
-                        cycles.append(list(cycle))
-                else:
-                    dfs(nxt, path + [nxt], on_path | {nxt})
-
         for start in sorted(adjacency):
-            dfs(start, [start], {start})
+            cycle = _shortest_cycle(adjacency, start)
+            if cycle and frozenset(cycle) not in seen:
+                seen.add(frozenset(cycle))
+                cycles.append(cycle)
         return cycles
 
     def reacquisitions(self) -> List[Tuple[str, int, str, str]]:
@@ -281,7 +274,7 @@ class ConcurrencyAnalysis:
         """A lock-free path from a public root down to the access (R11)."""
         chain: List[Tuple[str, int]] = [(qualname, line)]
         current = qualname
-        for _ in range(_WITNESS_BOUND):
+        for _ in range(WITNESS_BOUND):
             if self.entered_lock_free(current):
                 break
             nxt = None
@@ -322,3 +315,23 @@ def analyze_concurrency(project) -> ConcurrencyAnalysis:
         cached = ConcurrencyAnalysis.run(project.call_graph)
         setattr(project, "_concurrency_analysis", cached)
     return cached
+
+
+def _shortest_cycle(adjacency: Dict[str, List[str]],
+                    start: str) -> Optional[List[str]]:
+    """The first shortest path from ``start`` back to itself, as the list
+    of nodes from ``start`` on (breadth first over sorted successors)."""
+    parent: Dict[str, str] = {}
+    queue = collections.deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in adjacency.get(node, ()):
+            if nxt == start:
+                cycle = [node]
+                while cycle[-1] != start:
+                    cycle.append(parent[cycle[-1]])
+                return cycle[::-1]
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None

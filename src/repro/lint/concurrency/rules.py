@@ -42,7 +42,8 @@ from typing import Iterator, List, Set, Tuple
 from ..findings import Finding
 from ..interproc import format_witness
 from ..registry import Rule, register
-from .analysis import BLOCKS, ConcurrencyAnalysis, analyze_concurrency
+from .analysis import (BLOCKS, WITNESS_BOUND, ConcurrencyAnalysis,
+                       analyze_concurrency)
 from .locksets import EMPTY
 from .model import short_lock
 
@@ -170,10 +171,13 @@ class DeadlockFreedomRule(Rule):
                        cycle: List[str]) -> Finding:
         ring = " -> ".join(short_lock(x) for x in cycle + [cycle[0]])
         witnesses = []
-        for i, first in enumerate(cycle):
+        for i, first in enumerate(cycle[:WITNESS_BOUND]):
             second = cycle[(i + 1) % len(cycle)]
             edge = analysis.order_edges[(first, second)]
             witnesses.append(f"{edge.qualname}:{edge.line} ({edge.detail})")
+        if len(cycle) > WITNESS_BOUND:
+            witnesses.append(f"... {len(cycle) - WITNESS_BOUND} more "
+                             "edges not shown")
         head = analysis.order_edges[(cycle[0], cycle[1 % len(cycle)])]
         info = analysis.graph.function_for(head.qualname)
         return self.finding(

@@ -11,12 +11,14 @@ the workload through the per-layer loop formulas of
 import numpy as np
 import pytest
 
+import repro.core.designs as designs
 import repro.dse.evaluate as evaluate_mod
 from repro.dse import (FULL_SPEC, NullCache, config_key, evaluate_config,
                        evaluate_records, normalize_config, pareto_reduce,
                        run_sweep)
 from repro.dse.evaluate import RECORD_SCHEMA, build_tech, get_workload
 from repro.dse.pareto import objective_vector, record_sort_key
+from repro.energy.area import total_mm2
 from repro.sparsity.nm import NMPattern
 from tests.test_designs_differential import LoopHybridSparseDesign
 from tests.test_dse_pareto import dominates
@@ -181,6 +183,17 @@ class TestBatchedRecords:
         with pytest.raises(FloatingPointError):
             evaluate_config(configs[sunk[0]])
 
+    def test_total_area_adds_like_a_column_sum(self):
+        """A slice finishes ``area_mm2`` with ``total_mm2`` over (C, 1)
+        columns and a lone design over floats; both must add left to
+        right, although builtin ``sum()`` of floats is compensated from
+        Python 3.12 on (there it gives 1.0 for the first row)."""
+        rows = [[1e16, 1.0, -1e16], [0.1, 0.2, 0.3], [1e-300, 1e300, -1e300]]
+        columns = [np.array([[row[i]] for row in rows]) for i in range(3)]
+        by_row = [total_mm2(row) for row in rows]
+        assert total_mm2(columns).ravel().tolist() == by_row
+        assert by_row[0] == 0.0
+
     @pytest.mark.parametrize("config", EDGE_CONFIGS + [GOOD],
                              ids=lambda c: f"{c['pattern']}-{c['bus_bits']}"
                                            f"-{c['mram_rows']}")
@@ -211,6 +224,23 @@ class TestBatchedRecords:
         result = run_sweep(FULL_SPEC, cache=NullCache())
         assert not result["errors"]
         assert calls == [256] * 17 + [4500 - 17 * 256]
+
+
+    def test_tech_scalars_are_derived_once_per_distinct_tech(
+            self, monkeypatch):
+        derived = []
+        real = designs._tech_levers
+
+        def counting(tech):
+            derived.append(tech)
+            return real(tech)
+
+        monkeypatch.setattr(designs, "_LEVERS", {})
+        monkeypatch.setattr(designs, "_tech_levers", counting)
+        run_sweep(FULL_SPEC, cache=NullCache())
+        variants = (len(FULL_SPEC.mram_rows) * len(FULL_SPEC.weight_bits)
+                    * len(FULL_SPEC.devices))
+        assert len(derived) == len({id(t) for t in derived}) == variants
 
 
 def _make_record(key, vector):

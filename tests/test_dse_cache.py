@@ -11,8 +11,8 @@ import threading
 import pytest
 
 from repro.dse import (DiskCache, NullCache, SweepSpec, config_key,
-                       dumps_canonical, frontier_doc, normalize_config,
-                       run_sweep)
+                       dumps_canonical, evaluate_batch, frontier_doc,
+                       normalize_config, run_sweep)
 from repro.dse.cache import CACHE_SCHEMA, record_checksum
 
 SPEC = SweepSpec(patterns=("1:8", "1:4"), bus_bits=(64, 128))
@@ -194,8 +194,10 @@ class TestEntrySchema:
         bad = normalize_config({"pattern": "9:4", "bus_bits": 128,
                                 "mram_rows": 1024, "weight_bits": 8,
                                 "device": "nominal"})
-        result = run_sweep(configs=[bad], cache=cache)
-        assert len(result["errors"]) == 1
+        records, served = evaluate_batch([(config_key(bad), bad)],
+                                         cache=cache)
+        assert "error" in records[config_key(bad)]
+        assert served == {config_key(bad): "miss"}
         assert cache.stored == 0
         assert not entry_paths(cache)
 

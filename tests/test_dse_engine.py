@@ -13,8 +13,9 @@ import pytest
 import repro.__main__ as repro_cli
 import repro.dse.__main__ as dse_cli
 from repro.dse import (FULL_SPEC, SMOKE_SPEC, NullCache, SweepSpec,
-                       dumps_canonical, frontier_doc, normalize_config,
-                       run_sweep)
+                       config_key, dumps_canonical, evaluate_batch,
+                       evaluate_records, frontier_doc, normalize_config,
+                       pareto_reduce, run_sweep)
 from repro.obs import validate_trace_events
 
 SPEC = SweepSpec(patterns=("1:4", "2:8"), bus_bits=(64, 128))
@@ -36,60 +37,46 @@ class TestWorkerParity:
         assert '"workers"' not in text
 
 
+def keyed(configs):
+    """Normalized ``(key, config)`` pairs, as the engine's callers pass."""
+    return [(config_key(cfg), cfg) for cfg in map(normalize_config, configs)]
+
+
 class TestFaultIsolation:
     def test_failing_config_becomes_an_error_record(self):
-        result = run_sweep(configs=[GOOD_CONFIG, BAD_CONFIG])
-        assert result["configs"] == 2
-        assert len(result["errors"]) == 1
-        error = result["errors"][0]["error"]
+        records = evaluate_records(keyed([GOOD_CONFIG, BAD_CONFIG]))
+        assert len(records) == 2
+        error = records[1]["error"]
         assert error["type"] and error["message"]
         # The good config still completed and made the frontier.
-        assert len(result["frontier"]) == 1
-        assert result["frontier"][0]["config"]["pattern"] == "1:4"
+        assert "error" not in records[0]
+        frontier = pareto_reduce(records)
+        assert len(frontier) == 1
+        assert frontier[0]["config"]["pattern"] == "1:4"
 
     def test_error_records_do_not_depend_on_the_batch(self):
         configs = [GOOD_CONFIG, BAD_CONFIG,
                    dict(GOOD_CONFIG, bus_bits=64)]
-        together = run_sweep(configs=configs)
-        alone = [run_sweep(configs=[c])["records"][0] for c in configs]
-        assert together["records"] == alone
-        assert together["errors"] == [alone[1]]
+        together = evaluate_records(keyed(configs))
+        alone = [evaluate_records(keyed([c]))[0] for c in configs]
+        assert together == alone
+        assert [r for r in together if "error" in r] == [alone[1]]
 
     def test_all_failing_sweep_has_empty_frontier(self):
-        result = run_sweep(configs=[BAD_CONFIG])
-        assert result["frontier"] == []
-        assert len(result["errors"]) == 1
+        records, served = evaluate_batch(keyed([BAD_CONFIG]),
+                                         cache=NullCache())
+        assert pareto_reduce(list(records.values())) == []
+        assert list(served.values()) == ["miss"]
+        assert all("error" in r for r in records.values())
 
 
 class TestMergeDeterminism:
-    def test_input_order_does_not_change_the_frontier_doc(self):
-        configs = SPEC.configs()
-        forward = run_sweep(configs=configs)
-        backward = run_sweep(configs=list(reversed(configs)))
-        assert dumps_canonical(frontier_doc(forward)) == \
-            dumps_canonical(frontier_doc(backward))
-
-    def test_duplicate_configs_collapse_to_one_evaluation(self):
-        result = run_sweep(configs=[GOOD_CONFIG, dict(GOOD_CONFIG),
-                                    GOOD_CONFIG])
-        assert result["configs"] == 1
-        assert len(result["records"]) == 1
-
     def test_records_follow_enumeration_order(self):
         result = run_sweep(spec=SPEC)
         keys = [r["key"] for r in result["records"]]
         expected = [r["config"] for r in result["records"]]
         assert expected == [normalize_config(c) for c in SPEC.configs()]
         assert len(set(keys)) == SPEC.size
-
-    def test_spec_and_explicit_configs_agree(self):
-        via_spec = run_sweep(spec=SPEC)
-        via_list = run_sweep(configs=SPEC.configs())
-        assert via_spec["records"] == via_list["records"]
-
-    def test_needs_a_spec_or_configs(self):
-        with pytest.raises(ValueError):
-            run_sweep()
 
 
 def _sha256(doc) -> str:

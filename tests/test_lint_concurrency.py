@@ -9,6 +9,8 @@ chain included — the acceptance seeds from the verifier's design issue.
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.engine import lint_sources
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -290,6 +292,59 @@ class TestR13:
             "            return self._take_x()\n")}, codes=["R13"])
         assert len(result.findings) == 1
         assert "lock-order cycle" in result.findings[0].message
+
+    @staticmethod
+    def ring(n):
+        """``n`` locks where method ``i`` takes lock ``i`` then ``i + 1``."""
+        lines = ["import threading", "class Ring:", "    def __init__(self):"]
+        lines += [f"        self._l{i:02d} = threading.Lock()"
+                  for i in range(n)]
+        for i in range(n):
+            lines += [f"    def step{i:02d}(self):",
+                      f"        with self._l{i:02d}:",
+                      f"            with self._l{(i + 1) % n:02d}:",
+                      "                return 1"]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 40])
+    def test_lock_ring_of_any_length_is_exactly_one_cycle(self, n):
+        result = lint_sources({"repro/r.py": self.ring(n)}, codes=["R13"])
+        assert len(result.findings) == 1
+        message = result.findings[0].message
+        ring, _, witnesses = message.partition("witnesses: ")
+        assert ring.startswith("lock-order cycle ")
+        assert all(f"_l{i:02d}" in ring for i in range(n))
+        shown = [i for i in range(n) if f"step{i:02d}:" in witnesses]
+        assert shown == list(range(min(n, 16)))
+        note = f"... {n - 16} more edges not shown"
+        assert (note in witnesses) == (n > 16)
+
+    def test_two_cycles_through_one_lock_are_two_findings(self):
+        result = lint_sources({"repro/p.py": (
+            "import threading\n"
+            "class Three:\n"
+            "    def __init__(self):\n"
+            "        self._a = threading.Lock()\n"
+            "        self._b = threading.Lock()\n"
+            "        self._c = threading.Lock()\n"
+            "    def ab(self):\n"
+            "        with self._a:\n"
+            "            with self._b:\n"
+            "                return 1\n"
+            "    def ba(self):\n"
+            "        with self._b:\n"
+            "            with self._a:\n"
+            "                return 2\n"
+            "    def bc(self):\n"
+            "        with self._b:\n"
+            "            with self._c:\n"
+            "                return 3\n"
+            "    def cb(self):\n"
+            "        with self._c:\n"
+            "            with self._b:\n"
+            "                return 4\n")}, codes=["R13"])
+        assert len(result.findings) == 2
+        assert all("lock-order cycle" in f.message for f in result.findings)
 
     def test_reacquiring_a_plain_lock_flagged(self):
         result = lint_sources({"repro/p.py": (

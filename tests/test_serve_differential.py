@@ -103,8 +103,10 @@ class TestEvaluateDifferential:
             status, doc, _ = client.post("/v1/evaluate", {"config": bad})
             assert status == 200
             assert "error" in doc["record"]
-            direct = run_sweep(configs=[bad],
-                               cache=NullCache())["records"][0]
+            cfg = normalize_config(bad)
+            records, _ = evaluate_batch([(config_key(cfg), cfg)],
+                                        cache=NullCache())
+            direct = records[config_key(cfg)]
             assert canon(doc["record"]) == canon(direct)
 
     def test_error_records_are_never_cached(self, tmp_path):
