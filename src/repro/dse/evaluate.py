@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -192,27 +192,44 @@ def _evaluate_isolated(workload: Workload, members: Sequence[tuple]
             for record in _evaluate_isolated(workload, [member])]
 
 
-def _design(cfg: Mapping[str, object],
-            patterns: Dict[str, NMPattern],
-            techs: Dict[Tuple[int, int, str], TechnologyModel]
+@dataclasses.dataclass
+class _Validated:
+    """The lever values a batch of configs has validated so far, each
+    distinct one once."""
+
+    patterns: Dict[str, NMPattern] = dataclasses.field(default_factory=dict)
+    techs: Dict[Tuple[int, int, str], TechnologyModel] = \
+        dataclasses.field(default_factory=dict)
+    workloads: Dict[str, Workload] = dataclasses.field(default_factory=dict)
+    levers: Set[Tuple[Tuple[int, int, str], int]] = \
+        dataclasses.field(default_factory=set)
+
+
+def _design(cfg: Mapping[str, object], seen: _Validated
             ) -> Tuple[Workload, Tuple[NMPattern, TechnologyModel, int]]:
     """Validate one normalized config into its workload and design levers.
 
     Raises exactly what building its ``HybridSparseDesign`` would, in the
     same order: pattern, tech variant, workload, then the design's own
-    checks.  ``patterns`` and ``techs`` memoize the valid ones.
+    checks.  ``seen`` memoizes the valid ones: a sweep checks each
+    workload once and each (tech variant, bus width) pair once.
     """
     text = str(cfg["pattern"])
-    pattern = patterns.get(text)
+    pattern = seen.patterns.get(text)
     if pattern is None:
-        pattern = patterns[text] = NMPattern.parse(text)
+        pattern = seen.patterns[text] = NMPattern.parse(text)
     variant = (cfg["mram_rows"], cfg["weight_bits"], cfg["device"])
-    tech = techs.get(variant)
+    tech = seen.techs.get(variant)
     if tech is None:
-        tech = techs[variant] = build_tech(cfg)
-    workload = get_workload(str(cfg["workload"]))
+        tech = seen.techs[variant] = build_tech(cfg)
+    name = str(cfg["workload"])
+    workload = seen.workloads.get(name)
+    if workload is None:
+        workload = seen.workloads[name] = get_workload(name)
     bus_bits = int(cfg["bus_bits"])
-    check_hybrid_levers(tech, bus_bits)
+    if (variant, bus_bits) not in seen.levers:
+        check_hybrid_levers(tech, bus_bits)
+        seen.levers.add((variant, bus_bits))
     return workload, (pattern, tech, bus_bits)
 
 
@@ -229,12 +246,11 @@ def evaluate_records(keyed: Sequence[Tuple[str, Dict[str, object]]]
     time, as one :class:`HybridBatch` each.
     """
     records: List[Optional[Dict[str, object]]] = [None] * len(keyed)
-    patterns: Dict[str, NMPattern] = {}
-    techs: Dict[Tuple[int, int, str], TechnologyModel] = {}
+    seen = _Validated()
     valid: Dict[str, Tuple[Workload, List[tuple]]] = {}
     for i, (key, cfg) in enumerate(keyed):
         try:
-            workload, design = _design(cfg, patterns, techs)
+            workload, design = _design(cfg, seen)
         except Exception as exc:  # noqa: BLE001 — per-config fault isolation
             records[i] = _error_record(key, cfg, exc)
             continue
@@ -259,5 +275,5 @@ def evaluate_config(config: Mapping[str, object]) -> Dict[str, object]:
     configs, where :func:`evaluate_records` returns error records.
     """
     cfg = normalize_config(config)
-    workload, design = _design(cfg, {}, {})
+    workload, design = _design(cfg, _Validated())
     return _evaluate(workload, [(config_key(cfg), cfg, design)])[0]

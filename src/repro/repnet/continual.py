@@ -23,6 +23,7 @@ from ..nn.data import DataLoader, TensorDataset
 from ..nn.modules import Module
 from ..nn.optim import Adam, clip_grad_norm
 from ..nn.tensor import Tensor, no_grad
+from ..obs import get_tracer
 from ..quant import quantize_model_ptq
 from ..sparsity import NMPattern, NMPruner, prune_model
 from .backbone import Backbone, BackboneClassifier
@@ -133,6 +134,20 @@ class ContinualLearner:
 
     def learn_task(self, task: str, train_set: TensorDataset,
                    test_set: TensorDataset, config: TrainConfig) -> TaskResult:
+        """Adapt to ``task``; the frozen backbone runs once per example.
+
+        The backbone memo lives for this call only, so one task's taps are
+        live at a time; the ``repnet.learn_task`` span counts its hits and
+        misses (backbone rows computed).
+        """
+        with get_tracer().span("repnet.learn_task", task=task) as span, \
+                self.model.backbone_memo() as memo:
+            result = self._learn_task(task, train_set, test_set, config)
+            span.count(memo_misses=memo.misses, memo_hits=memo.hits)
+        return result
+
+    def _learn_task(self, task: str, train_set: TensorDataset,
+                    test_set: TensorDataset, config: TrainConfig) -> TaskResult:
         model = self.model
         model.add_task(task, train_set.num_classes)
         model.set_active_task(task)

@@ -13,12 +13,15 @@ Structure (paper Fig. 6):
 Only the Rep-Net path + active classifier are trainable; the backbone is
 frozen (``freeze_backbone``), exactly matching the hardware mapping where
 backbone weights live in write-expensive MRAM and the Rep-Net path lives in
-SRAM.
+SRAM.  A frozen backbone's outputs are therefore a fixed function of the
+example: inside :meth:`RepNetModel.backbone_memo` they are computed once
+per example and gathered per batch (:class:`BackboneMemo`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import contextlib
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +30,57 @@ from ..nn.modules import Conv2d, Linear, Module, Parameter
 from ..nn.tensor import Tensor, concatenate
 from .backbone import Backbone
 from .modules import ActivationConnector, RepNetModule
+
+
+class BackboneMemo:
+    """A frozen backbone's pooled features and taps, one entry per example.
+
+    Keyed by the example's bytes, so equal keys mean equal inputs.  A batch
+    whose every example has an entry is gathered from the memo; any other
+    batch runs through the backbone whole, exactly as without the memo, and
+    leaves an entry for each new example.  Gathering is exact because a
+    GEMM row's bits do not depend on the other rows of the batch, and
+    because a gathered tap keeps the backbone's NHWC memory layout, so the
+    connectors' ``im2col`` builds its patch matrix with the same strides
+    (METHODOLOGY §15).  The first holds only from two examples up: a lone
+    example's GEMMs are small enough for BLAS to pick another kernel and
+    round differently, so a batch of one always runs the backbone and is
+    never stored.
+    """
+
+    def __init__(self) -> None:
+        self._rows: Dict[bytes, Tuple[np.ndarray, List[np.ndarray]]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def clear(self) -> None:
+        """Drop every entry (the hit and miss counts stay)."""
+        self._rows.clear()
+
+    def forward_with_taps(self, backbone: Backbone,
+                          x: Tensor) -> Tuple[Tensor, List[Tensor]]:
+        """:meth:`Backbone.forward_with_taps`, gathered when every example
+        of a batch of two or more has an entry."""
+        keys = [row.tobytes() for row in x.data]
+        rows = [self._rows.get(key) for key in keys]
+        if len(rows) > 1 and None not in rows:
+            self.hits += len(rows)
+            pooled = Tensor(np.stack([p for p, _ in rows]))
+            taps = [Tensor(np.stack([t[i] for _, t in rows])
+                           .transpose(0, 3, 1, 2))
+                    for i in range(len(rows[0][1]))]
+            return pooled, taps
+        pooled, taps = backbone.forward_with_taps(x)
+        self.misses += len(rows)
+        if len(rows) > 1:
+            nhwc = [tap.data.transpose(0, 2, 3, 1) for tap in taps]
+            for j, key in enumerate(keys):
+                self._rows.setdefault(key, (pooled.data[j],
+                                            [t[j] for t in nhwc]))
+        return pooled, taps
 
 
 class RepNetModel(Module):
@@ -61,6 +115,7 @@ class RepNetModel(Module):
         self._heads: Dict[str, Linear] = {}
         self.active_task: Optional[str] = None
         self._rng = rng or np.random.default_rng(0)
+        self._backbone_memo: Optional[BackboneMemo] = None
 
     # ------------------------------------------------------------------ heads
     def add_task(self, task: str, num_classes: int) -> Linear:
@@ -91,6 +146,27 @@ class RepNetModel(Module):
         self.backbone.freeze()
         self.backbone.eval()
 
+    def _backbone_frozen(self) -> bool:
+        """True while no backbone parameter trains and every backbone
+        module is in eval mode: its outputs are then fixed per example."""
+        return (not any(p.trainable for p in self.backbone.parameters())
+                and not any(m.training for m in self.backbone.modules()))
+
+    @contextlib.contextmanager
+    def backbone_memo(self) -> Iterator[BackboneMemo]:
+        """Memoize the frozen backbone's outputs per example until exit.
+
+        :meth:`features` reads the memo only while :meth:`_backbone_frozen`
+        holds; otherwise it runs the backbone as usual.
+        """
+        memo = BackboneMemo()
+        self._backbone_memo = memo
+        try:
+            yield memo
+        finally:
+            self._backbone_memo = None
+            memo.clear()
+
     def learnable_modules(self) -> List[Module]:
         """Modules holding the trainable (SRAM-mapped) parameters."""
         mods: List[Module] = [self.rep_stem] + list(self.rep_modules) \
@@ -114,7 +190,11 @@ class RepNetModel(Module):
     # ----------------------------------------------------------------- forward
     def features(self, x: Tensor) -> Tensor:
         """Concatenated (backbone || Rep-Net) global feature vector."""
-        pooled, taps = self.backbone.forward_with_taps(x)
+        memo = self._backbone_memo
+        if memo is not None and self._backbone_frozen():
+            pooled, taps = memo.forward_with_taps(self.backbone, x)
+        else:
+            pooled, taps = self.backbone.forward_with_taps(x)
         state = self.rep_stem(x)
         for mod, conn, tap in zip(self.rep_modules, self.connectors, taps):
             state = mod(state, conn(tap))

@@ -38,6 +38,11 @@ STATS_SCHEMA = "repro.serve/stats/1"
 #: Largest request body the server reads, in bytes (oversized -> 413).
 MAX_BODY_BYTES = 1 << 20
 
+#: Most configs one ``POST /v1/sweep`` may name: ten ``FULL_SPEC`` sweeps
+#: (4,500 configs each, about 61 ms of evaluation).  Without a bound a
+#: 1 MiB body can name over 10^9 configs.
+MAX_SWEEP_CONFIGS = 45_000
+
 #: Experiment names ``POST /v1/experiment`` accepts.
 EXPERIMENT_NAMES = ("fig7", "fig8", "table2")
 
@@ -135,7 +140,9 @@ def validate_sweep_request(body: object) -> Dict[str, object]:
     Shape: ``{"preset": "smoke", "overrides": {lever: [...]}, "records":
     false}`` — the preset names a base
     :class:`~repro.dse.spec.SweepSpec` and the overlay replaces whole
-    levers, exactly like the ``python -m repro.dse`` flags.
+    levers, exactly like the ``python -m repro.dse`` flags.  A spec of
+    more than :data:`MAX_SWEEP_CONFIGS` configs is refused before any
+    config is enumerated.
     """
     request = _require_object(body, "request")
     _reject_unknown(request, ("preset", "overrides", "records"), "request")
@@ -159,7 +166,12 @@ def validate_sweep_request(body: object) -> Dict[str, object]:
         clean_overrides[lever] = list(values)
     normalized = {"preset": preset, "overrides": clean_overrides,
                   "records": _bool_field(request, "records")}
-    build_sweep_spec(normalized)      # raises SchemaError on bad levers
+    spec = build_sweep_spec(normalized)   # raises SchemaError on bad levers
+    if spec.size > MAX_SWEEP_CONFIGS:
+        raise SchemaError("bad-config",
+                          f"sweep names {spec.size} configs; a request may "
+                          f"name at most {MAX_SWEEP_CONFIGS}",
+                          field="overrides")
     return normalized
 
 

@@ -225,6 +225,29 @@ class TestBatchedRecords:
         assert not result["errors"]
         assert calls == [256] * 17 + [4500 - 17 * 256]
 
+    def test_levers_are_checked_once_per_tech_variant_and_bus(
+            self, monkeypatch):
+        checks, workloads = [], []
+        real_check = evaluate_mod.check_hybrid_levers
+        real_workload = evaluate_mod.get_workload
+
+        def counting_check(tech, bus_bits):
+            checks.append(bus_bits)
+            return real_check(tech, bus_bits)
+
+        def counting_workload(name):
+            workloads.append(name)
+            return real_workload(name)
+
+        monkeypatch.setattr(evaluate_mod, "check_hybrid_levers",
+                            counting_check)
+        monkeypatch.setattr(evaluate_mod, "get_workload", counting_workload)
+        assert not run_sweep(FULL_SPEC, cache=NullCache())["errors"]
+        variants = (len(FULL_SPEC.mram_rows) * len(FULL_SPEC.weight_bits)
+                    * len(FULL_SPEC.devices))
+        assert len(checks) == variants * len(FULL_SPEC.bus_bits) <= 180
+        assert workloads == ["paper"]
+
 
     def test_tech_scalars_are_derived_once_per_distinct_tech(
             self, monkeypatch):

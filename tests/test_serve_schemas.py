@@ -20,7 +20,9 @@ import pytest
 
 import repro
 from repro.dse.cache import DiskCache
+from repro.dse.spec import FULL_SPEC, SweepSpec
 from repro.serve import ERROR_SCHEMA, ServeApp
+from repro.serve.schemas import MAX_SWEEP_CONFIGS, validate_sweep_request
 
 from tests.serve_utils import NOMINAL_CONFIG, live_server
 
@@ -294,6 +296,31 @@ class TestGoldenResponses:
                                  "(allowed: preset, overrides, records)",
                       "field": "workers"},
         })
+
+    def test_sweep_over_the_config_bound_is_refused(self, app, monkeypatch):
+        def never(self):
+            raise AssertionError("an over-bound sweep was enumerated")
+
+        monkeypatch.setattr(SweepSpec, "enumerate", never)
+        monkeypatch.setattr(SweepSpec, "keyed", never)
+        # 4 patterns x 2000 bus widths x 2000 row counts: 16e6 configs in
+        # a body of about 20 KiB.
+        body = {"preset": "smoke",
+                "overrides": {"bus_bits": list(range(8, 2008)),
+                              "mram_rows": list(range(1, 2001))}}
+        status, doc = dispatch(app, "POST", "/v1/sweep", body)
+        assert (status, doc) == (400, {
+            "schema": ERROR_SCHEMA,
+            "error": {"code": "bad-config",
+                      "message": "sweep names 16000000 configs; a request "
+                                 f"may name at most {MAX_SWEEP_CONFIGS}",
+                      "field": "overrides"},
+        })
+        assert app.jobs.list_doc()["jobs"] == []
+
+    def test_full_preset_is_within_the_config_bound(self):
+        assert FULL_SPEC.size <= MAX_SWEEP_CONFIGS
+        assert validate_sweep_request({"preset": "full"})["preset"] == "full"
 
     def test_oversized_body(self, tmp_path):
         app = ServeApp(cache=DiskCache(tmp_path / "c"),
