@@ -23,8 +23,7 @@ import numpy as np
 from ..sparsity.nm import NMPattern
 from .bitserial import plane_weight
 from .csc import CSCMatrix
-from .kernels import (KernelPlan, require_integer_activations,
-                      spmm_bitserial)
+from .kernels import KernelPlan, spmm_bitserial
 from .sram_pe import SRAMPEConfig
 from .widths import width_contract
 
@@ -153,11 +152,6 @@ class BitLevelSparsePE:
         """
         if self._pattern is None:
             raise RuntimeError("load() a matrix first")
-        cfg = self.config
-        activations = np.atleast_2d(np.asarray(activations))
-        batch, in_dim = activations.shape
-        if in_dim != self._shape[0]:
-            raise ValueError("activation dim mismatch")
-        require_integer_activations(activations, "bit-level SRAM PE")
+        # The kernel validates the activations: shape, dtype and range.
         return spmm_bitserial(self._plan_from_cells(), activations,
-                              cfg.input_bits)
+                              self.config.input_bits)

@@ -10,14 +10,17 @@ Both PE functional models reduce to the same two primitives:
   are adder-tree-summed per plane, and the shift accumulator recombines the
   planes.
 
-Each runs fully vectorized.  A :class:`KernelPlan` built once at ``load()``
-time shares the CSC triplet (contiguous ``values`` / ``row_indices`` /
-``col_ptr`` arrays) and adds a zero-padded ``(max_nnz, out_dim)`` gather
-matrix, so an entire matmul is one fancy-index gather plus one einsum.  The
-SRAM kernel needs no bit planes at all: by linearity,
-``sum_b plane_weight(b) * plane_b(x) == x`` for every in-range ``x``, so the
-shift-accumulated plane partials equal the plain gather.  After the same
-signed-range check the planes would enforce, it *is* the gather.
+Each runs as one dense product.  A :class:`KernelPlan` built once at
+``load()`` time shares the CSC triplet (contiguous ``values`` /
+``row_indices`` / ``col_ptr`` arrays) and scatters it into a dense
+``(in_dim, out_dim)`` panel, so an entire matmul is ``activations @
+panel``: one float64 BLAS GEMM when that is provably exact, numpy's int64
+matmul otherwise (:mod:`repro.core.exact_gemm`).  Both dataflows sum the
+same products, only in a different order, and integer sums do not depend
+on order.  The SRAM kernel needs no bit planes at all: by linearity,
+``sum_b plane_weight(b) * plane_b(x) == x`` for every in-range ``x``, so
+the shift-accumulated plane partials equal the plain product.  After the
+same signed-range check the planes would enforce, it *is* that product.
 
 :func:`spmm_gather_reference` and :func:`spmm_bitserial_reference` keep the
 readable per-column (and per-bit-plane) loops the PE models originally
@@ -39,6 +42,7 @@ import numpy as np
 
 from ..obs import get_tracer
 from .bitserial import from_partials, require_signed_range, to_bit_planes
+from .exact_gemm import DensePanel, exact_matmul
 from .widths import BITSERIAL_MAX_BITS, width_contract
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -87,28 +91,25 @@ class KernelPlan:
 
     ``values`` / ``row_indices`` / ``col_ptr`` are the classic compressed
     sparse column triplet (``col_ptr`` has ``out_dim + 1`` entries; column
-    ``c`` owns the half-open slice ``col_ptr[c]:col_ptr[c+1]``).  On top of
-    that, ``gather_rows`` / ``gather_values`` are the same data padded into
-    dense ``(max_nnz, out_dim)`` matrices — padding slots carry row 0 with
-    value 0, so they gather a real activation but contribute nothing — which
-    is what lets the fast kernels run the whole matmul as one gather + one
-    contraction.
+    ``c`` owns the half-open slice ``col_ptr[c]:col_ptr[c+1]``).  ``panel``
+    is the same matrix scattered dense, ``(in_dim, out_dim)`` as int64 and
+    float64 (:class:`~repro.core.exact_gemm.DensePanel`), which is what
+    lets the production kernels run a whole matmul as one GEMM.
     """
 
     shape: Tuple[int, int]
     values: np.ndarray        # (nnz,) int64 — non-zero weights, column-major
     row_indices: np.ndarray   # (nnz,) int64 — original (dense) row of each value
     col_ptr: np.ndarray       # (out_dim + 1,) int64 — column start offsets
-    gather_rows: np.ndarray   # (max_nnz, out_dim) int64 — padded row indices
-    gather_values: np.ndarray  # (max_nnz, out_dim) int64 — padded values
-    #: ``(slot, column)`` of every entry in the gather panels.  Derived from
-    #: ``col_ptr`` alone, so plans on the same support share it.
-    entry_slots: Optional[Tuple[np.ndarray, np.ndarray]] = dataclasses.field(
+    panel: DensePanel         # (in_dim, out_dim) — the dense weight matrix
+    #: The column of every CSC entry.  Derived from ``col_ptr`` alone, so
+    #: plans on the same support share it.
+    entry_cols: Optional[np.ndarray] = dataclasses.field(
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.entry_slots is None:
-            object.__setattr__(self, "entry_slots", _entry_slots(self.col_ptr))
+        if self.entry_cols is None:
+            object.__setattr__(self, "entry_cols", _entry_cols(self.col_ptr))
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -144,9 +145,9 @@ class KernelPlan:
     def _from_triplet(cls, values: np.ndarray, row_indices: np.ndarray,
                       col_ptr: np.ndarray,
                       shape: Tuple[int, int]) -> "KernelPlan":
-        slots = _entry_slots(col_ptr)
-        gather = _padded_panels(values, row_indices, col_ptr, slots)
-        return cls(shape, values, row_indices, col_ptr, *gather, slots)
+        entry_cols = _entry_cols(col_ptr)
+        panel = _scatter_panel(shape, row_indices, entry_cols, values)
+        return cls(shape, values, row_indices, col_ptr, panel, entry_cols)
 
     # -------------------------------------------------------------- inspection
     @property
@@ -161,59 +162,50 @@ class KernelPlan:
             yield c, self.row_indices[lo:hi], self.values[lo:hi]
 
     def decode(self) -> np.ndarray:
-        """Scatter the plan back to the dense ``(in_dim, out_dim)`` matrix."""
-        dense = np.zeros(self.shape, dtype=np.int64)
-        if self.nnz:
-            dense[self.row_indices, self.entry_slots[1]] = self.values
-        return dense
+        """The dense ``(in_dim, out_dim)`` int64 matrix: a writable copy of
+        the panel."""
+        return self.panel.ints.copy()
 
     def with_values(self, values: np.ndarray) -> "KernelPlan":
         """The same support carrying new ``values`` (int64, one per entry).
 
-        Shares ``row_indices``, ``col_ptr``, ``gather_rows`` and
-        ``entry_slots``; ``gather_values`` is a new array, so this plan is
+        Holds ``values`` as given and shares ``row_indices``, ``col_ptr``
+        and ``entry_cols``; the panel is scattered afresh, so this plan is
         left unchanged.
         """
-        slot, entry_col = self.entry_slots
-        gather_values = np.zeros_like(self.gather_rows)
-        gather_values[slot, entry_col] = values
+        panel = _scatter_panel(self.shape, self.row_indices, self.entry_cols,
+                               values)
         return KernelPlan(self.shape, values, self.row_indices, self.col_ptr,
-                          self.gather_rows, gather_values, self.entry_slots)
+                          panel, self.entry_cols)
 
 
-def _entry_slots(col_ptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(slot, column)`` of every CSC entry: entry ``k`` of a column sits
-    in slot ``k`` of that column.  As in every CSC triplet, ``col_ptr``
-    starts at 0 and ends at the entry count."""
-    entry_col = np.repeat(np.arange(len(col_ptr) - 1, dtype=np.int64),
-                          np.diff(col_ptr))
-    return np.arange(len(entry_col)) - col_ptr[entry_col], entry_col
+def _entry_cols(col_ptr: np.ndarray) -> np.ndarray:
+    """The column of every CSC entry (``col_ptr`` starts at 0 and ends at
+    the entry count, as in every CSC triplet)."""
+    return np.repeat(np.arange(len(col_ptr) - 1, dtype=np.int64),
+                     np.diff(col_ptr))
 
 
-def _padded_panels(values: np.ndarray, row_indices: np.ndarray,
-                   col_ptr: np.ndarray,
-                   slots: Tuple[np.ndarray, np.ndarray]
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scatter the CSC triplet into zero-padded ``(max_nnz, out_dim)``
-    row-index and value panels in one step, at :func:`_entry_slots`' slots;
-    pad slots keep row 0 with value 0."""
-    slot, entry_col = slots
-    counts = np.diff(col_ptr)
-    rows = np.zeros((int(counts.max(initial=0)), len(counts)), dtype=np.int64)
-    vals = np.zeros_like(rows)
-    rows[slot, entry_col] = row_indices
-    vals[slot, entry_col] = values
-    return rows, vals
+def _scatter_panel(shape: Tuple[int, int], row_indices: np.ndarray,
+                   entry_cols: np.ndarray, values: np.ndarray) -> DensePanel:
+    """Scatter the entries into a dense panel.  Entries that share a cell
+    add up, as their products do in the per-column oracles."""
+    ints = np.zeros(shape[0] * shape[1], dtype=np.int64)
+    np.add.at(ints, row_indices * shape[1] + entry_cols, values)
+    return DensePanel.from_ints(ints.reshape(shape))
 
 
 def _check_activations(plan: KernelPlan, activations: np.ndarray,
-                       kernel: str) -> np.ndarray:
+                       input_bits: int, kernel: str) -> np.ndarray:
+    """2-D integer activations of the plan's ``in_dim`` that fit signed
+    ``input_bits``, else ``TypeError`` / ``ValueError``."""
     activations = np.atleast_2d(np.asarray(activations))
     require_integer_activations(activations, kernel)
     if activations.shape[1] != plan.shape[0]:
         raise ValueError(
             f"activation dim {activations.shape[1]} != matrix in_dim "
             f"{plan.shape[0]}")
+    require_signed_range(activations, input_bits)
     return activations
 
 
@@ -222,36 +214,27 @@ def _check_activations(plan: KernelPlan, activations: np.ndarray,
 # ---------------------------------------------------------------------------
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
-                depth="MAX_REDUCTION_DEPTH",
-                returns="depth * inputs * weights",
-                params={"activations": "inputs",
-                        "plan.gather_values": "weights"})
-def _gather(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
-    """One fancy-index gather + one einsum over the padded plan."""
-    batch = activations.shape[0]
-    if plan.nnz == 0:
-        return np.zeros((batch, plan.shape[1]), dtype=np.int64)
-    # The gather copies anyway; an int64 input needs no cast copy first.
-    gathered = activations.astype(np.int64, copy=False)[:, plan.gather_rows]
-    return np.einsum("bkc,kc->bc", gathered, plan.gather_values)
-
-
-@width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_gather",
+                returns="exact_matmul",
                 params={"activations": "inputs"})
-def spmm_gather(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
+def spmm_gather(plan: KernelPlan, activations: np.ndarray,
+                input_bits: int) -> np.ndarray:
     """``activations @ W`` via MUX-select gather (int64, bit-exact).
 
-    ``activations``: integer ``(batch, in_dim)``.  Returns ``(batch,
-    out_dim)`` int64, equal to ``activations @ plan.decode()`` exactly.
+    ``activations``: integer ``(batch, in_dim)`` that fit the activation
+    buffer's ``input_bits``-bit signed words, else ``ValueError``.  Returns
+    ``(batch, out_dim)`` int64, equal to ``activations @ plan.decode()``
+    exactly (modulo ``2**64``, as int64 arithmetic wraps).  The range
+    bounds ``max |activations|`` for the product's exactness guard.
     """
-    activations = _check_activations(plan, activations, "spmm_gather")
+    activations = _check_activations(plan, activations, input_bits,
+                                      "spmm_gather")
+    magnitude = 1 << (input_bits - 1)
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span("kernel.spmm_gather") as sp:
             sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
-            return _gather(plan, activations)
-    return _gather(plan, activations)
+            return exact_matmul(activations, plan.panel, magnitude)
+    return exact_matmul(activations, plan.panel, magnitude)
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
@@ -259,15 +242,16 @@ def spmm_gather(plan: KernelPlan, activations: np.ndarray) -> np.ndarray:
                 returns="depth * inputs * weights",
                 params={"activations": "inputs", "vals": "weights",
                         "plan.values": "weights"})
-def spmm_gather_reference(plan: KernelPlan,
-                          activations: np.ndarray) -> np.ndarray:
+def spmm_gather_reference(plan: KernelPlan, activations: np.ndarray,
+                          input_bits: int) -> np.ndarray:
     """Oracle for :func:`spmm_gather`: the per-column loop the MRAM PE
-    originally inlined.
+    originally inlined, after the same checks.
 
     ``tests/test_kernels_differential.py::TestDifferentialSweep`` holds
     :func:`spmm_gather` to it bit for bit.
     """
-    activations = _check_activations(plan, activations, "spmm_gather")
+    activations = _check_activations(plan, activations, input_bits,
+                                      "spmm_gather")
     batch = activations.shape[0]
     out = np.zeros((batch, plan.shape[1]), dtype=np.int64)
     for c, rows, vals in plan.column_slices():
@@ -285,7 +269,7 @@ def spmm_gather_reference(plan: KernelPlan,
 # ---------------------------------------------------------------------------
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
-                returns="_gather",
+                returns="exact_matmul",
                 bounds={"input_bits": BITSERIAL_MAX_BITS},
                 params={"activations": "inputs"})
 def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
@@ -294,18 +278,20 @@ def spmm_bitserial(plan: KernelPlan, activations: np.ndarray,
 
     ``activations`` must fit ``input_bits``-bit two's complement, else
     ``ValueError``.  The plane schedule folds away by linearity (module
-    docstring): after the range check the planes imply, one gather is
-    exact, so the result equals ``activations @ plan.decode()``.
+    docstring): after the range check the planes imply, one product is
+    exact, so the result equals ``activations @ plan.decode()``.  The
+    range also bounds ``max |activations|`` for the product's guard.
     """
-    activations = _check_activations(plan, activations, "spmm_bitserial")
-    require_signed_range(activations, input_bits)
+    activations = _check_activations(plan, activations, input_bits,
+                                      "spmm_bitserial")
+    magnitude = 1 << (input_bits - 1)
     tracer = get_tracer()
     if tracer.enabled:
         with tracer.span("kernel.spmm_bitserial",
                          input_bits=input_bits) as sp:
             sp.count(nnz=plan.nnz, batch=activations.shape[0], calls=1)
-            return _gather(plan, activations)
-    return _gather(plan, activations)
+            return exact_matmul(activations, plan.panel, magnitude)
+    return exact_matmul(activations, plan.panel, magnitude)
 
 
 @width_contract(inputs="i8", weights="i8", accum="i64",
@@ -322,7 +308,8 @@ def spmm_bitserial_reference(plan: KernelPlan, activations: np.ndarray,
     ``tests/test_kernels_differential.py::TestDifferentialSweep`` holds
     :func:`spmm_bitserial` to it bit for bit.
     """
-    activations = _check_activations(plan, activations, "spmm_bitserial")
+    activations = _check_activations(plan, activations, input_bits,
+                                      "spmm_bitserial")
     planes = to_bit_planes(activations, input_bits)  # (bits, batch, in)
     batch = activations.shape[0]
     out = np.zeros((batch, plan.shape[1]), dtype=np.int64)

@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from ..sparsity.nm import NMPattern
-from .bitserial import require_signed_range
 from .csc import CSCMatrix
 from .kernels import KernelPlan, require_integer_activations, spmm_gather
 from .sram_pe import check_weight_range
@@ -128,18 +127,9 @@ class MRAMSparsePE:
         """
         if self.csc is None:
             raise RuntimeError("load() a weight matrix first")
-        csc = self.csc
-        activations = np.atleast_2d(np.asarray(activations))
-        batch, in_dim = activations.shape
-        if in_dim != csc.shape[0]:
-            raise ValueError(
-                f"activation dim {in_dim} != matrix in_dim {csc.shape[0]}")
-        require_integer_activations(activations, "MRAM PE")
-        require_signed_range(activations, self.config.input_bits)
-
-        out = spmm_gather(self._plan, activations)
-
-        self._charge_matmul_stats(batch)
+        # The kernel validates the activations: shape, dtype and range.
+        out = spmm_gather(self._plan, activations, self.config.input_bits)
+        self._charge_matmul_stats(out.shape[0])
         return out
 
     def _charge_matmul_stats(self, batch: int) -> None:

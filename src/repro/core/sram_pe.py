@@ -44,8 +44,7 @@ import numpy as np
 from ..sparsity.nm import NMPattern
 from .bitserial import from_partials, to_bit_planes
 from .csc import CSCMatrix
-from .kernels import (KernelPlan, require_integer_activations,
-                      spmm_bitserial)
+from .kernels import KernelPlan, spmm_bitserial
 from .stats import PEStats
 from .widths import width_contract
 
@@ -154,22 +153,14 @@ class SRAMSparsePE:
         batch.  The numbers come from :func:`spmm_bitserial`, which folds
         the bit planes x index phases x comparator gating away by linearity
         (its oracle walks them); it equals ``activations @ dense`` exactly
-        and rejects activations outside the signed ``input_bits`` range.
+        and rejects non-integer activations, a wrong ``in_dim`` and
+        activations outside the signed ``input_bits`` range.
         """
         if self.csc is None:
             raise RuntimeError("load() a weight matrix first")
-        cfg = self.config
-        csc = self.csc
-        activations = np.atleast_2d(np.asarray(activations))
-        batch, in_dim = activations.shape
-        if in_dim != csc.shape[0]:
-            raise ValueError(
-                f"activation dim {in_dim} != matrix in_dim {csc.shape[0]}")
-        require_integer_activations(activations, "SRAM PE")
-
-        out = spmm_bitserial(self._plan, activations, cfg.input_bits)
-
-        self._charge_matmul_stats(batch)
+        # The kernel validates the activations: shape, dtype and range.
+        out = spmm_bitserial(self._plan, activations, self.config.input_bits)
+        self._charge_matmul_stats(out.shape[0])
         return out
 
     def _charge_matmul_stats(self, batch: int) -> None:
@@ -211,8 +202,9 @@ class SRAMSparsePE:
 
         When ``matrix`` is non-zero at exactly the resident positions (same
         pattern, shape and integer dtype), only the values are rewritten:
-        the new ``csc`` and plan share the resident ``row_indices``,
-        ``col_ptr`` and ``gather_rows``, and lane packing is unchanged.
+        the new ``csc`` and plan share the resident ``row_indices`` and
+        ``col_ptr``, the plan scatters a fresh dense panel, and lane
+        packing is unchanged.
         Same support implies N:M only if the resident load checked it, so a
         ``strict`` update over a ``strict=False`` resident takes the full
         path.  Every other matrix (a moved support, a value that reaches
@@ -246,7 +238,7 @@ class SRAMSparsePE:
         check_weight_range(matrix, self.config.weight_bits)
         if np.count_nonzero(matrix) != csc.nnz:
             return None
-        values = matrix[csc.row_indices, self._plan.entry_slots[1]]
+        values = matrix[csc.row_indices, self._plan.entry_cols]
         return values.astype(np.int64, copy=False) if values.all() else None
 
 

@@ -87,7 +87,7 @@ def width_contract(inputs: Optional[str] = None,
         the abstract environment (``{"bits": BITSERIAL_MAX_BITS}``).
     ``params``
         Environment declarations: variable names (dotted allowed, e.g.
-        ``"plan.gather_values"``) pinned to a role (``"inputs"`` /
+        ``"plan.panel"``) pinned to a role (``"inputs"`` /
         ``"weights"``) or a direct width spec.  The verifier treats these
         as trusted range assertions — they are exactly what the runtime
         guards (``require_integer_activations`` et al.) enforce.

@@ -1,6 +1,10 @@
 """Tests for the experiment harness (table/figure regeneration)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,22 @@ class TestReporting:
         save_json({"x": 1}, str(path))
         assert json.loads(path.read_text()) == {"x": 1}
         save_json({"x": 1}, None)  # no-op
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    """``python -m repro.harness.table2`` runs with RuntimeWarning as an
+    error: importing the package must not import ``table2`` before
+    ``runpy`` executes it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.harness.table2"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "SRAM PE" in proc.stdout
 
 
 class TestTable2:

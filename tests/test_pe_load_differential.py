@@ -1,11 +1,11 @@
 """Differential suite: whole-array PE loads against the per-column original.
 
-``CSCMatrix`` stores the CSC triplet directly, ``KernelPlan`` fills its padded
-gather matrices with one scatter, and ``SRAMSparsePE`` derives lane packing in
+``CSCMatrix`` stores the CSC triplet directly, ``KernelPlan`` scatters its
+dense panel in one step, and ``SRAMSparsePE`` derives lane packing in
 closed form from ``col_ptr``.  The oracles below are the per-column bodies
-those replaced, copied verbatim: ``CSCMatrix.from_dense`` building one
-``CSCColumn`` per column, ``KernelPlan.from_columns`` filling the gather
-matrices column by column, and the SRAM lane-packing loop with the
+those replaced: ``CSCMatrix.from_dense`` building one ``CSCColumn`` per
+column, ``KernelPlan.from_columns`` scattering the panel column by column
+and entry by entry, and the SRAM lane-packing loop with the
 ``PEStats`` charges that read it.  Every comparison is exact: arrays,
 dtypes, counters and error messages.
 """
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.csc import CSCColumn, CSCMatrix
+from repro.core.exact_gemm import DensePanel
 from repro.core.kernels import KernelPlan, require_integer_values
 from repro.core.mram_pe import MRAMSparsePE
 from repro.core.sram_pe import SRAMPEConfig, SRAMSparsePE
@@ -91,16 +92,27 @@ def oracle_plan_from_columns(columns: Sequence[Tuple[np.ndarray, np.ndarray]],
         row_indices = np.zeros(0, dtype=np.int64)
         values = np.zeros(0, dtype=np.int64)
 
-    max_nnz = int(counts.max()) if out_dim else 0
-    gather_rows = np.zeros((max_nnz, out_dim), dtype=np.int64)
-    gather_values = np.zeros((max_nnz, out_dim), dtype=np.int64)
-    for c in range(out_dim):
-        lo, hi = col_ptr[c], col_ptr[c + 1]
-        gather_rows[:hi - lo, c] = row_indices[lo:hi]
-        gather_values[:hi - lo, c] = values[lo:hi]
     return KernelPlan(shape=shape, values=values, row_indices=row_indices,
-                      col_ptr=col_ptr, gather_rows=gather_rows,
-                      gather_values=gather_values)
+                      col_ptr=col_ptr,
+                      panel=oracle_panel(shape, values, row_indices, col_ptr))
+
+
+def oracle_panel(shape, values, row_indices, col_ptr) -> DensePanel:
+    """The triplet scattered one column, one entry at a time, with the
+    largest magnitude taken over Python ints."""
+    ints = np.zeros(shape, dtype=np.int64)
+    for c in range(shape[1]):
+        lo, hi = col_ptr[c], col_ptr[c + 1]
+        for row, value in zip(row_indices[lo:hi], values[lo:hi]):
+            ints[row, c] += value
+    peak = max((abs(int(v)) for v in ints.ravel()), default=0)
+    return DensePanel(ints, ints.astype(np.float64), peak)
+
+
+def oracle_col_l1(panel: DensePanel) -> int:
+    """The largest column L1 norm, summed over Python ints."""
+    return max((sum(abs(int(v)) for v in column) for column in panel.ints.T),
+               default=0)
 
 
 def oracle_plan_from_csc(csc: OracleCSCMatrix) -> KernelPlan:
@@ -278,6 +290,13 @@ def assert_same_array(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got, want)
 
 
+def assert_same_panel(got: DensePanel, want: DensePanel) -> None:
+    assert_same_array(got.ints, want.ints)
+    assert_same_array(got.floats, want.floats)
+    assert got.peak == want.peak
+    assert got.col_l1 == oracle_col_l1(want)
+
+
 def assert_same_csc(matrix, pattern, strict) -> None:
     csc = CSCMatrix.from_dense(matrix, pattern, strict=strict)
     oracle = OracleCSCMatrix.from_dense(matrix, pattern, strict=strict)
@@ -299,8 +318,7 @@ def assert_same_csc(matrix, pattern, strict) -> None:
     assert plan.row_indices is csc.row_indices
     assert plan.col_ptr is csc.col_ptr
     assert plan.shape == want.shape
-    assert_same_array(plan.gather_rows, want.gather_rows)
-    assert_same_array(plan.gather_values, want.gather_values)
+    assert_same_panel(plan.panel, want.panel)
     assert_same_array(plan.decode(), want.decode())
 
 
@@ -381,9 +399,9 @@ def test_plan_from_columns_matches_oracle():
     for cols in (columns, [(np.zeros(0, np.int64),) * 2] * shape[1]):
         got = KernelPlan.from_columns(cols, shape)
         want = oracle_plan_from_columns(cols, shape)
-        for field in ("values", "row_indices", "col_ptr", "gather_rows",
-                      "gather_values"):
+        for field in ("values", "row_indices", "col_ptr"):
             assert_same_array(getattr(got, field), getattr(want, field))
+        assert_same_panel(got.panel, want.panel)
     bad = [(np.array([0]), np.array([1.5]))]
     want = _raised(lambda: oracle_plan_from_columns(bad, (1, 1)))
     assert want is not None

@@ -7,8 +7,9 @@ buffer per learnable GEMM and rewrites it through the same path.  The oracle
 for both is the behaviour they replaced: a fresh ``load`` of the same
 matrix, and an accelerator whose every update reloads its tiles and whose
 every error propagation writes a new buffer.  Every comparison is exact:
-the CSC triplet, every ``KernelPlan`` array, the decoded matrix, lane
-packing, every ``PEStats`` counter and the error messages.
+the CSC triplet, every ``KernelPlan`` array (its dense panel also against
+a per-column scatter), the decoded matrix, lane packing, every ``PEStats``
+counter and the error messages.
 """
 
 import numpy as np
@@ -24,8 +25,22 @@ CONFIGS = {"default": SRAMPEConfig(),
            "rows16-lanes4": SRAMPEConfig(rows=16, lanes=4)}
 #: 6 entries per column at 1:4: on 16-row lanes, columns 2 and 5 spill.
 SHAPE = (24, 7)
-PLAN_ARRAYS = ("values", "row_indices", "col_ptr", "gather_rows",
-               "gather_values")
+
+
+def plan_arrays(plan):
+    """``name -> array`` for every array a ``KernelPlan`` holds."""
+    return {"values": plan.values, "row_indices": plan.row_indices,
+            "col_ptr": plan.col_ptr, "entry_cols": plan.entry_cols,
+            "panel.ints": plan.panel.ints, "panel.floats": plan.panel.floats}
+
+
+def column_scatter(plan):
+    """The plan's entries scattered dense one column at a time, as the
+    per-column oracles read them."""
+    dense = np.zeros(plan.shape, dtype=np.int64)
+    for c, rows, vals in plan.column_slices():
+        dense[rows, c] = vals
+    return dense
 
 
 @pytest.fixture
@@ -70,13 +85,17 @@ def assert_same_state(pe, oracle):
         assert got.dtype == want.dtype, name
         np.testing.assert_array_equal(got, want, err_msg=name)
     assert pe._plan.shape == oracle._plan.shape
-    for name in PLAN_ARRAYS:
-        got, want = getattr(pe._plan, name), getattr(oracle._plan, name)
+    wanted = plan_arrays(oracle._plan)
+    for name, got in plan_arrays(pe._plan).items():
+        want = wanted[name]
         assert got.dtype == want.dtype, name
         assert got.shape == want.shape, name
         np.testing.assert_array_equal(got, want, err_msg=name)
-    for got, want in zip(pe._plan.entry_slots, oracle._plan.entry_slots):
-        np.testing.assert_array_equal(got, want)
+    assert pe._plan.panel.peak == oracle._plan.panel.peak
+    assert pe._plan.panel.col_l1 == oracle._plan.panel.col_l1
+    np.testing.assert_array_equal(pe._plan.panel.ints,
+                                  column_scatter(pe._plan))
+    np.testing.assert_array_equal(pe._plan.panel.ints, pe._plan.decode())
     assert pe.dense_weight().dtype == oracle.dense_weight().dtype
     np.testing.assert_array_equal(pe.dense_weight(), oracle.dense_weight())
     assert pe.lanes_used == oracle.lanes_used
@@ -249,15 +268,17 @@ class TestRewriteKeepsCapturedState:
         pe = SRAMSparsePE()
         pe.load(w0, PATTERN)
         csc, plan = pe.csc, pe._plan
-        copies = {name: getattr(plan, name).copy() for name in PLAN_ARRAYS}
+        copies = {name: a.copy() for name, a in plan_arrays(plan).items()}
         w1 = on_support(rng, w0)
         pe.update_weights(w1, PATTERN)
         assert pe.csc is not csc and pe._plan is not plan
         assert pe.csc.row_indices is csc.row_indices
-        assert pe._plan.gather_rows is plan.gather_rows
+        for name in ("row_indices", "col_ptr", "entry_cols"):
+            assert getattr(pe._plan, name) is getattr(plan, name), name
+        assert pe._plan.panel.ints is not plan.panel.ints
         np.testing.assert_array_equal(csc.decode(), w0)
-        for name, want in copies.items():
-            np.testing.assert_array_equal(getattr(plan, name), want)
+        for name, want in plan_arrays(plan).items():
+            np.testing.assert_array_equal(want, copies[name], err_msg=name)
         np.testing.assert_array_equal(pe.csc.decode(), w1)
 
     def test_dense_weight_is_a_decode_of_the_resident_plan(self, rng):
