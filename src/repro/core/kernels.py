@@ -166,15 +166,17 @@ class KernelPlan:
         the panel."""
         return self.panel.ints.copy()
 
-    def with_values(self, values: np.ndarray) -> "KernelPlan":
+    def with_values(self, values: np.ndarray,
+                    dense: np.ndarray) -> "KernelPlan":
         """The same support carrying new ``values`` (int64, one per entry).
 
-        Holds ``values`` as given and shares ``row_indices``, ``col_ptr``
-        and ``entry_cols``; the panel is scattered afresh, so this plan is
-        left unchanged.
+        ``dense`` is the new integer matrix: zero off the support and equal
+        to ``values`` on it, so an int64 copy of it is the panel and
+        nothing is scattered.  Holds ``values`` as given and shares
+        ``row_indices``, ``col_ptr`` and ``entry_cols``; this plan and
+        ``dense`` are left unchanged.
         """
-        panel = _scatter_panel(self.shape, self.row_indices, self.entry_cols,
-                               values)
+        panel = DensePanel.from_ints(np.array(dense, dtype=np.int64))
         return KernelPlan(self.shape, values, self.row_indices, self.col_ptr,
                           panel, self.entry_cols)
 

@@ -203,8 +203,8 @@ class SRAMSparsePE:
         When ``matrix`` is non-zero at exactly the resident positions (same
         pattern, shape and integer dtype), only the values are rewritten:
         the new ``csc`` and plan share the resident ``row_indices`` and
-        ``col_ptr``, the plan scatters a fresh dense panel, and lane
-        packing is unchanged.
+        ``col_ptr``, the plan's dense panel is an int64 copy of ``matrix``,
+        and lane packing is unchanged.
         Same support implies N:M only if the resident load checked it, so a
         ``strict`` update over a ``strict=False`` resident takes the full
         path.  Every other matrix (a moved support, a value that reaches
@@ -221,7 +221,7 @@ class SRAMSparsePE:
         csc = self.csc
         self.csc = CSCMatrix(values, csc.row_indices, csc.col_ptr, csc.shape,
                              csc.pattern)
-        self._plan = self._plan.with_values(values)
+        self._plan = self._plan.with_values(values, matrix)
         self._dense_cache = None
         self._charge_write()
 

@@ -14,6 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..obs import get_tracer
 from .tensor import Tensor, astensor
 
 
@@ -66,9 +67,23 @@ def col2im(cols: np.ndarray, x_shape: Tuple[int, int, int, int],
 # ---------------------------------------------------------------- convolution
 def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution, ``x (N,C,H,W)`` * ``weight (F,C,KH,KW)`` -> ``(N,F,OH,OW)``."""
+    """2D convolution, ``x (N,C,H,W)`` * ``weight (F,C,KH,KW)`` -> ``(N,F,OH,OW)``.
+
+    Traced as ``nn.conv2d`` (attrs: the GEMM's ``dtype``, the input
+    ``shape``) and its backward as ``nn.conv2d.backward``.
+    """
     x = astensor(x)
     weight = astensor(weight)
+    tracer = get_tracer()
+    if tracer.enabled:
+        dtype = np.result_type(x.dtype, weight.dtype)
+        with tracer.span("nn.conv2d", dtype=str(dtype), shape=x.shape):
+            return _conv2d(x, weight, bias, stride, padding)
+    return _conv2d(x, weight, bias, stride, padding)
+
+
+def _conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor],
+            stride: int, padding: int) -> Tensor:
     n, c, h, w = x.shape
     f, wc, kh, kw = weight.shape
     if wc != c:
@@ -87,6 +102,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     out = x._make_child(out_data, parents)
     if out.requires_grad:
         def _backward(g: np.ndarray) -> None:
+            tracer = get_tracer()
+            if tracer.enabled:
+                with tracer.span("nn.conv2d.backward", shape=x.shape):
+                    _grads(g)
+            else:
+                _grads(g)
+
+        def _grads(g: np.ndarray) -> None:
             g2 = g.transpose(0, 2, 3, 1).reshape(-1, f)        # (N*OH*OW, F)
             if weight.requires_grad:
                 gw = (g2.T @ cols).reshape(weight.shape)

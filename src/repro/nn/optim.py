@@ -14,6 +14,7 @@ from typing import Dict, Iterable, List
 
 import numpy as np
 
+from ..obs import get_tracer
 from .modules import Parameter
 
 
@@ -61,11 +62,23 @@ class Adam(Optimizer):
         self._t = 0
 
     def step(self) -> None:
+        """One update, traced as ``nn.optimizer.step`` counting the
+        ``params`` it updates."""
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("nn.optimizer.step", optimizer="Adam") as span:
+                span.count(params=self._update())
+        else:
+            self._update()
+
+    def _update(self) -> int:
         self._t += 1
         b1, b2 = self.beta1, self.beta2
+        updated = 0
         for p in self.params:
             if not p.trainable or p.grad is None:
                 continue
+            updated += 1
             g = p.grad
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
@@ -81,6 +94,7 @@ class Adam(Optimizer):
             mask = self._masks.get(id(p))
             if mask is not None:
                 p.data = p.data * mask
+        return updated
 
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:

@@ -24,13 +24,14 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..obs import get_tracer
+
 Arrayish = Union["Tensor", np.ndarray, float, int, list, tuple]
 
-#: Default dtype for parameters and factory functions.  Training does not stay
-#: in it: :func:`_as_array` turns a Python scalar into a 0-d float64 array, which
-#: NumPy 2 promotes as a strong type, so ``Tensor.mean``, ``x + eps`` and
-#: training-mode ``BatchNorm2d`` return float64, and an optimizer step with a
-#: float64 gradient turns a float32 weight float64 (tests/test_dtype_flow.py).
+#: Dtype of parameters and of the ``zeros``/``ones`` factories.  Training stays
+#: in it: a Python scalar takes the dtype of the floating tensor it meets
+#: (:meth:`Tensor._operand`), so ``Tensor.mean``, ``x + eps``, ``BatchNorm2d``
+#: and an optimizer step keep float32 float32 (tests/test_dtype_flow.py).
 DEFAULT_DTYPE = np.float32
 
 
@@ -75,8 +76,10 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything ``np.asarray`` accepts.  Floating point data defaults to
-        ``float64`` unless an explicit dtype is embedded in the input.
+        Anything ``np.asarray`` accepts, kept in the dtype ``np.asarray``
+        gives it (a list of Python floats is ``float64``; parameters and the
+        factories use ``DEFAULT_DTYPE``).  A Python scalar operand of an
+        arithmetic op takes this tensor's floating dtype instead.
     requires_grad:
         Whether gradients should be accumulated for this tensor.
     """
@@ -153,8 +156,18 @@ class Tensor:
         """Backpropagate from this tensor through the recorded graph.
 
         ``grad`` defaults to ones (so ``loss.backward()`` works for scalars and
-        acts as a sum-of-outputs seed otherwise).
+        acts as a sum-of-outputs seed otherwise).  Traced as ``nn.backward``,
+        counting the graph ``nodes`` it walks.
         """
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("nn.backward") as span:
+                span.count(nodes=self._backpropagate(grad))
+        else:
+            self._backpropagate(grad)
+
+    def _backpropagate(self, grad: Optional[np.ndarray]) -> int:
+        """:meth:`backward`'s pass; returns the number of graph nodes."""
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:
@@ -187,6 +200,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+        return len(topo)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -195,8 +209,18 @@ class Tensor:
             self.grad = self.grad + grad
 
     # ------------------------------------------------------------ arithmetic
+    def _operand(self, other: Arrayish) -> "Tensor":
+        """``other`` as a Tensor.  A Python scalar meeting a floating tensor
+        takes its dtype, as under NumPy's weak-scalar rule; a bare
+        ``np.asarray`` would make it a strong 0-d float64 that promotes
+        float32 (a float64 tensor stays float64 either way)."""
+        if (isinstance(other, (int, float)) and not isinstance(other, np.generic)
+                and np.issubdtype(self.data.dtype, np.floating)):
+            return Tensor(np.asarray(other, dtype=self.data.dtype))
+        return astensor(other)
+
     def __add__(self, other: Arrayish) -> "Tensor":
-        rhs = astensor(other)
+        rhs = self._operand(other)
         out = self._make_child(self.data + rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
@@ -218,13 +242,13 @@ class Tensor:
         return out
 
     def __sub__(self, other: Arrayish) -> "Tensor":
-        return self + (-astensor(other))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other: Arrayish) -> "Tensor":
-        return astensor(other) + (-self)
+        return self._operand(other) + (-self)
 
     def __mul__(self, other: Arrayish) -> "Tensor":
-        rhs = astensor(other)
+        rhs = self._operand(other)
         out = self._make_child(self.data * rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
@@ -238,7 +262,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Arrayish) -> "Tensor":
-        rhs = astensor(other)
+        rhs = self._operand(other)
         out = self._make_child(self.data / rhs.data, (self, rhs))
         if out.requires_grad:
             def _backward(g: np.ndarray) -> None:
@@ -252,7 +276,7 @@ class Tensor:
         return out
 
     def __rtruediv__(self, other: Arrayish) -> "Tensor":
-        return astensor(other) / self
+        return self._operand(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -389,8 +413,10 @@ class Tensor:
                     ref = np.expand_dims(ref, axis=axes)
                 mask = (self.data == ref)
                 # Split gradient equally among ties, matching numerical tests.
+                # The integer counts would promote float32 to float64.
                 counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-                self._accumulate(np.broadcast_to(grad, self.shape) * mask / counts)
+                self._accumulate((np.broadcast_to(grad, self.shape) * mask / counts)
+                                 .astype(self.dtype, copy=False))
             out._backward = _backward
         return out
 
@@ -466,11 +492,11 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
+    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
+    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
 class no_grad:

@@ -119,5 +119,5 @@ def quantize_model_ptq(model: Module, per_channel: bool = True,
         if per_channel:
             w.data = fake_quantize_per_channel(w.data, axis=0)
         else:
-            w.data = report[key].fake_quantize(w.data)
+            w.data = report[key].fake_quantize(w.data).astype(w.dtype)
     return report

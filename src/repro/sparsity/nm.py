@@ -129,10 +129,11 @@ def compute_nm_mask(saliency: np.ndarray, pattern: NMPattern,
 
 
 def apply_nm_mask(weights: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Elementwise weight * mask (copies; does not mutate)."""
+    """Elementwise weight * mask in the weights' dtype (copies; does not
+    mutate)."""
     if weights.shape != mask.shape:
         raise ValueError(f"weight shape {weights.shape} != mask shape {mask.shape}")
-    return weights * mask
+    return weights * mask.astype(weights.dtype, copy=False)
 
 
 def verify_nm(matrix: np.ndarray, pattern: NMPattern, axis: int = -1) -> bool:
