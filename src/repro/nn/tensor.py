@@ -20,6 +20,7 @@ Design notes
 
 from __future__ import annotations
 
+import contextvars
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -499,25 +500,32 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
 
 
+#: Nesting depth of :class:`no_grad` in the current context.  Context-local,
+#: as :mod:`repro.obs` keeps its tracer: a thread starts at depth 0, so one
+#: thread's ``no_grad`` block never turns off another thread's graph or
+#: ``BatchNorm2d`` statistics.
+_NO_GRAD_DEPTH: "contextvars.ContextVar[int]" = \
+    contextvars.ContextVar("repro_nn_no_grad", default=0)
+
+
 class no_grad:
     """Context manager that marks a region as gradient-free.
 
     The engine builds graphs only from ``requires_grad`` tensors, so this is a
     lightweight switch that detaches module parameters on entry.  It exists to
     mirror the familiar API; evaluation loops in this codebase use it to make
-    intent explicit and to skip graph construction costs.
+    intent explicit and to skip graph construction costs.  The switch holds
+    for the current thread (context) only; blocks nest.
     """
 
-    _active = 0
-
     def __enter__(self):
-        no_grad._active += 1
+        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() + 1)
         return self
 
     def __exit__(self, *exc):
-        no_grad._active -= 1
+        _NO_GRAD_DEPTH.set(_NO_GRAD_DEPTH.get() - 1)
         return False
 
     @staticmethod
     def active() -> bool:
-        return no_grad._active > 0
+        return _NO_GRAD_DEPTH.get() > 0

@@ -8,7 +8,7 @@ Layering (everything below the handler is plain-function testable):
   :class:`~.batching.BatchingQueue`, the :class:`~.jobs.JobStore` and
   the latency histograms.  ``dispatch(method, path, body)`` is the
   whole API as a pure-ish call: ``(status, document)`` out;
-  ``respond`` adds the JSON encoding and the timing.
+  ``respond`` adds the (compact) JSON encoding and the timing.
 * :class:`_Handler` — the thin ``http.server`` adapter: reads the body
   (bounded by ``max_body_bytes``), calls ``respond``, writes the bytes.
   ``ThreadingHTTPServer`` gives one thread per request, and evaluations
@@ -196,7 +196,8 @@ class ServeApp:
         start = time.perf_counter_ns()
         status, doc = self.dispatch(method, path, raw_body)
         encode = time.perf_counter_ns()
-        payload = json.dumps(doc, indent=1, default=str).encode("utf-8")
+        payload = json.dumps(doc, separators=(",", ":"),
+                             default=str).encode("utf-8")
         end = time.perf_counter_ns()
         template = route_template(path)[0]
         if template == "/v1/evaluate":

@@ -96,6 +96,8 @@ def compute_nm_mask(saliency: np.ndarray, pattern: NMPattern,
         Axis along which groups are formed after moving it last.
 
     Ties are broken towards the lower index to keep the mask deterministic.
+    The mask takes the saliency's floating dtype (float64 for integer
+    saliency), so pruning float32 weights makes no float64 copy.
     """
     saliency = np.asarray(saliency)
     if saliency.ndim == 0:
@@ -118,7 +120,9 @@ def compute_nm_mask(saliency: np.ndarray, pattern: NMPattern,
     order = np.argsort(-groups, axis=-1, kind="stable")
     ranks = np.empty_like(order)
     np.put_along_axis(ranks, order, np.arange(pattern.m)[None, None, :], axis=-1)
-    mask = (ranks < pattern.n).astype(np.float64)
+    dtype = (saliency.dtype if np.issubdtype(saliency.dtype, np.floating)
+             else np.float64)
+    mask = (ranks < pattern.n).astype(dtype)
 
     mask = mask.reshape(rows, cols)
     if pad:

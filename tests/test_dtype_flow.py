@@ -4,9 +4,10 @@ Parameters, inputs and the tensor factories are float32 (``DEFAULT_DTYPE``).
 A Python scalar that meets a floating tensor takes its dtype, as under
 NumPy's weak-scalar rule, so ``Tensor.mean`` (``* (1 / count)``), ``x + eps``
 and training-mode ``BatchNorm2d`` stay float32, and a float64 tensor stays
-float64 (nothing is downcast).  N:M pruning keeps the weights' dtype and an
-Adam step keeps float32 weights float32, so every Table 1 convolution runs
-float32 input against float32 weights.
+float64 (nothing is downcast).  N:M pruning keeps the weights' dtype, a mask
+takes the saliency's floating dtype, and an Adam step keeps float32 weights
+float32, so every Table 1 convolution runs float32 input against float32
+weights.
 
 A change to this flow moves Table 1 cells: it must regenerate
 ``results/table1_fast.json`` (which perfbench's ``train-table1`` accuracy
@@ -92,11 +93,24 @@ def test_nm_pruning_keeps_the_dtype(dtype):
     np.testing.assert_array_equal(pruned, weights * (mask != 0))
 
 
+@pytest.mark.parametrize("saliency, mask", [
+    (np.float32, np.float32), (np.float64, np.float64),
+    (np.float16, np.float16), (np.int8, np.float64), (np.int64, np.float64)])
+@pytest.mark.parametrize("shape", [(4, 8), (2, 2, 2, 4)])
+def test_nm_mask_takes_the_saliency_floating_dtype(saliency, mask, shape):
+    scores = np.arange(32).reshape(shape).astype(saliency)
+    got = compute_nm_mask(scores, NMPattern(1, 4))
+    assert got.dtype == np.dtype(mask)
+    np.testing.assert_array_equal(
+        got, compute_nm_mask(scores.astype(np.float64), NMPattern(1, 4)))
+
+
 def test_prune_model_keeps_float32_parameters():
     model = build_repnet_model(widths=(8, 8, 16, 16, 16, 16), repnet_width=4,
                                seed=0)
     masks = prune_model(model.backbone, NMPattern(1, 4))
     assert masks
+    assert {m.dtype for m in masks.values()} == {F32}
     assert {p.dtype for p in model.parameters()} == {F32}
 
 

@@ -20,7 +20,7 @@ from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
                        evaluate_batch, evaluate_config, frontier_doc,
                        normalize_config, run_sweep)
 from repro.dse.cache import DiskCache, NullCache
-from repro.serve import build_sweep_spec
+from repro.serve import ServeApp, build_sweep_spec
 
 from tests.serve_utils import NOMINAL_CONFIG, live_server, wait_for_job
 
@@ -183,3 +183,20 @@ class TestSweepDifferential:
             assert canon(rewired) == canon(direct)
             metrics = doc["record"]["metrics"]
             assert metrics == direct["metrics"]
+
+    def test_replies_are_compact_json_of_the_document(self, tmp_path):
+        """Replies carry no whitespace: the wire bytes are the document
+        encoded with compact separators, and parse back to it."""
+        app = ServeApp(cache=DiskCache(tmp_path / "c"))
+        try:
+            body = json.dumps({"config": NOMINAL_CONFIG}).encode()
+            for method, path, raw in (("POST", "/v1/evaluate", body),
+                                      ("POST", "/v1/evaluate", body),
+                                      ("GET", "/v1/stats", b""),
+                                      ("GET", "/v1/nowhere", b"")):
+                _, doc, payload = app.respond(method, path, raw)
+                assert payload == json.dumps(
+                    doc, separators=(",", ":")).encode("utf-8")
+                assert json.loads(payload) == doc
+        finally:
+            app.shutdown()

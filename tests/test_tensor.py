@@ -1,11 +1,13 @@
 """Unit tests for the autograd engine (repro.nn.tensor)."""
 
 import gc
+import threading
 
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn.modules import BatchNorm2d
 from repro.nn.tensor import (Tensor, concatenate, no_grad, ones, stack,
                              unbroadcast, zeros)
 
@@ -277,6 +279,54 @@ class TestEngine:
         with no_grad():
             out = a * 2
         assert not out.requires_grad
+
+    def test_no_grad_nests(self, rng):
+        a = Tensor(rng.standard_normal((3,)), requires_grad=True)
+        with no_grad():
+            with no_grad():
+                pass
+            assert not (a * 2).requires_grad
+        assert (a * 2).requires_grad
+
+    def test_no_grad_holds_for_its_own_thread_only(self, rng):
+        """A thread parked inside ``no_grad`` changes nothing for another
+        thread: its graph and its train-mode BatchNorm running statistics
+        come out as when it runs alone."""
+        x = rng.standard_normal((4, 3, 5, 5)).astype(np.float32)
+
+        def train_step():
+            bn = BatchNorm2d(3)
+            inp = Tensor(x, requires_grad=True)
+            out = bn(inp)
+            out.sum().backward()
+            return (out.requires_grad, out.data, inp.grad,
+                    bn.running_mean, bn.running_var)
+
+        alone = train_step()
+        entered, release = threading.Event(), threading.Event()
+
+        def park():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=60)
+
+        parked = threading.Thread(target=park)
+        parked.start()
+        beside = []
+        try:
+            assert entered.wait(timeout=60)
+            worker = threading.Thread(
+                target=lambda: beside.append(train_step()))
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            release.set()
+            parked.join(timeout=60)
+        assert alone[0] is True and len(beside) == 1
+        assert beside[0][0] is True
+        for expected, got in zip(alone[1:], beside[0][1:]):
+            np.testing.assert_array_equal(got, expected)
+        assert not no_grad.active()
 
     def test_unbroadcast_prepended_axes(self):
         g = np.ones((2, 3, 4))
