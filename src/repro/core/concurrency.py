@@ -1,8 +1,8 @@
 """Lock-discipline contracts for the threaded serving stack.
 
 ``repro.serve`` made the repo a threaded system: one HTTP handler thread
-per request, each evaluating inline behind a per-key single-flight, a
-job executor, a lock-guarded tracer.  The invariants that keep it correct — *which lock
+per request, each evaluating inline behind a per-key single-flight, and
+a lock-guarded tracer.  The invariants that keep it correct — *which lock
 guards which field*, and *which entry points may never be called with a
 lock held* — live in code review today.  These decorators make them
 declarations the static concurrency verifier in
@@ -46,9 +46,9 @@ def guarded_by(lock: str, *fields: str) -> Callable[[_C], _C]:
 
     ``lock`` names either a synchronization attribute of the decorated
     class itself (``"_lock"``, ``"_cond"``) or, dotted, one of another
-    class in the same module (``"JobStore._lock"``) — the pattern where a
-    registry object's lock guards the mutable fields of the records it
-    owns.  ``fields`` are attribute names of the decorated class.
+    class in the same module (``"BatchingQueue._lock"``) — the pattern
+    where a registry object's lock guards the mutable fields of the
+    records it owns.  ``fields`` are attribute names of the decorated class.
 
     Stackable: several ``@guarded_by`` decorations on one class merge,
     so different locks can guard different field groups.  The decorator

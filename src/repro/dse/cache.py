@@ -65,9 +65,9 @@ class DiskCache:
     """Keyed record store with hit/miss/rejection accounting.
 
     One instance is shared by every request-handler thread of the serve
-    layer (and its sweep jobs), so the counters and the memory tier
-    (``_memory``: key -> the record's canonical JSON text, in insertion
-    order) are guarded by ``_lock`` (declared above, verified by lint
+    layer, evaluate and sweep requests alike, so the counters and the
+    memory tier (``_memory``: key -> the record's canonical JSON text, in
+    insertion order) are guarded by ``_lock`` (declared above, verified by lint
     rule R11).  File IO stays *outside* the lock (rule R12): entry bytes
     are self-validating and writes are atomic ``tmp + os.replace``, so
     the lock only has to make the accounting and the map consistent,
@@ -178,7 +178,7 @@ class DiskCache:
         entry = _ENTRY % (text_checksum(text), json.dumps(key), text)
         path = self.path_for(key)
         # One temp file per writer thread: racing stores of one key (a
-        # sweep job and an evaluate request) never share it.
+        # sweep request and an evaluate request) never share it.
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         try:

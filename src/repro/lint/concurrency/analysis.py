@@ -11,8 +11,9 @@ call site, of the locks held there plus the caller's own entry set.
 Deferred references (thread targets, executor submissions, lambda
 bodies) run on another thread and contribute an empty site.  The
 fixpoint only shrinks, so recompute-until-stable terminates.  This is
-what lets ``Job._doc`` stay lock-free in source while R11 proves its
-guarded reads safe: every call site sits inside ``JobStore._lock``.
+what lets ``DiskCache._remember`` stay lock-free in source while R11
+proves its guarded memory-tier writes safe: every call site sits inside
+``DiskCache._lock``.
 It is the one must-summary here, so it keeps its own fixpoint.
 
 **May-block and acquired-lock summaries** — two runs of the shared

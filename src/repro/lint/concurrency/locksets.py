@@ -23,7 +23,7 @@ consume, each stamped with the lockset held at that point:
 Receivers are typed by the shared :class:`~repro.lint.callgraph.
 FunctionScope` (annotations, constructor-call locals, ``__init__``
 attribute types, return annotations, dict-value and loop-element
-typing), so ``self.jobs.get(...).state`` -style chains resolve without
+typing), so ``self.queue.cache.stats()`` -style chains resolve without
 importing the code under analysis; this walker adds only what the scope
 does not know: sync objects with their lock identities, and futures.
 """

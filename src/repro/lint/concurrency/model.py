@@ -4,8 +4,8 @@ Everything the lockset transfer and the interprocedural analysis agree
 on lives here:
 
 * **Lock identity** — a lock is named by where it lives, not by which
-  expression reached it: ``repro.serve.jobs.JobStore._lock`` for an
-  instance synchronization attribute (one abstract lock per class
+  expression reached it: ``repro.serve.batching.BatchingQueue._lock``
+  for an instance synchronization attribute (one abstract lock per class
   attribute — sound for the registry/service objects this verifier
   targets, which are created once per process), or
   ``repro.obs.tracer._LOCK`` for a module-level lock.
@@ -95,7 +95,8 @@ def lock_id(owner: str, attr: str) -> str:
 
 
 def short_lock(lock: str) -> str:
-    """Compact human form: last two dotted components (``JobStore._lock``)."""
+    """Compact human form: last two dotted components
+    (``BatchingQueue._lock``)."""
     parts = lock.split(".")
     return ".".join(parts[-2:]) if len(parts) >= 2 else lock
 

@@ -221,7 +221,7 @@ class Tracer:
 _TRACER = Tracer()
 
 #: Context-local tracer override.  ``None`` means "use the process-global
-#: tracer"; :func:`use_tracer` installs a per-request/per-job tracer here.
+#: tracer"; :func:`use_tracer` installs a per-request tracer here.
 #: New threads start from the default context (no override), so a worker
 #: thread only ever sees a context-local tracer it installed itself.
 _TRACER_VAR: "contextvars.ContextVar[Optional[Tracer]]" = \

@@ -9,6 +9,7 @@
     curl -s -X POST localhost:8321/v1/evaluate -d '{
       "config": {"pattern": "1:8", "bus_bits": 128, "mram_rows": 1024,
                  "weight_bits": 8, "device": "nominal"}}'
+    curl -s -X POST localhost:8321/v1/sweep -d '{"preset": "smoke"}'
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ def build_app(args: argparse.Namespace) -> ServeApp:
         cache: DiskCache = NullCache()
     else:
         cache = DiskCache(args.cache_dir, refresh=args.refresh)
-    return ServeApp(cache=cache,
-                    job_workers=args.job_workers,
-                    max_jobs=args.max_jobs)
+    return ServeApp(cache=cache)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -36,16 +35,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.serve",
         description="Simulation-as-a-service over the DSE engine and the "
                     "experiment harness (stdlib-only HTTP/JSON API; "
-                    "single-flight evaluation, async jobs).")
+                    "single-flight evaluation; sweeps and experiments "
+                    "answered in the request).")
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: 127.0.0.1)")
     parser.add_argument("--port", type=int, default=8321,
                         help="bind port; 0 picks a free one (default: 8321)")
-    parser.add_argument("--job-workers", type=int, default=2, metavar="N",
-                        help="concurrent sweep/experiment jobs (default: 2)")
-    parser.add_argument("--max-jobs", type=int, default=1024, metavar="N",
-                        help="job-registry bound; oldest finished jobs are "
-                             "pruned beyond it (default: 1024)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
                         help=f"record cache root, shared with python -m "

@@ -5,20 +5,20 @@ Layering (everything below the handler is plain-function testable):
 * :class:`ServeApp` — owns the shared :class:`~repro.dse.cache.DiskCache`
   (the *same* content-hash cache ``python -m repro.dse`` uses, so HTTP
   and CLI warm each other), the single-flight
-  :class:`~.batching.BatchingQueue`, the :class:`~.jobs.JobStore` and
-  the latency histograms.  ``dispatch(method, path, body)`` is the
-  whole API as a pure-ish call: ``(status, document)`` out;
-  ``respond`` adds the (compact) JSON encoding and the timing.
+  :class:`~.batching.BatchingQueue` and the latency histograms.
+  ``dispatch(method, path, body)`` is the whole API as a pure-ish call:
+  ``(status, document)`` out; ``respond`` adds the (compact, key-sorted)
+  JSON encoding and the timing.
 * :class:`_Handler` — the thin ``http.server`` adapter: reads the body
   (bounded by ``max_body_bytes``), calls ``respond``, writes the bytes.
-  ``ThreadingHTTPServer`` gives one thread per request, and evaluations
-  run inline in it; all shared state sits behind the app's locks.
+  ``ThreadingHTTPServer`` gives one thread per request, and every
+  evaluation, sweep and experiment runs inline in it; all shared state
+  sits behind the app's locks.
 
-Every request gets a trace ID (``req-<seq>``, deterministic per server).
-Evaluate requests with ``"trace": true`` run under a context-local
-tracer (:func:`repro.obs.use_tracer`) and get their spans back inline;
-job traces are exported as Chrome ``trace_events`` documents via
-``GET /v1/jobs/<id>/trace``.
+Every evaluate, sweep and experiment request gets a trace ID
+(``req-<seq>``, deterministic per server) and runs under its own
+context-local tracer (:func:`repro.obs.use_tracer`); with ``"trace":
+true`` its spans come back inline in the reply.
 
 Error discipline: *every* failure path returns a structured JSON error
 document (:func:`~.schemas.error_doc`) — schema violations as 4xx,
@@ -32,34 +32,28 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import __version__
 from ..core.concurrency import guarded_by
 from ..dse.cache import DiskCache
 from ..dse.engine import frontier_doc, run_sweep
 from ..dse.spec import config_key
-from ..obs import Tracer, to_trace_events, use_tracer
+from ..obs import Tracer, span, to_trace_events, use_tracer
 from .batching import BatchingQueue, BatchTimeout
-from .jobs import DEFAULT_MAX_JOBS, Job, JobStore
-from .schemas import (EVALUATE_SCHEMA, HEALTH_SCHEMA, JOB_RESULT_SCHEMA,
-                      JOB_SCHEMA, MAX_BODY_BYTES, STATS_SCHEMA, SchemaError,
-                      build_sweep_spec, error_doc, validate_evaluate_request,
+from .schemas import (EVALUATE_SCHEMA, EXPERIMENT_SCHEMA, HEALTH_SCHEMA,
+                      MAX_BODY_BYTES, STATS_SCHEMA, SWEEP_SCHEMA, SchemaError,
+                      error_doc, validate_evaluate_request,
                       validate_experiment_request, validate_sweep_request)
 
 #: The endpoint table (method, path template, summary) — also what the
 #: CLI banner and METHODOLOGY §12 print, so docs and code cannot drift.
 ROUTES = (
     ("POST", "/v1/evaluate", "evaluate one config (single-flight+cached)"),
-    ("POST", "/v1/sweep", "submit a sweep job (SweepSpec overlay)"),
-    ("POST", "/v1/experiment", "submit an experiment job (fig7|fig8|table2)"),
-    ("GET", "/v1/jobs", "list jobs in submission order"),
-    ("GET", "/v1/jobs/<id>", "job status document"),
-    ("GET", "/v1/jobs/<id>/result", "job result (409 until finished)"),
-    ("GET", "/v1/jobs/<id>/trace", "job Chrome trace_events export"),
-    ("POST", "/v1/jobs/<id>/cancel", "cancel a queued job"),
+    ("POST", "/v1/sweep", "run a sweep (SweepSpec overlay)"),
+    ("POST", "/v1/experiment", "build an experiment (fig7|fig8|table2)"),
     ("GET", "/v1/health", "liveness + version"),
-    ("GET", "/v1/stats", "cache / batching / job counters, latency"),
+    ("GET", "/v1/stats", "cache / batching counters, latency"),
 )
 
 #: The one method each route template accepts.
@@ -69,14 +63,9 @@ ROUTE_METHODS = {path: method for method, path, _ in ROUTES}
 EVALUATE_STAGES = ("validate", "evaluate", "serialize")
 
 
-def route_template(path: str) -> Tuple[str, Optional[str]]:
-    """``(template, job_id)`` of a request path: ``/v1/jobs/<id>...``
-    paths bind their id; every other path is only cleaned of its query
-    string and empty segments."""
-    parts = [p for p in path.split("?", 1)[0].split("/") if p]
-    if len(parts) in (3, 4) and parts[:2] == ["v1", "jobs"]:
-        return "/".join(["", "v1", "jobs", "<id>"] + parts[3:]), parts[2]
-    return "/" + "/".join(parts), None
+def route_template(path: str) -> str:
+    """A request path cleaned of its query string and empty segments."""
+    return "/" + "/".join(p for p in path.split("?", 1)[0].split("/") if p)
 
 
 #: Upper bounds of the latency buckets in microseconds, 16 µs doubling
@@ -121,31 +110,15 @@ class LatencyHistograms:
                     for name, counts in self._counts.items()}
 
 
-def _run_sweep_job(app: "ServeApp", job: Job) -> Dict[str, object]:
-    """Job runner: one sweep through the shared engine + cache."""
-    spec = build_sweep_spec(job.request)
-    result = run_sweep(spec=spec, cache=app.cache)
-    doc: Dict[str, object] = {
-        "configs": result["configs"],
-        "errors": len(result["errors"]),
-        "cache": result["cache"],
-        "frontier": frontier_doc(result),
-    }
-    if job.request.get("records"):
-        doc["records"] = result["records"]
-    return doc
-
-
-def _run_experiment_job(app: "ServeApp", job: Job) -> Dict[str, object]:
-    """Job runner: one harness build (fig7 / fig8 / table2)."""
+def _build_experiment(name: str) -> object:
+    """One harness build (fig7 / fig8 / table2)."""
     from ..harness.fig7 import build_fig7
     from ..harness.fig8 import build_fig8
     from ..harness.table2 import build_table2
 
     builders = {"fig7": build_fig7, "fig8": build_fig8,
                 "table2": build_table2}
-    name = str(job.request["experiment"])
-    return {"experiment": name, "result": builders[name]()}
+    return builders[name]()
 
 
 @guarded_by("_lock", "_trace_seq")
@@ -153,12 +126,9 @@ class ServeApp:
     """Application state + the ``dispatch`` entry point."""
 
     def __init__(self, cache: Optional[DiskCache] = None,
-                 job_workers: int = 2,
-                 max_body_bytes: int = MAX_BODY_BYTES,
-                 max_jobs: int = DEFAULT_MAX_JOBS):
+                 max_body_bytes: int = MAX_BODY_BYTES):
         self.cache = cache if cache is not None else DiskCache()
         self.queue = BatchingQueue(cache=self.cache)
-        self.jobs = JobStore(workers=job_workers, max_jobs=max_jobs)
         self.max_body_bytes = max_body_bytes
         #: Whole server-side request time per route template (``other``:
         #: paths matching no route), and per evaluate stage.
@@ -192,14 +162,18 @@ class ServeApp:
     def respond(self, method: str, path: str, raw_body: bytes = b""
                 ) -> Tuple[int, Dict[str, object], bytes]:
         """``dispatch`` plus JSON encoding — the whole server-side life
-        of one HTTP request, timed into the latency histograms."""
+        of one HTTP request, timed into the latency histograms.
+
+        Keys are sorted, so a reply's bytes depend only on its document:
+        a record fresh from the model and the same record decoded from
+        the cache encode alike."""
         start = time.perf_counter_ns()
         status, doc = self.dispatch(method, path, raw_body)
         encode = time.perf_counter_ns()
-        payload = json.dumps(doc, separators=(",", ":"),
+        payload = json.dumps(doc, separators=(",", ":"), sort_keys=True,
                              default=str).encode("utf-8")
         end = time.perf_counter_ns()
-        template = route_template(path)[0]
+        template = route_template(path)
         if template == "/v1/evaluate":
             self.stage_latency.record("serialize", end - encode)
         self.endpoint_latency.record(
@@ -219,7 +193,7 @@ class ServeApp:
 
     def _route(self, method: str, path: str,
                raw_body: bytes) -> Tuple[int, Dict[str, object]]:
-        template, job_id = route_template(path)
+        template = route_template(path)
         shown = path.split("?", 1)[0].rstrip("/") or "/"
         expected = ROUTE_METHODS.get(template)
         if expected is None:
@@ -235,27 +209,36 @@ class ServeApp:
             return self.handle_sweep(self.parse_body(raw_body))
         if template == "/v1/experiment":
             return self.handle_experiment(self.parse_body(raw_body))
-        if template == "/v1/jobs":
-            return 200, self.jobs.list_doc()
         if template == "/v1/health":
             return 200, {"schema": HEALTH_SCHEMA, "ok": True,
                          "version": __version__}
-        if template == "/v1/stats":
-            return 200, {"schema": STATS_SCHEMA,
-                         "cache": self.cache.stats(),
-                         "batching": self.queue.stats(),
-                         "jobs": self.jobs.counts(),
-                         "latency": {
-                             "bounds_us": list(BOUNDS_US),
-                             "endpoints": self.endpoint_latency.doc(),
-                             "evaluate_stages": self.stage_latency.doc()}}
-        handler = {"/v1/jobs/<id>": self.handle_job_get,
-                   "/v1/jobs/<id>/result": self.handle_job_result,
-                   "/v1/jobs/<id>/trace": self.handle_job_trace,
-                   "/v1/jobs/<id>/cancel": self.handle_job_cancel}[template]
-        return handler(str(job_id))
+        return 200, {"schema": STATS_SCHEMA,              # /v1/stats
+                     "cache": self.cache.stats(),
+                     "batching": self.queue.stats(),
+                     "latency": {
+                         "bounds_us": list(BOUNDS_US),
+                         "endpoints": self.endpoint_latency.doc(),
+                         "evaluate_stages": self.stage_latency.doc()}}
 
     # -------------------------------------------------------------- handlers
+    def _traced(self, endpoint: str, schema: str, trace: bool,
+                work: Callable[[], Dict[str, object]]) -> Dict[str, object]:
+        """The reply document of one request: ``work()``'s fields under
+        ``schema`` and a fresh trace ID, with ``work`` run inside a
+        ``serve.request`` span on a request-local tracer whose spans
+        come back inline when ``trace`` is set."""
+        trace_id = self.next_trace_id()
+        tracer = Tracer(enabled=trace)
+        with use_tracer(tracer):
+            with tracer.span("serve.request", endpoint=endpoint,
+                             trace_id=trace_id):
+                fields = work()
+        doc: Dict[str, object] = {"schema": schema, "trace_id": trace_id,
+                                  **fields}
+        if trace:
+            doc["trace"] = {"spans": to_trace_events(tracer)["traceEvents"]}
+        return doc
+
     def handle_evaluate(self, raw_body: bytes
                         ) -> Tuple[int, Dict[str, object]]:
         start = time.perf_counter_ns()
@@ -264,106 +247,51 @@ class ServeApp:
         key = config_key(config)
         validated = time.perf_counter_ns()
         self.stage_latency.record("validate", validated - start)
-        trace_id = self.next_trace_id()
-        tracer = Tracer(enabled=bool(request["trace"]))
+
+        def evaluate() -> Dict[str, object]:
+            with span("serve.flight"):
+                record, served, batch = self.queue.submit(key, config)
+            return {"key": key, "cache": served, "record": record,
+                    "batch": batch}
+
         try:
-            with use_tracer(tracer):
-                with tracer.span("serve.request", endpoint="/v1/evaluate",
-                                 trace_id=trace_id):
-                    with tracer.span("serve.flight"):
-                        record, served, batch = self.queue.submit(key, config)
+            doc = self._traced("/v1/evaluate", EVALUATE_SCHEMA,
+                               request["trace"], evaluate)
         except BatchTimeout as exc:
             raise SchemaError("batch-timeout", str(exc), status=503) from exc
         self.stage_latency.record("evaluate",
                                   time.perf_counter_ns() - validated)
-        doc: Dict[str, object] = {
-            "schema": EVALUATE_SCHEMA,
-            "trace_id": trace_id,
-            "key": key,
-            "cache": served,
-            "record": record,
-            "batch": batch,
-        }
-        if request["trace"]:
-            doc["trace"] = {"spans": to_trace_events(tracer)["traceEvents"]}
         return 200, doc
 
     def handle_sweep(self, body: object) -> Tuple[int, Dict[str, object]]:
         request = validate_sweep_request(body)
-        job = self.jobs.submit(
-            "sweep", request, self.next_trace_id(),
-            lambda j: _run_sweep_job(self, j))
-        return 202, self._job_doc(job.id)
+
+        def sweep() -> Dict[str, object]:
+            result = run_sweep(spec=request["spec"], cache=self.cache)
+            fields: Dict[str, object] = {
+                "configs": result["configs"],
+                "errors": len(result["errors"]),
+                "cache": result["cache"],
+                "frontier": frontier_doc(result),
+            }
+            if request["records"]:
+                fields["records"] = result["records"]
+            return fields
+
+        return 200, self._traced("/v1/sweep", SWEEP_SCHEMA,
+                                 request["trace"], sweep)
 
     def handle_experiment(self, body: object
                           ) -> Tuple[int, Dict[str, object]]:
         request = validate_experiment_request(body)
-        job = self.jobs.submit(
-            "experiment", request, self.next_trace_id(),
-            lambda j: _run_experiment_job(self, j))
-        return 202, self._job_doc(job.id)
-
-    def handle_job_get(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        return 200, self._job_doc(job_id)
-
-    def handle_job_result(self, job_id: str
-                          ) -> Tuple[int, Dict[str, object]]:
-        snapshot = self.jobs.result_doc(job_id)
-        if snapshot is None:
-            raise SchemaError("not-found", f"no such job: {job_id}",
-                              status=404)
-        if snapshot["state"] == "done":
-            return 200, {"schema": JOB_RESULT_SCHEMA, "id": job_id,
-                         "result": snapshot["result"]}
-        if snapshot["state"] == "failed":
-            return 200, {"schema": JOB_RESULT_SCHEMA, "id": job_id,
-                         "error": snapshot["error"]}
-        raise SchemaError("not-finished",
-                          f"job {job_id} is {snapshot['state']}; result "
-                          "exists only for done/failed jobs", status=409)
-
-    def handle_job_trace(self, job_id: str) -> Tuple[int, Dict[str, object]]:
-        job = self._job(job_id)
-        return 200, to_trace_events(job.tracer,
-                                    process_name=f"repro-serve {job.id}")
-
-    def handle_job_cancel(self, job_id: str
-                          ) -> Tuple[int, Dict[str, object]]:
-        outcome = self.jobs.cancel(job_id)
-        if outcome is None:
-            raise SchemaError("not-found", f"no such job: {job_id}",
-                              status=404)
-        if outcome != "cancelled":
-            raise SchemaError("not-cancellable",
-                              f"job {job_id} is {outcome}; only queued "
-                              "jobs can be cancelled", status=409)
-        return 200, {"schema": JOB_SCHEMA, "id": job_id, "state": "cancelled"}
-
-    def _job_doc(self, job_id: str) -> Dict[str, object]:
-        """A consistent job snapshot from the store, or a structured 404."""
-        doc = self.jobs.doc(job_id)
-        if doc is None:
-            raise SchemaError("not-found", f"no such job: {job_id}",
-                              status=404)
-        return doc
-
-    def _job(self, job_id: str) -> Job:
-        """The live job — only for immutable fields (``tracer``, ``id``).
-
-        Lifecycle state must come from :meth:`JobStore.doc` /
-        :meth:`JobStore.result_doc`; reading it off the live object
-        races (and R11 flags it).
-        """
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise SchemaError("not-found", f"no such job: {job_id}",
-                              status=404)
-        return job
+        name = request["experiment"]
+        return 200, self._traced(
+            "/v1/experiment", EXPERIMENT_SCHEMA, request["trace"],
+            lambda: {"experiment": name, "result": _build_experiment(name)})
 
     # ------------------------------------------------------------- lifecycle
     def shutdown(self) -> None:
         self.queue.shutdown()
-        self.jobs.shutdown(wait=False)
 
 
 class _Handler(BaseHTTPRequestHandler):

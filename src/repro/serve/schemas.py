@@ -29,9 +29,8 @@ from ..dse.spec import CONFIG_KEYS, PRESETS, SweepSpec, normalize_config
 #: Schema tags stamped into response documents.
 ERROR_SCHEMA = "repro.serve/error/1"
 EVALUATE_SCHEMA = "repro.serve/evaluate/1"
-JOB_SCHEMA = "repro.serve/job/1"
-JOBS_SCHEMA = "repro.serve/jobs/1"
-JOB_RESULT_SCHEMA = "repro.serve/job-result/1"
+SWEEP_SCHEMA = "repro.serve/sweep/1"
+EXPERIMENT_SCHEMA = "repro.serve/experiment/1"
 HEALTH_SCHEMA = "repro.serve/health/1"
 STATS_SCHEMA = "repro.serve/stats/1"
 
@@ -132,20 +131,22 @@ def validate_evaluate_request(body: object) -> Dict[str, object]:
             "trace": _bool_field(request, "trace")}
 
 
-@reentrant(reason="sweep submissions must map to the same SweepSpec a "
+@reentrant(reason="sweep requests must map to the same SweepSpec a "
                   "CLI invocation with the same levers would build")
 def validate_sweep_request(body: object) -> Dict[str, object]:
     """Normalize a ``POST /v1/sweep`` body.
 
     Shape: ``{"preset": "smoke", "overrides": {lever: [...]}, "records":
-    false}`` — the preset names a base
+    false, "trace": false}`` — the preset names a base
     :class:`~repro.dse.spec.SweepSpec` and the overlay replaces whole
     levers, exactly like the ``python -m repro.dse`` flags.  A spec of
     more than :data:`MAX_SWEEP_CONFIGS` configs is refused before any
-    config is enumerated.
+    config is enumerated.  Returns ``{"spec": SweepSpec, "records":
+    bool, "trace": bool}``.
     """
     request = _require_object(body, "request")
-    _reject_unknown(request, ("preset", "overrides", "records"), "request")
+    _reject_unknown(request, ("preset", "overrides", "records", "trace"),
+                    "request")
     preset = request.get("preset", "smoke")
     if not isinstance(preset, str) or preset not in PRESETS:
         raise SchemaError("bad-request",
@@ -164,19 +165,20 @@ def validate_sweep_request(body: object) -> Dict[str, object]:
                               f"override {lever!r} must be a non-empty "
                               "array", field=lever)
         clean_overrides[lever] = list(values)
-    normalized = {"preset": preset, "overrides": clean_overrides,
-                  "records": _bool_field(request, "records")}
-    spec = build_sweep_spec(normalized)   # raises SchemaError on bad levers
+    records = _bool_field(request, "records")
+    trace = _bool_field(request, "trace")
+    # build_sweep_spec raises SchemaError on bad levers.
+    spec = build_sweep_spec({"preset": preset, "overrides": clean_overrides})
     if spec.size > MAX_SWEEP_CONFIGS:
         raise SchemaError("bad-config",
                           f"sweep names {spec.size} configs; a request may "
                           f"name at most {MAX_SWEEP_CONFIGS}",
                           field="overrides")
-    return normalized
+    return {"spec": spec, "records": records, "trace": trace}
 
 
-@reentrant(reason="the job runner rebuilds the spec from the stored "
-                  "request doc; both sides must construct identically")
+@reentrant(reason="a sweep request and a CLI invocation with the same "
+                  "levers must construct identical specs")
 def build_sweep_spec(request: Mapping[str, object]) -> SweepSpec:
     """The :class:`SweepSpec` a normalized sweep request names."""
     spec = PRESETS[str(request["preset"])]
@@ -197,14 +199,16 @@ def build_sweep_spec(request: Mapping[str, object]) -> SweepSpec:
 def validate_experiment_request(body: object) -> Dict[str, object]:
     """Normalize a ``POST /v1/experiment`` body.
 
-    Shape: ``{"experiment": "fig7" | "fig8" | "table2"}``.
+    Shape: ``{"experiment": "fig7" | "fig8" | "table2", "trace":
+    false}``.
     """
     request = _require_object(body, "request")
-    _reject_unknown(request, ("experiment",), "request")
+    _reject_unknown(request, ("experiment", "trace"), "request")
     experiment = request.get("experiment")
     if not isinstance(experiment, str) or experiment not in EXPERIMENT_NAMES:
         raise SchemaError("bad-request",
                           f"'experiment' must be one of "
                           f"{', '.join(EXPERIMENT_NAMES)}",
                           field="experiment")
-    return {"experiment": experiment}
+    return {"experiment": experiment,
+            "trace": _bool_field(request, "trace")}

@@ -9,7 +9,6 @@ framing, status codes, headers, JSON round-trip — not just
 
 import json
 import threading
-import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -29,8 +28,9 @@ class Client:
         self.base = f"http://{host}:{port}"
         self.timeout = timeout
 
-    def request(self, method, path, doc=None, raw=None):
-        """Returns ``(status, parsed_json_body, headers)``.
+    def request_bytes(self, method, path, doc=None, raw=None):
+        """Returns ``(status, body_bytes, headers)``: the reply exactly as
+        it crossed the wire.
 
         4xx/5xx responses are returned, not raised — every repro.serve
         response body is JSON, including errors.
@@ -42,10 +42,14 @@ class Client:
                                      method=method)
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.status, json.loads(resp.read()), dict(
-                    resp.headers)
+                return resp.status, resp.read(), dict(resp.headers)
         except urllib.error.HTTPError as exc:
-            return exc.code, json.loads(exc.read()), dict(exc.headers)
+            return exc.code, exc.read(), dict(exc.headers)
+
+    def request(self, method, path, doc=None, raw=None):
+        """Returns ``(status, parsed_json_body, headers)``."""
+        status, body, headers = self.request_bytes(method, path, doc, raw)
+        return status, json.loads(body), headers
 
     def get(self, path):
         return self.request("GET", path)
@@ -78,14 +82,3 @@ def live_server(tmp_path=None, **app_kwargs):
         app.shutdown()
         thread.join(timeout=10)
 
-
-def wait_for_job(client, job_id, timeout=120.0):
-    """Poll ``GET /v1/jobs/<id>`` until the job reaches a terminal state."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, doc, _ = client.get(f"/v1/jobs/{job_id}")
-        assert status == 200, doc
-        if doc["state"] in ("done", "failed", "cancelled"):
-            return doc
-        time.sleep(0.02)
-    raise AssertionError(f"job {job_id} did not finish within {timeout}s")

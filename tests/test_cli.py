@@ -61,5 +61,6 @@ class TestCLI:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "python -m repro.serve" in out
-        assert "--job-workers" in out
+        assert "--cache-dir" in out
+        assert "--job-workers" not in out
         assert "--window-ms" not in out

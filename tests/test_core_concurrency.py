@@ -31,7 +31,8 @@ class _Counter:
 
 @guarded_by("Registry._lock", "state")
 class _Record:
-    """Lock-less guarded record (the Job pattern): must stay picklable."""
+    """Lock-less guarded record (the ``_Flight`` pattern): must stay
+    picklable."""
 
     def __init__(self):
         self.state = "queued"
@@ -107,15 +108,6 @@ class TestHoldsNoLocks:
 
 class TestRealTreeContracts:
     """The serving stack's own declarations, as the verifier reads them."""
-
-    def test_jobstore_guards_its_registry(self):
-        from repro.serve.jobs import Job, JobStore
-        assert guarded_fields(JobStore) == {
-            "_jobs": "_lock", "_seq": "_lock", "_pruned": "_lock"}
-        assert guarded_fields(Job) == {
-            "state": "JobStore._lock", "result": "JobStore._lock",
-            "error": "JobStore._lock", "started_ns": "JobStore._lock",
-            "finished_ns": "JobStore._lock"}
 
     def test_batching_queue_guards_its_counters(self):
         from repro.serve.batching import BatchingQueue, _Flight

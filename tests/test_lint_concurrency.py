@@ -119,40 +119,47 @@ class TestR11:
             "        self.count = 0\n")}, codes=["R11"])
         assert [f.code for f in result.findings] == ["R11"]
 
-    def test_mutation_unlocking_jobstore_get_fires_exactly_once(self):
-        """The motivating bug: drop the lock around JobStore.get's
-        registry read and R11 reports that access — and only it."""
+    def test_mutation_unlocking_cache_memory_peek_fires_exactly_once(self):
+        """The motivating bug: read DiskCache's memory tier before taking
+        the lock (a concurrent store may be evicting from it) and R11
+        reports that access — and only it."""
         sources = _real_tree_sources()
-        jobs = "src/repro/serve/jobs.py"
+        cache = "src/repro/dse/cache.py"
         old = ("        with self._lock:\n"
-               "            return self._jobs.get(job_id)\n")
-        assert old in sources[jobs]
-        sources[jobs] = sources[jobs].replace(
-            old, "        return self._jobs.get(job_id)\n", 1)
+               "            text = self._memory.get(key)\n"
+               "            if text is not None:\n")
+        assert old in sources[cache]
+        sources[cache] = sources[cache].replace(old, (
+            "        text = self._memory.get(key)\n"
+            "        with self._lock:\n"
+            "            if text is not None:\n"), 1)
         result = lint_sources(sources, codes=["R11"])
         assert len(result.findings) == 1
         f = result.findings[0]
-        assert f.path == jobs
-        assert "JobStore.get" in f.message
-        assert "JobStore._jobs" in f.message
+        assert f.path == cache
+        assert "DiskCache.lookup" in f.message
+        assert "DiskCache._memory" in f.message
         assert "witness:" in f.message
 
     def test_mutation_new_unguarded_field_fires_exactly_once(self):
-        """Declare a new guarded field on Job and read it lock-free."""
+        """Declare a new guarded field on _Flight and read it lock-free."""
         sources = _real_tree_sources()
-        jobs = "src/repro/serve/jobs.py"
-        text = sources[jobs]
-        text = text.replace('"finished_ns")', '"finished_ns", "notes")', 1)
-        old = "    def get(self, job_id: str) -> Optional[Job]:"
+        batching = "src/repro/serve/batching.py"
+        text = sources[batching]
+        old = '@guarded_by("BatchingQueue._lock", "members")'
+        assert old in text
+        text = text.replace(
+            old, '@guarded_by("BatchingQueue._lock", "members", "notes")', 1)
+        old = "    def stats(self) -> Dict[str, object]:"
         assert old in text
         text = text.replace(old, (
-            "    def peek_notes(self, job: Job) -> object:\n"
-            "        return job.notes\n\n"
+            "    def peek_notes(self, flight: _Flight) -> object:\n"
+            "        return flight.notes\n\n"
             + old), 1)
-        sources[jobs] = text
+        sources[batching] = text
         result = lint_sources(sources, codes=["R11"])
         assert len(result.findings) == 1
-        assert "read of Job.notes" in result.findings[0].message
+        assert "read of _Flight.notes" in result.findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,14 @@ import time
 
 import pytest
 
-from repro.dse import (SMOKE_SPEC, DiskCache, config_key, dumps_canonical,
-                       evaluate_config, normalize_config)
+from repro.dse import (SMOKE_SPEC, DiskCache, NullCache, config_key,
+                       dumps_canonical, evaluate_config, frontier_doc,
+                       normalize_config, run_sweep)
 from repro import obs
 from repro.obs import Tracer, use_tracer
-from repro.serve import batching
+from repro.serve import batching, build_sweep_spec
 
-from tests.serve_utils import live_server, wait_for_job
+from tests.serve_utils import live_server
 
 #: Enough clients to exceed the acceptance floor (>= 8) with headroom.
 N_THREADS = 12
@@ -229,21 +230,36 @@ class TestCoalescing:
             assert stats["coalesced"] == 9 - len(by_batch)
 
 
-class TestConcurrentJobs:
-    def test_parallel_sweep_jobs_all_finish_correctly(self, tmp_path):
+class TestConcurrentSweeps:
+    def test_parallel_sweeps_each_equal_run_sweep(self, tmp_path):
+        """Four sweeps at once, each on its own handler thread through
+        one shared cache: every reply is ``run_sweep``'s."""
         request = {"preset": "smoke", "overrides": {"patterns": ["1:8"],
-                                                    "bus_bits": [64]}}
-        with live_server(tmp_path, job_workers=4) as (app, client):
-            jobs = [client.post("/v1/sweep", request)[1]
-                    for _ in range(4)]
-            assert len({j["id"] for j in jobs}) == 4
-            frontiers = set()
-            for job in jobs:
-                done = wait_for_job(client, job["id"])
-                assert done["state"] == "done", done.get("error")
-                _, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
-                frontiers.add(dumps_canonical(result["result"]["frontier"]))
-            assert len(frontiers) == 1    # determinism under contention
+                                                    "bus_bits": [64]},
+                   "records": True}
+        direct = run_sweep(spec=build_sweep_spec(request), cache=NullCache())
+        n = 4
+        replies = [None] * n
+        barrier = threading.Barrier(n)
+        with live_server(tmp_path) as (app, client):
+            def run(i):
+                barrier.wait()
+                replies[i] = client.post("/v1/sweep", request)
+
+            threads = [threading.Thread(target=run, args=(i,))
+                       for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        assert all(r is not None for r in replies), "a sweep never returned"
+        assert len({doc["trace_id"] for _, doc, _ in replies}) == n
+        for status, doc, _ in replies:
+            assert status == 200
+            assert dumps_canonical(doc["frontier"]) \
+                == dumps_canonical(frontier_doc(direct))
+            assert dumps_canonical(doc["records"]) \
+                == dumps_canonical(direct["records"])
 
 
 class TestTracerIsolation:

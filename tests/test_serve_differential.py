@@ -1,15 +1,17 @@
 """Differential certification of ``repro.serve``: served == direct.
 
-The service's core claim (ISSUE: acceptance criterion) is that putting
-HTTP, a batching queue, and a worker pool between the client and the
-evaluator changes *nothing* about the bytes: every ``POST /v1/evaluate``
-response embeds a record canonically identical to what the direct
-library call produces — cold, cache-warm, and for invalid configs
-(error records).  Sweeps submitted over HTTP must serialize to the same
-frontier document as ``run_sweep`` called in-process.
+The service's core claim is that putting HTTP and a single-flight
+between the client and the evaluator changes *nothing* about the bytes:
+every ``POST /v1/evaluate`` response embeds a record canonically
+identical to what the direct library call produces — cold, cache-warm,
+and for invalid configs (error records).  A ``POST /v1/sweep`` reply
+carries ``run_sweep``'s frontier and records byte for byte.
 
-All comparisons go through ``dumps_canonical`` *after* a real JSON
-round-trip over the wire, so float formatting is part of the contract.
+Comparisons go through ``dumps_canonical`` *after* a real JSON
+round-trip over the wire, or compare the wire bytes themselves, so float
+formatting is part of the contract.  Replies sort their keys, so a
+record's bytes do not depend on whether the cache or the model produced
+it.
 """
 
 import json
@@ -20,9 +22,12 @@ from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
                        evaluate_batch, evaluate_config, frontier_doc,
                        normalize_config, run_sweep)
 from repro.dse.cache import DiskCache, NullCache
+from repro.harness.fig7 import build_fig7
+from repro.harness.fig8 import build_fig8
+from repro.harness.table2 import build_table2
 from repro.serve import ServeApp, build_sweep_spec
 
-from tests.serve_utils import NOMINAL_CONFIG, live_server, wait_for_job
+from tests.serve_utils import NOMINAL_CONFIG, live_server
 
 #: Deterministic sample: every config in the smoke sweep (8 points).
 SAMPLE_CONFIGS = SMOKE_SPEC.configs()
@@ -39,6 +44,19 @@ VALUE_INVALID_CONFIGS = [
 def canon(doc):
     """Canonical JSON of a document that already crossed the wire."""
     return dumps_canonical(doc)
+
+
+def wire(doc):
+    """The bytes a reply encodes ``doc`` as: compact, keys sorted."""
+    return json.dumps(doc, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+
+
+def field_bytes(payload, field):
+    """The encoding of one reply field exactly as it crossed the wire:
+    ``json.loads`` keeps key order, and floats round-trip."""
+    return json.dumps(json.loads(payload)[field],
+                      separators=(",", ":")).encode("utf-8")
 
 
 class TestEvaluateDifferential:
@@ -66,6 +84,18 @@ class TestEvaluateDifferential:
                 assert status == 200
                 assert doc["cache"] == "hit"
                 assert canon(doc["record"]) == cold[doc["key"]]
+
+    def test_a_miss_and_a_hit_encode_the_record_alike(self, tmp_path):
+        """The cache hands back its sorted canonical text and the model
+        a dict in evaluator order; the reply's bytes must not show which
+        one answered."""
+        with live_server(tmp_path) as (app, client):
+            replies = [client.request_bytes(
+                "POST", "/v1/evaluate", {"config": NOMINAL_CONFIG})[1]
+                for _ in range(2)]
+        assert [json.loads(r)["cache"] for r in replies] == ["miss", "hit"]
+        assert field_bytes(replies[0], "record") \
+            == field_bytes(replies[1], "record")
 
     def test_http_and_library_share_one_cache(self, tmp_path):
         """A config evaluated over HTTP is a warm hit for the library,
@@ -142,34 +172,51 @@ class TestSweepDifferential:
                      "overrides": {"patterns": ["1:8", "2:8"],
                                    "bus_bits": [64]}}
 
-    def test_sweep_job_frontier_matches_run_sweep(self, tmp_path):
+    @pytest.mark.parametrize("request_doc", [
+        {"preset": "smoke"}, {"preset": "default"}, SWEEP_REQUEST],
+        ids=["smoke", "default", "overlay"])
+    def test_sweep_reply_carries_run_sweep_bytes(self, tmp_path,
+                                                 request_doc):
+        body = dict(request_doc, records=True)
         with live_server(tmp_path) as (app, client):
-            status, job, _ = client.post("/v1/sweep", self.SWEEP_REQUEST)
-            assert status == 202
-            done = wait_for_job(client, job["id"])
-            assert done["state"] == "done", done.get("error")
-            status, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
-            assert status == 200
+            status, payload, _ = client.request_bytes("POST", "/v1/sweep",
+                                                      body)
+        assert status == 200
+        doc = json.loads(payload)
+        assert doc["schema"] == "repro.serve/sweep/1"
 
-            spec = build_sweep_spec(self.SWEEP_REQUEST)
-            direct = run_sweep(spec=spec,
-                               cache=DiskCache(tmp_path / "direct_cache"))
-            assert canon(result["result"]["frontier"]) \
-                == canon(frontier_doc(direct))
-            assert result["result"]["configs"] == direct["configs"]
+        direct = run_sweep(spec=build_sweep_spec(request_doc),
+                           cache=NullCache())
+        assert field_bytes(payload, "frontier") == wire(frontier_doc(direct))
+        assert field_bytes(payload, "records") == wire(direct["records"])
+        assert doc["configs"] == direct["configs"]
+        assert doc["errors"] == len(direct["errors"]) == 0
 
-    def test_sweep_records_match_direct_records(self, tmp_path):
-        request = dict(self.SWEEP_REQUEST, records=True)
+    def test_half_warm_sweep_returns_the_cold_bytes(self, tmp_path):
+        """Half the configs answered by the cache, half by the model: the
+        frontier and records still encode exactly as a cold sweep's."""
+        body = {"preset": "smoke", "records": True}
+        with live_server(cache=DiskCache(tmp_path / "cold")) as (_, client):
+            cold = client.request_bytes("POST", "/v1/sweep", body)[1]
+        half_cache = DiskCache(tmp_path / "half")
+        warmed = SMOKE_SPEC.keyed()[::2]
+        evaluate_batch(warmed, cache=half_cache)
+        with live_server(cache=half_cache) as (_, client):
+            half = client.request_bytes("POST", "/v1/sweep", body)[1]
+        assert json.loads(half)["cache"]["hits"] == len(warmed)
+        assert json.loads(cold)["cache"]["hits"] == 0
+        for field in ("frontier", "records"):
+            assert field_bytes(half, field) == field_bytes(cold, field)
+
+    @pytest.mark.parametrize("name, build", [
+        ("fig7", build_fig7), ("fig8", build_fig8), ("table2", build_table2)])
+    def test_experiment_reply_carries_the_build(self, tmp_path, name, build):
         with live_server(tmp_path) as (app, client):
-            _, job, _ = client.post("/v1/sweep", request)
-            done = wait_for_job(client, job["id"])
-            assert done["state"] == "done", done.get("error")
-            _, result, _ = client.get(f"/v1/jobs/{job['id']}/result")
-
-            spec = build_sweep_spec(request)
-            direct = run_sweep(spec=spec, cache=NullCache())
-            assert canon(result["result"]["records"]) \
-                == canon(direct["records"])
+            status, payload, _ = client.request_bytes(
+                "POST", "/v1/experiment", {"experiment": name})
+        assert status == 200
+        assert json.loads(payload)["experiment"] == name
+        assert field_bytes(payload, "result") == wire(build())
 
     def test_wire_json_round_trip_is_lossless(self, tmp_path):
         """The float-fidelity backstop: parsing the exact wire payload
@@ -186,17 +233,18 @@ class TestSweepDifferential:
 
     def test_replies_are_compact_json_of_the_document(self, tmp_path):
         """Replies carry no whitespace: the wire bytes are the document
-        encoded with compact separators, and parse back to it."""
+        encoded with compact separators and sorted keys, and parse back
+        to it."""
         app = ServeApp(cache=DiskCache(tmp_path / "c"))
         try:
             body = json.dumps({"config": NOMINAL_CONFIG}).encode()
             for method, path, raw in (("POST", "/v1/evaluate", body),
                                       ("POST", "/v1/evaluate", body),
+                                      ("POST", "/v1/sweep", b"{}"),
                                       ("GET", "/v1/stats", b""),
                                       ("GET", "/v1/nowhere", b"")):
                 _, doc, payload = app.respond(method, path, raw)
-                assert payload == json.dumps(
-                    doc, separators=(",", ":")).encode("utf-8")
+                assert payload == wire(doc)
                 assert json.loads(payload) == doc
         finally:
             app.shutdown()

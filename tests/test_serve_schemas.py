@@ -3,10 +3,10 @@
 Two halves:
 
 * **Goldens** — for every endpoint, the exact response document is
-  pinned (volatile fields — metric floats, durations, filesystem paths,
-  the queued/running submission race — are scrubbed to placeholders
-  first).  Any change to a response shape must edit a golden here,
-  which is the review hook the API versioning relies on.
+  pinned (volatile fields — metric floats, filesystem paths — are
+  scrubbed to placeholders first).  Any change to a response shape must
+  edit a golden here, which is the review hook the API versioning
+  relies on.
 * **Fuzz** — malformed bodies (truncated JSON, wrong types, unknown
   fields, oversized payloads, wrong verbs, bad paths) must each come
   back as a *structured* 4xx error document, never a traceback and
@@ -14,14 +14,15 @@ Two halves:
 """
 
 import json
-import threading
 
 import pytest
 
 import repro
 from repro.dse.cache import DiskCache
 from repro.dse.spec import FULL_SPEC, SweepSpec
-from repro.serve import ERROR_SCHEMA, ServeApp
+from repro.harness.table2 import build_table2
+from repro.obs import validate_trace_events
+from repro.serve import ERROR_SCHEMA, ServeApp, api
 from repro.serve.schemas import MAX_SWEEP_CONFIGS, validate_sweep_request
 
 from tests.serve_utils import NOMINAL_CONFIG, live_server
@@ -39,6 +40,18 @@ NOMINAL_NORMALIZED = {"pattern": "1:8", "bus_bits": 128, "mram_rows": 1024,
                       "weight_bits": 8, "device": "nominal",
                       "workload": "paper"}
 
+#: The one-config sweep the sweep goldens post, and its content hash.
+ONE_CONFIG_SWEEP = {"preset": "smoke",
+                    "overrides": {"patterns": ["1:8"], "bus_bits": [64]}}
+ONE_CONFIG_KEY = \
+    "c0fe3fa55ab60b070cd24702dfe5a74530c44f5f8f1bcbdd812f83119c248270"
+
+SCRUBBED_METRICS = {"area_mm2": "<float>", "density": "<float>",
+                    "inference_latency_s": "<float>",
+                    "inference_power_mw": "<float>",
+                    "training_edp_js": "<float>",
+                    "training_latency_s": "<float>"}
+
 
 def scrub(doc):
     """Replace volatile leaves so goldens stay byte-stable."""
@@ -47,12 +60,8 @@ def scrub(doc):
         for key, value in doc.items():
             if key == "metrics" and isinstance(value, dict):
                 out[key] = {k: "<float>" for k in sorted(value)}
-            elif key in ("elapsed_ms",):
-                out[key] = "<ms>"
             elif key == "root":
                 out[key] = "<dir>"
-            elif key == "state" and value in ("queued", "running"):
-                out[key] = "<queued|running>"
             else:
                 out[key] = scrub(value)
         return out
@@ -63,8 +72,7 @@ def scrub(doc):
 
 @pytest.fixture()
 def app(tmp_path):
-    app = ServeApp(cache=DiskCache(tmp_path / "cache"),
-                   job_workers=1)
+    app = ServeApp(cache=DiskCache(tmp_path / "cache"))
     yield app
     app.shutdown()
 
@@ -93,14 +101,10 @@ class TestGoldenResponses:
                       "hits": 0, "misses": 0, "rejected": 0, "stored": 0},
             "batching": {"requests": 0, "batches": 0, "coalesced": 0,
                          "submit_timeout_s": 60.0},
-            "jobs": {"queued": 0, "running": 0, "done": 0, "failed": 0,
-                     "cancelled": 0, "max_jobs": 1024, "pruned": 0},
             "latency": {
                 "bounds_us": [2 ** i for i in range(4, 25)],
                 "endpoints": {path: EMPTY_HISTOGRAM for path in (
                     "/v1/evaluate", "/v1/sweep", "/v1/experiment",
-                    "/v1/jobs", "/v1/jobs/<id>", "/v1/jobs/<id>/result",
-                    "/v1/jobs/<id>/trace", "/v1/jobs/<id>/cancel",
                     "/v1/health", "/v1/stats", "other")},
                 "evaluate_stages": {stage: EMPTY_HISTOGRAM for stage in (
                     "validate", "evaluate", "serialize")},
@@ -120,11 +124,7 @@ class TestGoldenResponses:
                 "schema": "repro.dse/record/1",
                 "key": NOMINAL_KEY,
                 "config": NOMINAL_NORMALIZED,
-                "metrics": {"area_mm2": "<float>", "density": "<float>",
-                            "inference_latency_s": "<float>",
-                            "inference_power_mw": "<float>",
-                            "training_edp_js": "<float>",
-                            "training_latency_s": "<float>"},
+                "metrics": SCRUBBED_METRICS,
             },
             "batch": {"index": 1, "requests": 1, "unique": 1},
         }
@@ -141,121 +141,79 @@ class TestGoldenResponses:
         }
         assert "metrics" not in record
 
-    def test_sweep_submission(self, app):
-        # Occupy the single job worker so the submitted job is
-        # deterministically still queued when the 202 doc is built.
-        release = threading.Event()
-        app.jobs.submit("block", {}, "req-x",
-                        lambda job: release.wait(30) and {})
-        status, doc = dispatch(app, "POST", "/v1/sweep",
-                               {"preset": "smoke",
-                                "overrides": {"patterns": ["1:8"],
-                                              "bus_bits": [64]}})
-        assert status == 202
-        assert doc == {
-            "schema": "repro.serve/job/1",
-            "id": "job-000002",
-            "kind": "sweep",
-            "state": "queued",
-            "trace_id": "req-000001",
-            "request": {"preset": "smoke",
-                        "overrides": {"patterns": ["1:8"],
-                                      "bus_bits": [64]},
-                        "records": False},
-        }
-        release.set()
-        done = _wait(app, doc["id"])
-        assert done["state"] == "done"
-
-    def test_experiment_submission_and_result(self, app):
-        release = threading.Event()
-        app.jobs.submit("block", {}, "req-x",
-                        lambda job: release.wait(30) and {})
-        status, doc = dispatch(app, "POST", "/v1/experiment",
-                               {"experiment": "table2"})
-        assert status == 202
-        assert doc == {
-            "schema": "repro.serve/job/1",
-            "id": "job-000002",
-            "kind": "experiment",
-            "state": "queued",
-            "trace_id": "req-000001",
-            "request": {"experiment": "table2"},
-        }
-        release.set()
-        _wait(app, doc["id"])
-        status, result = dispatch(app, "GET", "/v1/jobs/job-000002/result")
-        assert status == 200
-        assert result["schema"] == "repro.serve/job-result/1"
-        assert result["id"] == "job-000002"
-        assert result["result"]["experiment"] == "table2"
-
-    def test_jobs_list_and_job_doc(self, app):
-        dispatch(app, "POST", "/v1/experiment", {"experiment": "fig8"})
-        _wait(app, "job-000001")
-        status, doc = dispatch(app, "GET", "/v1/jobs")
+    def test_sweep(self, app):
+        status, doc = dispatch(app, "POST", "/v1/sweep", ONE_CONFIG_SWEEP)
         assert status == 200
         assert scrub(doc) == {
-            "schema": "repro.serve/jobs/1",
-            "jobs": [{
-                "schema": "repro.serve/job/1",
-                "id": "job-000001",
-                "kind": "experiment",
-                "state": "done",
-                "trace_id": "req-000001",
-                "request": {"experiment": "fig8"},
-                "elapsed_ms": "<ms>",
-            }],
+            "schema": "repro.serve/sweep/1",
+            "trace_id": "req-000001",
+            "configs": 1,
+            "errors": 0,
+            "cache": {"enabled": True, "refresh": False, "root": "<dir>",
+                      "hits": 0, "misses": 1, "rejected": 0, "stored": 1},
+            "frontier": {
+                "schema": "repro.dse/frontier/1",
+                "objectives": ["area_mm2", "inference_power_mw",
+                               "training_edp_js", "density"],
+                "configs": 1,
+                "frontier": [{
+                    "schema": "repro.dse/record/1",
+                    "key": ONE_CONFIG_KEY,
+                    "config": dict(NOMINAL_NORMALIZED, bus_bits=64),
+                    "metrics": SCRUBBED_METRICS,
+                }],
+            },
         }
-        status, single = dispatch(app, "GET", "/v1/jobs/job-000001")
-        assert (status, single) == (200, doc["jobs"][0])
 
-    def test_job_cancel(self, app):
-        release = threading.Event()
-        app.jobs.submit("block", {}, "req-x",
-                        lambda job: release.wait(30) and {})
-        status, doc = dispatch(app, "POST", "/v1/sweep",
-                               {"preset": "smoke"})
-        assert doc["state"] == "queued"      # the only worker is occupied
-        status, doc = dispatch(app, "POST",
-                               f"/v1/jobs/{doc['id']}/cancel")
-        release.set()
+    def test_experiment(self, app):
+        status, doc = dispatch(app, "POST", "/v1/experiment",
+                               {"experiment": "table2"})
         assert (status, doc) == (200, {
-            "schema": "repro.serve/job/1",
-            "id": "job-000002",
-            "state": "cancelled",
+            "schema": "repro.serve/experiment/1",
+            "trace_id": "req-000001",
+            "experiment": "table2",
+            "result": build_table2(),
         })
 
-    def test_job_result_before_finish_is_409(self, app):
-        started, release = threading.Event(), threading.Event()
-
-        def runner(job):
-            started.set()
-            release.wait(30)
-            return {}
-
-        job = app.jobs.submit("block", {}, "req-x", runner)
-        assert started.wait(10)
-        status, doc = dispatch(app, "GET", f"/v1/jobs/{job.id}/result")
-        release.set()
-        assert (status, doc) == (409, {
-            "schema": ERROR_SCHEMA,
-            "error": {"code": "not-finished",
-                      "message": "job job-000001 is running; result "
-                                 "exists only for done/failed jobs"},
-        })
-
-    def test_job_trace_is_a_valid_chrome_trace(self, app):
-        from repro.obs import validate_trace_events
-        dispatch(app, "POST", "/v1/sweep",
-                 {"preset": "smoke", "overrides": {"patterns": ["1:8"],
-                                                   "bus_bits": [64]}})
-        _wait(app, "job-000001")
-        status, doc = dispatch(app, "GET", "/v1/jobs/job-000001/trace")
+    @pytest.mark.parametrize("path, body, span", [
+        ("/v1/sweep", ONE_CONFIG_SWEEP, "dse.sweep"),
+        ("/v1/experiment", {"experiment": "fig8"}, "fig8.build"),
+    ], ids=["sweep", "experiment"])
+    def test_trace_comes_back_inline(self, app, path, body, span):
+        status, doc = dispatch(app, "POST", path, dict(body, trace=True))
         assert status == 200
-        assert validate_trace_events(doc) == []
-        names = {e["name"] for e in doc["traceEvents"]}
-        assert "serve.job.sweep" in names
+        events = {"traceEvents": doc["trace"]["spans"]}
+        assert validate_trace_events(events) == []
+        request = [e for e in events["traceEvents"]
+                   if e["name"] == "serve.request"]
+        assert [e["args"] for e in request] == [
+            {"endpoint": path, "trace_id": doc["trace_id"]}]
+        assert span in {e["name"] for e in events["traceEvents"]}
+        assert "trace" not in dispatch(app, "POST", path, body)[1]
+
+    def test_raising_sweep_is_a_structured_500(self, app, monkeypatch):
+        def explode(**kwargs):
+            raise ValueError("engine exploded")
+
+        monkeypatch.setattr(api, "run_sweep", explode)
+        status, doc = dispatch(app, "POST", "/v1/sweep", ONE_CONFIG_SWEEP)
+        assert (status, doc) == (500, {
+            "schema": ERROR_SCHEMA,
+            "error": {"code": "internal",
+                      "message": "ValueError: engine exploded"},
+        })
+
+    def test_raising_experiment_is_a_structured_500(self, app, monkeypatch):
+        def explode(name):
+            raise KeyError(name)
+
+        monkeypatch.setattr(api, "_build_experiment", explode)
+        status, doc = dispatch(app, "POST", "/v1/experiment",
+                               {"experiment": "fig7"})
+        assert (status, doc) == (500, {
+            "schema": ERROR_SCHEMA,
+            "error": {"code": "internal", "message": "KeyError: 'fig7'"},
+        })
 
     def test_not_found(self, app):
         status, doc = dispatch(app, "GET", "/v1/nope")
@@ -293,7 +251,8 @@ class TestGoldenResponses:
             "schema": ERROR_SCHEMA,
             "error": {"code": "unknown-field",
                       "message": "unknown request field(s): workers "
-                                 "(allowed: preset, overrides, records)",
+                                 "(allowed: preset, overrides, records, "
+                                 "trace)",
                       "field": "workers"},
         })
 
@@ -316,11 +275,11 @@ class TestGoldenResponses:
                                  f"may name at most {MAX_SWEEP_CONFIGS}",
                       "field": "overrides"},
         })
-        assert app.jobs.list_doc()["jobs"] == []
+        assert app.cache.stats()["misses"] == 0
 
     def test_full_preset_is_within_the_config_bound(self):
         assert FULL_SPEC.size <= MAX_SWEEP_CONFIGS
-        assert validate_sweep_request({"preset": "full"})["preset"] == "full"
+        assert validate_sweep_request({"preset": "full"})["spec"] == FULL_SPEC
 
     def test_oversized_body(self, tmp_path):
         app = ServeApp(cache=DiskCache(tmp_path / "c"),
@@ -335,17 +294,6 @@ class TestGoldenResponses:
             })
         finally:
             app.shutdown()
-
-
-def _wait(app, job_id, timeout=120.0):
-    import time
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        doc = app.jobs.doc(job_id)
-        if doc is not None and doc["state"] in ("done", "failed", "cancelled"):
-            return doc
-        time.sleep(0.02)
-    raise AssertionError(f"job {job_id} never finished")
 
 
 #: (method, path, raw body) -> every one must return a structured 4xx.
@@ -370,15 +318,14 @@ FUZZ_CASES = [
     ("POST", "/v1/sweep", b'{"overrides": {"patterns": ["1:8", "1:8"]}}'),
     ("POST", "/v1/sweep", b'{"overrides": ["patterns"]}'),
     ("POST", "/v1/sweep", b'{"records": 1}'),
+    ("POST", "/v1/sweep", b'{"trace": "yes"}'),
     ("POST", "/v1/experiment", b"{}"),
     ("POST", "/v1/experiment", b'{"experiment": "fig9"}'),
     ("POST", "/v1/experiment", b'{"experiment": 3}'),
     ("POST", "/v1/experiment", b'{"experiment": "table2", "x": 1}'),
-    ("GET", "/v1/jobs/job-999999", b""),
-    ("GET", "/v1/jobs/job-999999/result", b""),
-    ("GET", "/v1/jobs/job-999999/trace", b""),
-    ("POST", "/v1/jobs/job-999999/cancel", b""),
-    ("POST", "/v1/jobs", b"{}"),
+    ("POST", "/v1/experiment", b'{"experiment": "table2", "trace": 1}'),
+    ("GET", "/v1/jobs", b""),
+    ("GET", "/v1/jobs/job-000001/result", b""),
     ("GET", "/", b""),
     ("GET", "/v2/evaluate", b""),
     ("PUT", "/v1/evaluate", b"{}"),
@@ -449,8 +396,7 @@ class TestLatencyHistograms:
             status, stats, _ = client.get("/v1/stats")
             assert status == 200
             latency = stats["latency"]
-            expected = {"/v1/evaluate": n, "/v1/health": n, "other": 1,
-                        "/v1/jobs/<id>": 1}
+            expected = {"/v1/evaluate": n, "/v1/health": n, "other": 2}
             for endpoint, histogram in latency["endpoints"].items():
                 assert histogram["count"] == expected.get(endpoint, 0)
                 assert sum(histogram["buckets"]) == histogram["count"]

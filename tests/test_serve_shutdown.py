@@ -1,4 +1,4 @@
-"""Shutdown races, the bounded job registry, and the submit timeout.
+"""Shutdown races, leader failures, and the submit timeout.
 
 The concurrency verifier (rules R11-R14) proves the lock discipline
 statically; these tests drive the *dynamic* half of the contract:
@@ -9,11 +9,7 @@ statically; these tests drive the *dynamic* half of the contract:
   land;
 * a flight's leader failing — a wedged leader surfaces to its followers
   as ``BatchTimeout`` (a structured 503 through the API), a raising one
-  releases every follower with a structured 500;
-* ``JobStore.shutdown`` after queued-then-cancelled jobs — cancelled
-  jobs stay cancelled, the executor drains;
-* the registry cap — oldest *terminal* jobs pruned at submission, live
-  jobs never evicted, the ``pruned`` counter and ``/v1/stats`` exposure.
+  releases every follower with a structured 500.
 """
 
 import json
@@ -27,7 +23,6 @@ from repro.dse.cache import NullCache
 from repro.serve import batching
 from repro.serve.api import ServeApp
 from repro.serve.batching import BatchingQueue, BatchTimeout
-from repro.serve.jobs import JobStore
 
 
 def _config():
@@ -221,82 +216,3 @@ class TestLeaderFailure:
         finally:
             app.shutdown()
 
-
-class TestJobStoreShutdown:
-    def test_queued_then_cancelled_jobs_shut_down_clean(self):
-        store = JobStore(workers=1)
-        release = threading.Event()
-        blocker = store.submit("block", {}, "req-0",
-                               lambda job: release.wait(30) and {})
-        queued = store.submit("later", {}, "req-1", lambda job: {})
-        assert store.cancel(queued.id) == "cancelled"
-        release.set()
-        store.shutdown(wait=True)
-        assert store.doc(queued.id)["state"] == "cancelled"
-        assert store.doc(blocker.id)["state"] == "done"
-        # A cancel that lands first always wins: the runner never ran it.
-        assert store.result_doc(queued.id)["result"] is None
-
-    def test_cancel_outcomes(self):
-        store = JobStore(workers=1)
-        try:
-            release = threading.Event()
-            job = store.submit("block", {}, "req-0",
-                               lambda j: release.wait(30) and {})
-            deadline = time.monotonic() + 30
-            while store.doc(job.id)["state"] != "running" \
-                    and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert store.cancel(job.id) == "running"
-            assert store.cancel("job-999999") is None
-            release.set()
-        finally:
-            store.shutdown(wait=True)
-
-
-class TestBoundedRegistry:
-    def test_oldest_terminal_jobs_pruned_beyond_cap(self):
-        store = JobStore(workers=1, max_jobs=3)
-        try:
-            for i in range(5):
-                job = store.submit(f"j{i}", {}, f"req-{i}", lambda j: {})
-                deadline = time.monotonic() + 30
-                while store.doc(job.id) is not None \
-                        and store.doc(job.id)["state"] != "done" \
-                        and time.monotonic() < deadline:
-                    time.sleep(0.01)
-            counts = store.counts()
-            assert counts["max_jobs"] == 3
-            assert counts["pruned"] == 2
-            jobs = store.list_doc()["jobs"]
-            assert len(jobs) == 3
-            # Oldest evicted first; the newest three survive.
-            assert [j["id"] for j in jobs] == ["job-000003", "job-000004",
-                                               "job-000005"]
-        finally:
-            store.shutdown(wait=True)
-
-    def test_live_jobs_are_never_evicted(self):
-        store = JobStore(workers=1, max_jobs=1)
-        release = threading.Event()
-        try:
-            running = store.submit("block", {}, "req-0",
-                                   lambda j: release.wait(30) and {})
-            queued = store.submit("queued", {}, "req-1", lambda j: {})
-            # Both are live (running + queued): over cap, nothing evictable.
-            ids = [j["id"] for j in store.list_doc()["jobs"]]
-            assert ids == [running.id, queued.id]
-            release.set()
-        finally:
-            release.set()
-            store.shutdown(wait=True)
-
-    def test_cap_exposed_in_stats_endpoint(self):
-        app = ServeApp(cache=NullCache(), max_jobs=17)
-        try:
-            status, doc = app.dispatch("GET", "/v1/stats")
-            assert status == 200
-            assert doc["jobs"]["max_jobs"] == 17
-            assert doc["jobs"]["pruned"] == 0
-        finally:
-            app.shutdown()
