@@ -324,6 +324,12 @@ FUZZ_CASES = [
     ("POST", "/v1/experiment", b'{"experiment": 3}'),
     ("POST", "/v1/experiment", b'{"experiment": "table2", "x": 1}'),
     ("POST", "/v1/experiment", b'{"experiment": "table2", "trace": 1}'),
+    # The retired job routes are unknown paths: each verb and sub-path.
+    ("GET", "/v1/jobs/job-999999", b""),
+    ("GET", "/v1/jobs/job-999999/result", b""),
+    ("GET", "/v1/jobs/job-999999/trace", b""),
+    ("POST", "/v1/jobs/job-999999/cancel", b""),
+    ("POST", "/v1/jobs", b"{}"),
     ("GET", "/v1/jobs", b""),
     ("GET", "/v1/jobs/job-000001/result", b""),
     ("GET", "/", b""),
