@@ -1,19 +1,21 @@
-"""``repro.dse`` — cached design-space exploration.
+"""``repro.dse`` — design-space exploration.
 
 The production-scale sweep engine over the hybrid accelerator's levers:
 a declarative :class:`SweepSpec` enumerates the cross product of (N:M
 pattern x bus width x MRAM geometry x precision x device corner), the
 points are evaluated together — one ``(configs x layers)`` numpy program
 per slice of configs — by the analytical models behind the fig7/fig8
-harnesses, results land in a content-hash disk cache so repeated sweeps
-are incremental, and everything reduces to a deterministic Pareto
-frontier over (area, inference power, training EDP, density).
+harnesses, and everything reduces to a deterministic Pareto frontier
+over (area, inference power, training EDP, density).  A sweep
+recomputes every config, so its frontier always reflects the current
+cost model; the content-hash :class:`DiskCache` backs the server's
+``/v1/evaluate`` only.
 
 Determinism guarantees (enforced by ``tests/test_dse_*.py``):
 
 * a config's record is bit-identical whether it is evaluated alone or
   batched with any other configs;
-* a warm (fully cached) run reproduces the cold run exactly;
+* a record read back from a :class:`DiskCache` equals the computed one;
 * the frontier is a function of the record *set* — record order never
   changes it;
 * duplicated metric vectors keep exactly one canonical representative.

@@ -1,4 +1,7 @@
-"""``python -m repro.dse`` — the cached design-space sweep.
+"""``python -m repro.dse`` — the design-space sweep.
+
+Every run evaluates every config of its spec with the current cost
+model; no record is read from or written to a cache.
 
 .. code-block:: bash
 
@@ -6,9 +9,6 @@
     python -m repro.dse --preset full            # 4500 configs
     python -m repro.dse --preset smoke --out frontier.json --csv sweep.csv
     python -m repro.dse --patterns 1:4,1:8 --bus-bits 64,128,256
-    python -m repro.dse --no-cache               # always recompute
-    python -m repro.dse --refresh                # recompute, refill cache
-    python -m repro.dse --min-cache-hits 1       # CI warm-run assertion
     python -m repro.dse --trace dse.trace.json   # span-traced run
 """
 
@@ -20,7 +20,6 @@ import sys
 from typing import List, Optional
 
 from ..harness.reporting import begin_trace, finish_trace
-from .cache import DEFAULT_CACHE_DIR, DiskCache, NullCache
 from .engine import frontier_doc, run_sweep
 from .export import render_frontier, render_summary, write_csv, write_json
 from .spec import PRESETS, SweepSpec
@@ -40,7 +39,7 @@ def build_spec(args: argparse.Namespace) -> SweepSpec:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dse",
-        description="Cached design-space exploration over the "
+        description="Design-space exploration over the "
                     "hybrid accelerator's levers, reduced to Pareto "
                     "frontiers (area/power/EDP/density).")
     parser.add_argument("--preset", choices=sorted(PRESETS),
@@ -57,14 +56,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--devices", default=None,
                         metavar="nominal,mram-fast-write",
                         help="override the device-corner lever")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
-                        help=f"record cache root (default: "
-                             f"{DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="neither read nor write the record cache")
-    parser.add_argument("--refresh", action="store_true",
-                        help="ignore cached records but refill the cache")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the frontier JSON here")
     parser.add_argument("--records", default=None, metavar="PATH",
@@ -75,23 +66,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="enable span tracing; write a Chrome "
                              "trace_events file here")
-    parser.add_argument("--min-cache-hits", type=int, default=None,
-                        metavar="N",
-                        help="exit 2 unless the run served >= N cache hits "
-                             "(CI warm-run assertion)")
     args = parser.parse_args(argv)
 
     try:
         spec = build_spec(args)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.no_cache:
-        cache: DiskCache = NullCache()
-    else:
-        cache = DiskCache(args.cache_dir, refresh=args.refresh)
 
     begin_trace(args.trace)
-    result = run_sweep(spec=spec, cache=cache)
+    result = run_sweep(spec=spec)
     finish_trace(args.trace)
 
     print(render_frontier(result))
@@ -115,11 +98,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if result["configs"] and len(result["errors"]) == result["configs"]:
         print("error: every config failed", file=sys.stderr)
         return 1
-    hits = cache.stats()["hits"]
-    if args.min_cache_hits is not None and hits < args.min_cache_hits:
-        print(f"error: {hits} cache hits < required "
-              f"{args.min_cache_hits}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -1,12 +1,17 @@
 """Content-hash record cache: canonical-JSON config -> evaluation record.
 
+The server's ``/v1/evaluate`` answers from it; sweeps, from the CLI or
+``/v1/sweep``, recompute every config and never touch it.
+
 Two tiers, written through together.  The disk tier is one file per
 config under the cache root, named by the config's SHA-256 key (see
-:func:`repro.dse.spec.config_key`); it survives restarts and is shared
-by CLI sweeps and the server.  The memory tier holds the canonical JSON
-text of the last :data:`MEMORY_ENTRIES` records this instance stored or
-validated from disk, and answers a repeat lookup without touching a
-file; a disabled or refreshing cache never reads it.
+:func:`repro.dse.spec.config_key`); it survives restarts.  The memory
+tier holds the canonical JSON text of the last :data:`MEMORY_ENTRIES`
+records this instance stored or validated from disk, and answers a
+repeat lookup without touching a file; a disabled cache never reads it.
+
+An entry carries no model version: after a change to the cost model,
+empty the cache root, or its entries answer with the old numbers.
 
 Each entry file wraps the record with a schema tag and a checksum over
 the record's canonical JSON, so a truncated, corrupted, or hand-edited
@@ -19,7 +24,7 @@ file is *detected and recomputed*, never returned as a result:
 
 Entry files are compact canonical JSON (sorted keys, no whitespace);
 entries written indented by older versions validate all the same.
-Writes are atomic (tmp file + ``os.replace``) so a crashed sweep can
+Writes are atomic (tmp file + ``os.replace``) so a crashed writer can
 never leave a half-written entry that passes validation.
 """
 
@@ -40,7 +45,7 @@ from .spec import canonical_json
 #: Schema tag of one cache-entry file.
 CACHE_SCHEMA = "repro.dse/cache/1"
 
-#: Where ``python -m repro.dse`` caches by default.
+#: Where ``python -m repro.serve`` caches by default.
 DEFAULT_CACHE_DIR = os.path.join("results", "dse_cache")
 
 #: Records the memory tier of one cache holds; the oldest is evicted
@@ -64,24 +69,20 @@ def text_checksum(text: str) -> str:
 class DiskCache:
     """Keyed record store with hit/miss/rejection accounting.
 
-    One instance is shared by every request-handler thread of the serve
-    layer, evaluate and sweep requests alike, so the counters and the
-    memory tier (``_memory``: key -> the record's canonical JSON text, in
-    insertion order) are guarded by ``_lock`` (declared above, verified by lint
-    rule R11).  File IO stays *outside* the lock (rule R12): entry bytes
-    are self-validating and writes are atomic ``tmp + os.replace``, so
-    the lock only has to make the accounting and the map consistent,
-    never the files.  A memory hit and a disk hit count alike in
+    One instance is shared by every evaluate-handler thread of the serve
+    layer, so the counters and the memory tier (``_memory``: key -> the
+    record's canonical JSON text, in insertion order) are guarded by
+    ``_lock`` (declared above, verified by lint rule R11).  File IO stays
+    *outside* the lock (rule R12): entry bytes are self-validating and
+    writes are atomic ``tmp + os.replace``, so the lock only has to make
+    the accounting and the map consistent, never the files.  A memory hit and a disk hit count alike in
     ``hits`` and return equal dicts, with the same sorted key order.
     """
 
     def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
-                 enabled: bool = True, refresh: bool = False):
+                 enabled: bool = True):
         self.root = pathlib.Path(root)
         self.enabled = enabled
-        #: ``refresh=True``: ignore existing entries (recompute) but still
-        #: store the fresh results — the ``--refresh`` escape hatch.
-        self.refresh = refresh
         self._lock = threading.Lock()
         self._memory: Dict[str, str] = {}
         self.hits = 0
@@ -93,19 +94,19 @@ class DiskCache:
         return self.root / f"{key}.json"
 
     # ------------------------------------------------------------------ read
-    @reentrant(reason="cache reads race with concurrent sweeps; a record "
+    @reentrant(reason="cache reads race with concurrent requests; a record "
                       "depends on the entry bytes alone, and each hit "
                       "decodes a fresh dict (counters and the memory tier "
                       "on self are caller-owned, not module state)")
     def lookup(self, key: str) -> Optional[Dict[str, object]]:
         """The cached record for ``key``, or None (counted as miss).
 
-        The memory tier answers first; a disabled or refreshing cache
-        never reads either tier.  Any validation failure of the entry
-        file counts as *rejected* (and a miss): the caller recomputes,
-        then :meth:`store` overwrites the bad entry.
+        The memory tier answers first; a disabled cache never reads
+        either tier.  Any validation failure of the entry file counts as
+        *rejected* (and a miss): the caller recomputes, then
+        :meth:`store` overwrites the bad entry.
         """
-        if not self.enabled or self.refresh:
+        if not self.enabled:
             with self._lock:
                 self.misses += 1
             return None
@@ -177,8 +178,8 @@ class DiskCache:
         text = canonical_json(record)
         entry = _ENTRY % (text_checksum(text), json.dumps(key), text)
         path = self.path_for(key)
-        # One temp file per writer thread: racing stores of one key (a
-        # sweep request and an evaluate request) never share it.
+        # One temp file per writer thread: racing stores of one key (two
+        # threads that each missed it) never share it.
         tmp = path.with_name(
             f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
         try:
@@ -196,10 +197,9 @@ class DiskCache:
     # ------------------------------------------------------------------ misc
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            return {"enabled": self.enabled, "refresh": self.refresh,
-                    "root": str(self.root), "hits": self.hits,
-                    "misses": self.misses, "rejected": self.rejected,
-                    "stored": self.stored}
+            return {"enabled": self.enabled, "root": str(self.root),
+                    "hits": self.hits, "misses": self.misses,
+                    "rejected": self.rejected, "stored": self.stored}
 
 
 class NullCache(DiskCache):

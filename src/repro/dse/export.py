@@ -72,12 +72,7 @@ def render_frontier(result: Mapping[str, object],
 
 
 def render_summary(result: Mapping[str, object]) -> str:
-    """The one-line sweep accounting (cache hits, errors, frontier size)."""
-    cache = result.get("cache") or {}
-    parts = [f"{result['configs']} configs",
-             f"{len(result['frontier'])} on frontier",
-             f"{len(result['errors'])} errors"]
-    if cache:
-        parts.append(f"cache: {cache['hits']} hits / {cache['misses']} "
-                     f"misses / {cache['rejected']} rejected")
-    return ", ".join(parts)
+    """The one-line sweep accounting (configs, frontier size, errors)."""
+    return (f"{result['configs']} configs, "
+            f"{len(result['frontier'])} on frontier, "
+            f"{len(result['errors'])} errors")

@@ -69,10 +69,6 @@ def read_bit_error_rate(params: MTJParams = MTJParams(),
     the cell current against the midpoint reference with its own Gaussian
     offset.  BER = average of the two states' miscompare probabilities.
     """
-    # Imported here, not at module top: scipy.stats takes about a second to
-    # import, and only the ablations harness reaches this function.
-    from scipy.stats import norm
-
     cur = state_currents_ua(params, config)
     i_ref = cur["i_ref_ua"]
 
@@ -85,7 +81,8 @@ def read_bit_error_rate(params: MTJParams = MTJParams(),
             return 0.0
         # P state current is above the reference; AP below
         z = abs(i_mean - i_ref) / sigma_i
-        return float(norm.sf(z))
+        # Standard-normal upper tail, Q(z) = erfc(z / sqrt 2) / 2.
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
 
     ber_p = miss(params.resistance_p_ohm)
     ber_ap = miss(params.resistance_ap_ohm)

@@ -6,12 +6,12 @@ reproduction's reentrant library calls into a service:
 * ``POST /v1/evaluate`` — one design config, evaluated inline in the
   request's thread behind a per-key single-flight: concurrent requests
   for one config share one engine call (:mod:`repro.serve.batching`),
-  and responses are served from the same content-hash
-  :class:`~repro.dse.cache.DiskCache` the CLI sweeps use — one cache,
-  keyed by canonical-JSON SHA-256, warmed from either side.
+  and responses are served from a content-hash
+  :class:`~repro.dse.cache.DiskCache` keyed by canonical-JSON SHA-256.
 * ``POST /v1/sweep`` / ``POST /v1/experiment`` — one ``run_sweep`` or
   one fig7/fig8/table2 harness build, run inline in the request's
-  thread like an evaluate; the reply carries the result.
+  thread like an evaluate; the reply carries the result.  A sweep
+  recomputes every config and never touches the evaluate cache.
 * Every evaluate, sweep and experiment request gets a trace ID; spans
   record under context-local tracers (:func:`repro.obs.use_tracer`),
   never the process-global one, and ``"trace": true`` returns them

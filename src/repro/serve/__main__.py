@@ -10,6 +10,10 @@
       "config": {"pattern": "1:8", "bus_bits": 128, "mram_rows": 1024,
                  "weight_bits": 8, "device": "nominal"}}'
     curl -s -X POST localhost:8321/v1/sweep -d '{"preset": "smoke"}'
+
+The cache backs ``/v1/evaluate`` only; ``/v1/sweep`` recomputes every
+config.  Its entries carry no model version: after a change to the cost
+model, point ``--cache-dir`` at an empty directory (or empty it).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ def build_app(args: argparse.Namespace) -> ServeApp:
     if args.no_cache:
         cache: DiskCache = NullCache()
     else:
-        cache = DiskCache(args.cache_dir, refresh=args.refresh)
+        cache = DiskCache(args.cache_dir)
     return ServeApp(cache=cache)
 
 
@@ -43,12 +47,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="bind port; 0 picks a free one (default: 8321)")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                         metavar="DIR",
-                        help=f"record cache root, shared with python -m "
-                             f"repro.dse (default: {DEFAULT_CACHE_DIR})")
+                        help=f"/v1/evaluate's record cache root "
+                             f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the record cache")
-    parser.add_argument("--refresh", action="store_true",
-                        help="ignore cached records but refill the cache")
     parser.add_argument("--verbose", action="store_true",
                         help="log every request to stderr")
     args = parser.parse_args(argv)

@@ -2,10 +2,10 @@
 
 Layering (everything below the handler is plain-function testable):
 
-* :class:`ServeApp` — owns the shared :class:`~repro.dse.cache.DiskCache`
-  (the *same* content-hash cache ``python -m repro.dse`` uses, so HTTP
-  and CLI warm each other), the single-flight
-  :class:`~.batching.BatchingQueue` and the latency histograms.
+* :class:`ServeApp` — owns the evaluate path's
+  :class:`~repro.dse.cache.DiskCache` (sweeps recompute and never touch
+  it), the single-flight :class:`~.batching.BatchingQueue` and the
+  latency histograms.
   ``dispatch(method, path, body)`` is the whole API as a pure-ish call:
   ``(status, document)`` out; ``respond`` adds the (compact, key-sorted)
   JSON encoding and the timing.
@@ -267,11 +267,10 @@ class ServeApp:
         request = validate_sweep_request(body)
 
         def sweep() -> Dict[str, object]:
-            result = run_sweep(spec=request["spec"], cache=self.cache)
+            result = run_sweep(spec=request["spec"])
             fields: Dict[str, object] = {
                 "configs": result["configs"],
                 "errors": len(result["errors"]),
-                "cache": result["cache"],
                 "frontier": frontier_doc(result),
             }
             if request["records"]:

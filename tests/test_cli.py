@@ -63,4 +63,5 @@ class TestCLI:
         assert "python -m repro.serve" in out
         assert "--cache-dir" in out
         assert "--job-workers" not in out
+        assert "--refresh" not in out
         assert "--window-ms" not in out

@@ -1,8 +1,8 @@
-"""Cache correctness: cold == warm, corruption detected, escape hatches,
+"""Cache correctness: cold == warm, corruption detected, the null cache,
 and a memory tier that answers exactly as the disk does.
 
 The cold-compute result is the oracle: whatever the cache does — hit,
-miss, reject, refresh — the sweep output must be byte-identical to a
+miss, reject — a sweep through it must be byte-identical to a
 cache-less run over the same spec.
 """
 
@@ -113,14 +113,6 @@ class TestColdWarmIdentity:
         result = run_sweep(spec=SPEC, cache=cache)
         assert cache.hits == 0 and cache.misses == SPEC.size
         assert cache.stored == SPEC.size
-        assert result["records"] == cold_result["records"]
-
-    def test_refresh_recomputes_but_refills(self, warm_cache, cold_result):
-        refreshing = DiskCache(warm_cache.root, refresh=True)
-        result = run_sweep(spec=SPEC, cache=refreshing)
-        assert refreshing.hits == 0
-        assert refreshing.misses == SPEC.size
-        assert refreshing.stored == SPEC.size
         assert result["records"] == cold_result["records"]
 
     def test_null_cache_neither_reads_nor_writes(self, cold_result,
@@ -344,17 +336,6 @@ class TestMemoryTier:
         assert cache.lookup(record["key"]) is None
         assert (cache.hits, cache.misses, cache.stored) == (0, 1, 0)
         assert not cache.root.exists()
-
-    def test_refresh_never_answers_from_memory(self, tmp_path,
-                                               smoke_records):
-        refreshing = DiskCache(tmp_path / "c", refresh=True)
-        record = smoke_records[0]
-        refreshing.store(record["key"], record)
-        assert refreshing.lookup(record["key"]) is None
-        assert (refreshing.hits, refreshing.misses,
-                refreshing.stored) == (0, 1, 1)
-        # Still written through to disk for the next reader.
-        assert DiskCache(tmp_path / "c").lookup(record["key"]) == record
 
     def test_tampered_file_is_served_from_the_storing_instances_memory(
             self, tmp_path, smoke_records):

@@ -125,41 +125,44 @@ class TestCli:
     def smoke_args(self, extra):
         return ["--preset", "smoke"] + extra
 
-    def test_cold_then_warm_round_trip(self, tmp_path, monkeypatch, capsys):
-        code = self.run(self.smoke_args(["--out", "cold.json"]),
-                        tmp_path, monkeypatch)
-        assert code == 0
-        # Warm run must serve every config from cache and agree exactly.
-        code = self.run(self.smoke_args(
-            ["--out", "warm.json", "--min-cache-hits",
-             str(SMOKE_SPEC.size)]), tmp_path, monkeypatch)
-        assert code == 0
-        cold = (tmp_path / "cold.json").read_bytes()
-        warm = (tmp_path / "warm.json").read_bytes()
-        assert cold == warm
+    def test_two_runs_write_identical_frontiers(self, tmp_path,
+                                                monkeypatch, capsys):
+        for name in ("first.json", "second.json"):
+            code = self.run(self.smoke_args(["--out", name]),
+                            tmp_path, monkeypatch)
+            assert code == 0
+        first = (tmp_path / "first.json").read_bytes()
+        assert (tmp_path / "second.json").read_bytes() == first
         out = capsys.readouterr().out
-        assert f"{SMOKE_SPEC.size} hits" in out
+        assert f"{SMOKE_SPEC.size} configs, " in out
+        assert "cache" not in out
 
-    def test_min_cache_hits_fails_a_cold_run(self, tmp_path, monkeypatch):
-        code = self.run(self.smoke_args(["--min-cache-hits", "1"]),
-                        tmp_path, monkeypatch)
-        assert code == 2
-
-    def test_no_cache_writes_nothing(self, tmp_path, monkeypatch):
-        code = self.run(self.smoke_args(["--no-cache"]),
+    def test_sweep_creates_only_its_output(self, tmp_path, monkeypatch):
+        """A sweep recomputes: it reads and writes no record cache, so an
+        empty directory ends up holding the frontier file alone."""
+        code = self.run(self.smoke_args(["--out", "f.json"]),
                         tmp_path, monkeypatch)
         assert code == 0
-        assert not (tmp_path / "results").exists()
+        assert sorted(p.relative_to(tmp_path).as_posix()
+                      for p in tmp_path.rglob("*")) == ["f.json"]
 
     def test_workers_flag_is_gone(self, tmp_path, monkeypatch):
         with pytest.raises(SystemExit) as excinfo:
-            self.run(self.smoke_args(["--no-cache", "--workers", "2"]),
+            self.run(self.smoke_args(["--workers", "2"]),
                      tmp_path, monkeypatch)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", [
+        ["--cache-dir", "c"], ["--no-cache"], ["--refresh"],
+        ["--min-cache-hits", "1"]], ids=lambda flag: flag[0])
+    def test_cache_flags_are_gone(self, tmp_path, monkeypatch, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run(self.smoke_args(flag), tmp_path, monkeypatch)
         assert excinfo.value.code == 2
 
     def test_csv_and_records_exports(self, tmp_path, monkeypatch):
         code = self.run(self.smoke_args(
-            ["--no-cache", "--csv", "sweep.csv", "--records", "all.json"]),
+            ["--csv", "sweep.csv", "--records", "all.json"]),
             tmp_path, monkeypatch)
         assert code == 0
         csv_lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -171,7 +174,7 @@ class TestCli:
     def test_lever_overrides_shrink_the_sweep(self, tmp_path, monkeypatch):
         code = self.run(
             ["--patterns", "1:4", "--bus-bits", "128", "--mram-rows", "1024",
-             "--weight-bits", "8", "--devices", "nominal", "--no-cache",
+             "--weight-bits", "8", "--devices", "nominal",
              "--records", "one.json"],
             tmp_path, monkeypatch)
         assert code == 0
@@ -196,14 +199,12 @@ class TestCli:
                     "cache": None}
 
         monkeypatch.setattr(dse_cli, "run_sweep", all_fail)
-        code = self.run(self.smoke_args(["--no-cache"]),
-                        tmp_path, monkeypatch)
+        code = self.run(self.smoke_args([]), tmp_path, monkeypatch)
         assert code == 1
 
     def test_trace_writes_sweep_spans(self, tmp_path, monkeypatch):
-        code = self.run(self.smoke_args(
-            ["--no-cache", "--trace", "dse.trace.json"]),
-            tmp_path, monkeypatch)
+        code = self.run(self.smoke_args(["--trace", "dse.trace.json"]),
+                        tmp_path, monkeypatch)
         assert code == 0
         doc = json.loads((tmp_path / "dse.trace.json").read_text())
         assert validate_trace_events(doc) == []
@@ -213,7 +214,7 @@ class TestCli:
     def test_top_level_cli_forwards_the_dse_subcommand(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        code = repro_cli.main(["dse", "--preset", "smoke", "--no-cache",
+        code = repro_cli.main(["dse", "--preset", "smoke",
                                "--out", "fwd.json"])
         assert code == 0
         doc = json.loads((tmp_path / "fwd.json").read_text())

@@ -133,24 +133,36 @@ class TestSensing:
             SenseConfig(resistance_sigma=0.7)
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.serve", "repro.dse",
-                                    "repro.harness", "repro.energy",
-                                    "repro.core"])
-def test_package_import_does_not_load_scipy(module):
-    """scipy is imported only when a BER is computed: importing the
-    package, the server, the sweep engine, the experiment harness or the
-    hardware models in a fresh interpreter leaves it unloaded (it would
-    otherwise be most of start-up time and RSS).  No ``repro.lint``
-    module is loaded either: the linter is on no path these packages
-    run."""
+def fresh_modules(code: str, package: str) -> list:
+    """The modules of ``package`` that ``code`` leaves loaded when it runs
+    in a fresh interpreter on this tree's ``src``."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    code = (f"import sys, {module}\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.split('.')[0] == 'scipy'\n"
-            "             or m.startswith('repro.lint')))")
+    code += ("\nimport sys\n"
+             f"print(*sorted(m for m in sys.modules if m == {package!r}\n"
+             f"              or m.startswith({package + '.'!r})))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.split()
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.serve", "repro.dse",
+                                    "repro.harness", "repro.energy",
+                                    "repro.core"])
+def test_package_import_does_not_load_the_linter(module):
+    """No ``repro.lint`` module is loaded by importing the package, the
+    server, the sweep engine, the experiment harness or the hardware
+    models in a fresh interpreter: the linter is on no path these
+    packages run."""
+    assert fresh_modules(f"import {module}", "repro.lint") == []
+
+
+def test_ablations_build_loads_no_scipy():
+    """The package depends on numpy alone: the sense-margin BER, the only
+    statistic that ever needed scipy, is a closed-form ``math.erfc``, so
+    building every ablation in a fresh interpreter loads no scipy."""
+    code = ("from repro.harness.ablations import build_ablations\n"
+            "build_ablations()")
+    assert fresh_modules(code, "scipy") == []

@@ -21,6 +21,7 @@ import pytest
 from repro.dse import (SMOKE_SPEC, config_key, dumps_canonical,
                        evaluate_batch, evaluate_config, frontier_doc,
                        normalize_config, run_sweep)
+from repro.dse import cache as cache_module
 from repro.dse.cache import DiskCache, NullCache
 from repro.harness.fig7 import build_fig7
 from repro.harness.fig8 import build_fig8
@@ -167,6 +168,41 @@ class TestEvaluateDifferential:
                     normalize_config(shape_bad["config"])
 
 
+class TestSweepLeavesTheEvaluateCacheAlone:
+    """A sweep recomputes every config: it reads and writes nothing in
+    the app's cache, so it can neither answer from stale entries nor
+    evict the evaluate path's memory tier."""
+
+    def test_sweep_leaves_cache_counters_and_files_unchanged(self, tmp_path):
+        with live_server(tmp_path) as (app, client):
+            assert client.post("/v1/evaluate",
+                               {"config": NOMINAL_CONFIG})[0] == 200
+            before = client.get("/v1/stats")[1]["cache"]
+            files = sorted(app.cache.root.iterdir())
+            status, doc, _ = client.post("/v1/sweep", {"preset": "smoke"})
+            assert status == 200
+            assert "cache" not in doc
+            assert client.get("/v1/stats")[1]["cache"] == before
+            assert sorted(app.cache.root.iterdir()) == files
+
+    def test_evaluate_entry_is_a_memory_hit_after_a_sweep(self, tmp_path,
+                                                         monkeypatch):
+        # A memory tier smaller than the smoke sweep: a sweep that stored
+        # its records would evict the evaluate entry.
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 4)
+        config = dict(NOMINAL_CONFIG, bus_bits=512)    # not in SMOKE_SPEC
+        with live_server(tmp_path) as (app, client):
+            first = client.post("/v1/evaluate", {"config": config})[1]
+            assert first["cache"] == "miss"
+            assert client.post("/v1/sweep", {"preset": "smoke"})[0] == 200
+            # With the entry file gone, only the memory tier can answer.
+            for path in app.cache.root.iterdir():
+                path.unlink()
+            status, doc, _ = client.post("/v1/evaluate", {"config": config})
+        assert (status, doc["cache"]) == (200, "hit")
+        assert doc["record"] == first["record"]
+
+
 class TestSweepDifferential:
     SWEEP_REQUEST = {"preset": "smoke",
                      "overrides": {"patterns": ["1:8", "2:8"],
@@ -191,22 +227,6 @@ class TestSweepDifferential:
         assert field_bytes(payload, "records") == wire(direct["records"])
         assert doc["configs"] == direct["configs"]
         assert doc["errors"] == len(direct["errors"]) == 0
-
-    def test_half_warm_sweep_returns_the_cold_bytes(self, tmp_path):
-        """Half the configs answered by the cache, half by the model: the
-        frontier and records still encode exactly as a cold sweep's."""
-        body = {"preset": "smoke", "records": True}
-        with live_server(cache=DiskCache(tmp_path / "cold")) as (_, client):
-            cold = client.request_bytes("POST", "/v1/sweep", body)[1]
-        half_cache = DiskCache(tmp_path / "half")
-        warmed = SMOKE_SPEC.keyed()[::2]
-        evaluate_batch(warmed, cache=half_cache)
-        with live_server(cache=half_cache) as (_, client):
-            half = client.request_bytes("POST", "/v1/sweep", body)[1]
-        assert json.loads(half)["cache"]["hits"] == len(warmed)
-        assert json.loads(cold)["cache"]["hits"] == 0
-        for field in ("frontier", "records"):
-            assert field_bytes(half, field) == field_bytes(cold, field)
 
     @pytest.mark.parametrize("name, build", [
         ("fig7", build_fig7), ("fig8", build_fig8), ("table2", build_table2)])

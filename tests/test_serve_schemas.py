@@ -97,7 +97,7 @@ class TestGoldenResponses:
         assert status == 200
         assert scrub(doc) == {
             "schema": "repro.serve/stats/1",
-            "cache": {"enabled": True, "refresh": False, "root": "<dir>",
+            "cache": {"enabled": True, "root": "<dir>",
                       "hits": 0, "misses": 0, "rejected": 0, "stored": 0},
             "batching": {"requests": 0, "batches": 0, "coalesced": 0,
                          "submit_timeout_s": 60.0},
@@ -149,8 +149,6 @@ class TestGoldenResponses:
             "trace_id": "req-000001",
             "configs": 1,
             "errors": 0,
-            "cache": {"enabled": True, "refresh": False, "root": "<dir>",
-                      "hits": 0, "misses": 1, "rejected": 0, "stored": 1},
             "frontier": {
                 "schema": "repro.dse/frontier/1",
                 "objectives": ["area_mm2", "inference_power_mw",
@@ -275,7 +273,6 @@ class TestGoldenResponses:
                                  f"may name at most {MAX_SWEEP_CONFIGS}",
                       "field": "overrides"},
         })
-        assert app.cache.stats()["misses"] == 0
 
     def test_full_preset_is_within_the_config_bound(self):
         assert FULL_SPEC.size <= MAX_SWEEP_CONFIGS
