@@ -102,7 +102,6 @@ def run_sweep(spec: SweepSpec,
         "records": ordered,
         "errors": errors,
         "frontier": frontier,
-        "cache": cache.stats() if cache is not None else None,
     }
 
 

@@ -13,7 +13,7 @@ choices into one runnable report:
    no ADC is needed).
 5. **Read-fault robustness** — sparse-GEMM output error vs injected BER.
 
-Run: ``python -m repro.harness.ablations``
+Run: ``python -m repro ablations``
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ from ..core.write_verify import WriteVerifyController
 from ..energy.sensing import margin_study
 from ..obs import get_tracer
 from ..sparsity import NMPattern, compute_nm_mask, permutation_gain
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 PATTERNS = [NMPattern(1, 16), NMPattern(1, 8), NMPattern(2, 8),
             NMPattern(1, 4), NMPattern(2, 4)]
@@ -163,18 +162,3 @@ def render_ablations(result: Dict) -> str:
          for r in result["fault_robustness"]],
         title="Ablation 5 — sparse-GEMM robustness to read faults"))
     return "\n".join(out)
-
-
-def main(json_path: Optional[str] = None,
-         trace_path: Optional[str] = None) -> Dict:
-    begin_trace(trace_path)
-    result = build_ablations()
-    print(render_ablations(result))
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("ablations")
-    main(json_path=_args.json, trace_path=_args.trace)

@@ -8,7 +8,7 @@ downstream-task adaptations (30-epoch recipe) the weight memory survives,
 plus the EDP the hybrid achieves when its NVM is RRAM instead of MRAM (the
 paper's portability claim).
 
-Run: ``python -m repro.harness.endurance``
+Run: ``python -m repro endurance``
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from ..energy.endurance import (tasks_until_failure, training_lifetime_study)
 from ..energy.rram import compare_nvm_write_cost, rram_technology
 from ..obs import get_tracer
 from ..sparsity.nm import NMPattern
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 
 @reentrant(reason="lifetime studies are analytical; repeated builds "
@@ -82,18 +81,3 @@ def render_endurance(result: Dict) -> str:
     out.append(f"\nwrite energy: RRAM {w['rram']:.2f} pJ/bit vs "
                f"MRAM {w['mram']:.3f} pJ/bit")
     return "\n".join(out)
-
-
-def main(json_path: Optional[str] = None,
-         trace_path: Optional[str] = None) -> Dict:
-    begin_trace(trace_path)
-    result = build_endurance()
-    print(render_endurance(result))
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("endurance")
-    main(json_path=_args.json, trace_path=_args.trace)

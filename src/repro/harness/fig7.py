@@ -8,7 +8,7 @@ Reports, per design: normalized area; normalized average inference power
 with the paper's leakage/read split (log-scale quantities — compare orders
 of magnitude).
 
-Run: ``python -m repro.harness.fig7``
+Run: ``python -m repro fig7``
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from ..core.effects import reentrant
 from ..core.workload import Workload, paper_workload
 from ..obs import get_tracer
 from ..sparsity.nm import NMPattern
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 #: Paper-reported approximate values (read off the figure) for shape checks.
 PAPER_AREA_REL = {"SRAM[29]": 1.0, "MRAM[30]": 0.48,
@@ -87,20 +86,5 @@ def render_fig7(result: Dict) -> str:
         ["Design", "Area (rel)", "Power (rel)", "Leak (rel)", "Read (rel)",
          "Latency (ms)"],
         table_rows,
-        title=f"Fig. 7 — power & area vs SRAM[29]  ({result['workload']})")
-
-
-def main(json_path: Optional[str] = None,
-         trace_path: Optional[str] = None) -> Dict:
-    begin_trace(trace_path)
-    result = build_fig7()
-    print(render_fig7(result))
-    print("\nPaper reference (area, rel):", result["paper_area_rel"])
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("fig7")
-    main(json_path=_args.json, trace_path=_args.trace)
+        title=f"Fig. 7 — power & area vs SRAM[29]  ({result['workload']})"
+    ) + f"\n\nPaper reference (area, rel): {result['paper_area_rel']}"

@@ -13,7 +13,7 @@ the updated scope + transposed-operand writes + weight-update writes); the
 forward pass is the design-independent inference already compared in
 Fig. 7.  Log-scale quantities.
 
-Run: ``python -m repro.harness.fig8``
+Run: ``python -m repro fig8``
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ from ..core.effects import reentrant
 from ..core.workload import Workload, paper_workload
 from ..obs import get_tracer
 from ..sparsity.nm import NMPattern
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 
 def fig8_configs() -> List[Tuple[str, str, object]]:
@@ -86,18 +85,3 @@ def render_fig8(result: Dict) -> str:
         table_rows,
         title=f"Fig. 8 — continual-learning EDP  ({result['workload']}, "
               f"batch={result['batch']})")
-
-
-def main(json_path: Optional[str] = None,
-         trace_path: Optional[str] = None) -> Dict:
-    begin_trace(trace_path)
-    result = build_fig8()
-    print(render_fig8(result))
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("fig8")
-    main(json_path=_args.json, trace_path=_args.trace)

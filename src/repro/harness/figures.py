@@ -4,16 +4,17 @@ The numeric harnesses (:mod:`repro.harness.fig7`, ``fig8``) print tables;
 this module renders the same results as horizontal bar charts mimicking the
 paper's plots — including Fig. 7's log-scale power axis with the
 leakage/read split, so the reproduction can be eyeballed against the PDF.
+
+Run: ``python -m repro figures``
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .fig7 import build_fig7
 from .fig8 import build_fig8
-from .reporting import begin_trace, finish_trace, harness_cli
 
 BAR_WIDTH = 48
 
@@ -37,9 +38,8 @@ def _linear_bar(value: float, vmax: float, width: int = BAR_WIDTH,
     return fill * max(1, int(round(width * min(value / vmax, 1.0))))
 
 
-def render_fig7_chart(result: Optional[Dict] = None) -> str:
+def render_fig7_chart(result: Dict) -> str:
     """Fig. 7 as two bar charts: log-scale power (leak/read split) + area."""
-    result = result or build_fig7()
     rows = result["rows"]
     out: List[str] = ["Fig. 7a — normalized inference power (log scale)",
                       "-" * 64]
@@ -66,9 +66,8 @@ def render_fig7_chart(result: Optional[Dict] = None) -> str:
     return "\n".join(out)
 
 
-def render_fig8_chart(result: Optional[Dict] = None) -> str:
+def render_fig8_chart(result: Dict) -> str:
     """Fig. 8 as a log-scale EDP bar chart, grouped as in the paper."""
-    result = result or build_fig8()
     rows = result["rows"]
     out: List[str] = ["Fig. 8 — continual-learning EDP "
                       "(log scale, rel. to Ours 1:8)", "-" * 64]
@@ -86,14 +85,11 @@ def render_fig8_chart(result: Optional[Dict] = None) -> str:
     return "\n".join(out)
 
 
-def main(trace_path: Optional[str] = None) -> None:
-    begin_trace(trace_path)
-    print(render_fig7_chart())
-    print()
-    print(render_fig8_chart())
-    finish_trace(trace_path)
+def build_figures() -> Dict:
+    """The Fig. 7 and Fig. 8 results the charts draw."""
+    return {"fig7": build_fig7(), "fig8": build_fig8()}
 
 
-if __name__ == "__main__":
-    _args = harness_cli("figures")
-    main(trace_path=_args.trace)
+def render_figures(result: Dict) -> str:
+    return (render_fig7_chart(result["fig7"]) + "\n\n"
+            + render_fig8_chart(result["fig8"]))

@@ -1,8 +1,7 @@
-"""Shared result-rendering and CLI helpers for the experiment harness."""
+"""Shared result-rendering and tracing helpers for the experiment harness."""
 
 from __future__ import annotations
 
-import argparse
 import json
 import pathlib
 from typing import Dict, List, Optional, Sequence
@@ -54,27 +53,8 @@ def save_json(result: Dict, path: Optional[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Observability plumbing shared by every harness entry point
+# Observability plumbing shared by every traced command line
 # ---------------------------------------------------------------------------
-
-def harness_cli(name: str, argv: Optional[List[str]] = None,
-                fast_flag: bool = False) -> argparse.Namespace:
-    """The common ``python -m repro.harness.<name>`` argument surface:
-    ``--json out.json`` (structured result) and ``--trace out.json``
-    (Chrome trace-event export of the instrumented run)."""
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro.harness.{name}",
-        description=f"Run the {name} study.")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the structured result to this JSON path")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="enable span tracing and write a Chrome "
-                             "trace_events file (chrome://tracing) here")
-    if fast_flag:
-        parser.add_argument("--fast", action="store_true",
-                            help="use the quick test budget")
-    return parser.parse_args(argv)
-
 
 def begin_trace(trace_path: Optional[str]) -> bool:
     """Enable the global tracer for a traced harness run (fresh span list)."""
@@ -85,10 +65,12 @@ def begin_trace(trace_path: Optional[str]) -> bool:
 
 
 def finish_trace(trace_path: Optional[str]) -> None:
-    """Export the accumulated spans to ``trace_path`` + print the summary."""
+    """Export the accumulated spans to ``trace_path``, print the summary
+    and turn the global tracer off again."""
     if trace_path is None:
         return
     path = obs.write_chrome_trace(trace_path)
+    obs.configure(enabled=False)
     print()
     print(render_trace_summary())
     print(f"\ntrace: {path} ({len(obs.get_tracer().finished_spans())} spans; "

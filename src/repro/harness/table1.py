@@ -19,7 +19,7 @@ Expected shape (the paper's, not its absolute numbers): dense >= 1:4 >= 1:8
 per task; INT8 within a couple points of FP32; the small/noisy food101
 analogue can favour the sparse model (overfitting of the dense one).
 
-Run: ``python -m repro.harness.table1`` (add ``--fast`` for the quick
+Run: ``python -m repro table1`` (add ``--fast`` for the quick
 configuration used by tests).
 """
 
@@ -41,8 +41,7 @@ from ..repnet.continual import (ContinualLearner, TrainConfig, evaluate,
 from ..obs import get_tracer
 from ..repnet.model import RepNetModel, build_repnet_model
 from ..sparsity import NMPattern, prune_model
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 
 @dataclasses.dataclass
@@ -265,6 +264,13 @@ def run_table1(config: Optional[Table1Config] = None) -> Dict:
     }
 
 
+def build_table1(fast: bool = False) -> Dict:
+    """:func:`run_table1` as ``python -m repro table1`` runs it: the full
+    (or, with ``fast``, the quick) budget, with progress lines on stdout."""
+    config = Table1Config.fast() if fast else Table1Config()
+    return run_table1(dataclasses.replace(config, verbose=True))
+
+
 def render_table1(result: Dict) -> str:
     tasks = result["tasks"]
     headers = ["Configuration", "Precision", "backbone@base"] + tasks
@@ -273,23 +279,7 @@ def render_table1(result: Dict) -> str:
         table_rows.append([row["config"], row["precision"],
                            f"{row['backbone@base'] * 100:.2f}%"]
                           + [f"{row[t] * 100:.2f}%" for t in tasks])
-    return format_table(headers, table_rows,
-                        title="Table 1 — Accuracy Evaluation (synthetic analogues)")
-
-
-def main(json_path: Optional[str] = None, fast: bool = False,
-         trace_path: Optional[str] = None) -> Dict:
-    config = Table1Config.fast() if fast else Table1Config()
-    config.verbose = True
-    begin_trace(trace_path)
-    result = run_table1(config)
-    print(render_table1(result))
-    print(f"\nelapsed: {result['elapsed_s']:.0f}s")
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("table1", fast_flag=True)
-    main(json_path=_args.json, fast=_args.fast, trace_path=_args.trace)
+    return format_table(
+        headers, table_rows,
+        title="Table 1 — Accuracy Evaluation (synthetic analogues)"
+    ) + f"\n\nelapsed: {result['elapsed_s']:.0f}s"

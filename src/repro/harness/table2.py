@@ -4,19 +4,18 @@ Regenerates the paper's Table 2 from :mod:`repro.energy.tech` (the
 calibrated leaf constants) plus the derived rows our models add: PE totals,
 storage capacity, the MTJ compact-model write-energy check, and retention.
 
-Run: ``python -m repro.harness.table2``
+Run: ``python -m repro table2``
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.effects import reentrant
 from ..energy.mtj import MTJ, MTJParams, table2_write_energy_check
 from ..energy.tech import DEFAULT_TECH, TechnologyModel
 from ..obs import get_tracer
-from .reporting import (begin_trace, finish_trace, format_table, harness_cli,
-                        save_json)
+from .reporting import format_table
 
 
 @reentrant(reason="the table2 device check is pure compact-model "
@@ -80,8 +79,7 @@ def _build_table2(tech: TechnologyModel) -> Dict:
     }
 
 
-def render_table2(result: Optional[Dict] = None) -> str:
-    result = result or build_table2()
+def render_table2(result: Dict) -> str:
     out = []
     for section, title in (("sram_pe", "SRAM PE"), ("mram_pe", "MRAM PE"),
                            ("global", "Global blocks")):
@@ -96,18 +94,3 @@ def render_table2(result: Optional[Dict] = None) -> str:
     out.append(format_table(["MTJ device", "Value"], rows,
                             title="Table 2 — STT-MRAM device"))
     return "\n".join(out)
-
-
-def main(json_path: Optional[str] = None,
-         trace_path: Optional[str] = None) -> Dict:
-    begin_trace(trace_path)
-    result = build_table2()
-    print(render_table2(result))
-    save_json(result, json_path)
-    finish_trace(trace_path)
-    return result
-
-
-if __name__ == "__main__":
-    _args = harness_cli("table2")
-    main(json_path=_args.json, trace_path=_args.trace)

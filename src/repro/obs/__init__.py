@@ -11,20 +11,21 @@ Dependency-free instrumentation layer (stdlib only):
   (``chrome://tracing`` / Perfetto) and flat per-phase summaries.
 
 Disabled by default and a strict no-op when disabled; enable with
-``REPRO_TRACE=1`` or ``configure(enabled=True)``.  Every harness entry
-point wires this up behind a ``--trace out.json`` flag::
+``configure(enabled=True)``.  Every experiment and the sweep wire this up
+behind a ``--trace out.json`` flag, and a serve request behind
+``"trace": true``::
 
-    python -m repro.harness.fig7 --trace fig7.trace.json
+    python -m repro fig7 --trace fig7.trace.json
 """
 
 from .counters import as_counters, counter_delta, flatten_stats, nonzero
 from .export import (TRACE_SCHEMA, summarize, to_trace_events,
                      validate_trace_events, write_chrome_trace)
-from .tracer import (NULL_SPAN, TRACE_ENV_VAR, Span, Tracer, configure,
-                     get_tracer, span, use_tracer)
+from .tracer import (NULL_SPAN, Span, Tracer, configure, get_tracer, span,
+                     use_tracer)
 
 __all__ = [
-    "Span", "Tracer", "NULL_SPAN", "TRACE_ENV_VAR",
+    "Span", "Tracer", "NULL_SPAN",
     "configure", "get_tracer", "span", "use_tracer",
     "as_counters", "counter_delta", "flatten_stats", "nonzero",
     "TRACE_SCHEMA", "summarize", "to_trace_events", "validate_trace_events",

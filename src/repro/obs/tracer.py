@@ -14,8 +14,8 @@ is NTP-step sensitive and is banned for durations by lint rule R4).
 The process-global tracer is **disabled by default** and a strict no-op
 when disabled: ``span()`` returns a shared null context manager that
 allocates nothing, so instrumented hot paths (the PE kernel dispatch) do
-no tracing work while it is off.  Enable it with the ``REPRO_TRACE=1``
-environment variable or ``configure(enabled=True)``.
+no tracing work while it is off.  Enable it with ``configure(enabled=True)``
+(what a ``--trace PATH`` flag does).
 
 Tracer lookup is **context-local**: :func:`get_tracer` first consults a
 ``contextvars.ContextVar`` that :func:`use_tracer` sets, falling back to
@@ -30,23 +30,11 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
-import os
 import threading
 import time
 from typing import Dict, List, Optional
 
 from ..core.concurrency import guarded_by
-
-#: Environment variable enabling the process-global tracer at import time.
-TRACE_ENV_VAR = "REPRO_TRACE"
-
-#: Values of ``REPRO_TRACE`` that leave tracing off.
-_DISABLED_VALUES = ("", "0", "off", "false", "no")
-
-
-def _env_enabled() -> bool:
-    return os.environ.get(TRACE_ENV_VAR, "0").lower() not in _DISABLED_VALUES
-
 
 @dataclasses.dataclass
 class Span:
@@ -146,9 +134,8 @@ class Tracer:
     it, so field writes after ``_open`` are unguarded by design.
     """
 
-    def __init__(self, enabled: Optional[bool] = None):
-        # None -> honor the REPRO_TRACE environment variable (default off).
-        self.enabled = _env_enabled() if enabled is None else enabled
+    def __init__(self, enabled: bool = False):
+        self.enabled = enabled
         self.spans: List[Span] = []
         self.epoch_ns: int = time.perf_counter_ns()
         #: Wall-clock epoch (ns since Unix epoch) paired with ``epoch_ns``,

@@ -1,6 +1,10 @@
 """Tests for the top-level CLI (python -m repro)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +69,44 @@ class TestCLI:
         assert "--job-workers" not in out
         assert "--refresh" not in out
         assert "--window-ms" not in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["figures", "--json", "figures.json"], "--json"),
+        (["table2", "--fast"], "--fast"),
+        (["table2", "--out", "d"], "--out"),
+        (["fig7", "--fast", "--out", "d"], "--fast, --out"),
+        (["all", "--json", "all.json"], "--json"),
+        (["all", "--trace", "all.trace.json"], "--trace"),
+        (["info", "--fast"], "--fast"),
+    ])
+    def test_flag_the_experiment_ignores_is_a_usage_error(
+            self, argv, flag, tmp_path, monkeypatch, capsys):
+        """A flag that would do nothing exits 2 before anything runs, and
+        writes no file."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{argv[0]} takes no {flag}" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_named_experiment_is_imported(self):
+        """In a fresh interpreter, ``python -m repro table2`` loads no
+        other harness module."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "from repro.__main__ import main\n"
+                "main(['table2'])\n"
+                "print(*sorted(m for m in sys.modules\n"
+                "              if m.startswith('repro.harness')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True,
+                             text=True).stdout
+        assert out.splitlines()[-1].split() == [
+            "repro.harness", "repro.harness.reporting",
+            "repro.harness.table2"]

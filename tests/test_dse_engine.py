@@ -195,8 +195,7 @@ class TestCli:
                     "records": [], "frontier": [],
                     "errors": [{"key": "k", "config": {},
                                 "error": {"type": "ValueError",
-                                          "message": "boom"}}],
-                    "cache": None}
+                                          "message": "boom"}}]}
 
         monkeypatch.setattr(dse_cli, "run_sweep", all_fail)
         code = self.run(self.smoke_args([]), tmp_path, monkeypatch)

@@ -1,17 +1,14 @@
 """Tests for the experiment harness (table/figure regeneration)."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.harness import (Table1Config, build_fig7, build_fig8, build_table2,
-                           render_fig7, render_fig8, render_table1,
-                           render_table2, run_table1)
+from repro.harness.fig7 import build_fig7, render_fig7
+from repro.harness.fig8 import build_fig8, render_fig8
 from repro.harness.reporting import format_table, save_json
+from repro.harness.table1 import Table1Config, render_table1, run_table1
+from repro.harness.table2 import build_table2, render_table2
 
 
 class TestReporting:
@@ -24,22 +21,6 @@ class TestReporting:
         save_json({"x": 1}, str(path))
         assert json.loads(path.read_text()) == {"x": 1}
         save_json({"x": 1}, None)  # no-op
-
-
-def test_module_entry_point_runs_without_runtime_warning():
-    """``python -m repro.harness.table2`` runs with RuntimeWarning as an
-    error: importing the package must not import ``table2`` before
-    ``runpy`` executes it."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m",
-         "repro.harness.table2"],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "SRAM PE" in proc.stdout
 
 
 class TestTable2:
@@ -56,7 +37,7 @@ class TestTable2:
             pytest.approx(dev["set_reset_energy_pj_paper"], rel=0.25)
 
     def test_render(self):
-        out = render_table2()
+        out = render_table2(build_table2())
         assert "SRAM PE" in out and "MRAM PE" in out and "Index Decoder" in out
 
 

@@ -89,14 +89,7 @@ class TestDisabledNoOp:
             sp.count(b=2)
         assert t.finished_spans() == []
 
-    def test_global_tracer_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert Tracer().enabled is False
-
-    def test_env_var_enables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert Tracer().enabled is True
-        monkeypatch.setenv("REPRO_TRACE", "0")
+    def test_global_tracer_disabled_by_default(self):
         assert Tracer().enabled is False
 
     def test_kernel_results_identical_with_and_without_tracing(self):
@@ -208,10 +201,10 @@ class TestHarnessIntegration:
         assert span_total == pytest.approx(row_total)
 
     def test_fig7_cli_trace_flag_writes_valid_trace(self, tmp_path, capsys):
-        from repro.harness import fig7
+        from repro.__main__ import main
 
         trace = tmp_path / "fig7.trace.json"
-        fig7.main(trace_path=str(trace))
+        assert main(["fig7", "--trace", str(trace)]) == 0
         doc = json.loads(trace.read_text())
         assert validate_trace_events(doc) == []
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}

@@ -3,16 +3,18 @@
 
 class TestFigureCharts:
     def test_fig7_chart(self):
+        from repro.harness.fig7 import build_fig7
         from repro.harness.figures import render_fig7_chart
-        out = render_fig7_chart()
+        out = render_fig7_chart(build_fig7())
         assert "Fig. 7a" in out and "Fig. 7b" in out
         assert "SRAM[29]" in out and "Hybrid(1:8)" in out
         # leakage/read split markers present
         assert "L" in out and "r" in out
 
     def test_fig8_chart_groups(self):
+        from repro.harness.fig8 import build_fig8
         from repro.harness.figures import render_fig8_chart
-        out = render_fig8_chart()
+        out = render_fig8_chart(build_fig8())
         assert "[Finetune All Weight]" in out
         assert "[RepNet with Sparsity]" in out
 
